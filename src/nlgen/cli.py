@@ -19,18 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from importlib import resources
 from pathlib import Path
 
 from . import ir, realize, schema, sentplan
-from .errors import (
-    DataError,
-    NlgenError,
-    SchemaParseError,
-    SerializationError,
-    TemplateError,
-)
+from .errors import NlgenError
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 
 EXIT_OK = 0
@@ -53,13 +45,13 @@ def _fail(stage: str, code: int, message: str) -> _StageFailure:
     return _StageFailure(stage, code, first_line)
 
 
-def _read_text(path: str, stage: str = "io") -> str:
+def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail(stage, EXIT_IO, f"cannot read {path}: {exc}")
+        raise _fail("io", EXIT_IO, f"cannot read {path}: {exc}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -69,65 +61,36 @@ def _write_text(path: str, text: str) -> None:
         raise _fail("io", EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _load_schema(path: str) -> schema.SchemaDef:
-    source = _read_text(path)
+def _stage(stage: str, code: int, source: str, fn, *args):
+    """Run one pipeline step; its failure names the stage and the input
+    file it was working on."""
     try:
-        return schema.parse_schema(source)
-    except SchemaParseError as exc:
-        raise _fail("parse", EXIT_PARSE, f"{path}: {exc}")
+        return fn(*args)
+    except NlgenError as exc:
+        name = "<stdin>" if source == "-" else source
+        raise _fail(stage, code, f"{name}: {exc}")
+
+
+def _load_schema(path: str) -> schema.SchemaDef:
+    return _stage("parse", EXIT_PARSE, path, schema.parse_schema,
+                  _read_text(path))
 
 
 def _load_data(path: str) -> schema.DataRecordSet:
-    text = _read_text(path)
-    try:
-        return schema.load_data(text)
-    except DataError as exc:
-        raise _fail("parse", EXIT_PARSE, f"{path}: {exc}")
+    return _stage("parse", EXIT_PARSE, path, schema.load_data,
+                  _read_text(path))
 
 
 def _load_lexicon(path: str | None) -> Lexicon:
     if path is None:
         return default_lexicon()
-    text = _read_text(path)
-    try:
-        return load_lexicon(text)
-    except DataError as exc:
-        raise _fail("parse", EXIT_PARSE, f"{path}: {exc}")
+    return _stage("parse", EXIT_PARSE, path, load_lexicon, _read_text(path))
 
 
-def _load_templates(path: str | None) -> dict[str, realize.Template]:
-    if path is None:
-        text = resources.files("nlgen").joinpath("data/templates.txt") \
-            .read_text(encoding="utf-8")
-    else:
-        text = _read_text(path)
-    try:
-        return realize.parse_templates(text)
-    except TemplateError as exc:
-        raise _fail("parse", EXIT_PARSE, str(exc))
-
-
-def _make_plan(args) -> ir.DocumentPlan:
-    schema_def = _load_schema(args.schema)
-    data = _load_data(args.data)
-    try:
-        return schema.traverse(schema_def, data)
-    except NlgenError as exc:
-        raise _fail("traverse", EXIT_TRAVERSE, str(exc))
-
-
-def _plan_sentences(plan: ir.DocumentPlan, profile: str):
-    try:
-        return sentplan.plan_sentences(plan, profile)
-    except NlgenError as exc:
-        raise _fail("sentplan", EXIT_SENTPLAN, str(exc))
-
-
-def _realize_document(plans, lex: Lexicon) -> str:
-    try:
-        return realize.realize_document(plans, lex)
-    except NlgenError as exc:
-        raise _fail("realize", EXIT_REALIZE, str(exc))
+def _make_plan(schema_def: schema.SchemaDef,
+               data_path: str) -> ir.DocumentPlan:
+    return _stage("traverse", EXIT_TRAVERSE, data_path, schema.traverse,
+                  schema_def, _load_data(data_path))
 
 
 def _emit(text: str) -> None:
@@ -135,21 +98,22 @@ def _emit(text: str) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _generate_one(args, schema_path: str, data_path: str,
+def _generate_one(args, schema_def: schema.SchemaDef, data_path: str,
                   lex: Lexicon) -> str:
-    plan_args = argparse.Namespace(schema=schema_path, data=data_path)
-    plan = _make_plan(plan_args)
-    plans = _plan_sentences(plan, args.profile)
-    if getattr(args, "dump_plan", None):
+    plan = _make_plan(schema_def, data_path)
+    plans = _stage("sentplan", EXIT_SENTPLAN, data_path,
+                   sentplan.plan_sentences, plan, args.profile)
+    if args.dump_plan:
         _write_text(args.dump_plan, ir.document_plan_to_json(plan))
-    if getattr(args, "dump_sentences", None):
+    if args.dump_sentences:
         _write_text(args.dump_sentences, ir.sentence_plans_to_json(plans))
-    return _realize_document(plans, lex)
+    return _stage("realize", EXIT_REALIZE, data_path,
+                  realize.realize_document, plans, lex)
 
 
 def cmd_generate(args) -> int:
     lex = _load_lexicon(args.lexicon)
-    _load_templates(args.templates)  # validate the template library
+    schema_def = _load_schema(args.schema)
     if args.batch:
         batch_dir = Path(args.batch)
         if not batch_dir.is_dir():
@@ -158,47 +122,38 @@ def cmd_generate(args) -> int:
         if not data_files:
             raise _fail("io", EXIT_IO,
                         f"no .json data files in {args.batch}")
-
-        def run(data_file: Path) -> tuple[Path, str]:
-            text = _generate_one(args, args.schema, str(data_file), lex)
-            return data_file, text
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for data_file, text in pool.map(run, data_files):
-                _write_text(str(data_file.with_suffix(".txt")),
-                            text + "\n" if text else "")
+        for data_file in data_files:
+            text = _generate_one(args, schema_def, str(data_file), lex)
+            _write_text(str(data_file.with_suffix(".txt")),
+                        text + "\n" if text else "")
         return EXIT_OK
     if not args.data:
         raise _fail("io", EXIT_IO, "either --data or --batch is required")
-    _emit(_generate_one(args, args.schema, args.data, lex))
+    _emit(_generate_one(args, schema_def, args.data, lex))
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
-    plan = _make_plan(args)
+    plan = _make_plan(_load_schema(args.schema), args.data)
     sys.stdout.write(ir.document_plan_to_json(plan))
     return EXIT_OK
 
 
 def cmd_sentplan(args) -> int:
-    text = _read_text(args.plan)
-    try:
-        plan = ir.document_plan_from_json(text)
-    except SerializationError as exc:
-        raise _fail("sentplan", EXIT_SENTPLAN, str(exc))
-    plans = _plan_sentences(plan, args.profile)
+    plan = _stage("sentplan", EXIT_SENTPLAN, args.plan,
+                  ir.document_plan_from_json, _read_text(args.plan))
+    plans = _stage("sentplan", EXIT_SENTPLAN, args.plan,
+                   sentplan.plan_sentences, plan, args.profile)
     sys.stdout.write(ir.sentence_plans_to_json(plans))
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
     lex = _load_lexicon(args.lexicon)
-    text = _read_text(args.sentences)
-    try:
-        plans = ir.sentence_plans_from_json(text)
-    except SerializationError as exc:
-        raise _fail("realize", EXIT_REALIZE, str(exc))
-    _emit(_realize_document(plans, lex))
+    plans = _stage("realize", EXIT_REALIZE, args.sentences,
+                   ir.sentence_plans_from_json, _read_text(args.sentences))
+    _emit(_stage("realize", EXIT_REALIZE, args.sentences,
+                 realize.realize_document, plans, lex))
     return EXIT_OK
 
 
@@ -214,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--data", help="data file (JSON)")
     gen.add_argument("--profile", choices=sentplan.PROFILES,
                      default="fluent")
-    gen.add_argument("--templates", help="template library override")
     gen.add_argument("--lexicon", help="lexicon file override")
     gen.add_argument("--dump-plan", metavar="PATH",
                      help="write the document plan JSON here")

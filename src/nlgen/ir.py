@@ -15,23 +15,43 @@ a document says.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import ReferentialIntegrityError, SerializationError
 
-GENDERS = ("masculine", "feminine", "neuter")
-NUMBERS = ("singular", "plural")
-PERSONS = ("first", "second", "third")
-TENSES = ("present", "past", "future")
-MODALS = ("should", "must", "can")
-POLARITIES = ("positive", "negative")
-RELATION_LABELS = ("sequence", "elaboration", "contrast")
-DETERMINERS = ("a", "the")
-PHRASE_KINDS = ("noun-phrase", "prepositional-phrase", "entity-reference")
-REFERENCE_MODES = ("full-name", "head-noun", "pronoun", "reflexive-pronoun")
-CASES = ("subjective", "objective")
+# Each enum domain is declared once, as a Literal; the decoder checks
+# values against it and the tuples below are its members, in order.
+Gender = Literal["masculine", "feminine", "neuter"]
+Number = Literal["singular", "plural"]
+Person = Literal["first", "second", "third"]
+Tense = Literal["present", "past", "future"]
+Modal = Literal["should", "must", "can"]
+Polarity = Literal["positive", "negative"]
+RelationLabel = Literal["sequence", "elaboration", "contrast"]
+Determiner = Literal["a", "the"]
+PhraseKind = Literal["noun-phrase", "prepositional-phrase", "entity-reference"]
+ReferenceMode = Literal["full-name", "head-noun", "pronoun",
+                        "reflexive-pronoun"]
+Case = Literal["subjective", "objective"]
+NodeKind = Literal["leaf", "relation"]
+MarkerPosition = Literal["pre-verb"]
+TerminalPunct = Literal["period", "question-mark"]
+
+GENDERS = get_args(Gender)
+NUMBERS = get_args(Number)
+PERSONS = get_args(Person)
+TENSES = get_args(Tense)
+MODALS = get_args(Modal)
+POLARITIES = get_args(Polarity)
+RELATION_LABELS = get_args(RelationLabel)
+DETERMINERS = get_args(Determiner)
+PHRASE_KINDS = get_args(PhraseKind)
+CASES = get_args(Case)
 
 # Complement heads that name an entity instead of a common noun carry this
 # prefix, e.g. "@mrs_black".
@@ -52,9 +72,9 @@ class Entity:
     id: str
     name: str | None = None
     head: str | None = None
-    gender: str = "neuter"
-    number: str = "singular"
-    person: str = "third"
+    gender: Gender = "neuter"
+    number: Number = "singular"
+    person: Person = "third"
     honorific: str | None = None
 
 
@@ -62,9 +82,9 @@ class Entity:
 class ComplementPhrase:
     """One complement of a verb: noun phrase, PP, or entity reference."""
 
-    kind: str
+    kind: PhraseKind
     head: str
-    determiner: str | None = None
+    determiner: Determiner | None = None
     premodifiers: tuple[str, ...] = ()
     preposition: str | None = None
 
@@ -83,11 +103,11 @@ class Message:
     subject: str
     verb: str
     complements: tuple[ComplementPhrase, ...] = ()
-    tense: str = "present"
-    modal: str | None = None
-    polarity: str = "positive"
+    tense: Tense = "present"
+    modal: Modal | None = None
+    polarity: Polarity = "positive"
     adverb: str | None = None
-    condition: "Message | None" = None
+    condition: Message | None = None
     source_key: str = ""
 
 
@@ -95,10 +115,10 @@ class Message:
 class PlanNode:
     """DocumentPlan tree node: a leaf Message or a labeled relation."""
 
-    kind: str  # "leaf" | "relation"
+    kind: NodeKind
     message: Message | None = None
-    label: str | None = None
-    children: tuple["PlanNode", ...] = ()
+    label: RelationLabel | None = None
+    children: tuple[PlanNode, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -120,8 +140,8 @@ class ReferenceSpec:
     """How one mention of an entity is to be realized."""
 
     entity: Entity
-    mode: str = "full-name"
-    case: str = "subjective"
+    mode: ReferenceMode = "full-name"
+    case: Case = "subjective"
 
 
 @dataclass(frozen=True)
@@ -135,7 +155,7 @@ class ResolvedComplement:
 @dataclass(frozen=True)
 class DiscourseMarker:
     word: str
-    position: str = "pre-verb"
+    position: MarkerPosition = "pre-verb"
 
 
 @dataclass(frozen=True)
@@ -149,12 +169,12 @@ class ClauseSpec:
 
     subject_ref: ReferenceSpec
     verb: str
-    tense: str = "present"
-    modal: str | None = None
-    polarity: str = "positive"
+    tense: Tense = "present"
+    modal: Modal | None = None
+    polarity: Polarity = "positive"
     complements: tuple[tuple[ResolvedComplement, ...], ...] = ()
     discourse_markers: tuple[DiscourseMarker, ...] = ()
-    condition: "ClauseSpec | None" = None
+    condition: ClauseSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -162,7 +182,7 @@ class SentencePlan:
     """One output sentence; ``new_paragraph`` opens a paragraph before it."""
 
     clauses: tuple[ClauseSpec, ...]
-    terminal_punct: str = "period"
+    terminal_punct: TerminalPunct = "period"
     new_paragraph: bool = False
 
 
@@ -361,230 +381,212 @@ def validate(plan: DocumentPlan) -> list[str]:
     return problems
 
 
+def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
+    """Check decoded sentence plans for what realization cannot render;
+    returns one description per violation.  Plans made by plan_sentences()
+    from a valid document plan always pass, so only decoding calls it."""
+    problems: list[str] = []
+    for i, sp in enumerate(plans):
+        if not sp.clauses:
+            problems.append(f"sentences[{i}]: sentence has no clauses")
+        for j, clause in enumerate(sp.clauses):
+            if clause.condition is not None and \
+                    clause.condition.condition is not None:
+                problems.append(
+                    f"sentences[{i}].clauses[{j}].condition: conditions "
+                    f"may not nest below one level")
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # Canonical JSON serialization
-
-_JSON_KW = dict(indent=2, sort_keys=True, ensure_ascii=False)
-
-
-def _entity_to_obj(ent: Entity) -> dict:
-    return {
-        "id": ent.id,
-        "name": ent.name,
-        "head": ent.head,
-        "gender": ent.gender,
-        "number": ent.number,
-        "person": ent.person,
-        "honorific": ent.honorific,
-    }
+#
+# One rule for every plan type: a dataclass is an object holding each of
+# its fields under the field's name, a tuple is a list, a dict is an
+# object.  Output is compact with sorted keys.  The decoder is built once
+# per type from the type hints and rejects unknown and missing fields,
+# wrong JSON types and values outside a Literal domain, naming the path.
 
 
-def entity_from_obj(eid: str, obj: dict) -> Entity:
-    """Build an Entity from its JSON object form (also used by data files)."""
-    if not isinstance(obj, dict):
-        raise SerializationError(f"entity {eid!r}: expected an object")
-    known = {"id", "name", "head", "gender", "number", "person", "honorific"}
-    unknown = set(obj) - known
-    if unknown:
-        raise SerializationError(
-            f"entity {eid!r}: unknown fields {sorted(unknown)}")
-    return Entity(
-        id=obj.get("id", eid),
-        name=obj.get("name"),
-        head=obj.get("head"),
-        gender=obj.get("gender", "neuter"),
-        number=obj.get("number", "singular"),
-        person=obj.get("person", "third"),
-        honorific=obj.get("honorific"),
-    )
+@dataclass(frozen=True)
+class _SentencesFile:
+    sentences: tuple[SentencePlan, ...]
 
 
-def _phrase_to_obj(phrase: ComplementPhrase) -> dict:
-    return {
-        "kind": phrase.kind,
-        "head": phrase.head,
-        "determiner": phrase.determiner,
-        "premodifiers": list(phrase.premodifiers),
-        "preposition": phrase.preposition,
-    }
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def _phrase_from_obj(obj: dict) -> ComplementPhrase:
-    return ComplementPhrase(
-        kind=obj["kind"],
-        head=obj["head"],
-        determiner=obj.get("determiner"),
-        premodifiers=tuple(obj.get("premodifiers", ())),
-        preposition=obj.get("preposition"),
-    )
+def _fields_of(value) -> dict:
+    # json.dumps calls this for every object it cannot encode natively;
+    # dataclasses.fields raises the TypeError it expects for the rest.
+    return {name: getattr(value, name) for name in _field_names(type(value))}
 
 
-def _message_to_obj(msg: Message) -> dict:
-    return {
-        "subject": msg.subject,
-        "verb": msg.verb,
-        "complements": [_phrase_to_obj(c) for c in msg.complements],
-        "tense": msg.tense,
-        "modal": msg.modal,
-        "polarity": msg.polarity,
-        "adverb": msg.adverb,
-        "condition": None if msg.condition is None
-        else _message_to_obj(msg.condition),
-        "source_key": msg.source_key,
-    }
+def to_json(value) -> str:
+    """Canonical JSON text for a plan value (the one encoder)."""
+    return json.dumps(value, default=_fields_of, sort_keys=True,
+                      ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def _message_from_obj(obj: dict) -> Message:
-    cond = obj.get("condition")
-    return Message(
-        subject=obj["subject"],
-        verb=obj["verb"],
-        complements=tuple(_phrase_from_obj(c) for c in obj["complements"]),
-        tense=obj.get("tense", "present"),
-        modal=obj.get("modal"),
-        polarity=obj.get("polarity", "positive"),
-        adverb=obj.get("adverb"),
-        condition=None if cond is None else _message_from_obj(cond),
-        source_key=obj.get("source_key", ""),
-    )
+class _Invalid(Exception):
+    """A decoding failure; ``path`` collects segments innermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list[str] = []
 
 
-def _node_to_obj(node: PlanNode) -> dict:
-    if node.kind == "leaf":
-        return {"kind": "leaf", "message": _message_to_obj(node.message)}
-    return {
-        "kind": "relation",
-        "label": node.label,
-        "children": [_node_to_obj(c) for c in node.children],
-    }
+def _json_type(value) -> str:
+    return {dict: "object", list: "array", str: "string", bool: "boolean",
+            type(None): "null"}.get(type(value), "number")
 
 
-def _node_from_obj(obj: dict) -> PlanNode:
-    if obj["kind"] == "leaf":
-        return PlanNode(kind="leaf", message=_message_from_obj(obj["message"]))
-    return PlanNode(
-        kind="relation",
-        label=obj["label"],
-        children=tuple(_node_from_obj(c) for c in obj["children"]),
-    )
+def _expect(value, kind: type, name: str):
+    if type(value) is not kind:
+        raise _Invalid(f"expected {name}, got {_json_type(value)}")
+    return value
+
+
+_decoders: dict = {}
+
+
+def _decoder(tp):
+    """The converter from JSON values to ``tp``, built once per type."""
+    decode = _decoders.get(tp)
+    if decode is None:
+        decode = _build_decoder(tp)
+    return decode
+
+
+def _build_decoder(tp):
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_decoder(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        domain = frozenset(args)
+
+        def decode(value):
+            if type(value) is str and value in domain:
+                return value
+            raise _Invalid(f"unknown value {value!r}; expected one of "
+                           f"{', '.join(args)}")
+    elif type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        item = _decoder(inner)
+
+        def decode(value):
+            return None if value is None else item(value)
+    elif origin is tuple:
+        item = _decoder(args[0])
+
+        def decode(value):
+            out: list = []
+            try:
+                for v in _expect(value, list, "an array"):
+                    out.append(item(v))
+            except _Invalid as exc:
+                exc.path.append(f"[{len(out)}]")
+                raise
+            return tuple(out)
+    elif origin is dict:
+        item = _decoder(args[1])
+
+        def decode(value):
+            out: dict = {}
+            for key, v in _expect(value, dict, "an object").items():
+                try:
+                    out[key] = item(v)
+                except _Invalid as exc:
+                    exc.path.append(f"[{key}]")
+                    raise
+            return out
+    elif tp in (str, bool):
+        name = "a string" if tp is str else "a boolean"
+
+        def decode(value):
+            if type(value) is tp:
+                return value
+            raise _Invalid(f"expected {name}, got {_json_type(value)}")
+    else:
+        raise TypeError(f"no JSON decoder for {tp!r}")
+    _decoders[tp] = decode
+    return decode
+
+
+def _dataclass_decoder(cls):
+    items: dict = {}  # filled after registering, so recursive types resolve
+    required: list[str] = []
+
+    def decode(value):
+        _expect(value, dict, "an object")
+        kwargs = {}
+        for name, v in value.items():
+            item = items.get(name)
+            if item is None:
+                raise _Invalid(f"unknown field {name!r}")
+            try:
+                kwargs[name] = item(v)
+            except _Invalid as exc:
+                exc.path.append(f".{name}")
+                raise
+        if len(kwargs) < len(items):
+            for name in required:
+                if name not in kwargs:
+                    raise _Invalid(f"missing field {name!r}")
+        return cls(**kwargs)
+
+    _decoders[cls] = decode
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        items[f.name] = _decoder(hints[f.name])
+        if f.default is dataclasses.MISSING and \
+                f.default_factory is dataclasses.MISSING:
+            required.append(f.name)
+    return decode
+
+
+def from_obj(tp, value, where: str = ""):
+    """Decode a parsed JSON value into ``tp`` (the one decoder).
+
+    Raises SerializationError naming the offending path, prefixed by
+    ``where``.
+    """
+    try:
+        return _decoder(tp)(value)
+    except _Invalid as exc:
+        problem, path = str(exc), where + "".join(reversed(exc.path))
+    except RecursionError:
+        problem, path = "nested too deeply", where
+    path = path.lstrip(".")
+    raise SerializationError(f"{path}: {problem}" if path else problem)
+
+
+def _parse(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SerializationError(f"malformed {what}: {exc}") from None
 
 
 def document_plan_to_json(plan: DocumentPlan) -> str:
-    payload = {
-        "entities": {eid: _entity_to_obj(e)
-                     for eid, e in plan.entities.items()},
-        "record_keys": sorted(plan.record_keys),
-        "root": None if plan.root is None else _node_to_obj(plan.root),
-    }
-    return json.dumps(payload, **_JSON_KW) + "\n"
+    return to_json(plan)
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
-    try:
-        payload = json.loads(text)
-        entities = {eid: entity_from_obj(eid, obj)
-                    for eid, obj in payload["entities"].items()}
-        root = payload["root"]
-        return DocumentPlan(
-            root=None if root is None else _node_from_obj(root),
-            entities=entities,
-            record_keys=tuple(payload.get("record_keys", ())),
-        )
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SerializationError(f"malformed document plan: {exc}") from exc
-
-
-def _ref_to_obj(ref: ReferenceSpec) -> dict:
-    return {
-        "entity": _entity_to_obj(ref.entity),
-        "mode": ref.mode,
-        "case": ref.case,
-    }
-
-
-def _ref_from_obj(obj: dict) -> ReferenceSpec:
-    ent = obj["entity"]
-    return ReferenceSpec(
-        entity=entity_from_obj(ent.get("id", ""), ent),
-        mode=obj["mode"],
-        case=obj["case"],
-    )
-
-
-def _clause_to_obj(clause: ClauseSpec) -> dict:
-    return {
-        "subject": _ref_to_obj(clause.subject_ref),
-        "verb": clause.verb,
-        "tense": clause.tense,
-        "modal": clause.modal,
-        "polarity": clause.polarity,
-        "complements": [
-            [{"phrase": _phrase_to_obj(rc.phrase),
-              "ref": None if rc.ref is None else _ref_to_obj(rc.ref)}
-             for rc in unit]
-            for unit in clause.complements
-        ],
-        "discourse_markers": [
-            {"word": m.word, "position": m.position}
-            for m in clause.discourse_markers
-        ],
-        "condition": None if clause.condition is None
-        else _clause_to_obj(clause.condition),
-    }
-
-
-def _clause_from_obj(obj: dict) -> ClauseSpec:
-    cond = obj.get("condition")
-    return ClauseSpec(
-        subject_ref=_ref_from_obj(obj["subject"]),
-        verb=obj["verb"],
-        tense=obj.get("tense", "present"),
-        modal=obj.get("modal"),
-        polarity=obj.get("polarity", "positive"),
-        complements=tuple(
-            tuple(
-                ResolvedComplement(
-                    phrase=_phrase_from_obj(rc["phrase"]),
-                    ref=None if rc.get("ref") is None
-                    else _ref_from_obj(rc["ref"]),
-                )
-                for rc in unit)
-            for unit in obj["complements"]),
-        discourse_markers=tuple(
-            DiscourseMarker(word=m["word"], position=m["position"])
-            for m in obj.get("discourse_markers", ())),
-        condition=None if cond is None else _clause_from_obj(cond),
-    )
+    return from_obj(DocumentPlan, _parse(text, "document plan"))
 
 
 def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
-    payload = {
-        "sentences": [
-            {
-                "clauses": [_clause_to_obj(c) for c in sp.clauses],
-                "terminal_punct": sp.terminal_punct,
-                "new_paragraph": sp.new_paragraph,
-            }
-            for sp in plans
-        ]
-    }
-    return json.dumps(payload, **_JSON_KW) + "\n"
+    return to_json({"sentences": plans})
 
 
 def sentence_plans_from_json(text: str) -> list[SentencePlan]:
-    try:
-        payload = json.loads(text)
-        plans = []
-        for obj in payload["sentences"]:
-            plans.append(SentencePlan(
-                clauses=tuple(_clause_from_obj(c) for c in obj["clauses"]),
-                terminal_punct=obj.get("terminal_punct", "period"),
-                new_paragraph=obj.get("new_paragraph", False),
-            ))
-        return plans
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SerializationError(f"malformed sentence plans: {exc}") from exc
+    """Decode sentence plans and check them with validate_sentences()."""
+    payload = _parse(text, "sentence plans")
+    plans = list(from_obj(_SentencesFile, payload).sentences)
+    problems = validate_sentences(plans)
+    if problems:
+        raise SerializationError("; ".join(problems))
+    return plans

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import DataError
+from .ir import CASES, NUMBERS, PERSONS, TENSES
 
 VOWELS = "aeiou"
 SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 
-_PERSONS = ("first", "second", "third")
-_NUMBERS = ("singular", "plural")
-_TENSES = ("present", "past", "future")
-_CASES = ("subjective", "objective", "reflexive")
+# Pronoun cells add the reflexive to the cases a reference can take.
+_PRONOUN_CASES = CASES + ("reflexive",)
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ def load_lexicon(text: str) -> Lexicon:
                     f"lexicon line {lineno}: expected "
                     f"'lemma<TAB>person<TAB>number<TAB>tense<TAB>form'")
             lemma, person, number, tense, form = fields
-            if person not in _PERSONS or number not in _NUMBERS \
-                    or tense not in _TENSES:
+            if person not in PERSONS or number not in NUMBERS \
+                    or tense not in TENSES:
                 raise DataError(f"lexicon line {lineno}: bad verb features")
             verbs[(lemma, person, number, tense)] = form
         elif section == "pronouns":
@@ -83,8 +82,8 @@ def load_lexicon(text: str) -> Lexicon:
                     f"lexicon line {lineno}: expected "
                     f"'person<TAB>number<TAB>gender<TAB>case<TAB>form'")
             person, number, gender, case, form = fields
-            if person not in _PERSONS or number not in _NUMBERS \
-                    or case not in _CASES:
+            if person not in PERSONS or number not in NUMBERS \
+                    or case not in _PRONOUN_CASES:
                 raise DataError(
                     f"lexicon line {lineno}: bad pronoun features")
             pronouns[(person, number, gender, case)] = form
@@ -138,8 +137,8 @@ def pluralize(lemma: str, lex: Lexicon | None = None) -> str:
 def verb_form(lemma: str, person: str, number: str, tense: str,
               lex: Lexicon | None = None) -> str:
     """Inflected verb form agreeing with the given subject features."""
-    if person not in _PERSONS or number not in _NUMBERS \
-            or tense not in _TENSES:
+    if person not in PERSONS or number not in NUMBERS \
+            or tense not in TENSES:
         raise ValueError(
             f"bad verb features: {person!r}/{number!r}/{tense!r}")
     lex = lex or default_lexicon()

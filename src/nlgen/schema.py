@@ -38,6 +38,7 @@ from .errors import (
     DataError,
     MissingPathError,
     SchemaParseError,
+    SerializationError,
     TraversalError,
     TypeMismatchError,
 )
@@ -198,11 +199,6 @@ def _tokenize_line(text: str, line: int) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 # Parser
 
-_REL_LABELS = set(ir.RELATION_LABELS)
-_TENSES = set(ir.TENSES)
-_MODALS = set(ir.MODALS)
-
-
 class _LineParser:
     """Recursive-descent parser over one statement's tokens."""
 
@@ -316,13 +312,13 @@ def _parse_emit_fields(p: _LineParser, node_id: str) -> MessageTemplate:
                 fields["verb"] = p.take_ident()
         elif key == "tense":
             tense = p.take_ident()
-            if tense not in _TENSES:
+            if tense not in ir.TENSES:
                 raise SchemaParseError(f"unknown tense {tense!r}",
                                        p.line, key_tok.col)
             fields["tense"] = tense
         elif key == "modal":
             modal = p.take_ident()
-            if modal not in _MODALS:
+            if modal not in ir.MODALS:
                 raise SchemaParseError(f"unknown modal {modal!r}",
                                        p.line, key_tok.col)
             fields["modal"] = modal
@@ -414,7 +410,7 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
                     guard = p.condition()
                 elif kw.value == "rel":
                     rel = p.take_ident()
-                    if rel not in _REL_LABELS:
+                    if rel not in ir.RELATION_LABELS:
                         raise SchemaParseError(
                             f"unknown relation label {rel!r}",
                             lineno, kw.col)
@@ -580,11 +576,16 @@ def load_data(text: str) -> DataRecordSet:
     unknown = set(payload) - {"entities", "records"}
     if unknown:
         raise DataError(f"unknown top-level keys: {sorted(unknown)}")
+    table = payload.get("entities", {})
+    if not isinstance(table, dict):
+        raise DataError('"entities" must be an object')
     entities: dict[str, ir.Entity] = {}
-    for eid, obj in payload.get("entities", {}).items():
+    for eid, obj in table.items():
+        if isinstance(obj, dict) and "id" not in obj:
+            obj = {"id": eid, **obj}
         try:
-            entities[eid] = ir.entity_from_obj(eid, obj)
-        except Exception as exc:
+            entities[eid] = ir.from_obj(ir.Entity, obj, f"entities[{eid}]")
+        except SerializationError as exc:
             raise DataError(str(exc)) from exc
     records = payload.get("records", {})
     if not isinstance(records, dict):

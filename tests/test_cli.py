@@ -1,6 +1,13 @@
+import io
 import json
+from typing import Literal, get_args, get_origin
+from unittest import mock
 
-from nlgen import ir
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlgen import ir, plan_sentences, schema, traverse
 
 from conftest import run_cli
 
@@ -96,16 +103,6 @@ class TestGenerate:
             "--profile", "plain"])
         assert code == 0
         assert "Sam haves high blood pressure." in out
-
-    def test_templates_flag_validates_library(self, corpus, tmp_path):
-        doc = get(corpus, "sam_pair")
-        bad = tmp_path / "t.txt"
-        bad.write_text("template dup\n{a} {a}\n")
-        code, _, err = run_cli([
-            "generate", "--schema", str(doc.schema_path),
-            "--data", str(doc.data_path), "--templates", str(bad)])
-        assert code == 1
-        assert "duplicate slot" in err
 
     def test_batch_writes_txt_next_to_data(self, corpus, tmp_path):
         doc = get(corpus, "sam_pair")
@@ -236,3 +233,147 @@ class TestStageComposition:
         code, _, err = run_cli(["sentplan", "--plan", str(f)])
         assert code == 3
         assert err.startswith("sentplan:")
+
+
+def _sentence_plan_obj(doc) -> dict:
+    plans = plan_sentences(traverse(doc.schema, doc.data), "fluent")
+    return json.loads(ir.sentence_plans_to_json(plans))
+
+
+_DELETE = object()
+_CLAUSE = ("clauses", 0)
+
+
+class TestBadSentencePlans:
+    # (path inside the first sentence, new value, expected message part)
+    @pytest.mark.parametrize("path, value, detail", [
+        (("terminal_punct",), "exclaim",
+         "sentences[0].terminal_punct: unknown value 'exclaim'"),
+        (_CLAUSE + ("subject_ref", "entity", "person"), "fourth",
+         "sentences[0].clauses[0].subject_ref.entity.person: "
+         "unknown value 'fourth'"),
+        (_CLAUSE + ("tense",), "pluperfect",
+         "sentences[0].clauses[0].tense: unknown value 'pluperfect'"),
+        (_CLAUSE + ("subject_ref", "entity", "gender"), "other",
+         "entity.gender: unknown value 'other'"),
+        (_CLAUSE + ("subject_ref", "case"), "genitive",
+         "subject_ref.case: unknown value 'genitive'"),
+        (_CLAUSE + ("mood",), "indicative",
+         "sentences[0].clauses[0]: unknown field 'mood'"),
+        (_CLAUSE + ("verb",), _DELETE,
+         "sentences[0].clauses[0]: missing field 'verb'"),
+        (_CLAUSE + ("subject_ref",), [],
+         "subject_ref: expected an object, got array"),
+        (("clauses",), [], "sentences[0]: sentence has no clauses"),
+    ])
+    def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
+                                         value, detail):
+        obj = _sentence_plan_obj(get(corpus, "patient_report"))
+        *parents, last = path
+        target = obj["sentences"][0]
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run_cli(["realize", "--sentences", str(f)])
+        assert (code, out) == (4, "")
+        assert err.startswith("realize:")
+        assert err.count("\n") == 1
+        assert detail in err
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_one_mutated_scalar_never_raises(self, corpus, data):
+        obj = _sentence_plan_obj(get(corpus, "patient_report"))
+        container, key = data.draw(st.sampled_from(_scalar_slots(obj)))
+        container[key] = data.draw(_SCALARS)
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))):
+            code, _, err = run_cli(["realize", "--sentences", "-"])
+        assert code in (0, 4)
+        assert code == 0 or err.startswith("realize:")
+
+
+class TestBadDocumentPlans:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_one_mutated_scalar_never_raises(self, corpus, data):
+        doc = get(corpus, "patient_report")
+        obj = json.loads(ir.document_plan_to_json(
+            traverse(doc.schema, doc.data)))
+        container, key = data.draw(st.sampled_from(_scalar_slots(obj)))
+        container[key] = data.draw(_SCALARS)
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))):
+            code, _, err = run_cli(["sentplan", "--plan", "-"])
+        assert code in (0, 3)
+        assert code == 0 or err.startswith("sentplan:")
+
+
+def _scalar_slots(value) -> list[tuple]:
+    """(container, key) for every scalar inside a parsed JSON value."""
+    slots = []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, v in items:
+        if isinstance(v, (dict, list)):
+            slots += _scalar_slots(v)
+        else:
+            slots.append((value, key))
+    return slots
+
+
+# Every member of every enum domain in ir, plus the lexicon's extra case.
+_DOMAIN_WORDS = sorted({"reflexive"} | {
+    word for alias in vars(ir).values() if get_origin(alias) is Literal
+    for word in get_args(alias)})
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(allow_nan=False), st.text(max_size=8),
+                     st.sampled_from(_DOMAIN_WORDS))
+
+
+class TestBadDataFiles:
+    def test_entity_person_out_of_domain_exits_1(self, corpus, tmp_path):
+        doc = get(corpus, "sam_pair")
+        payload = json.loads(doc.data_path.read_text(encoding="utf-8"))
+        payload["entities"]["sam"]["person"] = "fourth"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli([
+            "generate", "--schema", str(doc.schema_path),
+            "--data", str(bad)])
+        assert (code, out) == (1, "")
+        assert err.startswith("parse:")
+        assert err.count("\n") == 1
+        assert "entities[sam].person: unknown value 'fourth'" in err
+
+    def test_batch_failure_names_the_data_file(self, corpus, tmp_path,
+                                               monkeypatch):
+        doc = get(corpus, "sam_pair")
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        good = doc.data_path.read_text(encoding="utf-8")
+        (batch / "p0.json").write_text(good, encoding="utf-8")
+        # Entities but no records: the schema's paths do not resolve.
+        (batch / "p1.json").write_text(
+            json.dumps({"entities": json.loads(good)["entities"],
+                        "records": {}}), encoding="utf-8")
+        (batch / "p2.json").write_text(good, encoding="utf-8")
+        parses = []
+        parse = schema.parse_schema
+        monkeypatch.setattr(schema, "parse_schema",
+                            lambda text: parses.append(1) or parse(text))
+        code, out, err = run_cli([
+            "generate", "--schema", str(doc.schema_path),
+            "--batch", str(batch)])
+        assert (code, out) == (2, "")
+        assert err.startswith("traverse:")
+        assert err.count("\n") == 1
+        assert str(batch / "p1.json") in err
+        assert len(parses) == 1
+        assert (batch / "p0.txt").read_text(encoding="utf-8") == \
+            doc.golden("fluent")
+        assert not (batch / "p2.txt").exists()

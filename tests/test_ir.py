@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -218,6 +220,90 @@ class TestSerialization:
     def test_empty_plan_serializes(self):
         text = ir.document_plan_to_json(ir.DocumentPlan(root=None))
         assert ir.document_plan_from_json(text).root is None
+
+    def test_canonical_form_names_every_field(self):
+        text = ir.document_plan_to_json(sam_pair_plan())
+        assert text.endswith("}\n") and "\n" not in text[:-1]
+        assert ", " not in text and '": ' not in text
+        payload = json.loads(text)
+        assert list(payload) == ["entities", "record_keys", "root"]
+        assert payload["root"]["message"] is None
+        first = payload["root"]["children"][0]
+        assert (first["label"], first["children"]) == (None, [])
+        assert text == json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    def test_sentence_plans_are_wrapped_and_keyed_by_field(self):
+        ref = ir.ReferenceSpec(entity=SAM)
+        plans = [ir.SentencePlan(clauses=(
+            ir.ClauseSpec(subject_ref=ref, verb="rest"),))]
+        payload = json.loads(ir.sentence_plans_to_json(plans))
+        (clause,) = payload["sentences"][0]["clauses"]
+        assert clause["subject_ref"]["entity"]["name"] == "Sam"
+
+    def test_decode_error_names_the_path(self):
+        payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
+        payload["root"]["children"][1]["message"]["tense"] = "pluperfect"
+        with pytest.raises(SerializationError,
+                           match=r"^root\.children\[1\]\.message\.tense: "
+                                 r"unknown value 'pluperfect'"):
+            ir.document_plan_from_json(json.dumps(payload))
+
+    def test_decode_rejects_wrong_json_types(self):
+        payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
+        payload["entities"]["sam"]["name"] = 7
+        with pytest.raises(SerializationError,
+                           match=r"entities\[sam\]\.name: expected a "
+                                 r"string, got number"):
+            ir.document_plan_from_json(json.dumps(payload))
+
+    def test_deep_nesting_is_a_serialization_error(self):
+        with pytest.raises(SerializationError):
+            ir.sentence_plans_from_json("[" * 100_000)
+        clause = {"subject_ref": {"entity": {"id": "sam", "name": "Sam"}},
+                  "verb": "rest"}
+        for _ in range(900):
+            clause = {"subject_ref": clause["subject_ref"], "verb": "rest",
+                      "condition": clause}
+        text = json.dumps({"sentences": [{"clauses": [clause]}]})
+        with pytest.raises(SerializationError):
+            ir.sentence_plans_from_json(text)
+
+    def test_domains_are_the_literal_members(self):
+        assert ir.PERSONS == get_args(ir.Person)
+        assert ir.CASES == get_args(ir.Case)
+        assert get_type_hints(ir.Entity)["person"] is ir.Person
+
+
+class TestValidateSentences:
+    def test_plans_from_plan_sentences_are_clean(self, rng):
+        from nlgen import plan_sentences
+
+        for _ in range(10):
+            plan = random_document_plan(rng)
+            for profile in ("fluent", "plain"):
+                assert ir.validate_sentences(
+                    plan_sentences(plan, profile)) == []
+
+    def test_sentence_without_clauses(self):
+        problems = ir.validate_sentences([ir.SentencePlan(clauses=())])
+        assert problems == ["sentences[0]: sentence has no clauses"]
+
+    def test_condition_nesting_depth(self):
+        ref = ir.ReferenceSpec(entity=SAM)
+        inner = ir.ClauseSpec(subject_ref=ref, verb="rest")
+        mid = ir.ClauseSpec(subject_ref=ref, verb="rest", condition=inner)
+        outer = ir.ClauseSpec(subject_ref=ref, verb="rest", condition=mid)
+        ok = ir.SentencePlan(clauses=(mid,))
+        bad = ir.SentencePlan(clauses=(outer,))
+        problems = ir.validate_sentences([ok, bad])
+        assert len(problems) == 1
+        assert problems[0].startswith("sentences[1].clauses[0].condition:")
+
+    def test_decoding_checks_sentences(self):
+        text = ir.sentence_plans_to_json([ir.SentencePlan(clauses=())])
+        with pytest.raises(SerializationError, match="no clauses"):
+            ir.sentence_plans_from_json(text)
 
 
 class TestOracleAgreement:

@@ -380,3 +380,19 @@ class TestLoadData:
         ent = data.entities["sam"]
         assert (ent.person, ent.number, ent.gender) == \
             ("third", "singular", "neuter")
+        assert ent.id == "sam"
+
+    @pytest.mark.parametrize("entities, detail", [
+        ('{"sam": {"name": "Sam", "person": "fourth"}}',
+         "entities[sam].person: unknown value 'fourth'"),
+        ('{"sam": {"name": "Sam", "age": 40}}',
+         "entities[sam]: unknown field 'age'"),
+        ('{"sam": {"name": ["Sam"]}}',
+         "entities[sam].name: expected a string, got array"),
+        ('{"sam": "Sam"}', "entities[sam]: expected an object, got string"),
+        ('["sam"]', '"entities" must be an object'),
+    ])
+    def test_bad_entities(self, entities, detail):
+        with pytest.raises(DataError) as info:
+            schema.load_data(f'{{"entities": {entities}, "records": {{}}}}')
+        assert str(info.value).startswith(detail)
