@@ -115,6 +115,12 @@ def cmd_generate(args) -> int:
     lex = _load_lexicon(args.lexicon)
     schema_def = _load_schema(args.schema)
     if args.batch:
+        # One dump file per run would be rewritten for every data file.
+        for flag, value in (("--dump-plan", args.dump_plan),
+                            ("--dump-sentences", args.dump_sentences)):
+            if value:
+                raise _fail("io", EXIT_IO,
+                            f"{flag} cannot be used with --batch")
         batch_dir = Path(args.batch)
         if not batch_dir.is_dir():
             raise _fail("io", EXIT_IO, f"not a directory: {args.batch}")
@@ -171,9 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
                      default="fluent")
     gen.add_argument("--lexicon", help="lexicon file override")
     gen.add_argument("--dump-plan", metavar="PATH",
-                     help="write the document plan JSON here")
+                     help="write the document plan JSON here "
+                          "(not with --batch)")
     gen.add_argument("--dump-sentences", metavar="PATH",
-                     help="write the sentence plans JSON here")
+                     help="write the sentence plans JSON here "
+                          "(not with --batch)")
     gen.add_argument("--batch", metavar="DIR",
                      help="generate one document per .json file in DIR, "
                           "writing .txt files next to them")

@@ -33,7 +33,8 @@ class TypeMismatchError(NlgenError):
 
 
 class TraversalError(NlgenError):
-    """Schema traversal failed (cycle budget, unresolved call, bad template)."""
+    """Schema traversal failed (cycle budget, nesting depth, unresolved
+    call, bad template or path value)."""
 
 
 class ReferentialIntegrityError(NlgenError):

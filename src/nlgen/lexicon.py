@@ -168,13 +168,15 @@ def verb_form(lemma: str, person: str, number: str, tense: str,
 
 def pronoun(person: str, number: str, gender: str, case: str,
             lex: Lexicon | None = None) -> str:
-    """Pronoun form for a feature cell; total over the declared domain."""
+    """Pronoun form for a feature cell.  The default lexicon covers the
+    whole declared domain; a cell missing from a lexicon file is a
+    DataError."""
     lex = lex or default_lexicon()
     form = lex.pronoun_table.get((person, number, gender, case))
     if form is None:
         # Standard syncretisms are stored under gender "-".
         form = lex.pronoun_table.get((person, number, "-", case))
     if form is None:
-        raise KeyError(
-            f"no pronoun for {person}/{number}/{gender}/{case}")
+        raise DataError(
+            f"lexicon has no pronoun for {person}/{number}/{gender}/{case}")
     return form

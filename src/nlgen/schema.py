@@ -26,13 +26,15 @@ templates and following every arc whose guard is true, in declaration
 order.  Arcs labeled sequence splice their results into the surrounding
 flow; elaboration and contrast arcs group consecutive same-labeled
 results under one relation node, and `call` results form a subtree.  A
-per-node visit budget (default 32) turns runaway cycles into errors.
+per-node visit budget (default 32) turns runaway cycles into errors, and
+nesting deeper than the interpreter's recursion limit is a TraversalError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import (
     DataError,
@@ -105,12 +107,29 @@ class SchemaDef:
     arcs: tuple[Arc, ...]
     # All schemas parsed from the same file, shared for call resolution.
     schema_set: dict = field(default_factory=dict, compare=False, repr=False)
+    # Indexes derived from nodes and arcs, so that a traversal step costs
+    # only the visited node's own arcs.
+    _nodes_by_id: dict[str, SchemaNode] = field(
+        init=False, compare=False, repr=False)
+    _arcs_by_src: dict[str, tuple[Arc, ...]] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        arcs_by_src: dict[str, list[Arc]] = {}
+        for arc in self.arcs:
+            arcs_by_src.setdefault(arc.src, []).append(arc)
+        object.__setattr__(self, "_nodes_by_id",
+                           {node.id: node for node in self.nodes})
+        object.__setattr__(self, "_arcs_by_src",
+                           {src: tuple(arcs)
+                            for src, arcs in arcs_by_src.items()})
 
     def node(self, node_id: str) -> SchemaNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
+        return self._nodes_by_id[node_id]
+
+    def arcs_from(self, node_id: str) -> tuple[Arc, ...]:
+        """The node's outgoing arcs, in declaration order."""
+        return self._arcs_by_src.get(node_id, ())
 
 
 @dataclass(frozen=True)
@@ -611,7 +630,10 @@ def _check_entity_refs(value: Any, entities: dict[str, ir.Entity]) -> None:
 def resolve_path(records: Mapping[str, Any], path: str) -> Any:
     value: Any = records
     for segment in path.split("."):
-        if not isinstance(value, Mapping) or segment not in value:
+        # Data files decode to plain dicts; the exact-type test skips the
+        # much slower ABC check for them.
+        if not (type(value) is dict or isinstance(value, Mapping)) \
+                or segment not in value:
             raise MissingPathError(path)
         value = value[segment]
     return value
@@ -689,12 +711,20 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
                                preposition=preposition)
 
 
+# JSON values that have no text form of their own.
+_NON_SCALARS = {dict: "an object", list: "a list", type(None): "null"}
+
+
 def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
     if expr.kind == "literal":
         return expr.value
     value = resolve_path(data.records, expr.value)
     if isinstance(value, bool):
         return "true" if value else "false"
+    non_scalar = _NON_SCALARS.get(type(value))
+    if non_scalar is not None:
+        raise TraversalError(f"data path {expr.value} holds {non_scalar}, "
+                             f"not a string or number")
     return str(value)
 
 
@@ -732,19 +762,24 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
     )
 
 
+def _instantiate(where: str, template: MessageTemplate, data: DataRecordSet,
+                 condition: ir.Message | None = None) -> ir.Message:
+    try:
+        return instantiate_template(template, data, condition)
+    except (MissingPathError, TraversalError) as exc:
+        raise TraversalError(
+            f"{where}: template instantiation failed: {exc}") from exc
+
+
 def _instantiate_node(schema: SchemaDef, node: SchemaNode,
                       data: DataRecordSet) -> ir.Message:
     template = node.template
     condition = None
     if template.condition_node:
-        cond_node = schema.node(template.condition_node)
-        condition = instantiate_template(cond_node.template, data)
-    try:
-        return instantiate_template(template, data, condition)
-    except MissingPathError as exc:
-        raise TraversalError(
-            f"node {node.id!r}: template instantiation failed: {exc}"
-        ) from exc
+        condition = _instantiate(
+            f"node {node.id!r}, condition node {template.condition_node!r}",
+            schema.node(template.condition_node).template, data)
+    return _instantiate(f"node {node.id!r}", template, data, condition)
 
 
 def traverse(schema: SchemaDef, data: DataRecordSet,
@@ -783,9 +818,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
                                           children=tuple(sub_pieces)))
         # Arcs in declaration order; every true guard is taken.
         taken: list[tuple[str, list[ir.PlanNode]]] = []
-        for arc in definition.arcs:
-            if arc.src != node_id:
-                continue
+        for arc in definition.arcs_from(node_id):
             if arc.guard is not None and not eval_condition(arc.guard, data):
                 continue
             taken.append((arc.rel, visit(definition, arc.dst)))
@@ -805,7 +838,21 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
                                           children=tuple(combined)))
         return pieces
 
-    pieces = visit(schema, schema.entry)
+    try:
+        pieces = visit(schema, schema.entry)
+    except RecursionError as exc:
+        # Name the deepest node reached, from the last visit frame on the
+        # traceback, so that the visit loop needs no depth bookkeeping.
+        node_id, definition = schema.entry, schema
+        tb = exc.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code is visit.__code__:
+                node_id = tb.tb_frame.f_locals["node_id"]
+                definition = tb.tb_frame.f_locals["definition"]
+            tb = tb.tb_next
+        raise TraversalError(
+            f"schema nesting too deep at node {node_id!r} in schema "
+            f"{definition.name!r}") from None
     root = None
     if pieces:
         root = ir.PlanNode(kind="relation", label="sequence",

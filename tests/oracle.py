@@ -101,3 +101,84 @@ def check_pronouns_recoverable(plans):
                             f"{antecedent.id if antecedent else None!r}")
                 mentions.append(ent)
     return failures
+
+
+def _find_node(definition, node_id):
+    for node in definition.nodes:
+        if node.id == node_id:
+            return node
+    raise KeyError(node_id)
+
+
+def reference_traverse(definition, data, max_visits=32):
+    """Traversal by plain enumeration: every visit scans all of its
+    schema's arcs for its own and finds nodes by linear search.  Guards and
+    templates go through the library's eval_condition and
+    instantiate_template; error classes match schema.traverse."""
+    from nlgen import ir, schema
+    from nlgen.errors import MissingPathError, TraversalError
+
+    visits = Counter()
+
+    def instantiate(node_id, template, condition=None):
+        try:
+            return schema.instantiate_template(template, data, condition)
+        except (MissingPathError, TraversalError) as exc:
+            raise TraversalError(f"node {node_id!r}: {exc}") from exc
+
+    def relation(label, children):
+        return ir.PlanNode(kind="relation", label=label,
+                           children=tuple(children))
+
+    def visit(d, node_id):
+        visits[d.name, node_id] += 1
+        if visits[d.name, node_id] > max_visits:
+            raise TraversalError(f"visit limit at {node_id!r}")
+        node = _find_node(d, node_id)
+        pieces = []
+        if node.kind == "emit":
+            template = node.template
+            condition = None
+            if template.condition_node:
+                condition = instantiate(
+                    node_id, _find_node(d, template.condition_node).template)
+            pieces.append(ir.PlanNode(
+                kind="leaf", message=instantiate(node_id, template,
+                                                 condition)))
+        elif node.kind == "call":
+            sub = d.schema_set.get(node.target)
+            if sub is None:
+                raise TraversalError(f"unresolved {node.target!r}")
+            sub_pieces = visit(sub, sub.entry)
+            if len(sub_pieces) == 1:
+                pieces.append(sub_pieces[0])
+            elif sub_pieces:
+                pieces.append(relation("sequence", sub_pieces))
+        # Runs of consecutive taken arcs with the same label.
+        runs = []
+        for arc in d.arcs:
+            if arc.src != node_id:
+                continue
+            if arc.guard is not None \
+                    and not schema.eval_condition(arc.guard, data):
+                continue
+            result = visit(d, arc.dst)
+            if runs and runs[-1][0] == arc.rel:
+                runs[-1][1].extend(result)
+            else:
+                runs.append((arc.rel, list(result)))
+        for label, combined in runs:
+            if not combined:
+                continue
+            if label == "sequence":
+                pieces.extend(combined)
+            else:
+                pieces.append(relation(label, combined))
+        return pieces
+
+    pieces = visit(definition, definition.entry)
+    return ir.DocumentPlan(
+        root=relation("sequence", pieces) if pieces else None,
+        entities=dict(data.entities),
+        record_keys=tuple(sorted(data.records)),
+    )

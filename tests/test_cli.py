@@ -92,6 +92,68 @@ class TestGenerate:
         assert code == 2
         assert err.startswith("traverse:")
 
+    @staticmethod
+    def _generate(tmp_path, schema_text, records):
+        schema_file = tmp_path / "s.schema"
+        schema_file.write_text(schema_text, encoding="utf-8")
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"entities": {"sam": {"name": "Sam"}},
+                                    "records": records}), encoding="utf-8")
+        return run_cli(["generate", "--schema", str(schema_file),
+                        "--data", str(data)])
+
+    def test_non_scalar_path_values_exit_2(self, tmp_path):
+        src = ("schema s\n"
+               "node a emit subject=\"sam\" verb=have "
+               "complement=path(r.{})\n")
+        records = {"r": {"obj": {"k": [1, 2]}, "seq": [1], "nul": None}}
+        for key, kind in (("obj", "an object"), ("seq", "a list"),
+                          ("nul", "null")):
+            code, out, err = self._generate(tmp_path, src.format(key),
+                                            records)
+            assert (code, out) == (2, "")
+            assert err.startswith("traverse:")
+            assert err.count("\n") == 1
+            assert "node 'a'" in err
+            assert f"data path r.{key} holds {kind}" in err
+
+    def test_condition_node_failure_names_both_nodes(self, tmp_path):
+        src = ("schema s\n"
+               "node a emit subject=\"sam\" verb=go "
+               "complement=\"to the store\" condition=b\n"
+               "node b emit subject=\"sam\" verb=have "
+               "complement=path(r.missing)\n")
+        code, out, err = self._generate(tmp_path, src, {"r": {}})
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "node 'a', condition node 'b'" in err
+        assert "missing data path: r.missing" in err
+
+    def test_deep_chain_exits_2_without_traceback(self, tmp_path):
+        lines = ["schema chain"]
+        lines += [f"node n{i} emit subject=\"sam\" verb=rest"
+                  for i in range(3000)]
+        lines += [f"arc n{i} -> n{i + 1}" for i in range(2999)]
+        code, out, err = self._generate(tmp_path, "\n".join(lines) + "\n",
+                                        {})
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("traverse:")
+        assert "schema nesting too deep at node 'n" in err
+        assert "in schema 'chain'" in err
+
+    def test_lexicon_without_pronoun_cell_exits_4(self, corpus, tmp_path):
+        doc = get(corpus, "reflexive")
+        lex = tmp_path / "lex.txt"
+        lex.write_text("[plurals]\n")
+        code, out, err = run_cli([
+            "generate", "--schema", str(doc.schema_path),
+            "--data", str(doc.data_path), "--lexicon", str(lex)])
+        assert (code, out) == (4, "")
+        assert err.startswith("realize:")
+        assert err.count("\n") == 1
+        assert "no pronoun for third/singular/masculine/reflexive" in err
+
     def test_lexicon_override(self, corpus, tmp_path):
         doc = get(corpus, "sam_pair")
         lex = tmp_path / "lex.txt"
@@ -125,6 +187,21 @@ class TestGenerate:
             "generate", "--schema", str(doc.schema_path),
             "--batch", "/nonexistent"])
         assert code == 5
+
+    @pytest.mark.parametrize("flag", ["--dump-plan", "--dump-sentences"])
+    def test_batch_rejects_dump_files(self, corpus, tmp_path, flag):
+        doc = get(corpus, "sam_pair")
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        (batch / "p0.json").write_text(
+            doc.data_path.read_text(encoding="utf-8"))
+        dump = batch / "dump.json"
+        code, out, err = run_cli([
+            "generate", "--schema", str(doc.schema_path),
+            "--batch", str(batch), flag, str(dump)])
+        assert (code, out) == (5, "")
+        assert err == f"io: {flag} cannot be used with --batch\n"
+        assert sorted(p.name for p in batch.iterdir()) == ["p0.json"]
 
 
 class TestPlan:

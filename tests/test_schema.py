@@ -1,13 +1,20 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlgen import ir, schema
 from nlgen.errors import (
     DataError,
     MissingPathError,
+    NlgenError,
     SchemaParseError,
     TraversalError,
     TypeMismatchError,
 )
+
+import oracle
 
 
 def get(corpus, name):
@@ -135,6 +142,27 @@ class TestParse:
         parsed = schema.parse_schema(
             "schema s\nnode z end\nnode a end\n")
         assert parsed.entry == "z"
+
+    def test_indexes_keep_declaration_order(self):
+        parsed = schema.parse_schema(
+            "schema s\n"
+            "node a emit subject=\"sam\" verb=rest\n"
+            "node b emit subject=\"sam\" verb=rest\n"
+            "node c end\n"
+            "arc a -> c when exists(r.x)\n"
+            "arc b -> c\n"
+            "arc a -> b rel contrast\n")
+        assert parsed.arcs_from("a") == (parsed.arcs[0], parsed.arcs[2])
+        assert parsed.arcs_from("c") == ()
+        assert parsed.node("b") is parsed.nodes[1]
+        with pytest.raises(KeyError):
+            parsed.node("ghost")
+        # Hand-built definitions get the indexes too; they take no part in
+        # equality.
+        rebuilt = schema.SchemaDef(name="s", entry="a", nodes=parsed.nodes,
+                                   arcs=parsed.arcs)
+        assert rebuilt == parsed
+        assert rebuilt.arcs_from("b") == (parsed.arcs[1],)
 
     def test_string_escapes(self):
         parsed = schema.parse_schema(
@@ -304,6 +332,107 @@ class TestTraverse:
         kinds = [(c.kind, c.label) for c in plan.root.children]
         assert kinds == [("leaf", None), ("relation", "elaboration")]
         assert len(plan.root.children[1].children) == 2
+
+
+# g0 holds text, g1 a number, and g2 is read only under exists().
+_GUARDS = ["exists(r.g0)", "exists(r.g2)", 'eq(r.g0, "yes")', "eq(r.g1, 1)",
+           "gt(r.g1, 2)", "lt(r.g1, 2)", "not(exists(r.g2))",
+           'and(exists(r.g2), eq(r.g2, "yes"))',
+           'or(eq(r.g0, "no"), gt(r.g1, 0))']
+_COMPLEMENTS = ['"to the store"', "path(r.c0)", "path(r.c1)"]
+# Mostly values that render or compare; the rest (a wrong type, a missing
+# key written as ..., a non-scalar, blank text) must fail alike in both
+# traversals.
+_RENDERABLE = ["high blood pressure", "with @sam", "@sam", 7, False]
+_RECORD_VALUES = {
+    "g0": ["yes", "no"] * 8 + [3, ...],
+    "g1": [0, 1, 3] * 6 + ["x", ...],
+    "g2": ["yes", "no", ...] * 3 + [1],
+    "c0": _RENDERABLE * 8 + [None, [1], {"k": 1}, " ", ...],
+    "c1": _RENDERABLE * 8 + [None, [1], {"k": 1}, " ", ...],
+}
+
+
+@st.composite
+def _random_schema_case(draw):
+    """Schema text (several schemas, call nodes, condition nodes, guarded
+    and unguarded arcs of every label, sources interleaved), data-file
+    text, and a visit budget.  Every schema drawn parses."""
+    names = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    lines = []
+    for name in names:
+        ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+        # The entry emits, so that most documents are not empty.
+        kinds = ["emit"] + [draw(st.sampled_from(["emit", "emit", "call",
+                                                  "end"]))
+                            for _ in ids[1:]]
+        plain = [i for i, k in zip(ids, kinds)
+                 if k == "emit" and draw(st.booleans())]
+        lines.append(f"schema {name}")
+        for node_id, kind in zip(ids, kinds):
+            if kind == "end":
+                lines.append(f"node {node_id} end")
+                continue
+            if kind == "call":
+                # Mostly calls forward, so that few calls recurse.
+                later = names[names.index(name) + 1:]
+                target = draw(st.sampled_from(
+                    later * 8 + names if later else names))
+                lines.append(f"node {node_id} call {target}")
+                continue
+            subject = draw(st.sampled_from(['"sam"', "path(r.who)"]))
+            line = f"node {node_id} emit subject={subject} verb=rest"
+            targets = [t for t in plain if t != node_id]
+            if node_id not in plain and targets and draw(st.booleans()):
+                line += f" condition={draw(st.sampled_from(targets))}"
+            complements = draw(st.lists(st.sampled_from(_COMPLEMENTS),
+                                        max_size=2))
+            if complements:
+                line += " complement=" + ", ".join(complements)
+            lines.append(line)
+        sources = [i for i, k in zip(ids, kinds) if k != "end"]
+        # Mostly forward arcs, so that few traversals hit a cycle.
+        forward = [(src, dst) for src in sources
+                   for dst in ids[ids.index(src) + 1:]]
+        backward = [(src, dst) for src in sources
+                    for dst in ids[:ids.index(src) + 1]]
+        unguarded = set()
+        for _ in range(draw(st.integers(0, 10))):
+            src, dst = draw(st.sampled_from(forward * 8 + backward))
+            line = f"arc {src} -> {dst}"
+            if src in unguarded or draw(st.booleans()):
+                line += f" when {draw(st.sampled_from(_GUARDS))}"
+            else:
+                unguarded.add(src)
+            line += f" rel {draw(st.sampled_from(ir.RELATION_LABELS))}"
+            lines.append(line)
+    record = {"who": "sam"}
+    for key, values in _RECORD_VALUES.items():
+        value = draw(st.sampled_from(values))
+        if value is not ...:
+            record[key] = value
+    data = json.dumps({"entities": {"sam": {"name": "Sam"}},
+                       "records": {"r": record}})
+    return "\n".join(lines) + "\n", data, draw(st.integers(2, 8))
+
+
+class TestTraversalOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(case=_random_schema_case())
+    def test_indexed_traverse_matches_scan_all_arcs(self, case):
+        source, data_text, max_visits = case
+        parsed = schema.parse_schema(source)
+        data = schema.load_data(data_text)
+
+        def outcome(traverse):
+            try:
+                return traverse(parsed, data, max_visits)
+            except NlgenError as exc:
+                return type(exc)
+
+        assert outcome(schema.traverse) == \
+            outcome(oracle.reference_traverse)
 
 
 class TestInstantiate:
