@@ -22,10 +22,11 @@ template realizer, which shares the orthography pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ir
 from .errors import ReferentialIntegrityError, TemplateError
-from .lexicon import Lexicon, default_lexicon, pronoun, verb_form
+from .lexicon import Lexicon, default_lexicon, pluralize, pronoun, verb_form
 
 COMMA = ","
 PERIOD = "."
@@ -37,15 +38,13 @@ _TERMINAL = {"period": PERIOD, "question-mark": QUESTION}
 ABBREVIATIONS = frozenset({"mr.", "mrs.", "ms.", "dr.", "prof.", "st."})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "word" | "punct" | "boundary"
     text: str  # word text, punctuation mark, or "sentence"/"paragraph"
-    proper: bool = False
 
 
-def word(text: str, proper: bool = False) -> Token:
-    return Token("word", text, proper)
+def word(text: str) -> Token:
+    return Token("word", text)
 
 
 def punct(mark: str) -> Token:
@@ -56,13 +55,22 @@ def boundary(kind: str = "sentence") -> Token:
     return Token("boundary", kind)
 
 
-def _words(text: str, proper: bool = False) -> list[Token]:
+def _words(text: str) -> list[Token]:
     # Multi-word names ("Helen Jones") become one token per word.
-    return [word(w, proper) for w in text.split()]
+    return [word(w) for w in text.split()]
 
 
 # ---------------------------------------------------------------------------
 # Reference and clause linearization
+
+
+def _head_words(ent: ir.Entity, lex: Lexicon) -> list[str]:
+    """Words of the entity's head noun phrase; a plural entity's last word
+    ("the nurse" -> "the nurses") is pluralized through the lexicon."""
+    words = ent.head.split()
+    if ent.number == "plural" and words:
+        words[-1] = pluralize(words[-1], lex)
+    return words
 
 
 def _reference_tokens(ref: ir.ReferenceSpec, lex: Lexicon) -> list[Token]:
@@ -81,13 +89,13 @@ def _reference_tokens(ref: ir.ReferenceSpec, lex: Lexicon) -> list[Token]:
         if ref.mode == "full-name" and ent.name:
             toks = []
             if ent.honorific:
-                toks += _words(ent.honorific, proper=True)
-            toks += _words(ent.name, proper=True)
+                toks += _words(ent.honorific)
+            toks += _words(ent.name)
             return toks
         if ent.head:
-            return [word("the")] + _words(ent.head)
+            return [word("the")] + [word(w) for w in _head_words(ent, lex)]
         if ent.name:  # head-noun mode on a purely named entity
-            return _words(ent.name, proper=True)
+            return _words(ent.name)
     raise ReferentialIntegrityError(
         f"entity {ent.id!r} has no renderable reference for mode "
         f"{ref.mode!r}")
@@ -244,27 +252,25 @@ def _apply_articles(stream: list[Token], lex: Lexicon | None) -> list[Token]:
         if article is None:
             article = "an" if following[:1] in "aeiou" else "a"
         if article == "an":
-            text = "An" if tok.text == "A" else "an"
-            out[i] = Token("word", text, tok.proper)
+            out[i] = word("An" if tok.text == "A" else "an")
     return out
 
 
 def _capitalize(stream: list[Token]) -> list[Token]:
-    out: list[Token] = []
+    out = list(stream)
     sentence_start = True
-    for tok in stream:
+    for i, tok in enumerate(stream):
         if tok.kind == "word":
             text = tok.text
             if text == "i":
-                text = "I"
+                out[i] = word("I")
             elif sentence_start and text[:1].isalpha():
-                text = text[0].upper() + text[1:]
-            out.append(Token("word", text, tok.proper))
+                upper = text[0].upper() + text[1:]
+                if upper != text:
+                    out[i] = word(upper)
             sentence_start = False
-        else:
-            out.append(tok)
-            if tok.kind == "boundary" or tok.text in (PERIOD, QUESTION):
-                sentence_start = True
+        elif tok.kind == "boundary" or tok.text in (PERIOD, QUESTION):
+            sentence_start = True
     return out
 
 
@@ -417,13 +423,13 @@ def parse_templates(source: str) -> dict[str, Template]:
     return templates
 
 
-def _entity_surface(ent: ir.Entity) -> str:
+def _entity_surface(ent: ir.Entity, lex: Lexicon) -> str:
     if ent.name:
         if ent.honorific:
             return f"{ent.honorific} {ent.name}"
         return ent.name
     if ent.head:
-        return f"the {ent.head}"
+        return " ".join(["the", *_head_words(ent, lex)])
     raise TemplateError(f"entity {ent.id!r} has neither name nor head")
 
 
@@ -446,7 +452,7 @@ def realize_template(template: Template, slots: dict,
             if not isinstance(value, ir.Entity):
                 raise TemplateError(
                     f"slot {part.text!r} expects an entity")
-            pieces.append(_entity_surface(value))
+            pieces.append(_entity_surface(value, lex))
         elif part.slot_kind == "number":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TemplateError(

@@ -32,7 +32,7 @@ nesting deeper than the interpreter's recursion limit is a TraversalError.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -62,6 +62,12 @@ _DETERMINERS = {"a": "a", "an": "a", "the": "the"}
 class Expr:
     kind: str  # "literal" | "path"
     value: str
+    # A path's dotted segments, split once when the expression is built.
+    segments: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.value.split("."))
+                           if self.kind == "path" else ())
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,12 @@ class Condition:
     path: str | None = None
     value: Any = None
     args: tuple["Condition", ...] = ()
+    # The path's dotted segments, split once when the guard is built.
+    segments: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.path.split("."))
+                           if self.path is not None else ())
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,16 @@ class MessageTemplate:
     modal: str | None = None
     adverb: Expr | None = None
     condition_node: str | None = None
+    # The top-level record named by the first path expression (subject,
+    # then complements, then adverb), or "" for a template of literals.
+    source_key: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        exprs = [self.subject, *self.complements]
+        if self.adverb is not None:
+            exprs.append(self.adverb)
+        paths = [expr.segments[0] for expr in exprs if expr.kind == "path"]
+        object.__setattr__(self, "source_key", paths[0] if paths else "")
 
 
 @dataclass(frozen=True)
@@ -628,8 +650,14 @@ def _check_entity_refs(value: Any, entities: dict[str, ir.Entity]) -> None:
 
 
 def resolve_path(records: Mapping[str, Any], path: str) -> Any:
+    return _resolve_segments(records, path.split("."), path)
+
+
+def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],
+                      path: str) -> Any:
+    """Walk ``segments`` (``path`` already split) down the records."""
     value: Any = records
-    for segment in path.split("."):
+    for segment in segments:
         # Data files decode to plain dicts; the exact-type test skips the
         # much slower ABC check for them.
         if not (type(value) is dict or isinstance(value, Mapping)) \
@@ -644,7 +672,7 @@ def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
     except under exists()."""
     if cond.op == "exists":
         try:
-            resolve_path(data.records, cond.path)
+            _resolve_segments(data.records, cond.segments, cond.path)
             return True
         except MissingPathError:
             return False
@@ -654,7 +682,7 @@ def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
         return all(eval_condition(a, data) for a in cond.args)
     if cond.op == "or":
         return any(eval_condition(a, data) for a in cond.args)
-    value = resolve_path(data.records, cond.path)
+    value = _resolve_segments(data.records, cond.segments, cond.path)
     literal = cond.value
     if cond.op == "eq":
         if isinstance(value, bool) != isinstance(literal, bool):
@@ -718,7 +746,7 @@ _NON_SCALARS = {dict: "an object", list: "a list", type(None): "null"}
 def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
     if expr.kind == "literal":
         return expr.value
-    value = resolve_path(data.records, expr.value)
+    value = _resolve_segments(data.records, expr.segments, expr.value)
     if isinstance(value, bool):
         return "true" if value else "false"
     non_scalar = _NON_SCALARS.get(type(value))
@@ -726,16 +754,6 @@ def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
         raise TraversalError(f"data path {expr.value} holds {non_scalar}, "
                              f"not a string or number")
     return str(value)
-
-
-def _first_record_key(template: MessageTemplate) -> str:
-    exprs = [template.subject, *template.complements]
-    if template.adverb is not None:
-        exprs.append(template.adverb)
-    for expr in exprs:
-        if expr.kind == "path":
-            return expr.value.split(".")[0]
-    return ""
 
 
 def instantiate_template(template: MessageTemplate, data: DataRecordSet,
@@ -758,7 +776,7 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
         modal=template.modal,
         adverb=adverb,
         condition=condition,
-        source_key=_first_record_key(template),
+        source_key=template.source_key,
     )
 
 

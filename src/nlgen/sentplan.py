@@ -30,7 +30,7 @@ crosses a paragraph break and never reorders messages.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Sequence
 
 from . import ir
 from .errors import InvalidPlanError, ReferentialIntegrityError
@@ -67,7 +67,10 @@ def _resolve_unit(complements, entities) -> tuple[ir.ResolvedComplement, ...]:
     return tuple(unit)
 
 
-def _build_clause(msg: ir.Message, entities) -> ir.ClauseSpec:
+def _build_clause(msg: ir.Message, entities,
+                  group: Sequence[ir.Message] = ()) -> ir.ClauseSpec:
+    """Clause for ``msg``, with one coordination unit per message of
+    ``group`` (default: ``msg`` alone)."""
     subject = _entity(entities, msg.subject)
     condition = None
     if msg.condition is not None:
@@ -83,7 +86,8 @@ def _build_clause(msg: ir.Message, entities) -> ir.ClauseSpec:
         tense=msg.tense,
         modal=msg.modal,
         polarity=msg.polarity,
-        complements=(_resolve_unit(msg.complements, entities),),
+        complements=tuple(_resolve_unit(m.complements, entities)
+                          for m in group or (msg,)),
         discourse_markers=markers,
         condition=condition,
     )
@@ -110,12 +114,7 @@ def aggregate(messages: list[ir.Message], entities: dict[str, ir.Entity],
         nonlocal group
         if not group:
             return
-        clause = _build_clause(group[0], entities)
-        if len(group) > 1:
-            units = tuple(_resolve_unit(m.complements, entities)
-                          for m in group)
-            clause = replace(clause, complements=units)
-        clauses.append(clause)
+        clauses.append(_build_clause(group[0], entities, group))
         group = []
 
     for msg in messages:
@@ -130,11 +129,22 @@ def aggregate(messages: list[ir.Message], entities: dict[str, ir.Entity],
     return clauses
 
 
+def _with_clauses(sp: ir.SentencePlan,
+                  clauses: list[ir.ClauseSpec]) -> ir.SentencePlan:
+    """``sp`` itself when ``clauses`` are the very clauses it holds."""
+    if all(new is old for new, old in zip(clauses, sp.clauses)):
+        return sp
+    return ir.SentencePlan(clauses=tuple(clauses),
+                           terminal_punct=sp.terminal_punct,
+                           new_paragraph=sp.new_paragraph)
+
+
 def insert_discourse_markers(
         plans: list[ir.SentencePlan]) -> list[ir.SentencePlan]:
     """Attach "also" before the main verb of a conditional sentence whose
     condition clause has the same verb but different complements.
-    Idempotent: an existing "also" is never duplicated."""
+    Idempotent: an existing "also" is never duplicated.  Sentences that
+    gain no marker are returned as they were given."""
 
     def norm_units(clause: ir.ClauseSpec):
         return tuple(
@@ -153,9 +163,13 @@ def insert_discourse_markers(
             return clause
         markers = clause.discourse_markers + (
             ir.DiscourseMarker(word="also", position="pre-verb"),)
-        return replace(clause, discourse_markers=markers)
+        return ir.ClauseSpec(
+            subject_ref=clause.subject_ref, verb=clause.verb,
+            tense=clause.tense, modal=clause.modal,
+            polarity=clause.polarity, complements=clause.complements,
+            discourse_markers=markers, condition=cond)
 
-    return [replace(sp, clauses=tuple(mark(c) for c in sp.clauses))
+    return [_with_clauses(sp, [mark(c) for c in sp.clauses])
             for sp in plans]
 
 
@@ -178,28 +192,44 @@ def _clause_mention_slots(clause: ir.ClauseSpec):
     return slots
 
 
+def _with_mode(ref: ir.ReferenceSpec, mode: str | None) -> ir.ReferenceSpec:
+    if mode is None or mode == ref.mode:
+        return ref
+    return ir.ReferenceSpec(entity=ref.entity, mode=mode, case=ref.case)
+
+
 def _rewrite_clause(clause: ir.ClauseSpec, modes: dict) -> ir.ClauseSpec:
-    condition = clause.condition
-    if condition is not None:
-        cond_modes = {path[1:]: mode for path, mode in modes.items()
-                      if path[0] == "condition"}
-        condition = _rewrite_clause(condition, cond_modes)
+    """``clause`` with the reference modes in ``modes`` (keyed by mention
+    path) applied; ``clause`` itself when no mode differs."""
     subject_ref = clause.subject_ref
-    if ("subject",) in modes:
-        subject_ref = replace(subject_ref, mode=modes[("subject",)])
-    units = []
-    for ui, unit in enumerate(clause.complements):
-        new_unit = []
-        for ci, rc in enumerate(unit):
-            key = ("complement", ui, ci)
-            if key in modes:
-                new_unit.append(replace(
-                    rc, ref=replace(rc.ref, mode=modes[key])))
-            else:
-                new_unit.append(rc)
-        units.append(tuple(new_unit))
-    return replace(clause, subject_ref=subject_ref,
-                   condition=condition, complements=tuple(units))
+    cond_modes = {}
+    units = None  # copied on the first complement that changes
+    for path, mode in modes.items():
+        if path[0] == "condition":
+            cond_modes[path[1:]] = mode
+        elif path[0] == "subject":
+            subject_ref = _with_mode(subject_ref, mode)
+        else:
+            _, ui, ci = path
+            rc = clause.complements[ui][ci]
+            ref = _with_mode(rc.ref, mode)
+            if ref is not rc.ref:
+                if units is None:
+                    units = [list(unit) for unit in clause.complements]
+                units[ui][ci] = ir.ResolvedComplement(phrase=rc.phrase,
+                                                      ref=ref)
+    condition = clause.condition
+    if cond_modes:
+        condition = _rewrite_clause(condition, cond_modes)
+    if subject_ref is clause.subject_ref \
+            and condition is clause.condition and units is None:
+        return clause
+    return ir.ClauseSpec(
+        subject_ref=subject_ref, verb=clause.verb, tense=clause.tense,
+        modal=clause.modal, polarity=clause.polarity,
+        complements=clause.complements if units is None
+        else tuple(tuple(unit) for unit in units),
+        discourse_markers=clause.discourse_markers, condition=condition)
 
 
 def pronominalize(plans: list[ir.SentencePlan],
@@ -211,7 +241,8 @@ def pronominalize(plans: list[ir.SentencePlan],
     current sentence, and no other third-person entity with the same
     gender and number appears in that window.  A non-subject mention
     coreferent with its clause subject becomes a reflexive regardless of
-    the window.  First mentions are never pronominalized.
+    the window.  First mentions are never pronominalized.  A sentence
+    whose reference modes all stay as they are is returned as given.
     """
     out: list[ir.SentencePlan] = []
     prev_sentence: list[ir.Entity] = []
@@ -246,7 +277,7 @@ def pronominalize(plans: list[ir.SentencePlan],
                             modes[path] = "pronoun"
                 current.append(ent)
             new_clauses.append(_rewrite_clause(clause, modes))
-        out.append(replace(sp, clauses=tuple(new_clauses)))
+        out.append(_with_clauses(sp, new_clauses))
         prev_sentence = current
     return out
 

@@ -182,3 +182,175 @@ def reference_traverse(definition, data, max_visits=32):
         entities=dict(data.entities),
         record_keys=tuple(sorted(data.records)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Sentence planning by copy-and-replace: every pass rebuilds each sentence
+# and clause it visits with dataclasses.replace.  The library's passes
+# reuse unchanged objects instead and must give equal plans.
+
+
+def reference_aggregate(messages, entities, cap=3):
+    from dataclasses import replace
+
+    from nlgen import sentplan
+
+    clauses = []
+    group = []
+
+    def mergeable(msg):
+        return msg.condition is None and bool(msg.complements)
+
+    def flush():
+        nonlocal group
+        if not group:
+            return
+        clause = sentplan._build_clause(group[0], entities)
+        if len(group) > 1:
+            units = tuple(sentplan._resolve_unit(m.complements, entities)
+                          for m in group)
+            clause = replace(clause, complements=units)
+        clauses.append(clause)
+        group = []
+
+    for msg in messages:
+        if group and mergeable(msg) and mergeable(group[0]) \
+                and sentplan._merge_key(msg) == sentplan._merge_key(group[0]) \
+                and len(group) < cap:
+            group.append(msg)
+            continue
+        flush()
+        group = [msg]
+    flush()
+    return clauses
+
+
+def reference_insert_discourse_markers(plans):
+    from dataclasses import replace
+
+    from nlgen import ir
+
+    def norm_units(clause):
+        return tuple(
+            tuple(ir._normalize_phrase(rc.phrase) for rc in unit)
+            for unit in clause.complements)
+
+    def mark(clause):
+        cond = clause.condition
+        if cond is None:
+            return clause
+        if clause.verb != cond.verb:
+            return clause
+        if norm_units(clause) == norm_units(cond):
+            return clause
+        if any(m.word == "also" for m in clause.discourse_markers):
+            return clause
+        markers = clause.discourse_markers + (
+            ir.DiscourseMarker(word="also", position="pre-verb"),)
+        return replace(clause, discourse_markers=markers)
+
+    return [replace(sp, clauses=tuple(mark(c) for c in sp.clauses))
+            for sp in plans]
+
+
+def _reference_mention_slots(clause):
+    slots = []
+    if clause.condition is not None:
+        for path, ref in _reference_mention_slots(clause.condition):
+            slots.append((("condition",) + path, ref))
+    slots.append((("subject",), clause.subject_ref))
+    for ui, unit in enumerate(clause.complements):
+        for ci, rc in enumerate(unit):
+            if rc.ref is not None:
+                slots.append((("complement", ui, ci), rc.ref))
+    return slots
+
+
+def _reference_rewrite_clause(clause, modes):
+    from dataclasses import replace
+
+    condition = clause.condition
+    if condition is not None:
+        cond_modes = {path[1:]: mode for path, mode in modes.items()
+                      if path[0] == "condition"}
+        condition = _reference_rewrite_clause(condition, cond_modes)
+    subject_ref = clause.subject_ref
+    if ("subject",) in modes:
+        subject_ref = replace(subject_ref, mode=modes[("subject",)])
+    units = []
+    for ui, unit in enumerate(clause.complements):
+        new_unit = []
+        for ci, rc in enumerate(unit):
+            key = ("complement", ui, ci)
+            if key in modes:
+                new_unit.append(replace(
+                    rc, ref=replace(rc.ref, mode=modes[key])))
+            else:
+                new_unit.append(rc)
+        units.append(tuple(new_unit))
+    return replace(clause, subject_ref=subject_ref,
+                   condition=condition, complements=tuple(units))
+
+
+def reference_pronominalize(plans, entities):
+    from dataclasses import replace
+
+    from nlgen.errors import ReferentialIntegrityError
+
+    out = []
+    prev_sentence = []
+    for sp in plans:
+        current = []
+        new_clauses = []
+        for clause in sp.clauses:
+            modes = {}
+            for path, ref in _reference_mention_slots(clause):
+                ent = entities.get(ref.entity.id)
+                if ent is None:
+                    raise ReferentialIntegrityError(
+                        f"dangling entity reference: {ref.entity.id!r}")
+                if path[0] == "condition" and clause.condition is not None:
+                    local_subject = clause.condition.subject_ref.entity.id
+                else:
+                    local_subject = clause.subject_ref.entity.id
+                is_subject = path[-1] == "subject"
+                if ent.person == "third":
+                    if not is_subject and ent.id == local_subject:
+                        modes[path] = "reflexive-pronoun"
+                    else:
+                        window = prev_sentence + current
+                        mentioned = any(o.id == ent.id for o in window)
+                        competitors = any(
+                            o.id != ent.id and o.person == "third"
+                            and o.gender == ent.gender
+                            and o.number == ent.number
+                            for o in window)
+                        if mentioned and not competitors:
+                            modes[path] = "pronoun"
+                current.append(ent)
+            new_clauses.append(_reference_rewrite_clause(clause, modes))
+        out.append(replace(sp, clauses=tuple(new_clauses)))
+        prev_sentence = current
+    return out
+
+
+def reference_plan_sentences(plan, profile):
+    """plan_sentences with the copy-and-replace passes above; paragraph
+    grouping and clause building are the library's."""
+    from nlgen import ir, sentplan
+
+    sentences = []
+    for pi, messages in enumerate(sentplan._paragraph_leaf_groups(plan)):
+        if profile == "plain":
+            clauses = [sentplan._build_clause(m, plan.entities)
+                       for m in messages]
+        else:
+            clauses = reference_aggregate(messages, plan.entities)
+        for ci, clause in enumerate(clauses):
+            sentences.append(ir.SentencePlan(
+                clauses=(clause,), terminal_punct="period",
+                new_paragraph=(pi > 0 and ci == 0)))
+    if profile == "fluent":
+        sentences = reference_insert_discourse_markers(sentences)
+        sentences = reference_pronominalize(sentences, plan.entities)
+    return sentences

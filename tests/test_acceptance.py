@@ -61,8 +61,8 @@ def test_criterion_4_realization_rules(corpus):
                   == "John saw himself.")
 
     helen = [realize.word("I"), realize.word("saw"),
-             realize.word("Helen", proper=True),
-             realize.word("Jones", proper=True), realize.punct(","),
+             realize.word("Helen"),
+             realize.word("Jones"), realize.punct(","),
              realize.word("my"), realize.word("sister-in-law"),
              realize.punct(","), realize.punct("."), realize.boundary()]
     rendered = realize.orthography(helen)

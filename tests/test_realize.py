@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import random
 import re
 
 import pytest
 
+import nlgen
 from nlgen import ir, realize
 from nlgen.errors import TemplateError
 from nlgen.realize import boundary, punct, word
@@ -167,8 +170,8 @@ class TestRealizeDocument:
 
 class TestOrthography:
     def test_point_absorption(self):
-        stream = [word("I"), word("saw"), word("Helen", proper=True),
-                  word("Jones", proper=True), punct(","), word("my"),
+        stream = [word("I"), word("saw"), word("Helen"),
+                  word("Jones"), punct(","), word("my"),
                   word("sister-in-law"), punct(","), punct("."),
                   boundary()]
         assert realize.orthography(stream) == \
@@ -214,6 +217,56 @@ class TestOrthography:
         stream = [word("one"), punct("."), boundary("paragraph"),
                   word("two"), punct("."), boundary()]
         assert realize.orthography(stream) == "One.\n\nTwo."
+
+
+PLURAL_SCHEMA = """schema plural
+node temp emit subject=path(r.who) verb=have complement="a high temperature"
+node see emit subject=path(r.who) verb=see complement=path(r.what)
+arc temp -> see
+"""
+
+
+def plural_text(who_head, what_head, profile, lex=None):
+    """A plural head-noun entity in subject position, then another in
+    complement position."""
+    data = nlgen.load_data(json.dumps({
+        "entities": {"who": {"head": who_head, "number": "plural"},
+                     "what": {"head": what_head, "number": "plural"}},
+        "records": {"r": {"who": "who", "what": "@what"}}}))
+    return nlgen.generate_text(nlgen.parse_schema(PLURAL_SCHEMA), data,
+                               profile, lex)
+
+
+class TestPluralHeadNouns:
+    @pytest.mark.parametrize("profile, second", [
+        ("fluent", "They"), ("plain", "The nurses")])
+    def test_regular_plural_in_subject_and_complement(self, profile,
+                                                      second):
+        assert plural_text("nurse", "box", profile) == \
+            f"The nurses have a high temperature. {second} see the boxes."
+
+    @pytest.mark.parametrize("profile, second", [
+        ("fluent", "They"), ("plain", "The children")])
+    def test_irregular_plural_from_lexicon(self, profile, second):
+        assert plural_text("child", "blood test", profile) == \
+            (f"The children have a high temperature. {second} see the "
+             f"blood tests.")
+
+    def test_plural_goes_through_the_given_lexicon(self):
+        from nlgen.lexicon import default_lexicon
+
+        base = default_lexicon()
+        lex = dataclasses.replace(base, irregular_plurals={
+            **base.irregular_plurals, "box": "boxen"})
+        assert plural_text("child", "box", "plain", lex) == \
+            ("The children have a high temperature. The children see the "
+             "boxen.")
+
+    def test_template_entity_slot(self):
+        t = realize.parse_templates("template w\n{who:entity} rest.\n")
+        kids = ir.Entity(id="kids", head="child", number="plural")
+        assert realize.realize_template(t["w"], {"who": kids}) == \
+            "The children rest."
 
 
 FORBIDDEN = re.compile(r",\.| \.| ,|  ")

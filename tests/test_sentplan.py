@@ -1,6 +1,9 @@
 import dataclasses
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlgen import ir, realize, sentplan
 from nlgen.errors import InvalidPlanError, ReferentialIntegrityError
@@ -141,6 +144,12 @@ class TestDiscourseMarkers:
             clauses=(sentplan._build_clause(main, ENTITIES),))]
         assert sentplan.insert_discourse_markers(plans) == plans
 
+    def test_sentence_without_conditional_is_returned_as_given(self):
+        plans = sentplan.plan_sentences(
+            plan_of(message("sam", "go", np(head="store", det="the",
+                                            prep="to"))), "plain")
+        assert sentplan.insert_discourse_markers(plans)[0] is plans[0]
+
     def test_idempotent(self):
         once = sentplan.insert_discourse_markers(self.fixture_plans())
         twice = sentplan.insert_discourse_markers(once)
@@ -209,6 +218,17 @@ class TestPronominalize:
         clause = out[0].clauses[0]
         assert clause.condition.subject_ref.mode == "full-name"
         assert clause.subject_ref.mode == "pronoun"
+
+    def test_sentences_without_pronouns_are_returned_as_given(self):
+        plans = self.build(
+            message("sam", "rest"),
+            message("mrs_black", "see", np(head="@john")),
+            message("mrs_black", "rest"))
+        out = sentplan.pronominalize(plans, ENTITIES)
+        assert out[0] is plans[0]
+        assert out[1] is plans[1]
+        assert out[2] is not plans[2]
+        assert out[2].clauses[0].subject_ref.mode == "pronoun"
 
     def test_unknown_entity_is_lookup_failure(self):
         plans = self.build(message("sam", "rest"))
@@ -325,3 +345,47 @@ class TestPlanSentences:
         plans = sentplan.plan_sentences(plan, "fluent")
         assert render(plans) == \
             "If Sam goes to the hospital, he should also go to the store."
+
+
+def with_merge_runs(plan, rng):
+    """``plan`` with most leaves taking the previous leaf's subject, verb,
+    tense, modal, polarity and adverb, so that aggregation sees runs of
+    mergeable messages, up to the cap and beyond."""
+    prev = None
+
+    def rewrite(node):
+        nonlocal prev
+        if node.kind == "relation":
+            return dataclasses.replace(
+                node, children=tuple(rewrite(c) for c in node.children))
+        msg = node.message
+        if prev is not None and rng.random() < 0.7:
+            msg = dataclasses.replace(
+                msg, subject=prev.subject, verb=prev.verb, tense=prev.tense,
+                modal=prev.modal, polarity=prev.polarity,
+                adverb=prev.adverb, condition=None)
+        prev = msg
+        return dataclasses.replace(node, message=msg)
+
+    return dataclasses.replace(plan, root=rewrite(plan.root))
+
+
+class TestReferencePasses:
+    """The passes against the copy-and-replace references in oracle.py."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_plan_sentences_matches_reference(self, seed):
+        rng = random.Random(seed)
+        plan = random_document_plan(rng)
+        for plan in (plan, with_merge_runs(plan, rng)):
+            for profile in ("plain", "fluent"):
+                out = sentplan.plan_sentences(plan, profile)
+                assert out == oracle.reference_plan_sentences(plan, profile)
+            # A second run over the fluent output starts from modes and
+            # markers already set.
+            assert sentplan.pronominalize(out, plan.entities) == \
+                oracle.reference_pronominalize(out, plan.entities)
+            assert sentplan.insert_discourse_markers(out) == \
+                oracle.reference_insert_discourse_markers(out)
