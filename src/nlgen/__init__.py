@@ -10,7 +10,6 @@ from . import errors
 from .ir import (
     ClauseSpec,
     ComplementPhrase,
-    DiscourseMarker,
     DocumentPlan,
     Entity,
     Message,

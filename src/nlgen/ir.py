@@ -39,8 +39,6 @@ ReferenceMode = Literal["full-name", "head-noun", "pronoun",
                         "reflexive-pronoun"]
 Case = Literal["subjective", "objective"]
 NodeKind = Literal["leaf", "relation"]
-MarkerPosition = Literal["pre-verb"]
-TerminalPunct = Literal["period", "question-mark"]
 
 GENDERS = get_args(Gender)
 NUMBERS = get_args(Number)
@@ -56,6 +54,11 @@ CASES = get_args(Case)
 # Complement heads that name an entity instead of a common noun carry this
 # prefix, e.g. "@mrs_black".
 ENTITY_MARKER = "@"
+
+
+def is_verb_lemma(verb: str) -> bool:
+    """A verb lemma is non-empty and lowercase ("have", not "Has")."""
+    return bool(verb) and verb == verb.lower()
 
 
 def entity_ref(head: str) -> str | None:
@@ -153,18 +156,13 @@ class ResolvedComplement:
 
 
 @dataclass(frozen=True)
-class DiscourseMarker:
-    word: str
-    position: MarkerPosition = "pre-verb"
-
-
-@dataclass(frozen=True)
 class ClauseSpec:
     """Deep syntactic shape of one clause.
 
     ``complements`` is a single coordination group: one unit per source
     message, units joined by "and" at realization time.  An unaggregated
     clause has exactly one unit holding the message's complement phrases.
+    ``discourse_markers`` are words placed before the main verb ("also").
     """
 
     subject_ref: ReferenceSpec
@@ -173,16 +171,16 @@ class ClauseSpec:
     modal: Modal | None = None
     polarity: Polarity = "positive"
     complements: tuple[tuple[ResolvedComplement, ...], ...] = ()
-    discourse_markers: tuple[DiscourseMarker, ...] = ()
+    discourse_markers: tuple[str, ...] = ()
     condition: ClauseSpec | None = None
 
 
 @dataclass(frozen=True)
 class SentencePlan:
-    """One output sentence; ``new_paragraph`` opens a paragraph before it."""
+    """One output sentence, ending in a period; ``new_paragraph`` opens a
+    paragraph before it."""
 
     clauses: tuple[ClauseSpec, ...]
-    terminal_punct: TerminalPunct = "period"
     new_paragraph: bool = False
 
 
@@ -316,7 +314,7 @@ def _validate_phrase(phrase: ComplementPhrase, plan: DocumentPlan,
 
 def _validate_message(msg: Message, plan: DocumentPlan, where: str,
                       problems: list[str], nested: bool = False) -> None:
-    if not msg.verb or msg.verb != msg.verb.lower():
+    if not is_verb_lemma(msg.verb):
         problems.append(f"{where}: verb lemma must be non-empty lowercase")
     if msg.subject not in plan.entities:
         problems.append(

@@ -116,8 +116,18 @@ def default_lexicon() -> Lexicon:
     return _default
 
 
-def _ends_sibilant(word: str) -> bool:
-    return word.endswith(SIBILANT_ENDINGS)
+def _consonant_y(word: str) -> bool:
+    return len(word) > 1 and word.endswith("y") and word[-2] not in VOWELS
+
+
+def _add_s(word: str) -> str:
+    """The -s suffix of noun plurals and third-singular present verbs:
+    "-es" after a sibilant, consonant-y to "-ies", else "-s"."""
+    if word.endswith(SIBILANT_ENDINGS):
+        return word + "es"
+    if _consonant_y(word):
+        return word[:-1] + "ies"
+    return word + "s"
 
 
 def pluralize(lemma: str, lex: Lexicon | None = None) -> str:
@@ -127,11 +137,7 @@ def pluralize(lemma: str, lex: Lexicon | None = None) -> str:
     lex = lex or default_lexicon()
     if lemma in lex.irregular_plurals:
         return lex.irregular_plurals[lemma]
-    if _ends_sibilant(lemma):
-        return lemma + "es"
-    if lemma.endswith("y") and len(lemma) > 1 and lemma[-2] not in VOWELS:
-        return lemma[:-1] + "ies"
-    return lemma + "s"
+    return _add_s(lemma)
 
 
 def verb_form(lemma: str, person: str, number: str, tense: str,
@@ -150,19 +156,12 @@ def verb_form(lemma: str, person: str, number: str, tense: str,
     if tense == "past":
         if lemma.endswith("e"):
             return lemma + "d"
-        if lemma.endswith("y") and len(lemma) > 1 \
-                and lemma[-2] not in VOWELS:
+        if _consonant_y(lemma):
             return lemma[:-1] + "ied"
         return lemma + "ed"
-    # Present: only the third singular inflects, with the same spelling
-    # adjustments as pluralize.
+    # Present: only the third singular inflects, spelled like a plural.
     if person == "third" and number == "singular":
-        if _ends_sibilant(lemma):
-            return lemma + "es"
-        if lemma.endswith("y") and len(lemma) > 1 \
-                and lemma[-2] not in VOWELS:
-            return lemma[:-1] + "ies"
-        return lemma + "s"
+        return _add_s(lemma)
     return lemma
 
 

@@ -30,9 +30,8 @@ from .lexicon import Lexicon, default_lexicon, pluralize, pronoun, verb_form
 
 COMMA = ","
 PERIOD = "."
-QUESTION = "?"
+QUESTION = "?"  # never generated; template text may hold it
 _PUNCT_MARKS = (COMMA, PERIOD, QUESTION)
-_TERMINAL = {"period": PERIOD, "question-mark": QUESTION}
 
 # Words kept whole by the tokenizer even though they end in a period.
 ABBREVIATIONS = frozenset({"mr.", "mrs.", "ms.", "dr.", "prof.", "st."})
@@ -103,8 +102,7 @@ def _reference_tokens(ref: ir.ReferenceSpec, lex: Lexicon) -> list[Token]:
 
 def _verb_tokens(clause: ir.ClauseSpec, lex: Lexicon) -> list[Token]:
     subj = clause.subject_ref.entity
-    markers = [word(m.word) for m in clause.discourse_markers
-               if m.position == "pre-verb"]
+    markers = [word(m) for m in clause.discourse_markers]
     negative = clause.polarity == "negative"
     if clause.modal:
         toks = [word(clause.modal)]
@@ -172,14 +170,15 @@ def _clause_tokens(clause: ir.ClauseSpec, lex: Lexicon) -> list[Token]:
 
 def realize_sentence(sp: ir.SentencePlan,
                      lex: Lexicon | None = None) -> list[Token]:
-    """Token stream for one sentence, ending in a sentence boundary."""
+    """Token stream for one sentence, ending in a period and a sentence
+    boundary."""
     lex = lex or default_lexicon()
     toks: list[Token] = []
     for i, clause in enumerate(sp.clauses):
         if i > 0:
             toks.append(word("and"))
         toks += _clause_tokens(clause, lex)
-    toks.append(punct(_TERMINAL[sp.terminal_punct]))
+    toks.append(punct(PERIOD))
     toks.append(boundary("sentence"))
     return toks
 
@@ -236,8 +235,8 @@ def _collapse_punct(stream: list[Token]) -> list[Token]:
         stream = out
 
 
-def _apply_articles(stream: list[Token], lex: Lexicon | None) -> list[Token]:
-    exceptions = lex.article_exceptions if lex else {}
+def _apply_articles(stream: list[Token], lex: Lexicon) -> list[Token]:
+    exceptions = lex.article_exceptions
     out = list(stream)
     for i, tok in enumerate(out):
         if tok.kind != "word" or tok.text.lower() != "a":
@@ -297,7 +296,7 @@ def _assemble(stream: list[Token]) -> str:
 def orthography(stream: list[Token], lex: Lexicon | None = None) -> str:
     """Final string for a token stream; total over well-formed streams."""
     stream = _collapse_punct(stream)
-    stream = _apply_articles(stream, lex)
+    stream = _apply_articles(stream, lex or default_lexicon())
     stream = _capitalize(stream)
     return _assemble(stream)
 
@@ -350,10 +349,6 @@ class TemplatePart:
 class Template:
     name: str
     parts: tuple[TemplatePart, ...]
-
-    @property
-    def slot_names(self) -> list[str]:
-        return [p.text for p in self.parts if p.kind == "slot"]
 
 
 def _parse_template_body(name: str, body: str) -> Template:

@@ -348,9 +348,14 @@ def _parse_emit_fields(p: _LineParser, node_id: str) -> MessageTemplate:
             tok = p.peek()
             if tok is not None and tok.kind == "string":
                 p.pos += 1
-                fields["verb"] = tok.value
+                verb = tok.value
             else:
-                fields["verb"] = p.take_ident()
+                verb = p.take_ident()
+            if not ir.is_verb_lemma(verb):
+                raise SchemaParseError(
+                    f"verb lemma {verb!r} must be non-empty lowercase",
+                    p.line, tok.col)
+            fields["verb"] = verb
         elif key == "tense":
             tense = p.take_ident()
             if tense not in ir.TENSES:
@@ -647,10 +652,6 @@ def _check_entity_refs(value: Any, entities: dict[str, ir.Entity]) -> None:
     elif isinstance(value, list):
         for v in value:
             _check_entity_refs(v, entities)
-
-
-def resolve_path(records: Mapping[str, Any], path: str) -> Any:
-    return _resolve_segments(records, path.split("."), path)
 
 
 def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],

@@ -75,9 +75,6 @@ def _build_clause(msg: ir.Message, entities,
     condition = None
     if msg.condition is not None:
         condition = _build_clause(msg.condition, entities)
-    markers = ()
-    if msg.adverb:
-        markers = (ir.DiscourseMarker(word=msg.adverb, position="pre-verb"),)
     return ir.ClauseSpec(
         subject_ref=ir.ReferenceSpec(entity=subject,
                                      mode=_full_mode(subject),
@@ -88,7 +85,7 @@ def _build_clause(msg: ir.Message, entities,
         polarity=msg.polarity,
         complements=tuple(_resolve_unit(m.complements, entities)
                           for m in group or (msg,)),
-        discourse_markers=markers,
+        discourse_markers=(msg.adverb,) if msg.adverb else (),
         condition=condition,
     )
 
@@ -98,11 +95,11 @@ def _merge_key(msg: ir.Message):
             msg.adverb)
 
 
-def aggregate(messages: list[ir.Message], entities: dict[str, ir.Entity],
-              cap: int = AGGREGATION_CAP) -> list[ir.ClauseSpec]:
+def aggregate(messages: list[ir.Message],
+              entities: dict[str, ir.Entity]) -> list[ir.ClauseSpec]:
     """Merge adjacent messages sharing subject, verb, tense, modal, and
     polarity into one coordinated clause, greedily left to right, at most
-    ``cap`` units per group.  Condition-bearing messages and messages
+    AGGREGATION_CAP units per group.  Condition-bearing messages and messages
     without complements never merge; order is always preserved."""
     clauses: list[ir.ClauseSpec] = []
     group: list[ir.Message] = []
@@ -120,7 +117,7 @@ def aggregate(messages: list[ir.Message], entities: dict[str, ir.Entity],
     for msg in messages:
         if group and mergeable(msg) and mergeable(group[0]) \
                 and _merge_key(msg) == _merge_key(group[0]) \
-                and len(group) < cap:
+                and len(group) < AGGREGATION_CAP:
             group.append(msg)
             continue
         flush()
@@ -135,7 +132,6 @@ def _with_clauses(sp: ir.SentencePlan,
     if all(new is old for new, old in zip(clauses, sp.clauses)):
         return sp
     return ir.SentencePlan(clauses=tuple(clauses),
-                           terminal_punct=sp.terminal_punct,
                            new_paragraph=sp.new_paragraph)
 
 
@@ -159,77 +155,17 @@ def insert_discourse_markers(
             return clause
         if norm_units(clause) == norm_units(cond):
             return clause
-        if any(m.word == "also" for m in clause.discourse_markers):
+        if "also" in clause.discourse_markers:
             return clause
-        markers = clause.discourse_markers + (
-            ir.DiscourseMarker(word="also", position="pre-verb"),)
         return ir.ClauseSpec(
             subject_ref=clause.subject_ref, verb=clause.verb,
             tense=clause.tense, modal=clause.modal,
             polarity=clause.polarity, complements=clause.complements,
-            discourse_markers=markers, condition=cond)
+            discourse_markers=clause.discourse_markers + ("also",),
+            condition=cond)
 
     return [_with_clauses(sp, [mark(c) for c in sp.clauses])
             for sp in plans]
-
-
-def _clause_mention_slots(clause: ir.ClauseSpec):
-    """Mention sites of a clause in surface order.
-
-    Yields (path, ref) pairs where path addresses the reference inside the
-    clause so it can be rewritten: the condition clause renders first,
-    then the subject, then complement references.
-    """
-    slots = []
-    if clause.condition is not None:
-        for path, ref in _clause_mention_slots(clause.condition):
-            slots.append((("condition",) + path, ref))
-    slots.append((("subject",), clause.subject_ref))
-    for ui, unit in enumerate(clause.complements):
-        for ci, rc in enumerate(unit):
-            if rc.ref is not None:
-                slots.append((("complement", ui, ci), rc.ref))
-    return slots
-
-
-def _with_mode(ref: ir.ReferenceSpec, mode: str | None) -> ir.ReferenceSpec:
-    if mode is None or mode == ref.mode:
-        return ref
-    return ir.ReferenceSpec(entity=ref.entity, mode=mode, case=ref.case)
-
-
-def _rewrite_clause(clause: ir.ClauseSpec, modes: dict) -> ir.ClauseSpec:
-    """``clause`` with the reference modes in ``modes`` (keyed by mention
-    path) applied; ``clause`` itself when no mode differs."""
-    subject_ref = clause.subject_ref
-    cond_modes = {}
-    units = None  # copied on the first complement that changes
-    for path, mode in modes.items():
-        if path[0] == "condition":
-            cond_modes[path[1:]] = mode
-        elif path[0] == "subject":
-            subject_ref = _with_mode(subject_ref, mode)
-        else:
-            _, ui, ci = path
-            rc = clause.complements[ui][ci]
-            ref = _with_mode(rc.ref, mode)
-            if ref is not rc.ref:
-                if units is None:
-                    units = [list(unit) for unit in clause.complements]
-                units[ui][ci] = ir.ResolvedComplement(phrase=rc.phrase,
-                                                      ref=ref)
-    condition = clause.condition
-    if cond_modes:
-        condition = _rewrite_clause(condition, cond_modes)
-    if subject_ref is clause.subject_ref \
-            and condition is clause.condition and units is None:
-        return clause
-    return ir.ClauseSpec(
-        subject_ref=subject_ref, verb=clause.verb, tense=clause.tense,
-        modal=clause.modal, polarity=clause.polarity,
-        complements=clause.complements if units is None
-        else tuple(tuple(unit) for unit in units),
-        discourse_markers=clause.discourse_markers, condition=condition)
 
 
 def pronominalize(plans: list[ir.SentencePlan],
@@ -244,40 +180,63 @@ def pronominalize(plans: list[ir.SentencePlan],
     the window.  First mentions are never pronominalized.  A sentence
     whose reference modes all stay as they are is returned as given.
     """
-    out: list[ir.SentencePlan] = []
     prev_sentence: list[ir.Entity] = []
+    current: list[ir.Entity] = []
+
+    def refer(ref: ir.ReferenceSpec,
+              local_subject: str | None) -> ir.ReferenceSpec:
+        # local_subject: id of the subject of the clause this mention is
+        # an object of; None for a subject mention.
+        ent = _entity(entities, ref.entity.id)
+        mode = ref.mode
+        if ent.person == "third":
+            if ent.id == local_subject:
+                mode = "reflexive-pronoun"
+            else:
+                window = prev_sentence + current
+                mentioned = any(o.id == ent.id for o in window)
+                competitors = any(
+                    o.id != ent.id and o.person == "third"
+                    and o.gender == ent.gender and o.number == ent.number
+                    for o in window)
+                if mentioned and not competitors:
+                    mode = "pronoun"
+        current.append(ent)
+        if mode == ref.mode:
+            return ref
+        return ir.ReferenceSpec(entity=ref.entity, mode=mode, case=ref.case)
+
+    def rewrite(clause: ir.ClauseSpec) -> ir.ClauseSpec:
+        # Surface order: the condition clause, the subject, the complements.
+        condition = clause.condition
+        if condition is not None:
+            condition = rewrite(condition)
+        subject_ref = refer(clause.subject_ref, None)
+        changed = subject_ref is not clause.subject_ref \
+            or condition is not clause.condition
+        units = []
+        for unit in clause.complements:
+            new_unit = []
+            for rc in unit:
+                if rc.ref is not None:
+                    ref = refer(rc.ref, clause.subject_ref.entity.id)
+                    if ref is not rc.ref:
+                        rc = ir.ResolvedComplement(phrase=rc.phrase, ref=ref)
+                        changed = True
+                new_unit.append(rc)
+            units.append(tuple(new_unit))
+        if not changed:
+            return clause
+        return ir.ClauseSpec(
+            subject_ref=subject_ref, verb=clause.verb, tense=clause.tense,
+            modal=clause.modal, polarity=clause.polarity,
+            complements=tuple(units),
+            discourse_markers=clause.discourse_markers, condition=condition)
+
+    out: list[ir.SentencePlan] = []
     for sp in plans:
-        current: list[ir.Entity] = []
-        new_clauses = []
-        for clause in sp.clauses:
-            modes: dict = {}
-            for path, ref in _clause_mention_slots(clause):
-                ent = entities.get(ref.entity.id)
-                if ent is None:
-                    raise ReferentialIntegrityError(
-                        f"dangling entity reference: {ref.entity.id!r}")
-                # Whose subject does this mention sit under?
-                if path[0] == "condition" and clause.condition is not None:
-                    local_subject = clause.condition.subject_ref.entity.id
-                else:
-                    local_subject = clause.subject_ref.entity.id
-                is_subject = path[-1] == "subject"
-                if ent.person == "third":
-                    if not is_subject and ent.id == local_subject:
-                        modes[path] = "reflexive-pronoun"
-                    else:
-                        window = prev_sentence + current
-                        mentioned = any(o.id == ent.id for o in window)
-                        competitors = any(
-                            o.id != ent.id and o.person == "third"
-                            and o.gender == ent.gender
-                            and o.number == ent.number
-                            for o in window)
-                        if mentioned and not competitors:
-                            modes[path] = "pronoun"
-                current.append(ent)
-            new_clauses.append(_rewrite_clause(clause, modes))
-        out.append(_with_clauses(sp, new_clauses))
+        current = []
+        out.append(_with_clauses(sp, [rewrite(c) for c in sp.clauses]))
         prev_sentence = current
     return out
 
@@ -326,7 +285,6 @@ def plan_sentences(plan: ir.DocumentPlan,
         for ci, clause in enumerate(clauses):
             sentences.append(ir.SentencePlan(
                 clauses=(clause,),
-                terminal_punct="period",
                 new_paragraph=(pi > 0 and ci == 0),
             ))
     if profile == "fluent":

@@ -243,10 +243,9 @@ def reference_insert_discourse_markers(plans):
             return clause
         if norm_units(clause) == norm_units(cond):
             return clause
-        if any(m.word == "also" for m in clause.discourse_markers):
+        if "also" in clause.discourse_markers:
             return clause
-        markers = clause.discourse_markers + (
-            ir.DiscourseMarker(word="also", position="pre-verb"),)
+        markers = clause.discourse_markers + ("also",)
         return replace(clause, discourse_markers=markers)
 
     return [replace(sp, clauses=tuple(mark(c) for c in sp.clauses))
@@ -348,7 +347,7 @@ def reference_plan_sentences(plan, profile):
             clauses = reference_aggregate(messages, plan.entities)
         for ci, clause in enumerate(clauses):
             sentences.append(ir.SentencePlan(
-                clauses=(clause,), terminal_punct="period",
+                clauses=(clause,),
                 new_paragraph=(pi > 0 and ci == 0)))
     if profile == "fluent":
         sentences = reference_insert_discourse_markers(sentences)

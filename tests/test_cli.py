@@ -224,6 +224,22 @@ class TestPlan:
         assert code == 0
         assert json.loads(out)["root"] is None
 
+    @pytest.mark.parametrize("command", ["plan", "generate"])
+    def test_bad_verb_lemma_exits_1(self, command, tmp_path):
+        s = tmp_path / "bad.schema"
+        s.write_text("schema s\n"
+                     "node a emit subject=path(p.who) verb=Has "
+                     "complement=\"a cold\"\n")
+        d = tmp_path / "d.json"
+        d.write_text('{"entities": {"sam": {"name": "Sam"}}, '
+                     '"records": {"p": {"who": "@sam"}}}')
+        code, out, err = run_cli([command, "--schema", str(s),
+                                  "--data", str(d)])
+        assert (code, out) == (1, "")
+        assert err.startswith("parse: ")
+        assert "line 2" in err and "verb lemma 'Has'" in err
+        assert err.count("\n") == 1
+
     def test_bad_schema_exit_1(self, tmp_path):
         s = tmp_path / "bad.schema"
         s.write_text("schema s\nnode\n")
@@ -324,8 +340,8 @@ _CLAUSE = ("clauses", 0)
 class TestBadSentencePlans:
     # (path inside the first sentence, new value, expected message part)
     @pytest.mark.parametrize("path, value, detail", [
-        (("terminal_punct",), "exclaim",
-         "sentences[0].terminal_punct: unknown value 'exclaim'"),
+        (("terminal_punct",), "period",
+         "sentences[0]: unknown field 'terminal_punct'"),
         (_CLAUSE + ("subject_ref", "entity", "person"), "fourth",
          "sentences[0].clauses[0].subject_ref.entity.person: "
          "unknown value 'fourth'"),

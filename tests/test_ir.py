@@ -241,6 +241,17 @@ class TestSerialization:
         (clause,) = payload["sentences"][0]["clauses"]
         assert clause["subject_ref"]["entity"]["name"] == "Sam"
 
+    def test_sentence_plans_carry_no_terminal_and_word_markers(self):
+        ref = ir.ReferenceSpec(entity=SAM)
+        plans = [ir.SentencePlan(clauses=(
+            ir.ClauseSpec(subject_ref=ref, verb="rest",
+                          discourse_markers=("also",)),))]
+        text = ir.sentence_plans_to_json(plans)
+        (sentence,) = json.loads(text)["sentences"]
+        assert list(sentence) == ["clauses", "new_paragraph"]
+        assert '"discourse_markers":["also"]' in text
+        assert ir.sentence_plans_from_json(text) == plans
+
     def test_decode_error_names_the_path(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
         payload["root"]["children"][1]["message"]["tense"] = "pluperfect"

@@ -48,7 +48,7 @@ def clause(subject, verb, *units, mode="full-name", tense="present",
         modal=modal,
         polarity=polarity,
         complements=tuple(units),
-        discourse_markers=tuple(ir.DiscourseMarker(word=m) for m in markers),
+        discourse_markers=tuple(markers),
         condition=condition,
     )
 
@@ -207,6 +207,12 @@ class TestOrthography:
         assert realize.orthography(stream, lex) == "An hour."
         stream = [word("a"), word("university"), punct("."), boundary()]
         assert realize.orthography(stream, lex) == "A university."
+
+    def test_article_exceptions_without_a_lexicon(self):
+        stream = [word("a"), word("hour"), punct("."), boundary()]
+        assert realize.orthography(stream) == "An hour."
+        stream = [word("a"), word("university"), punct("."), boundary()]
+        assert realize.orthography(stream) == "A university."
 
     def test_sentence_boundary_single_space(self):
         stream = [word("one"), punct("."), boundary(), word("two"),

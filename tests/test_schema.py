@@ -130,6 +130,15 @@ class TestParse:
         with pytest.raises(SchemaParseError):
             schema.parse_schema("schema s\nnode a emit subject=\"x\"\n")
 
+    @pytest.mark.parametrize("verb", ["Has", '""', '"Go"'])
+    def test_bad_verb_lemma_names_position(self, verb):
+        src = f"schema s\nnode a emit subject=\"x\" verb={verb}\n"
+        with pytest.raises(SchemaParseError) as info:
+            schema.parse_schema(src)
+        # Column 30 is where the value after "verb=" starts.
+        assert str(info.value).startswith("line 2, column 30: ")
+        assert "verb lemma" in str(info.value)
+
     def test_unknown_tense_and_modal(self):
         with pytest.raises(SchemaParseError):
             schema.parse_schema(

@@ -123,8 +123,7 @@ class TestDiscourseMarkers:
     def test_also_attached_pre_verb(self):
         plans = sentplan.insert_discourse_markers(self.fixture_plans())
         markers = plans[0].clauses[0].discourse_markers
-        assert markers == (ir.DiscourseMarker(word="also",
-                                              position="pre-verb"),)
+        assert markers == ("also",)
 
     def test_different_verbs_leave_plan_alone(self):
         trigger = message("sam", "go", np(head="hospital", det="the",
@@ -218,6 +217,22 @@ class TestPronominalize:
         clause = out[0].clauses[0]
         assert clause.condition.subject_ref.mode == "full-name"
         assert clause.subject_ref.mode == "pronoun"
+
+    def test_condition_complement_reflexive_to_condition_subject(self):
+        # Inside "if ..." the local subject is the condition's subject: a
+        # complement coreferent with it is reflexive, one coreferent with
+        # the main subject is not.
+        trigger = message("sam", "see", np(head="@sam"),
+                          np(head="@mrs_black", prep="with"))
+        plans = self.build(
+            message("mrs_black", "rest", modal="should", condition=trigger))
+        out = sentplan.pronominalize(plans, ENTITIES)
+        cond = out[0].clauses[0].condition
+        assert [rc.ref.mode for rc in cond.complements[0]] == \
+            ["reflexive-pronoun", "full-name"]
+        assert out[0].clauses[0].subject_ref.mode == "pronoun"
+        assert render(out) == \
+            "If Sam sees himself with Mrs. Black, she should rest."
 
     def test_sentences_without_pronouns_are_returned_as_given(self):
         plans = self.build(
@@ -321,8 +336,7 @@ class TestPlanSentences:
         plan = plan_of(message("speaker", "see", np(head="@mrs_black"),
                                tense="past", adverb="just"))
         plans = sentplan.plan_sentences(plan, "plain")
-        assert plans[0].clauses[0].discourse_markers == \
-            (ir.DiscourseMarker(word="just", position="pre-verb"),)
+        assert plans[0].clauses[0].discourse_markers == ("just",)
 
     def test_invalid_plan_rejected(self):
         bad = dataclasses.replace(self.sam_pair(), entities={})
