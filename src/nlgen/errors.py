@@ -41,14 +41,6 @@ class ReferentialIntegrityError(NlgenError):
     """A plan references an entity that is not in its entity table."""
 
 
-class InvalidPlanError(NlgenError):
-    """A document plan violated its structural invariants."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
 class TemplateError(NlgenError):
     """Template definition or slot-filling problem."""
 

@@ -40,15 +40,11 @@ ReferenceMode = Literal["full-name", "head-noun", "pronoun",
 Case = Literal["subjective", "objective"]
 NodeKind = Literal["leaf", "relation"]
 
-GENDERS = get_args(Gender)
 NUMBERS = get_args(Number)
 PERSONS = get_args(Person)
 TENSES = get_args(Tense)
 MODALS = get_args(Modal)
-POLARITIES = get_args(Polarity)
 RELATION_LABELS = get_args(RelationLabel)
-DETERMINERS = get_args(Determiner)
-PHRASE_KINDS = get_args(PhraseKind)
 CASES = get_args(Case)
 
 # Complement heads that name an entity instead of a common noun carry this
@@ -57,8 +53,9 @@ ENTITY_MARKER = "@"
 
 
 def is_verb_lemma(verb: str) -> bool:
-    """A verb lemma is non-empty and lowercase ("have", not "Has")."""
-    return bool(verb) and verb == verb.lower()
+    """A verb lemma is one lowercase alphabetic word ("have", not "Has",
+    "go.to" or "go home")."""
+    return verb.isalpha() and verb.islower()
 
 
 def entity_ref(head: str) -> str | None:
@@ -99,8 +96,6 @@ class Message:
     A message with a ``condition`` realizes as "If <condition>, <main>".
     ``adverb`` is an optional pre-verb word carried through to the clause
     ("just" in "I just saw ...); it is styling, not propositional content.
-    ``source_key`` names the top-level input record that licensed the
-    message; empty when the message came from literals only.
     """
 
     subject: str
@@ -111,7 +106,6 @@ class Message:
     polarity: Polarity = "positive"
     adverb: str | None = None
     condition: Message | None = None
-    source_key: str = ""
 
 
 @dataclass(frozen=True)
@@ -126,16 +120,15 @@ class PlanNode:
 
 @dataclass(frozen=True)
 class DocumentPlan:
-    """Rhetorical tree over Messages, plus the tables needed to check it.
+    """Rhetorical tree over Messages, plus the entities they mention.
 
-    ``entities`` and ``record_keys`` travel with the tree so the plan is
-    self-contained: validate() and the later stages never need the original
-    input data.  ``root`` is None for an empty document.
+    ``entities`` travels with the tree so the plan is self-contained:
+    validate() and the later stages never need the original input data.
+    ``root`` is None for an empty document.
     """
 
     root: PlanNode | None
     entities: dict[str, Entity] = field(default_factory=dict)
-    record_keys: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -275,39 +268,39 @@ def proposition_set(plan: PlanLike) -> set[tuple]:
 
 # ---------------------------------------------------------------------------
 # Validation
+#
+# Every plan that reaches validate() has passed the decoder, which keeps
+# each value inside its Literal domain, or was built by traverse() from a
+# parsed schema.  So validate() checks only what the types cannot say.
 
 
 def _validate_entity(eid: str, ent: Entity, problems: list[str]) -> None:
     where = f"entities[{eid}]"
-    if bool(ent.name) == bool(ent.head):
+    if eid != ent.id:
         problems.append(
-            f"{where}: exactly one of name/head must be non-empty")
-    if ent.gender not in GENDERS:
-        problems.append(f"{where}: unknown gender {ent.gender!r}")
-    if ent.number not in NUMBERS:
-        problems.append(f"{where}: unknown number {ent.number!r}")
-    if ent.person not in PERSONS:
-        problems.append(f"{where}: unknown person {ent.person!r}")
+            f"{where}: table key does not match entity id {ent.id!r}")
+    given = [text for text in (ent.name, ent.head) if text]
+    if len(given) != 1 or given[0].isspace():
+        problems.append(
+            f"{where}: exactly one of name/head must be given, not blank")
 
 
 def _validate_phrase(phrase: ComplementPhrase, plan: DocumentPlan,
                      where: str, problems: list[str]) -> None:
-    if phrase.kind not in PHRASE_KINDS:
-        problems.append(f"{where}: unknown complement kind {phrase.kind!r}")
-        return
     if phrase.kind == "prepositional-phrase" and not phrase.preposition:
         problems.append(f"{where}: prepositional-phrase needs a preposition")
-    if phrase.kind == "entity-reference":
-        if phrase.premodifiers:
-            problems.append(
-                f"{where}: entity-reference carries premodifiers")
-        if entity_ref(phrase.head) is None:
+    if not (phrase.head.strip() and all(map(str.strip, phrase.premodifiers))):
+        problems.append(f"{where}: blank word in complement")
+    ref = entity_ref(phrase.head)
+    if ref is None:
+        if phrase.kind == "entity-reference":
             problems.append(
                 f"{where}: entity-reference head must be an @entity id")
-    if phrase.determiner is not None and phrase.determiner not in DETERMINERS:
-        problems.append(f"{where}: unknown determiner {phrase.determiner!r}")
-    ref = entity_ref(phrase.head)
-    if ref is not None and ref not in plan.entities:
+        return
+    if phrase.determiner or phrase.premodifiers:
+        problems.append(f"{where}: an @entity head takes no determiner or "
+                        f"premodifiers")
+    if ref not in plan.entities:
         problems.append(
             f"{where}: referential integrity: unknown entity {ref!r}")
 
@@ -315,21 +308,14 @@ def _validate_phrase(phrase: ComplementPhrase, plan: DocumentPlan,
 def _validate_message(msg: Message, plan: DocumentPlan, where: str,
                       problems: list[str], nested: bool = False) -> None:
     if not is_verb_lemma(msg.verb):
-        problems.append(f"{where}: verb lemma must be non-empty lowercase")
+        problems.append(
+            f"{where}: verb lemma must be one lowercase alphabetic word")
     if msg.subject not in plan.entities:
         problems.append(
             f"{where}: referential integrity: unknown subject entity "
             f"{msg.subject!r}")
-    if msg.tense not in TENSES:
-        problems.append(f"{where}: unknown tense {msg.tense!r}")
-    if msg.modal is not None and msg.modal not in MODALS:
-        problems.append(f"{where}: unknown modal {msg.modal!r}")
-    if msg.polarity not in POLARITIES:
-        problems.append(f"{where}: unknown polarity {msg.polarity!r}")
-    if msg.source_key and msg.source_key not in plan.record_keys:
-        problems.append(
-            f"{where}: source_key {msg.source_key!r} does not name an "
-            f"input record")
+    if msg.adverb is not None and msg.adverb.isspace():
+        problems.append(f"{where}: blank adverb")
     for i, phrase in enumerate(msg.complements):
         _validate_phrase(phrase, plan, f"{where}.complements[{i}]", problems)
     if msg.condition is not None:
@@ -342,14 +328,12 @@ def _validate_message(msg: Message, plan: DocumentPlan, where: str,
 
 
 def validate(plan: DocumentPlan) -> list[str]:
-    """Check every structural invariant; returns one description per
-    violation (empty list means the plan is well-formed)."""
+    """Check the plan invariants that its types cannot express; returns
+    one description per violation (empty list means the plan is
+    well-formed).  document_plan_from_json() runs it on every decoded
+    plan; call it on a plan built by hand before planning sentences."""
     problems: list[str] = []
     for eid, ent in plan.entities.items():
-        if eid != ent.id:
-            problems.append(
-                f"entities[{eid}]: table key does not match entity id "
-                f"{ent.id!r}")
         _validate_entity(eid, ent, problems)
 
     def walk(node: PlanNode, where: str) -> None:
@@ -361,18 +345,15 @@ def validate(plan: DocumentPlan) -> list[str]:
                                   problems)
             if node.children:
                 problems.append(f"{where}: leaf node has children")
-        elif node.kind == "relation":
-            if node.label not in RELATION_LABELS:
-                problems.append(
-                    f"{where}: unknown relation label {node.label!r}")
-            if not node.children:
-                problems.append(f"{where}: relation node has no children")
-            if node.message is not None:
-                problems.append(f"{where}: relation node carries a message")
-            for i, child in enumerate(node.children):
-                walk(child, f"{where}.children[{i}]")
-        else:
-            problems.append(f"{where}: unknown node kind {node.kind!r}")
+            return
+        if node.label is None:
+            problems.append(f"{where}: relation node has no label")
+        if not node.children:
+            problems.append(f"{where}: relation node has no children")
+        if node.message is not None:
+            problems.append(f"{where}: relation node carries a message")
+        for i, child in enumerate(node.children):
+            walk(child, f"{where}.children[{i}]")
 
     if plan.root is not None:
         walk(plan.root, "root")
@@ -388,11 +369,15 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")
         for j, clause in enumerate(sp.clauses):
-            if clause.condition is not None and \
-                    clause.condition.condition is not None:
-                problems.append(
-                    f"sentences[{i}].clauses[{j}].condition: conditions "
-                    f"may not nest below one level")
+            where = f"sentences[{i}].clauses[{j}]"
+            cond = clause.condition
+            if cond is not None and cond.condition is not None:
+                problems.append(f"{where}.condition: conditions may not "
+                                f"nest below one level")
+            for c in (clause, cond):
+                if c is not None and \
+                        not all(w.strip() for w in c.discourse_markers):
+                    problems.append(f"{where}: blank discourse marker")
     return problems
 
 
@@ -573,7 +558,12 @@ def document_plan_to_json(plan: DocumentPlan) -> str:
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
-    return from_obj(DocumentPlan, _parse(text, "document plan"))
+    """Decode a document plan and check it with validate()."""
+    plan = from_obj(DocumentPlan, _parse(text, "document plan"))
+    problems = validate(plan)
+    if problems:
+        raise SerializationError("; ".join(problems))
+    return plan
 
 
 def sentence_plans_to_json(plans: list[SentencePlan]) -> str:

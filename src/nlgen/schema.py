@@ -32,6 +32,7 @@ nesting deeper than the interpreter's recursion limit is a TraversalError.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -51,7 +52,7 @@ PREPOSITIONS = frozenset({
     "into", "over", "under", "after", "before", "near",
 })
 
-_DETERMINERS = {"a": "a", "an": "a", "the": "the"}
+_ARTICLES = {"a": "a", "an": "a", "the": "the"}
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +94,6 @@ class MessageTemplate:
     modal: str | None = None
     adverb: Expr | None = None
     condition_node: str | None = None
-    # The top-level record named by the first path expression (subject,
-    # then complements, then adverb), or "" for a template of literals.
-    source_key: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        exprs = [self.subject, *self.complements]
-        if self.adverb is not None:
-            exprs.append(self.adverb)
-        paths = [expr.segments[0] for expr in exprs if expr.kind == "path"]
-        object.__setattr__(self, "source_key", paths[0] if paths else "")
 
 
 @dataclass(frozen=True)
@@ -353,7 +344,8 @@ def _parse_emit_fields(p: _LineParser, node_id: str) -> MessageTemplate:
                 verb = p.take_ident()
             if not ir.is_verb_lemma(verb):
                 raise SchemaParseError(
-                    f"verb lemma {verb!r} must be non-empty lowercase",
+                    f"verb lemma {verb!r} must be one lowercase "
+                    f"alphabetic word",
                     p.line, tok.col)
             fields["verb"] = verb
         elif key == "tense":
@@ -633,6 +625,10 @@ def load_data(text: str) -> DataRecordSet:
             entities[eid] = ir.from_obj(ir.Entity, obj, f"entities[{eid}]")
         except SerializationError as exc:
             raise DataError(str(exc)) from exc
+    # The entity-table rules (key is id, one of name/head) live in ir.
+    problems = ir.validate(ir.DocumentPlan(root=None, entities=entities))
+    if problems:
+        raise DataError("; ".join(problems))
     records = payload.get("records", {})
     if not isinstance(records, dict):
         raise DataError('"records" must be an object')
@@ -725,16 +721,18 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
     if len(words) > 1 and words[0].lower() in PREPOSITIONS:
         preposition = words.pop(0).lower()
     determiner = None
-    if len(words) > 1 and words[0].lower() in _DETERMINERS:
-        determiner = _DETERMINERS[words.pop(0).lower()]
+    if len(words) > 1 and words[0].lower() in _ARTICLES:
+        determiner = _ARTICLES[words.pop(0).lower()]
     head = words[-1]
     premodifiers = tuple(words[:-1])
-    if ir.entity_ref(head) is not None and not premodifiers:
-        return ir.ComplementPhrase(
-            kind="prepositional-phrase" if preposition else
-            "entity-reference",
-            head=head, determiner=determiner, preposition=preposition)
-    kind = "prepositional-phrase" if preposition else "noun-phrase"
+    is_ref = ir.entity_ref(head) is not None
+    if is_ref and (determiner or premodifiers):
+        raise TraversalError(f"entity reference {head!r} takes no "
+                             f"determiner or premodifiers: {text!r}")
+    if preposition:
+        kind = "prepositional-phrase"
+    else:
+        kind = "entity-reference" if is_ref else "noun-phrase"
     return ir.ComplementPhrase(kind=kind, head=head, determiner=determiner,
                                premodifiers=premodifiers,
                                preposition=preposition)
@@ -754,21 +752,32 @@ def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
     if non_scalar is not None:
         raise TraversalError(f"data path {expr.value} holds {non_scalar}, "
                              f"not a string or number")
+    if type(value) is float and not math.isfinite(value):
+        raise TraversalError(f"data path {expr.value} holds {value}, "
+                             f"not a finite number")
     return str(value)
 
 
 def instantiate_template(template: MessageTemplate, data: DataRecordSet,
                          condition: ir.Message | None = None) -> ir.Message:
-    """Fill a message template against the data records."""
+    """Fill a message template against the data records.  The subject
+    and every @ complement head must name an entity of the data; a blank
+    adverb is no adverb."""
     subject = _resolve_expr(template.subject, data)
     if subject.startswith(ir.ENTITY_MARKER):
         subject = subject[len(ir.ENTITY_MARKER):]
+    if subject not in data.entities:
+        raise TraversalError(f"unknown entity {subject!r}")
     complements = tuple(
         _parse_complement_text(_resolve_expr(e, data))
         for e in template.complements)
+    for phrase in complements:
+        ref = ir.entity_ref(phrase.head)
+        if ref is not None and ref not in data.entities:
+            raise TraversalError(f"unknown entity {ref!r}")
     adverb = None
     if template.adverb is not None:
-        adverb = _resolve_expr(template.adverb, data)
+        adverb = _resolve_expr(template.adverb, data).strip() or None
     return ir.Message(
         subject=subject,
         verb=template.verb,
@@ -777,7 +786,6 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
         modal=template.modal,
         adverb=adverb,
         condition=condition,
-        source_key=template.source_key,
     )
 
 
@@ -876,8 +884,4 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
     if pieces:
         root = ir.PlanNode(kind="relation", label="sequence",
                            children=tuple(pieces))
-    return ir.DocumentPlan(
-        root=root,
-        entities=dict(data.entities),
-        record_keys=tuple(sorted(data.records)),
-    )
+    return ir.DocumentPlan(root=root, entities=dict(data.entities))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import ir
-from .errors import InvalidPlanError, ReferentialIntegrityError
+from .errors import ReferentialIntegrityError
 
 PROFILES = ("fluent", "plain")
 
@@ -268,14 +268,14 @@ def _paragraph_leaf_groups(plan: ir.DocumentPlan) -> list[list[ir.Message]]:
 
 def plan_sentences(plan: ir.DocumentPlan,
                    profile: str = "fluent") -> list[ir.SentencePlan]:
-    """Turn a document plan into sentence plans under the given profile."""
+    """Turn a document plan into sentence plans under the given profile.
+
+    The plan must be valid, as traverse() and document_plan_from_json()
+    make it; check a plan built by hand with nlgen.validate() first.
+    """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"expected one of {PROFILES}")
-    violations = ir.validate(plan)
-    if violations:
-        raise InvalidPlanError(violations)
-
     sentences: list[ir.SentencePlan] = []
     for pi, messages in enumerate(_paragraph_leaf_groups(plan)):
         if profile == "plain":

@@ -180,7 +180,6 @@ def reference_traverse(definition, data, max_visits=32):
     return ir.DocumentPlan(
         root=relation("sequence", pieces) if pieces else None,
         entities=dict(data.entities),
-        record_keys=tuple(sorted(data.records)),
     )
 
 

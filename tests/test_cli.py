@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgen import ir, plan_sentences, schema, traverse
+from nlgen import ir, plan_sentences, schema, sentplan, traverse
 
 from conftest import run_cli
 
@@ -251,6 +251,145 @@ class TestPlan:
         assert "line 2" in err
 
 
+def _run_one(tmp_path, command, schema_text, data):
+    """Run ``command`` on one schema text and one data object."""
+    schema_file = tmp_path / "s.schema"
+    schema_file.write_text(schema_text, encoding="utf-8")
+    data_file = tmp_path / "d.json"
+    data_file.write_text(json.dumps(data), encoding="utf-8")
+    return run_cli([command, "--schema", str(schema_file),
+                    "--data", str(data_file)])
+
+
+_SAM = {"sam": {"name": "Sam"}}
+
+
+class TestCheckedWhereTheyEnter:
+    @pytest.mark.parametrize("command", ["plan", "generate"])
+    @pytest.mark.parametrize("fields", ['subject="ghost" verb=rest',
+                                        'subject="sam" verb=see '
+                                        'complement="@ghost"',
+                                        'subject="sam" verb=go '
+                                        'complement="with @ghost"'])
+    def test_unknown_entity_exits_2_naming_the_node(self, tmp_path,
+                                                    command, fields):
+        code, out, err = _run_one(tmp_path, command,
+                                  f"schema s\nnode a emit {fields}\n",
+                                  {"entities": _SAM, "records": {}})
+        assert (code, out) == (2, "")
+        assert err.startswith("traverse: ")
+        assert err.count("\n") == 1
+        assert "node 'a'" in err and "unknown entity 'ghost'" in err
+
+    @pytest.mark.parametrize("entity, detail", [
+        ({"id": "samuel", "name": "Sam"},
+         "entities[sam]: table key does not match entity id 'samuel'"),
+        ({"name": "Sam", "head": "man"},
+         "entities[sam]: exactly one of name/head"),
+        ({"head": " "}, "entities[sam]: exactly one of name/head"),
+        ({"name": " "}, "entities[sam]: exactly one of name/head"),
+    ])
+    def test_bad_entity_table_exits_1(self, tmp_path, entity, detail):
+        code, out, err = _run_one(
+            tmp_path, "generate",
+            'schema s\nnode a emit subject="sam" verb=rest\n',
+            {"entities": {"sam": entity}, "records": {}})
+        assert (code, out) == (1, "")
+        assert err.startswith("parse: ")
+        assert err.count("\n") == 1
+        assert detail in err
+
+    @staticmethod
+    def _sentplan(tmp_path, corpus, change):
+        doc = get(corpus, "sam_pair")
+        obj = json.loads(ir.document_plan_to_json(
+            traverse(doc.schema, doc.data)))
+        change(obj)
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        return run_cli(["sentplan", "--plan", str(f)])
+
+    def test_dangling_entity_in_plan_json_exits_3(self, tmp_path, corpus,
+                                                  monkeypatch):
+        # The decoder rejects the plan; sentence planning never sees it.
+        monkeypatch.setattr(sentplan, "plan_sentences", None)
+        code, out, err = self._sentplan(
+            tmp_path, corpus, lambda obj: obj["entities"].clear())
+        assert (code, out) == (3, "")
+        assert err.startswith("sentplan: ")
+        assert err.count("\n") == 1
+        assert "root.children[0].message: referential integrity: " \
+               "unknown subject entity 'sam'" in err
+
+    def test_plan_json_with_record_keys_exits_3(self, tmp_path, corpus):
+        code, out, err = self._sentplan(
+            tmp_path, corpus, lambda obj: obj.update(record_keys=["p"]))
+        assert (code, out) == (3, "")
+        assert err.startswith("sentplan: ")
+        assert err.count("\n") == 1
+        assert "unknown field 'record_keys'" in err
+
+
+class TestNoLostOrBlankWords:
+    @pytest.mark.parametrize("adverb", ['""', '" "', '"\t"'])
+    def test_blank_adverb_is_no_adverb(self, tmp_path, adverb):
+        src = ('schema s\n'
+               f'node a emit subject="sam" verb=rest adverb={adverb}\n')
+        data = {"entities": _SAM, "records": {}}
+        code, out, err = _run_one(tmp_path, "plan", src, data)
+        assert (code, err) == (0, "")
+        (leaf,) = json.loads(out)["root"]["children"]
+        assert leaf["message"]["adverb"] is None
+        code, out, err = _run_one(tmp_path, "generate", src, data)
+        assert (code, out, err) == (0, "Sam rests.\n", "")
+
+    @pytest.mark.parametrize("command", ["plan", "generate"])
+    @pytest.mark.parametrize("verb", ["go.to", '"go home"', '"9"'])
+    def test_verb_lemma_is_one_word_exits_1(self, tmp_path, command, verb):
+        code, out, err = _run_one(
+            tmp_path, command,
+            f'schema s\nnode a emit subject="sam" verb={verb} '
+            f'complement="a cold"\n',
+            {"entities": _SAM, "records": {}})
+        assert (code, out) == (1, "")
+        assert err.startswith("parse: ")
+        assert err.count("\n") == 1
+        assert "line 2" in err and "one lowercase alphabetic word" in err
+
+    @pytest.mark.parametrize("complement", ["the @sam", "big @sam",
+                                            "a big @sam", "with the @sam",
+                                            "to old @sam"])
+    def test_entity_reference_with_words_exits_2(self, tmp_path,
+                                                 complement):
+        code, out, err = _run_one(
+            tmp_path, "generate",
+            f'schema s\nnode a emit subject="sam" verb=see '
+            f'complement="{complement}"\n',
+            {"entities": _SAM, "records": {}})
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "node 'a'" in err
+        assert "entity reference '@sam' takes no determiner or " \
+               "premodifiers" in err
+
+    @pytest.mark.parametrize("value, shown", [("1e400", "inf"),
+                                              ("-1e400", "-inf"),
+                                              ("NaN", "nan")])
+    def test_non_finite_number_exits_2(self, tmp_path, value, shown):
+        schema_file = tmp_path / "s.schema"
+        schema_file.write_text('schema s\nnode a emit subject="sam" '
+                               'verb=have complement=path(r.v)\n')
+        data_file = tmp_path / "d.json"
+        data_file.write_text('{"entities": {"sam": {"name": "Sam"}}, '
+                             f'"records": {{"r": {{"v": {value}}}}}}}')
+        code, out, err = run_cli(["generate", "--schema", str(schema_file),
+                                  "--data", str(data_file)])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "node 'a'" in err
+        assert f"data path r.v holds {shown}, not a finite number" in err
+
+
 class TestRealizeCommand:
     def test_re_realizing_dump_is_byte_identical(self, corpus, tmp_path):
         doc = get(corpus, "patient_report")
@@ -358,6 +497,12 @@ class TestBadSentencePlans:
         (_CLAUSE + ("subject_ref",), [],
          "subject_ref: expected an object, got array"),
         (("clauses",), [], "sentences[0]: sentence has no clauses"),
+        (_CLAUSE + ("discourse_markers",), [""],
+         "sentences[0].clauses[0]: blank discourse marker"),
+        (_CLAUSE + ("condition",), {
+            "subject_ref": {"entity": {"id": "sam", "name": "Sam"}},
+            "verb": "rest", "discourse_markers": ["also", " "]},
+         "sentences[0].clauses[0]: blank discourse marker"),
     ])
     def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
                                          value, detail):

@@ -159,11 +159,49 @@ class TestValidate:
         plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
         assert any("lowercase" in p for p in ir.validate(plan))
 
-    def test_source_key_must_resolve(self):
-        msg = ir.Message(subject="sam", verb="rest", source_key="ghost")
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM},
-                               record_keys=("patient",))
-        assert any("source_key" in p for p in ir.validate(plan))
+    def test_entity_head_takes_no_determiner_or_premodifiers(self):
+        for bad in (
+                ir.ComplementPhrase(kind="entity-reference", head="@sam",
+                                    determiner="the"),
+                ir.ComplementPhrase(kind="prepositional-phrase",
+                                    head="@sam", preposition="with",
+                                    premodifiers=("tall",)),
+                ir.ComplementPhrase(kind="prepositional-phrase",
+                                    head="@sam", preposition="with",
+                                    determiner="a")):
+            msg = ir.Message(subject="sam", verb="see", complements=(bad,))
+            plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+            assert ir.validate(plan) == [
+                "root.message.complements[0]: an @entity head takes no "
+                "determiner or premodifiers"]
+
+    def test_verb_lemma_is_one_lowercase_word(self):
+        assert ir.is_verb_lemma("have")
+        for bad in ("", "Has", "go.to", "go home", "9", "re-check"):
+            assert not ir.is_verb_lemma(bad), bad
+            msg = ir.Message(subject="sam", verb=bad)
+            plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+            assert any("verb lemma" in p for p in ir.validate(plan))
+
+    def test_blank_text_rejected(self):
+        msg = ir.Message(subject="sam", verb="rest", adverb=" ",
+                         complements=(phrase(" ", head="report"),
+                                      phrase(head="")))
+        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+        assert ir.validate(plan) == [
+            "root.message: blank adverb",
+            "root.message.complements[0]: blank word in complement",
+            "root.message.complements[1]: blank word in complement"]
+        blank = ir.Entity(id="x", head=" ")
+        named = ir.Entity(id="y", name=" ", head="thing")
+        plan = ir.DocumentPlan(root=None, entities={"x": blank, "y": named})
+        assert len([p for p in ir.validate(plan) if "name/head" in p]) == 2
+
+    def test_relation_node_needs_a_label(self):
+        node = ir.PlanNode(kind="relation", children=(
+            leaf(ir.Message(subject="sam", verb="rest")),))
+        plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
+        assert ir.validate(plan) == ["root: relation node has no label"]
 
     def test_entity_needs_exactly_one_of_name_head(self):
         both = ir.Entity(id="x", name="X", head="thing")
@@ -213,6 +251,21 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             ir.document_plan_from_json("not json")
 
+    def test_decoding_validates_the_document_plan(self):
+        text = ir.document_plan_to_json(
+            dataclasses.replace(sam_pair_plan(), entities={}))
+        with pytest.raises(SerializationError,
+                           match=r"^root\.children\[0\]\.message: "
+                                 r"referential integrity"):
+            ir.document_plan_from_json(text)
+
+    def test_messages_carry_no_source_key(self):
+        payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
+        payload["root"]["children"][0]["message"]["source_key"] = ""
+        with pytest.raises(SerializationError,
+                           match="unknown field 'source_key'"):
+            ir.document_plan_from_json(json.dumps(payload))
+
     def test_malformed_sentence_plans(self):
         with pytest.raises(SerializationError):
             ir.sentence_plans_from_json("{\"sentences\": [{}]}")
@@ -226,7 +279,7 @@ class TestSerialization:
         assert text.endswith("}\n") and "\n" not in text[:-1]
         assert ", " not in text and '": ' not in text
         payload = json.loads(text)
-        assert list(payload) == ["entities", "record_keys", "root"]
+        assert list(payload) == ["entities", "root"]
         assert payload["root"]["message"] is None
         first = payload["root"]["children"][0]
         assert (first["label"], first["children"]) == (None, [])

@@ -130,7 +130,8 @@ class TestParse:
         with pytest.raises(SchemaParseError):
             schema.parse_schema("schema s\nnode a emit subject=\"x\"\n")
 
-    @pytest.mark.parametrize("verb", ["Has", '""', '"Go"'])
+    @pytest.mark.parametrize("verb", ["Has", '""', '"Go"', "go.to",
+                                      '"go home"', '"9"'])
     def test_bad_verb_lemma_names_position(self, verb):
         src = f"schema s\nnode a emit subject=\"x\" verb={verb}\n"
         with pytest.raises(SchemaParseError) as info:
@@ -348,7 +349,7 @@ _GUARDS = ["exists(r.g0)", "exists(r.g2)", 'eq(r.g0, "yes")', "eq(r.g1, 1)",
            "gt(r.g1, 2)", "lt(r.g1, 2)", "not(exists(r.g2))",
            'and(exists(r.g2), eq(r.g2, "yes"))',
            'or(eq(r.g0, "no"), gt(r.g1, 0))']
-_COMPLEMENTS = ['"to the store"', "path(r.c0)", "path(r.c1)"]
+_COMPLEMENTS = ['"to the store"', '"@ghost"', "path(r.c0)", "path(r.c1)"]
 # Mostly values that render or compare; the rest (a wrong type, a missing
 # key written as ..., a non-scalar, blank text) must fail alike in both
 # traversals.
@@ -453,19 +454,19 @@ class TestInstantiate:
             subject="sam", verb="have",
             complements=(ir.ComplementPhrase(
                 kind="noun-phrase", head="pressure",
-                premodifiers=("high", "blood")),),
-            source_key="patient")
+                premodifiers=("high", "blood")),))
 
     def test_literal_only_template_ignores_data(self):
         template = schema.MessageTemplate(
             subject=schema.Expr("literal", "sam"), verb="rest")
-        a = schema.instantiate_template(
-            template, schema.load_data('{"entities": {}, "records": {}}'))
-        b = schema.instantiate_template(
-            template,
-            schema.load_data('{"entities": {}, "records": {"r": {"x": 1}}}'))
+
+        def data(records):
+            return schema.load_data(json.dumps(
+                {"entities": {"sam": {"name": "Sam"}}, "records": records}))
+
+        a = schema.instantiate_template(template, data({}))
+        b = schema.instantiate_template(template, data({"r": {"x": 1}}))
         assert a == b
-        assert a.source_key == ""
 
     def test_missing_path_names_it(self):
         template = schema.MessageTemplate(
@@ -529,6 +530,11 @@ class TestLoadData:
          "entities[sam].name: expected a string, got array"),
         ('{"sam": "Sam"}', "entities[sam]: expected an object, got string"),
         ('["sam"]', '"entities" must be an object'),
+        ('{"sam": {"id": "samuel", "name": "Sam"}}',
+         "entities[sam]: table key does not match entity id 'samuel'"),
+        ('{"sam": {"name": "Sam", "head": "man"}}',
+         "entities[sam]: exactly one of name/head"),
+        ('{"sam": {"head": " "}}', "entities[sam]: exactly one of name/head"),
     ])
     def test_bad_entities(self, entities, detail):
         with pytest.raises(DataError) as info:

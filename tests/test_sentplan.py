@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgen import ir, realize, sentplan
-from nlgen.errors import InvalidPlanError, ReferentialIntegrityError
+from nlgen import ir, realize, schema, sentplan
+from nlgen.errors import ReferentialIntegrityError
 
 import oracle
 from conftest import random_document_plan
@@ -340,8 +340,18 @@ class TestPlanSentences:
 
     def test_invalid_plan_rejected(self):
         bad = dataclasses.replace(self.sam_pair(), entities={})
-        with pytest.raises(InvalidPlanError):
+        with pytest.raises(ReferentialIntegrityError):
             sentplan.plan_sentences(bad, "fluent")
+
+    def test_plans_are_not_validated_again(self, corpus, monkeypatch):
+        def fail(plan):
+            raise AssertionError("validate called")
+
+        monkeypatch.setattr(ir, "validate", fail)
+        for doc in corpus:
+            plan = schema.traverse(doc.schema, doc.data)
+            for profile in sentplan.PROFILES:
+                assert sentplan.plan_sentences(plan, profile)
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
