@@ -34,11 +34,8 @@ Modal = Literal["should", "must", "can"]
 Polarity = Literal["positive", "negative"]
 RelationLabel = Literal["sequence", "elaboration", "contrast"]
 Determiner = Literal["a", "the"]
-PhraseKind = Literal["noun-phrase", "prepositional-phrase", "entity-reference"]
-ReferenceMode = Literal["full-name", "head-noun", "pronoun",
-                        "reflexive-pronoun"]
+ReferenceMode = Literal["full-name", "pronoun", "reflexive-pronoun"]
 Case = Literal["subjective", "objective"]
-NodeKind = Literal["leaf", "relation"]
 
 NUMBERS = get_args(Number)
 PERSONS = get_args(Person)
@@ -56,6 +53,24 @@ def is_verb_lemma(verb: str) -> bool:
     """A verb lemma is one lowercase alphabetic word ("have", not "Has",
     "go.to" or "go home")."""
     return verb.isalpha() and verb.islower()
+
+
+def number_text(value: int | float) -> str:
+    """A finite number in positional notation, written from its shortest
+    repr: 1e-07 is "0.0000001" and 1e+16 is "10000000000000000"; a
+    number whose repr has no exponent is written as its repr."""
+    text = repr(value)
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits, point = whole + fraction, len(whole) + int(exponent)
+    if point <= 0:
+        digits, point = "0" * (1 - point) + digits, 1
+    digits = digits.ljust(point, "0")
+    fraction = digits[point:]
+    return sign + digits[:point] + ("." + fraction if fraction else "")
 
 
 def entity_ref(head: str) -> str | None:
@@ -82,11 +97,20 @@ class Entity:
 class ComplementPhrase:
     """One complement of a verb: noun phrase, PP, or entity reference."""
 
-    kind: PhraseKind
     head: str
     determiner: Determiner | None = None
     premodifiers: tuple[str, ...] = ()
     preposition: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """Derived: "prepositional-phrase" when there is a preposition,
+        else "entity-reference" for an @ head, else "noun-phrase"."""
+        if self.preposition:
+            return "prepositional-phrase"
+        if self.head.startswith(ENTITY_MARKER):
+            return "entity-reference"
+        return "noun-phrase"
 
 
 @dataclass(frozen=True)
@@ -110,9 +134,9 @@ class Message:
 
 @dataclass(frozen=True)
 class PlanNode:
-    """DocumentPlan tree node: a leaf Message or a labeled relation."""
+    """DocumentPlan tree node: a leaf, which holds a Message, or a labeled
+    relation over its children."""
 
-    kind: NodeKind
     message: Message | None = None
     label: RelationLabel | None = None
     children: tuple[PlanNode, ...] = ()
@@ -133,11 +157,11 @@ class DocumentPlan:
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """How one mention of an entity is to be realized."""
+    """How one mention of an entity is to be realized; its case follows
+    from its position in the clause."""
 
     entity: Entity
     mode: ReferenceMode = "full-name"
-    case: Case = "subjective"
 
 
 @dataclass(frozen=True)
@@ -235,7 +259,7 @@ def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
     leaves: list[PlanNode] = []
 
     def walk(node: PlanNode) -> None:
-        if node.kind == "leaf":
+        if node.message is not None:
             leaves.append(node)
         else:
             for child in node.children:
@@ -274,42 +298,36 @@ def proposition_set(plan: PlanLike) -> set[tuple]:
 # parsed schema.  So validate() checks only what the types cannot say.
 
 
-def _validate_entity(eid: str, ent: Entity, problems: list[str]) -> None:
-    where = f"entities[{eid}]"
-    if eid != ent.id:
-        problems.append(
-            f"{where}: table key does not match entity id {ent.id!r}")
+def _validate_entity(ent: Entity, where: str, problems: list[str]) -> None:
     given = [text for text in (ent.name, ent.head) if text]
     if len(given) != 1 or given[0].isspace():
         problems.append(
             f"{where}: exactly one of name/head must be given, not blank")
 
 
-def _validate_phrase(phrase: ComplementPhrase, plan: DocumentPlan,
-                     where: str, problems: list[str]) -> None:
-    if phrase.kind == "prepositional-phrase" and not phrase.preposition:
-        problems.append(f"{where}: prepositional-phrase needs a preposition")
-    if not (phrase.head.strip() and all(map(str.strip, phrase.premodifiers))):
+def _validate_verb(verb: str, where: str, problems: list[str]) -> None:
+    if not is_verb_lemma(verb):
+        problems.append(
+            f"{where}: verb lemma must be one lowercase alphabetic word")
+
+
+def _validate_phrase(phrase: ComplementPhrase, where: str,
+                     problems: list[str]) -> str | None:
+    """Check the words of a complement; returns the entity id of its @
+    head, or None."""
+    if not (phrase.head.strip() and all(map(str.strip, phrase.premodifiers))) \
+            or (phrase.preposition or "").isspace():
         problems.append(f"{where}: blank word in complement")
     ref = entity_ref(phrase.head)
-    if ref is None:
-        if phrase.kind == "entity-reference":
-            problems.append(
-                f"{where}: entity-reference head must be an @entity id")
-        return
-    if phrase.determiner or phrase.premodifiers:
+    if ref is not None and (phrase.determiner or phrase.premodifiers):
         problems.append(f"{where}: an @entity head takes no determiner or "
                         f"premodifiers")
-    if ref not in plan.entities:
-        problems.append(
-            f"{where}: referential integrity: unknown entity {ref!r}")
+    return ref
 
 
 def _validate_message(msg: Message, plan: DocumentPlan, where: str,
                       problems: list[str], nested: bool = False) -> None:
-    if not is_verb_lemma(msg.verb):
-        problems.append(
-            f"{where}: verb lemma must be one lowercase alphabetic word")
+    _validate_verb(msg.verb, where, problems)
     if msg.subject not in plan.entities:
         problems.append(
             f"{where}: referential integrity: unknown subject entity "
@@ -317,7 +335,11 @@ def _validate_message(msg: Message, plan: DocumentPlan, where: str,
     if msg.adverb is not None and msg.adverb.isspace():
         problems.append(f"{where}: blank adverb")
     for i, phrase in enumerate(msg.complements):
-        _validate_phrase(phrase, plan, f"{where}.complements[{i}]", problems)
+        at = f"{where}.complements[{i}]"
+        ref = _validate_phrase(phrase, at, problems)
+        if ref is not None and ref not in plan.entities:
+            problems.append(
+                f"{at}: referential integrity: unknown entity {ref!r}")
     if msg.condition is not None:
         if nested:
             problems.append(
@@ -334,15 +356,16 @@ def validate(plan: DocumentPlan) -> list[str]:
     plan; call it on a plan built by hand before planning sentences."""
     problems: list[str] = []
     for eid, ent in plan.entities.items():
-        _validate_entity(eid, ent, problems)
+        where = f"entities[{eid}]"
+        if eid != ent.id:
+            problems.append(
+                f"{where}: table key does not match entity id {ent.id!r}")
+        _validate_entity(ent, where, problems)
 
     def walk(node: PlanNode, where: str) -> None:
-        if node.kind == "leaf":
-            if node.message is None:
-                problems.append(f"{where}: leaf node carries no message")
-            else:
-                _validate_message(node.message, plan, f"{where}.message",
-                                  problems)
+        if node.message is not None:
+            _validate_message(node.message, plan, f"{where}.message",
+                              problems)
             if node.children:
                 problems.append(f"{where}: leaf node has children")
             return
@@ -350,8 +373,6 @@ def validate(plan: DocumentPlan) -> list[str]:
             problems.append(f"{where}: relation node has no label")
         if not node.children:
             problems.append(f"{where}: relation node has no children")
-        if node.message is not None:
-            problems.append(f"{where}: relation node carries a message")
         for i, child in enumerate(node.children):
             walk(child, f"{where}.children[{i}]")
 
@@ -360,20 +381,46 @@ def validate(plan: DocumentPlan) -> list[str]:
     return problems
 
 
+def _validate_clause(clause: ClauseSpec, where: str,
+                     problems: list[str]) -> None:
+    _validate_verb(clause.verb, where, problems)
+    _validate_entity(clause.subject_ref.entity, f"{where}.subject_ref.entity",
+                     problems)
+    units = clause.complements
+    if len(units) > 1 and not all(units):
+        problems.append(f"{where}: empty unit in a coordination group")
+    for i, unit in enumerate(units):
+        for j, rc in enumerate(unit):
+            at = f"{where}.complements[{i}][{j}]"
+            ref = _validate_phrase(rc.phrase, f"{at}.phrase", problems)
+            if rc.ref is None:
+                if ref is not None:
+                    problems.append(f"{at}: @{ref} head has no ref")
+                continue
+            if rc.ref.entity.id != ref:
+                problems.append(f"{at}.ref: entity {rc.ref.entity.id!r} is "
+                                f"not the one its head names")
+            _validate_entity(rc.ref.entity, f"{at}.ref.entity", problems)
+
+
 def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
-    """Check decoded sentence plans for what realization cannot render;
-    returns one description per violation.  Plans made by plan_sentences()
-    from a valid document plan always pass, so only decoding calls it."""
+    """Check decoded sentence plans with the document-plan rules that
+    apply to them, and for what realization cannot render; returns one
+    description per violation.  Plans made by plan_sentences() from a
+    valid document plan always pass, so only decoding calls it."""
     problems: list[str] = []
     for i, sp in enumerate(plans):
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")
         for j, clause in enumerate(sp.clauses):
             where = f"sentences[{i}].clauses[{j}]"
+            _validate_clause(clause, where, problems)
             cond = clause.condition
-            if cond is not None and cond.condition is not None:
-                problems.append(f"{where}.condition: conditions may not "
-                                f"nest below one level")
+            if cond is not None:
+                _validate_clause(cond, f"{where}.condition", problems)
+                if cond.condition is not None:
+                    problems.append(f"{where}.condition: conditions may not "
+                                    f"nest below one level")
             for c in (clause, cond):
                 if c is not None and \
                         not all(w.strip() for w in c.discourse_markers):

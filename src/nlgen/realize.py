@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ir
-from .errors import ReferentialIntegrityError, TemplateError
+from .errors import TemplateError
 from .lexicon import Lexicon, default_lexicon, pluralize, pronoun, verb_form
 
 COMMA = ","
@@ -72,32 +72,26 @@ def _head_words(ent: ir.Entity, lex: Lexicon) -> list[str]:
     return words
 
 
-def _reference_tokens(ref: ir.ReferenceSpec, lex: Lexicon) -> list[Token]:
+def _full_reference(ent: ir.Entity, lex: Lexicon) -> list[str]:
+    """Words of a full reference: the honorific and the name, or "the" and
+    the head noun phrase."""
+    if ent.name:
+        return f"{ent.honorific or ''} {ent.name}".split()
+    return ["the", *_head_words(ent, lex)]
+
+
+def _reference_tokens(ref: ir.ReferenceSpec, case: str,
+                      lex: Lexicon) -> list[Token]:
+    """Tokens for one mention; ``case`` is "subjective" for a subject and
+    "objective" for a complement."""
     ent = ref.entity
+    # English has no non-pronominal way to mention speaker or hearer, so
+    # only a third-person full reference is not a pronoun.
+    if ref.mode == "full-name" and ent.person == "third":
+        return [word(w) for w in _full_reference(ent, lex)]
     if ref.mode == "reflexive-pronoun":
-        return [word(pronoun(ent.person, ent.number, ent.gender,
-                             "reflexive", lex))]
-    if ent.person != "third":
-        # English has no non-pronominal way to mention speaker or hearer.
-        return [word(pronoun(ent.person, ent.number, ent.gender,
-                             ref.case, lex))]
-    if ref.mode == "pronoun":
-        return [word(pronoun(ent.person, ent.number, ent.gender,
-                             ref.case, lex))]
-    if ref.mode in ("full-name", "head-noun"):
-        if ref.mode == "full-name" and ent.name:
-            toks = []
-            if ent.honorific:
-                toks += _words(ent.honorific)
-            toks += _words(ent.name)
-            return toks
-        if ent.head:
-            return [word("the")] + [word(w) for w in _head_words(ent, lex)]
-        if ent.name:  # head-noun mode on a purely named entity
-            return _words(ent.name)
-    raise ReferentialIntegrityError(
-        f"entity {ent.id!r} has no renderable reference for mode "
-        f"{ref.mode!r}")
+        case = "reflexive"
+    return [word(pronoun(ent.person, ent.number, ent.gender, case, lex))]
 
 
 def _verb_tokens(clause: ir.ClauseSpec, lex: Lexicon) -> list[Token]:
@@ -132,7 +126,7 @@ def _phrase_tokens(rc: ir.ResolvedComplement, lex: Lexicon) -> list[Token]:
     if phrase.preposition:
         toks.append(word(phrase.preposition))
     if rc.ref is not None:
-        return toks + _reference_tokens(rc.ref, lex)
+        return toks + _reference_tokens(rc.ref, "objective", lex)
     if phrase.determiner:
         toks.append(word(phrase.determiner))
     for mod in phrase.premodifiers:
@@ -162,7 +156,7 @@ def _clause_tokens(clause: ir.ClauseSpec, lex: Lexicon) -> list[Token]:
         toks.append(word("if"))
         toks += _clause_tokens(clause.condition, lex)
         toks.append(punct(COMMA))
-    toks += _reference_tokens(clause.subject_ref, lex)
+    toks += _reference_tokens(clause.subject_ref, "subjective", lex)
     toks += _verb_tokens(clause, lex)
     toks += _complement_tokens(clause.complements, lex)
     return toks
@@ -418,16 +412,6 @@ def parse_templates(source: str) -> dict[str, Template]:
     return templates
 
 
-def _entity_surface(ent: ir.Entity, lex: Lexicon) -> str:
-    if ent.name:
-        if ent.honorific:
-            return f"{ent.honorific} {ent.name}"
-        return ent.name
-    if ent.head:
-        return " ".join(["the", *_head_words(ent, lex)])
-    raise TemplateError(f"entity {ent.id!r} has neither name nor head")
-
-
 def realize_template(template: Template, slots: dict,
                      lex: Lexicon | None = None) -> str:
     """Fill a template and normalize the result through orthography.
@@ -447,12 +431,15 @@ def realize_template(template: Template, slots: dict,
             if not isinstance(value, ir.Entity):
                 raise TemplateError(
                     f"slot {part.text!r} expects an entity")
-            pieces.append(_entity_surface(value, lex))
+            if not (value.name or value.head):
+                raise TemplateError(
+                    f"entity {value.id!r} has neither name nor head")
+            pieces.append(" ".join(_full_reference(value, lex)))
         elif part.slot_kind == "number":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TemplateError(
                     f"slot {part.text!r} expects a number")
-            pieces.append(str(value))
+            pieces.append(ir.number_text(value))
         else:
             if not isinstance(value, str):
                 raise TemplateError(f"slot {part.text!r} expects text")

@@ -326,8 +326,11 @@ class _LineParser:
         raise self._fail("expected a string, number, or true/false")
 
 
-def _parse_emit_fields(p: _LineParser, node_id: str) -> MessageTemplate:
+def _parse_emit_fields(p: _LineParser,
+                       node_id: str) -> tuple[MessageTemplate, int]:
+    """The template, and the column of its condition node name (or 1)."""
     fields: dict[str, Any] = {}
+    condition_col = 1
     complements: list[Expr] = []
     while not p.done():
         key_tok = p.take("ident")
@@ -363,7 +366,9 @@ def _parse_emit_fields(p: _LineParser, node_id: str) -> MessageTemplate:
         elif key == "adverb":
             fields["adverb"] = p.expr()
         elif key == "condition":
-            fields["condition_node"] = p.take_ident()
+            name_tok = p.take("ident")
+            fields["condition_node"] = name_tok.value
+            condition_col = name_tok.col
         elif key == "complement":
             complements.append(p.expr())
             while p.peek() is not None and p.peek().value == ",":
@@ -378,15 +383,23 @@ def _parse_emit_fields(p: _LineParser, node_id: str) -> MessageTemplate:
     if "verb" not in fields:
         raise SchemaParseError(f"node {node_id!r}: emit needs verb=",
                                p.line, 1)
-    return MessageTemplate(complements=tuple(complements), **fields)
+    return MessageTemplate(complements=tuple(complements), **fields), \
+        condition_col
 
 
 class _SchemaBuilder:
-    def __init__(self, name: str, line: int):
+    def __init__(self, name: str, line: int, col: int):
         self.name = name
         self.line = line
+        self.col = col
         self.nodes: dict[str, SchemaNode] = {}
         self.arcs: list[Arc] = []
+        # Where each statement names another node or schema, so that the
+        # cross-statement checks can point at it: a node's line and the
+        # column of its call target or condition node; an arc's line and
+        # the columns of its two endpoints.
+        self.node_positions: dict[str, tuple[int, int]] = {}
+        self.arc_positions: list[tuple[int, int, int]] = []
 
 
 def _parse_statements(source: str) -> list[_SchemaBuilder]:
@@ -400,14 +413,15 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
         p = _LineParser(toks, lineno)
         head = p.take("ident")
         if head.value == "schema":
-            name = p.take_ident()
+            name_tok = p.take("ident")
+            name = name_tok.value
             if not p.done():
                 raise p._fail("unexpected text after schema name")
             if name in seen_names:
                 raise SchemaParseError(f"duplicate schema {name!r}",
                                        lineno, head.col)
             seen_names.add(name)
-            current = _SchemaBuilder(name, lineno)
+            current = _SchemaBuilder(name, lineno, name_tok.col)
             builders.append(current)
             continue
         if current is None:
@@ -419,14 +433,16 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
                 raise SchemaParseError(f"duplicate node id {node_id!r}",
                                        lineno, head.col)
             kind = p.take_ident()
+            ref_col = 1
             if kind == "emit":
-                template = _parse_emit_fields(p, node_id)
+                template, ref_col = _parse_emit_fields(p, node_id)
                 node = SchemaNode(node_id, "emit", template=template)
             elif kind == "call":
-                target = p.take_ident()
+                target = p.take("ident")
                 if not p.done():
                     raise p._fail("unexpected text after call target")
-                node = SchemaNode(node_id, "call", target=target)
+                node = SchemaNode(node_id, "call", target=target.value)
+                ref_col = target.col
             elif kind == "end":
                 if not p.done():
                     raise p._fail("unexpected text after end")
@@ -436,10 +452,11 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
                     f"unknown node kind {kind!r} (expected emit, call, "
                     f"or end)", lineno, head.col)
             current.nodes[node_id] = node
+            current.node_positions[node_id] = (lineno, ref_col)
         elif head.value == "arc":
-            src = p.take_ident()
+            src = p.take("ident")
             p.take("symbol", "->")
-            dst = p.take_ident()
+            dst = p.take("ident")
             guard = None
             rel = "sequence"
             while not p.done():
@@ -456,7 +473,8 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
                     raise SchemaParseError(
                         f"expected 'when' or 'rel', got {kw.value!r}",
                         lineno, kw.col)
-            current.arcs.append(Arc(src, dst, guard, rel))
+            current.arcs.append(Arc(src.value, dst.value, guard, rel))
+            current.arc_positions.append((lineno, src.col, dst.col))
         else:
             raise SchemaParseError(
                 f"expected 'schema', 'node', or 'arc', got "
@@ -469,42 +487,43 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
 def _check_builder(b: _SchemaBuilder, all_names: set[str]) -> None:
     if not b.nodes:
         raise SchemaParseError(f"schema {b.name!r} declares no nodes",
-                               b.line, 1)
-    unguarded: dict[str, int] = {}
-    for arc in b.arcs:
-        for endpoint in (arc.src, arc.dst):
+                               b.line, b.col)
+    unguarded: set[str] = set()
+    for arc, (line, src_col, dst_col) in zip(b.arcs, b.arc_positions):
+        for endpoint, col in ((arc.src, src_col), (arc.dst, dst_col)):
             if endpoint not in b.nodes:
                 raise SchemaParseError(
                     f"arc endpoint {endpoint!r} is not a declared node",
-                    b.line, 1)
+                    line, col)
         if b.nodes[arc.src].kind == "end":
             raise SchemaParseError(
-                f"end node {arc.src!r} has an outgoing arc", b.line, 1)
+                f"end node {arc.src!r} has an outgoing arc", line, src_col)
         if arc.guard is None:
-            unguarded[arc.src] = unguarded.get(arc.src, 0) + 1
-            if unguarded[arc.src] > 1:
+            if arc.src in unguarded:
                 raise SchemaParseError(
                     f"node {arc.src!r} has more than one unguarded arc",
-                    b.line, 1)
+                    line, src_col)
+            unguarded.add(arc.src)
     for node in b.nodes.values():
+        line, col = b.node_positions[node.id]
         if node.kind == "call" and node.target not in all_names:
             raise SchemaParseError(
                 f"call target {node.target!r} is not a schema in this "
-                f"file", b.line, 1)
+                f"file", line, col)
         if node.kind == "emit" and node.template.condition_node:
             target = b.nodes.get(node.template.condition_node)
             if target is None:
                 raise SchemaParseError(
                     f"condition node {node.template.condition_node!r} is "
-                    f"not declared in schema {b.name!r}", b.line, 1)
+                    f"not declared in schema {b.name!r}", line, col)
             if target.kind != "emit":
                 raise SchemaParseError(
                     f"condition node {target.id!r} must be an emit node",
-                    b.line, 1)
+                    line, col)
             if target.template.condition_node:
                 raise SchemaParseError(
                     f"condition node {target.id!r} has a condition of its "
-                    f"own; conditions nest one level only", b.line, 1)
+                    f"own; conditions nest one level only", line, col)
 
 
 def parse_schema(source: str) -> SchemaDef:
@@ -713,7 +732,7 @@ def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
 def _parse_complement_text(text: str) -> ir.ComplementPhrase:
     text = text.strip()
     if ir.entity_ref(text) is not None:
-        return ir.ComplementPhrase(kind="entity-reference", head=text)
+        return ir.ComplementPhrase(head=text)
     words = text.split()
     if not words:
         raise TraversalError("empty complement text")
@@ -725,15 +744,10 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
         determiner = _ARTICLES[words.pop(0).lower()]
     head = words[-1]
     premodifiers = tuple(words[:-1])
-    is_ref = ir.entity_ref(head) is not None
-    if is_ref and (determiner or premodifiers):
+    if ir.entity_ref(head) is not None and (determiner or premodifiers):
         raise TraversalError(f"entity reference {head!r} takes no "
                              f"determiner or premodifiers: {text!r}")
-    if preposition:
-        kind = "prepositional-phrase"
-    else:
-        kind = "entity-reference" if is_ref else "noun-phrase"
-    return ir.ComplementPhrase(kind=kind, head=head, determiner=determiner,
+    return ir.ComplementPhrase(head=head, determiner=determiner,
                                premodifiers=premodifiers,
                                preposition=preposition)
 
@@ -752,9 +766,11 @@ def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
     if non_scalar is not None:
         raise TraversalError(f"data path {expr.value} holds {non_scalar}, "
                              f"not a string or number")
-    if type(value) is float and not math.isfinite(value):
-        raise TraversalError(f"data path {expr.value} holds {value}, "
-                             f"not a finite number")
+    if type(value) is float:
+        if not math.isfinite(value):
+            raise TraversalError(f"data path {expr.value} holds {value}, "
+                                 f"not a finite number")
+        return ir.number_text(value)
     return str(value)
 
 
@@ -830,7 +846,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
         pieces: list[ir.PlanNode] = []
         if node.kind == "emit":
             message = _instantiate_node(definition, node, data)
-            pieces.append(ir.PlanNode(kind="leaf", message=message))
+            pieces.append(ir.PlanNode(message=message))
         elif node.kind == "call":
             sub = definition.schema_set.get(node.target)
             if sub is None:
@@ -841,7 +857,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
             if len(sub_pieces) == 1:
                 pieces.append(sub_pieces[0])
             elif sub_pieces:
-                pieces.append(ir.PlanNode(kind="relation", label="sequence",
+                pieces.append(ir.PlanNode(label="sequence",
                                           children=tuple(sub_pieces)))
         # Arcs in declaration order; every true guard is taken.
         taken: list[tuple[str, list[ir.PlanNode]]] = []
@@ -861,8 +877,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
             if rel == "sequence":
                 pieces.extend(combined)
             else:
-                pieces.append(ir.PlanNode(kind="relation", label=rel,
-                                          children=tuple(combined)))
+                pieces.append(ir.PlanNode(label=rel, children=tuple(combined)))
         return pieces
 
     try:
@@ -882,6 +897,5 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
             f"{definition.name!r}") from None
     root = None
     if pieces:
-        root = ir.PlanNode(kind="relation", label="sequence",
-                           children=tuple(pieces))
+        root = ir.PlanNode(label="sequence", children=tuple(pieces))
     return ir.DocumentPlan(root=root, entities=dict(data.entities))

@@ -48,10 +48,6 @@ def _entity(entities: dict[str, ir.Entity], entity_id: str) -> ir.Entity:
     return ent
 
 
-def _full_mode(ent: ir.Entity) -> str:
-    return "full-name" if ent.name else "head-noun"
-
-
 def _resolve_unit(complements, entities) -> tuple[ir.ResolvedComplement, ...]:
     unit = []
     for phrase in complements:
@@ -59,11 +55,9 @@ def _resolve_unit(complements, entities) -> tuple[ir.ResolvedComplement, ...]:
         if ref_id is None:
             unit.append(ir.ResolvedComplement(phrase=phrase))
         else:
-            ent = _entity(entities, ref_id)
             unit.append(ir.ResolvedComplement(
                 phrase=phrase,
-                ref=ir.ReferenceSpec(entity=ent, mode=_full_mode(ent),
-                                     case="objective")))
+                ref=ir.ReferenceSpec(entity=_entity(entities, ref_id))))
     return tuple(unit)
 
 
@@ -71,14 +65,11 @@ def _build_clause(msg: ir.Message, entities,
                   group: Sequence[ir.Message] = ()) -> ir.ClauseSpec:
     """Clause for ``msg``, with one coordination unit per message of
     ``group`` (default: ``msg`` alone)."""
-    subject = _entity(entities, msg.subject)
     condition = None
     if msg.condition is not None:
         condition = _build_clause(msg.condition, entities)
     return ir.ClauseSpec(
-        subject_ref=ir.ReferenceSpec(entity=subject,
-                                     mode=_full_mode(subject),
-                                     case="subjective"),
+        subject_ref=ir.ReferenceSpec(entity=_entity(entities, msg.subject)),
         verb=msg.verb,
         tense=msg.tense,
         modal=msg.modal,
@@ -204,7 +195,7 @@ def pronominalize(plans: list[ir.SentencePlan],
         current.append(ent)
         if mode == ref.mode:
             return ref
-        return ir.ReferenceSpec(entity=ref.entity, mode=mode, case=ref.case)
+        return ir.ReferenceSpec(entity=ref.entity, mode=mode)
 
     def rewrite(clause: ir.ClauseSpec) -> ir.ClauseSpec:
         # Surface order: the condition clause, the subject, the complements.
@@ -246,12 +237,12 @@ def _paragraph_leaf_groups(plan: ir.DocumentPlan) -> list[list[ir.Message]]:
     with runs of bare leaf children sharing a paragraph."""
     if plan.root is None:
         return []
-    if plan.root.kind == "leaf":
+    if plan.root.message is not None:
         return [[plan.root.message]]
     groups: list[list[ir.Message]] = []
     run: list[ir.Message] = []
     for child in plan.root.children:
-        if child.kind == "leaf":
+        if child.message is not None:
             run.append(child.message)
             continue
         if run:

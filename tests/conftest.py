@@ -96,17 +96,14 @@ _PLACES = ["store", "hospital", "office"]
 def random_phrase(rng: random.Random, entity_ids: list[str]):
     roll = rng.random()
     if roll < 0.25:
-        return ir.ComplementPhrase(kind="entity-reference",
-                                   head="@" + rng.choice(entity_ids))
+        return ir.ComplementPhrase(head="@" + rng.choice(entity_ids))
     if roll < 0.55:
         return ir.ComplementPhrase(
-            kind="prepositional-phrase",
             head=rng.choice(_PLACES),
             determiner=rng.choice([None, "the", "a"]),
             preposition=rng.choice(_PREPS),
         )
     return ir.ComplementPhrase(
-        kind="noun-phrase",
         head=rng.choice(_NOUNS),
         determiner=rng.choice([None, "a", "the"]),
         premodifiers=tuple(rng.sample(_MODS, rng.randint(0, 2))),
@@ -137,8 +134,7 @@ def random_document_plan(rng: random.Random) -> ir.DocumentPlan:
     ids = sorted(entities)
 
     def leaf():
-        return ir.PlanNode(kind="leaf",
-                           message=random_message(rng, ids))
+        return ir.PlanNode(message=random_message(rng, ids))
 
     children = []
     for _ in range(rng.randint(1, 4)):
@@ -147,11 +143,9 @@ def random_document_plan(rng: random.Random) -> ir.DocumentPlan:
         else:
             sub = tuple(leaf() for _ in range(rng.randint(1, 3)))
             children.append(ir.PlanNode(
-                kind="relation",
                 label=rng.choice(list(ir.RELATION_LABELS)),
                 children=sub))
-    root = ir.PlanNode(kind="relation", label="sequence",
-                       children=tuple(children))
+    root = ir.PlanNode(label="sequence", children=tuple(children))
     return ir.DocumentPlan(root=root, entities=entities)
 
 

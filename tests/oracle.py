@@ -127,8 +127,7 @@ def reference_traverse(definition, data, max_visits=32):
             raise TraversalError(f"node {node_id!r}: {exc}") from exc
 
     def relation(label, children):
-        return ir.PlanNode(kind="relation", label=label,
-                           children=tuple(children))
+        return ir.PlanNode(label=label, children=tuple(children))
 
     def visit(d, node_id):
         visits[d.name, node_id] += 1
@@ -143,8 +142,7 @@ def reference_traverse(definition, data, max_visits=32):
                 condition = instantiate(
                     node_id, _find_node(d, template.condition_node).template)
             pieces.append(ir.PlanNode(
-                kind="leaf", message=instantiate(node_id, template,
-                                                 condition)))
+                message=instantiate(node_id, template, condition)))
         elif node.kind == "call":
             sub = d.schema_set.get(node.target)
             if sub is None:

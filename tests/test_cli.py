@@ -321,6 +321,21 @@ class TestCheckedWhereTheyEnter:
         assert "root.children[0].message: referential integrity: " \
                "unknown subject entity 'sam'" in err
 
+    @pytest.mark.parametrize("change, detail", [
+        (lambda obj: obj["root"].update(kind="relation"),
+         "root: unknown field 'kind'"),
+        (lambda obj: obj["root"]["children"][0]["message"]["complements"][0]
+         .update(kind="noun-phrase"),
+         "root.children[0].message.complements[0]: unknown field 'kind'"),
+    ])
+    def test_plan_json_with_kind_exits_3(self, tmp_path, corpus, change,
+                                         detail):
+        code, out, err = self._sentplan(tmp_path, corpus, change)
+        assert (code, out) == (3, "")
+        assert err.startswith("sentplan: ")
+        assert err.count("\n") == 1
+        assert detail in err
+
     def test_plan_json_with_record_keys_exits_3(self, tmp_path, corpus):
         code, out, err = self._sentplan(
             tmp_path, corpus, lambda obj: obj.update(record_keys=["p"]))
@@ -388,6 +403,23 @@ class TestNoLostOrBlankWords:
         assert err.count("\n") == 1
         assert "node 'a'" in err
         assert f"data path r.v holds {shown}, not a finite number" in err
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("value, shown", [
+        ("1e300", "1" + "0" * 300), ("1e16", "10000000000000000"),
+        ("1e-7", "0.0000001"), ("-1.5E-5", "-0.000015"), ("0.5", "0.5"),
+        ("120", "120"), ("1e15", "1000000000000000.0")])
+    def test_written_without_exponent(self, tmp_path, value, shown):
+        schema_file = tmp_path / "s.schema"
+        schema_file.write_text('schema s\nnode a emit subject="sam" '
+                               'verb=have complement=path(r.v)\n')
+        data_file = tmp_path / "d.json"
+        data_file.write_text('{"entities": {"sam": {"name": "Sam"}}, '
+                             f'"records": {{"r": {{"v": {value}}}}}}}')
+        code, out, err = run_cli(["generate", "--schema", str(schema_file),
+                                  "--data", str(data_file)])
+        assert (code, out, err) == (0, f"Sam has {shown}.\n", "")
 
 
 class TestRealizeCommand:
@@ -489,7 +521,7 @@ class TestBadSentencePlans:
         (_CLAUSE + ("subject_ref", "entity", "gender"), "other",
          "entity.gender: unknown value 'other'"),
         (_CLAUSE + ("subject_ref", "case"), "genitive",
-         "subject_ref.case: unknown value 'genitive'"),
+         "sentences[0].clauses[0].subject_ref: unknown field 'case'"),
         (_CLAUSE + ("mood",), "indicative",
          "sentences[0].clauses[0]: unknown field 'mood'"),
         (_CLAUSE + ("verb",), _DELETE,
@@ -503,6 +535,30 @@ class TestBadSentencePlans:
             "subject_ref": {"entity": {"id": "sam", "name": "Sam"}},
             "verb": "rest", "discourse_markers": ["also", " "]},
          "sentences[0].clauses[0]: blank discourse marker"),
+        # The document-plan rules, applied to sentence plans.
+        (_CLAUSE + ("verb",), "go.to",
+         "sentences[0].clauses[0]: verb lemma must be one lowercase "
+         "alphabetic word"),
+        (_CLAUSE + ("complements", 0, 0, "phrase", "premodifiers"), [" "],
+         "sentences[0].clauses[0].complements[0][0].phrase: blank word in "
+         "complement"),
+        (_CLAUSE + ("subject_ref", "entity", "name"), " ",
+         "sentences[0].clauses[0].subject_ref.entity: exactly one of "
+         "name/head must be given, not blank"),
+        # The rules that only sentence plans need.
+        (_CLAUSE + ("complements", 0, 0),
+         {"phrase": {"head": "@ann"}, "ref": None},
+         "sentences[0].clauses[0].complements[0][0]: @ann head has no ref"),
+        (_CLAUSE + ("complements", 0, 0),
+         {"phrase": {"head": "@ann"},
+          "ref": {"entity": {"id": "sam", "name": "Sam"}}},
+         "sentences[0].clauses[0].complements[0][0].ref: entity 'sam' is "
+         "not the one its head names"),
+        (_CLAUSE + ("complements", 0), [],
+         "sentences[0].clauses[0]: empty unit in a coordination group"),
+        (_CLAUSE + ("subject_ref", "mode"), "head-noun",
+         "sentences[0].clauses[0].subject_ref.mode: unknown value "
+         "'head-noun'"),
     ])
     def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
                                          value, detail):

@@ -16,19 +16,17 @@ SAM = ir.Entity(id="sam", name="Sam", gender="masculine",
 
 
 def phrase(*premods, head, det=None, prep=None):
-    kind = "prepositional-phrase" if prep else "noun-phrase"
-    return ir.ComplementPhrase(kind=kind, head=head, determiner=det,
+    return ir.ComplementPhrase(head=head, determiner=det,
                                premodifiers=tuple(premods),
                                preposition=prep)
 
 
 def leaf(msg):
-    return ir.PlanNode(kind="leaf", message=msg)
+    return ir.PlanNode(message=msg)
 
 
 def seq(*children, label="sequence"):
-    return ir.PlanNode(kind="relation", label=label,
-                       children=tuple(children))
+    return ir.PlanNode(label=label, children=tuple(children))
 
 
 def sam_pair_plan():
@@ -104,8 +102,7 @@ class TestPropositionSet:
 
     def test_dangling_complement_reference_raises(self):
         msg = ir.Message(subject="sam", verb="see",
-                         complements=(ir.ComplementPhrase(
-                             kind="entity-reference", head="@ghost"),))
+                         complements=(ir.ComplementPhrase(head="@ghost"),))
         plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
         with pytest.raises(ReferentialIntegrityError):
             ir.proposition_set(plan)
@@ -140,16 +137,21 @@ class TestValidate:
         plan = ir.DocumentPlan(root=leaf(outer), entities={"sam": SAM})
         assert any("nest" in p for p in ir.validate(plan))
 
-    def test_prepositional_phrase_needs_preposition(self):
-        bad = ir.ComplementPhrase(kind="prepositional-phrase",
-                                  head="store")
-        msg = ir.Message(subject="sam", verb="go", complements=(bad,))
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
-        assert any("preposition" in p for p in ir.validate(plan))
+    def test_phrase_kind_is_derived(self):
+        # A phrase cannot disagree with its kind: the preposition and the
+        # head decide it.
+        for shape, kind in (
+                (phrase("high", head="pressure", det="a"), "noun-phrase"),
+                (phrase(head="store", det="the", prep="to"),
+                 "prepositional-phrase"),
+                (ir.ComplementPhrase(head="@sam", preposition="with"),
+                 "prepositional-phrase"),
+                (ir.ComplementPhrase(head="@sam"), "entity-reference")):
+            assert shape.kind == kind
+        assert "kind" not in json.loads(ir.to_json(phrase(head="store")))
 
     def test_entity_reference_rejects_premodifiers(self):
-        bad = ir.ComplementPhrase(kind="entity-reference", head="@sam",
-                                  premodifiers=("tall",))
+        bad = ir.ComplementPhrase(head="@sam", premodifiers=("tall",))
         msg = ir.Message(subject="sam", verb="see", complements=(bad,))
         plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
         assert any("premodifiers" in p for p in ir.validate(plan))
@@ -161,13 +163,10 @@ class TestValidate:
 
     def test_entity_head_takes_no_determiner_or_premodifiers(self):
         for bad in (
-                ir.ComplementPhrase(kind="entity-reference", head="@sam",
-                                    determiner="the"),
-                ir.ComplementPhrase(kind="prepositional-phrase",
-                                    head="@sam", preposition="with",
+                ir.ComplementPhrase(head="@sam", determiner="the"),
+                ir.ComplementPhrase(head="@sam", preposition="with",
                                     premodifiers=("tall",)),
-                ir.ComplementPhrase(kind="prepositional-phrase",
-                                    head="@sam", preposition="with",
+                ir.ComplementPhrase(head="@sam", preposition="with",
                                     determiner="a")):
             msg = ir.Message(subject="sam", verb="see", complements=(bad,))
             plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
@@ -186,19 +185,21 @@ class TestValidate:
     def test_blank_text_rejected(self):
         msg = ir.Message(subject="sam", verb="rest", adverb=" ",
                          complements=(phrase(" ", head="report"),
-                                      phrase(head="")))
+                                      phrase(head=""),
+                                      phrase(head="store", prep=" ")))
         plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
         assert ir.validate(plan) == [
             "root.message: blank adverb",
             "root.message.complements[0]: blank word in complement",
-            "root.message.complements[1]: blank word in complement"]
+            "root.message.complements[1]: blank word in complement",
+            "root.message.complements[2]: blank word in complement"]
         blank = ir.Entity(id="x", head=" ")
         named = ir.Entity(id="y", name=" ", head="thing")
         plan = ir.DocumentPlan(root=None, entities={"x": blank, "y": named})
         assert len([p for p in ir.validate(plan) if "name/head" in p]) == 2
 
     def test_relation_node_needs_a_label(self):
-        node = ir.PlanNode(kind="relation", children=(
+        node = ir.PlanNode(children=(
             leaf(ir.Message(subject="sam", verb="rest")),))
         plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
         assert ir.validate(plan) == ["root: relation node has no label"]

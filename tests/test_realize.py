@@ -22,27 +22,22 @@ PATIENT = ir.Entity(id="patient", head="patient", gender="masculine",
 
 
 def np(*premods, head, det=None, prep=None):
-    kind = "prepositional-phrase" if prep else "noun-phrase"
-    phrase = ir.ComplementPhrase(kind=kind, head=head, determiner=det,
+    phrase = ir.ComplementPhrase(head=head, determiner=det,
                                  premodifiers=tuple(premods),
                                  preposition=prep)
     return ir.ResolvedComplement(phrase=phrase)
 
 
 def entity_comp(ent, mode="full-name", prep=None):
-    kind = "prepositional-phrase" if prep else "entity-reference"
-    phrase = ir.ComplementPhrase(kind=kind, head="@" + ent.id,
-                                 preposition=prep)
+    phrase = ir.ComplementPhrase(head="@" + ent.id, preposition=prep)
     return ir.ResolvedComplement(
-        phrase=phrase,
-        ref=ir.ReferenceSpec(entity=ent, mode=mode, case="objective"))
+        phrase=phrase, ref=ir.ReferenceSpec(entity=ent, mode=mode))
 
 
 def clause(subject, verb, *units, mode="full-name", tense="present",
            modal=None, polarity="positive", markers=(), condition=None):
     return ir.ClauseSpec(
-        subject_ref=ir.ReferenceSpec(entity=subject, mode=mode,
-                                     case="subjective"),
+        subject_ref=ir.ReferenceSpec(entity=subject, mode=mode),
         verb=verb,
         tense=tense,
         modal=modal,
@@ -91,6 +86,12 @@ class TestRealizeSentence:
                    tense="past")
         text = realize.orthography(realize.realize_sentence(sentence(c)))
         assert text == "John saw himself."
+
+    def test_pronoun_case_follows_position(self):
+        c = clause(JOHN, "see", (entity_comp(MRS_BLACK, mode="pronoun"),),
+                   mode="pronoun")
+        text = realize.orthography(realize.realize_sentence(sentence(c)))
+        assert text == "He sees her."
 
     def test_first_person_agreement(self):
         c = clause(SPEAKER, "be", (np(head="here"),))
@@ -332,6 +333,15 @@ class TestTemplates:
     def test_number_slot(self):
         t = realize.parse_templates("template n\n{n:number} boxes\n")
         assert realize.realize_template(t["n"], {"n": 7}) == "7 boxes"
+
+    @pytest.mark.parametrize("value, shown", [
+        (1e300, "1" + "0" * 300), (1e16, "10000000000000000"),
+        (1e-7, "0.0000001"), (-2.5e-5, "-0.000025"), (0.5, "0.5"),
+        (1e15, "1000000000000000.0")])
+    def test_number_slot_has_no_exponent(self, value, shown):
+        t = realize.parse_templates("template n\n{n:number} boxes\n")
+        assert realize.realize_template(t["n"], {"n": value}) == \
+            f"{shown} boxes"
 
     def test_missing_slot_names_it(self):
         t = realize.parse_templates("template n\n{n:number} boxes\n")

@@ -124,6 +124,39 @@ class TestParse:
             schema.parse_schema(src)
         assert "one level" in str(info.value)
 
+    # Lines 1-4 are valid; each case appends statements from line 5 on.
+    _CHECKED = ("schema s\n"
+                'node a emit subject="sam" verb=rest\n'
+                'node b emit subject="sam" verb=rest condition=a\n'
+                "node z end\n")
+
+    @pytest.mark.parametrize("extra, position, detail", [
+        ("schema t\n", "line 5, column 8", "schema 't' declares no nodes"),
+        ("arc a -> b\narc b -> ghost\n", "line 6, column 10",
+         "arc endpoint 'ghost' is not a declared node"),
+        ("arc ghost -> a\n", "line 5, column 5",
+         "arc endpoint 'ghost' is not a declared node"),
+        ("arc z -> a\n", "line 5, column 5",
+         "end node 'z' has an outgoing arc"),
+        ("arc a -> b\narc a -> z when exists(r.x)\narc a -> z\n",
+         "line 7, column 5", "node 'a' has more than one unguarded arc"),
+        ("node c call t\n", "line 5, column 13",
+         "call target 't' is not a schema in this file"),
+        ('node c emit subject="sam" verb=rest condition=ghost\n',
+         "line 5, column 47",
+         "condition node 'ghost' is not declared in schema 's'"),
+        ('node c emit subject="sam" verb=rest condition=z\n',
+         "line 5, column 47", "condition node 'z' must be an emit node"),
+        ('node c emit subject="sam" verb=rest condition=b\n',
+         "line 5, column 47", "condition node 'b' has a condition of its "
+         "own; conditions nest one level only"),
+    ])
+    def test_cross_statement_error_names_its_statement(self, extra,
+                                                       position, detail):
+        with pytest.raises(SchemaParseError) as info:
+            schema.parse_schema(self._CHECKED + extra)
+        assert str(info.value) == f"{position}: {detail}"
+
     def test_emit_requires_subject_and_verb(self):
         with pytest.raises(SchemaParseError):
             schema.parse_schema("schema s\nnode a emit verb=rest\n")
@@ -339,8 +372,9 @@ class TestTraverse:
             '{"entities": {"sam": {"name": "Sam"}},'
             ' "records": {"r": {"x": 1}}}')
         plan = schema.traverse(parsed, data)
-        kinds = [(c.kind, c.label) for c in plan.root.children]
-        assert kinds == [("leaf", None), ("relation", "elaboration")]
+        shapes = [(c.message is not None, c.label)
+                  for c in plan.root.children]
+        assert shapes == [(True, None), (False, "elaboration")]
         assert len(plan.root.children[1].children) == 2
 
 
@@ -453,8 +487,7 @@ class TestInstantiate:
         assert msg == ir.Message(
             subject="sam", verb="have",
             complements=(ir.ComplementPhrase(
-                kind="noun-phrase", head="pressure",
-                premodifiers=("high", "blood")),))
+                head="pressure", premodifiers=("high", "blood")),))
 
     def test_literal_only_template_ignores_data(self):
         template = schema.MessageTemplate(
@@ -480,22 +513,17 @@ class TestInstantiate:
     def test_complement_text_parsing(self):
         parse = schema._parse_complement_text
         assert parse("high blood pressure") == ir.ComplementPhrase(
-            kind="noun-phrase", head="pressure",
-            premodifiers=("high", "blood"))
+            head="pressure", premodifiers=("high", "blood"))
         assert parse("to the store") == ir.ComplementPhrase(
-            kind="prepositional-phrase", head="store", determiner="the",
-            preposition="to")
+            head="store", determiner="the", preposition="to")
         assert parse("a high temperature") == ir.ComplementPhrase(
-            kind="noun-phrase", head="temperature", determiner="a",
-            premodifiers=("high",))
+            head="temperature", determiner="a", premodifiers=("high",))
         assert parse("an egg") == ir.ComplementPhrase(
-            kind="noun-phrase", head="egg", determiner="a")
-        assert parse("@sam") == ir.ComplementPhrase(
-            kind="entity-reference", head="@sam")
+            head="egg", determiner="a")
+        assert parse("@sam") == ir.ComplementPhrase(head="@sam")
         assert parse("with @sam") == ir.ComplementPhrase(
-            kind="prepositional-phrase", head="@sam", preposition="with")
-        assert parse("here") == ir.ComplementPhrase(
-            kind="noun-phrase", head="here")
+            head="@sam", preposition="with")
+        assert parse("here") == ir.ComplementPhrase(head="here")
 
 
 class TestLoadData:

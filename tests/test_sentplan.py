@@ -23,8 +23,7 @@ ENTITIES = {e.id: e for e in (SAM, JOHN, MRS_BLACK, SPEAKER)}
 
 
 def np(*premods, head, det=None, prep=None):
-    kind = "prepositional-phrase" if prep else "noun-phrase"
-    return ir.ComplementPhrase(kind=kind, head=head, determiner=det,
+    return ir.ComplementPhrase(head=head, determiner=det,
                                premodifiers=tuple(premods), preposition=prep)
 
 
@@ -35,9 +34,8 @@ def message(subject, verb, *comps, **kw):
 
 def plan_of(*messages, entities=None):
     root = ir.PlanNode(
-        kind="relation", label="sequence",
-        children=tuple(ir.PlanNode(kind="leaf", message=m)
-                       for m in messages))
+        label="sequence",
+        children=tuple(ir.PlanNode(message=m) for m in messages))
     return ir.DocumentPlan(root=root, entities=dict(entities or ENTITIES))
 
 
@@ -309,15 +307,12 @@ class TestPlanSentences:
 
     def test_paragraphs_follow_root_relation_children(self):
         sub = ir.PlanNode(
-            kind="relation", label="elaboration",
-            children=(ir.PlanNode(kind="leaf",
-                                  message=message("sam", "rest")),))
+            label="elaboration",
+            children=(ir.PlanNode(message=message("sam", "rest")),))
         root = ir.PlanNode(
-            kind="relation", label="sequence",
-            children=(ir.PlanNode(kind="leaf",
-                                  message=message("sam", "rest")),
-                      ir.PlanNode(kind="leaf",
-                                  message=message("sam", "rest")),
+            label="sequence",
+            children=(ir.PlanNode(message=message("sam", "rest")),
+                      ir.PlanNode(message=message("sam", "rest")),
                       sub))
         plan = ir.DocumentPlan(root=root, entities=ENTITIES)
         plans = sentplan.plan_sentences(plan, "plain")
@@ -379,7 +374,7 @@ def with_merge_runs(plan, rng):
 
     def rewrite(node):
         nonlocal prev
-        if node.kind == "relation":
+        if node.message is None:
             return dataclasses.replace(
                 node, children=tuple(rewrite(c) for c in node.children))
         msg = node.message
