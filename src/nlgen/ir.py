@@ -15,8 +15,8 @@ a document says.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
-import functools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -298,11 +298,18 @@ def proposition_set(plan: PlanLike) -> set[tuple]:
 # parsed schema.  So validate() checks only what the types cannot say.
 
 
-def _validate_entity(ent: Entity, where: str, problems: list[str]) -> None:
-    given = [text for text in (ent.name, ent.head) if text]
-    if len(given) != 1 or given[0].isspace():
-        problems.append(
-            f"{where}: exactly one of name/head must be given, not blank")
+def _validate_entities(entities: dict[str, Entity],
+                       problems: list[str]) -> None:
+    """The entity-table rules, shared by both plan files."""
+    for eid, ent in entities.items():
+        where = f"entities[{eid}]"
+        if eid != ent.id:
+            problems.append(
+                f"{where}: table key does not match entity id {ent.id!r}")
+        given = [text for text in (ent.name, ent.head) if text]
+        if len(given) != 1 or given[0].isspace():
+            problems.append(
+                f"{where}: exactly one of name/head must be given, not blank")
 
 
 def _validate_verb(verb: str, where: str, problems: list[str]) -> None:
@@ -355,12 +362,7 @@ def validate(plan: DocumentPlan) -> list[str]:
     well-formed).  document_plan_from_json() runs it on every decoded
     plan; call it on a plan built by hand before planning sentences."""
     problems: list[str] = []
-    for eid, ent in plan.entities.items():
-        where = f"entities[{eid}]"
-        if eid != ent.id:
-            problems.append(
-                f"{where}: table key does not match entity id {ent.id!r}")
-        _validate_entity(ent, where, problems)
+    _validate_entities(plan.entities, problems)
 
     def walk(node: PlanNode, where: str) -> None:
         if node.message is not None:
@@ -368,6 +370,8 @@ def validate(plan: DocumentPlan) -> list[str]:
                               problems)
             if node.children:
                 problems.append(f"{where}: leaf node has children")
+            if node.label is not None:
+                problems.append(f"{where}: leaf node has a label")
             return
         if node.label is None:
             problems.append(f"{where}: relation node has no label")
@@ -384,8 +388,6 @@ def validate(plan: DocumentPlan) -> list[str]:
 def _validate_clause(clause: ClauseSpec, where: str,
                      problems: list[str]) -> None:
     _validate_verb(clause.verb, where, problems)
-    _validate_entity(clause.subject_ref.entity, f"{where}.subject_ref.entity",
-                     problems)
     units = clause.complements
     if len(units) > 1 and not all(units):
         problems.append(f"{where}: empty unit in a coordination group")
@@ -400,14 +402,15 @@ def _validate_clause(clause: ClauseSpec, where: str,
             if rc.ref.entity.id != ref:
                 problems.append(f"{at}.ref: entity {rc.ref.entity.id!r} is "
                                 f"not the one its head names")
-            _validate_entity(rc.ref.entity, f"{at}.ref.entity", problems)
 
 
 def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
     """Check decoded sentence plans with the document-plan rules that
     apply to them, and for what realization cannot render; returns one
-    description per violation.  Plans made by plan_sentences() from a
-    valid document plan always pass, so only decoding calls it."""
+    description per violation.  The entity rules are not repeated here:
+    the decoder checks them once per entry of the file's entity table.
+    Plans made by plan_sentences() from a valid document plan always
+    pass, so only decoding calls it."""
     problems: list[str] = []
     for i, sp in enumerate(plans):
         if not sp.clauses:
@@ -433,30 +436,34 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
 #
 # One rule for every plan type: a dataclass is an object holding each of
 # its fields under the field's name, a tuple is a list, a dict is an
-# object.  Output is compact with sorted keys.  The decoder is built once
-# per type from the type hints and rejects unknown and missing fields,
-# wrong JSON types and values outside a Literal domain, naming the path.
+# object.  The one exception is a reference, which names its entity by
+# id: a sentence-plans file holds each entity once, in its own table.
+# Output is compact with sorted keys.  The decoder is built once per type
+# from the type hints and rejects unknown and missing fields, wrong JSON
+# types and values outside a Literal domain, naming the path.
 
 
 @dataclass(frozen=True)
 class _SentencesFile:
-    sentences: tuple[SentencePlan, ...]
+    # The parts stay JSON here: the entity table is decoded and checked
+    # before the sentences, whatever the key order, so that every
+    # reference can be given its entity.
+    sentences: list
+    entities: dict = field(default_factory=dict)
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _fields_of(value) -> dict:
-    # json.dumps calls this for every object it cannot encode natively;
-    # dataclasses.fields raises the TypeError it expects for the rest.
-    return {name: getattr(value, name) for name in _field_names(type(value))}
+def _encode(value):
+    # json.dumps calls this for every object it cannot encode natively.
+    # No plan dataclass has slots, so vars() holds exactly its fields; for
+    # anything else vars() raises the TypeError json.dumps expects.
+    if type(value) is ReferenceSpec:
+        return {"entity": value.entity.id, "mode": value.mode}
+    return vars(value)
 
 
 def to_json(value) -> str:
     """Canonical JSON text for a plan value (the one encoder)."""
-    return json.dumps(value, default=_fields_of, sort_keys=True,
+    return json.dumps(value, default=_encode, sort_keys=True,
                       ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
@@ -473,10 +480,28 @@ def _json_type(value) -> str:
             type(None): "null"}.get(type(value), "number")
 
 
-def _expect(value, kind: type, name: str):
+_JSON_NAMES = {str: "a string", bool: "a boolean", list: "an array",
+               dict: "an object"}
+
+
+def _expect(value, kind: type):
     if type(value) is not kind:
-        raise _Invalid(f"expected {name}, got {_json_type(value)}")
+        raise _Invalid(f"expected {_JSON_NAMES[kind]}, got "
+                       f"{_json_type(value)}")
     return value
+
+
+# The entity table of the sentence-plans file being decoded: set only
+# while sentence_plans_from_json decodes that file's sentences.
+_entity_table: contextvars.ContextVar[dict[str, Entity]] = \
+    contextvars.ContextVar("_entity_table", default={})
+
+
+def _entity_by_id(value) -> Entity:
+    entity = _entity_table.get().get(_expect(value, str))
+    if entity is None:
+        raise _Invalid(f"unknown entity {value!r}")
+    return entity
 
 
 _decoders: dict = {}
@@ -514,7 +539,7 @@ def _build_decoder(tp):
         def decode(value):
             out: list = []
             try:
-                for v in _expect(value, list, "an array"):
+                for v in _expect(value, list):
                     out.append(item(v))
             except _Invalid as exc:
                 exc.path.append(f"[{len(out)}]")
@@ -525,20 +550,18 @@ def _build_decoder(tp):
 
         def decode(value):
             out: dict = {}
-            for key, v in _expect(value, dict, "an object").items():
+            for key, v in _expect(value, dict).items():
                 try:
                     out[key] = item(v)
                 except _Invalid as exc:
                     exc.path.append(f"[{key}]")
                     raise
             return out
-    elif tp in (str, bool):
-        name = "a string" if tp is str else "a boolean"
-
+    elif tp in _JSON_NAMES:
         def decode(value):
             if type(value) is tp:
                 return value
-            raise _Invalid(f"expected {name}, got {_json_type(value)}")
+            return _expect(value, tp)
     else:
         raise TypeError(f"no JSON decoder for {tp!r}")
     _decoders[tp] = decode
@@ -546,34 +569,51 @@ def _build_decoder(tp):
 
 
 def _dataclass_decoder(cls):
+    # A decoded object is made with object.__new__ and given its fields
+    # directly: the frozen __init__ would only set each one again through
+    # object.__setattr__.  That skips no logic while the class has no
+    # __post_init__ and no __slots__, so both are refused here.
+    if hasattr(cls, "__post_init__") or hasattr(cls, "__slots__"):
+        raise TypeError(f"{cls.__name__} must be decoded through __init__")
     items: dict = {}  # filled after registering, so recursive types resolve
-    required: list[str] = []
+    defaults: dict = {}
+    factories: dict = {}
+    new = object.__new__
 
     def decode(value):
-        _expect(value, dict, "an object")
-        kwargs = {}
+        if type(value) is not dict:
+            _expect(value, dict)
+        fields = defaults.copy()
         for name, v in value.items():
             item = items.get(name)
             if item is None:
                 raise _Invalid(f"unknown field {name!r}")
             try:
-                kwargs[name] = item(v)
+                fields[name] = item(v)
             except _Invalid as exc:
                 exc.path.append(f".{name}")
                 raise
-        if len(kwargs) < len(items):
-            for name in required:
-                if name not in kwargs:
-                    raise _Invalid(f"missing field {name!r}")
-        return cls(**kwargs)
+        if len(fields) < len(items):
+            for name in items:
+                if name not in fields:
+                    if name not in factories:
+                        raise _Invalid(f"missing field {name!r}")
+                    fields[name] = factories[name]()
+        obj = new(cls)
+        obj.__dict__.update(fields)
+        return obj
 
     _decoders[cls] = decode
     hints = get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        items[f.name] = _decoder(hints[f.name])
-        if f.default is dataclasses.MISSING and \
-                f.default_factory is dataclasses.MISSING:
-            required.append(f.name)
+        if cls is ReferenceSpec and f.name == "entity":
+            items[f.name] = _entity_by_id  # written as its id
+        else:
+            items[f.name] = _decoder(hints[f.name])
+        if f.default is not dataclasses.MISSING:
+            defaults[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            factories[f.name] = f.default_factory
     return decode
 
 
@@ -600,6 +640,11 @@ def _parse(text: str, what: str):
         raise SerializationError(f"malformed {what}: {exc}") from None
 
 
+def _check(problems: list[str]) -> None:
+    if problems:
+        raise SerializationError("; ".join(problems))
+
+
 def document_plan_to_json(plan: DocumentPlan) -> str:
     return to_json(plan)
 
@@ -607,21 +652,51 @@ def document_plan_to_json(plan: DocumentPlan) -> str:
 def document_plan_from_json(text: str) -> DocumentPlan:
     """Decode a document plan and check it with validate()."""
     plan = from_obj(DocumentPlan, _parse(text, "document plan"))
-    problems = validate(plan)
-    if problems:
-        raise SerializationError("; ".join(problems))
+    _check(validate(plan))
     return plan
 
 
+def _references(plans: Sequence[SentencePlan]):
+    """Every reference in sentence plans, in conditions too."""
+    for sp in plans:
+        for clause in sp.clauses:
+            while clause is not None:
+                yield clause.subject_ref
+                for unit in clause.complements:
+                    for rc in unit:
+                        if rc.ref is not None:
+                            yield rc.ref
+                clause = clause.condition
+
+
 def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
-    return to_json({"sentences": plans})
+    """Canonical JSON for sentence plans: ``{"entities": {id: Entity},
+    "sentences": [...]}``, each reference naming its entity by id."""
+    entities: dict[str, Entity] = {}
+    for ref in _references(plans):
+        known = entities.setdefault(ref.entity.id, ref.entity)
+        if known is not ref.entity and known != ref.entity:
+            raise SerializationError(
+                f"entity {known.id!r} is referenced with two different "
+                f"feature sets")
+    return to_json({"entities": entities, "sentences": plans})
 
 
 def sentence_plans_from_json(text: str) -> list[SentencePlan]:
-    """Decode sentence plans and check them with validate_sentences()."""
-    payload = _parse(text, "sentence plans")
-    plans = list(from_obj(_SentencesFile, payload).sentences)
-    problems = validate_sentences(plans)
-    if problems:
-        raise SerializationError("; ".join(problems))
+    """Decode sentence plans and check them: the entity table with the
+    document-plan entity rules, then the sentences with
+    validate_sentences().  Every reference to an id is given the table's
+    one Entity for it."""
+    file = from_obj(_SentencesFile, _parse(text, "sentence plans"))
+    entities = from_obj(dict[str, Entity], file.entities, "entities")
+    problems: list[str] = []
+    _validate_entities(entities, problems)
+    _check(problems)
+    token = _entity_table.set(entities)
+    try:
+        plans = list(from_obj(tuple[SentencePlan, ...], file.sentences,
+                              "sentences"))
+    finally:
+        _entity_table.reset(token)
+    _check(validate_sentences(plans))
     return plans

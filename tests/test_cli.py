@@ -336,6 +336,15 @@ class TestCheckedWhereTheyEnter:
         assert err.count("\n") == 1
         assert detail in err
 
+    def test_labeled_leaf_exits_3(self, tmp_path, corpus):
+        code, out, err = self._sentplan(
+            tmp_path, corpus,
+            lambda obj: obj["root"]["children"][0].update(label="contrast"))
+        assert (code, out) == (3, "")
+        assert err.startswith("sentplan: ")
+        assert err.count("\n") == 1
+        assert "root.children[0]: leaf node has a label" in err
+
     def test_plan_json_with_record_keys_exits_3(self, tmp_path, corpus):
         code, out, err = self._sentplan(
             tmp_path, corpus, lambda obj: obj.update(record_keys=["p"]))
@@ -436,6 +445,20 @@ class TestRealizeCommand:
         assert code == 0
         assert again == text
 
+    def test_entity_features_live_in_one_table(self, corpus, tmp_path):
+        # Every mention of Sam reads the one table entry, so an edit
+        # changes them all together and no mention can disagree.
+        obj = _sentence_plan_obj(get(corpus, "patient_report"))
+        obj["entities"]["sam"]["gender"] = "feminine"
+        f = tmp_path / "sentences.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run_cli(["realize", "--sentences", str(f)])
+        assert (code, err) == (0, "")
+        assert out == (
+            "Sam has high blood pressure and low blood sugar.\n\n"
+            "If she goes to the hospital, she should also go to the "
+            "store. She should see Mrs. Black.\n")
+
     def test_empty_sentence_list(self, tmp_path):
         f = tmp_path / "empty.json"
         f.write_text('{"sentences": []}')
@@ -505,21 +528,21 @@ def _sentence_plan_obj(doc) -> dict:
 
 
 _DELETE = object()
-_CLAUSE = ("clauses", 0)
+_CLAUSE = ("sentences", 0, "clauses", 0)
+_SAM_ENTRY = ("entities", "sam")
 
 
 class TestBadSentencePlans:
-    # (path inside the first sentence, new value, expected message part)
+    # (path inside the file, new value, expected message part)
     @pytest.mark.parametrize("path, value, detail", [
-        (("terminal_punct",), "period",
+        (("sentences", 0, "terminal_punct"), "period",
          "sentences[0]: unknown field 'terminal_punct'"),
-        (_CLAUSE + ("subject_ref", "entity", "person"), "fourth",
-         "sentences[0].clauses[0].subject_ref.entity.person: "
-         "unknown value 'fourth'"),
+        (_SAM_ENTRY + ("person",), "fourth",
+         "entities[sam].person: unknown value 'fourth'"),
         (_CLAUSE + ("tense",), "pluperfect",
          "sentences[0].clauses[0].tense: unknown value 'pluperfect'"),
-        (_CLAUSE + ("subject_ref", "entity", "gender"), "other",
-         "entity.gender: unknown value 'other'"),
+        (_SAM_ENTRY + ("gender",), "other",
+         "entities[sam].gender: unknown value 'other'"),
         (_CLAUSE + ("subject_ref", "case"), "genitive",
          "sentences[0].clauses[0].subject_ref: unknown field 'case'"),
         (_CLAUSE + ("mood",), "indicative",
@@ -528,11 +551,12 @@ class TestBadSentencePlans:
          "sentences[0].clauses[0]: missing field 'verb'"),
         (_CLAUSE + ("subject_ref",), [],
          "subject_ref: expected an object, got array"),
-        (("clauses",), [], "sentences[0]: sentence has no clauses"),
+        (("sentences", 0, "clauses"), [],
+         "sentences[0]: sentence has no clauses"),
         (_CLAUSE + ("discourse_markers",), [""],
          "sentences[0].clauses[0]: blank discourse marker"),
         (_CLAUSE + ("condition",), {
-            "subject_ref": {"entity": {"id": "sam", "name": "Sam"}},
+            "subject_ref": {"entity": "sam"},
             "verb": "rest", "discourse_markers": ["also", " "]},
          "sentences[0].clauses[0]: blank discourse marker"),
         # The document-plan rules, applied to sentence plans.
@@ -542,16 +566,15 @@ class TestBadSentencePlans:
         (_CLAUSE + ("complements", 0, 0, "phrase", "premodifiers"), [" "],
          "sentences[0].clauses[0].complements[0][0].phrase: blank word in "
          "complement"),
-        (_CLAUSE + ("subject_ref", "entity", "name"), " ",
-         "sentences[0].clauses[0].subject_ref.entity: exactly one of "
-         "name/head must be given, not blank"),
+        (_SAM_ENTRY + ("name",), " ",
+         "entities[sam]: exactly one of name/head must be given, not "
+         "blank"),
         # The rules that only sentence plans need.
         (_CLAUSE + ("complements", 0, 0),
          {"phrase": {"head": "@ann"}, "ref": None},
          "sentences[0].clauses[0].complements[0][0]: @ann head has no ref"),
         (_CLAUSE + ("complements", 0, 0),
-         {"phrase": {"head": "@ann"},
-          "ref": {"entity": {"id": "sam", "name": "Sam"}}},
+         {"phrase": {"head": "@ann"}, "ref": {"entity": "sam"}},
          "sentences[0].clauses[0].complements[0][0].ref: entity 'sam' is "
          "not the one its head names"),
         (_CLAUSE + ("complements", 0), [],
@@ -559,12 +582,23 @@ class TestBadSentencePlans:
         (_CLAUSE + ("subject_ref", "mode"), "head-noun",
          "sentences[0].clauses[0].subject_ref.mode: unknown value "
          "'head-noun'"),
+        # References name an entity of the file's one table.
+        (_CLAUSE + ("subject_ref", "entity"), "x",
+         "sentences[0].clauses[0].subject_ref.entity: unknown entity 'x'"),
+        (_SAM_ENTRY + ("id",), "samuel",
+         "entities[sam]: table key does not match entity id 'samuel'"),
+        (_CLAUSE + ("subject_ref", "entity"), {"id": "sam", "name": "Sam"},
+         "sentences[0].clauses[0].subject_ref.entity: expected a string, "
+         "got object"),
+        (("entities",), _DELETE,
+         "sentences[0].clauses[0].subject_ref.entity: unknown entity "
+         "'sam'"),
     ])
     def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
                                          value, detail):
         obj = _sentence_plan_obj(get(corpus, "patient_report"))
         *parents, last = path
-        target = obj["sentences"][0]
+        target = obj
         for key in parents:
             target = target[key]
         if value is _DELETE:

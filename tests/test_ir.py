@@ -204,6 +204,13 @@ class TestValidate:
         plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
         assert ir.validate(plan) == ["root: relation node has no label"]
 
+    def test_leaf_node_has_no_label(self):
+        node = ir.PlanNode(message=ir.Message(subject="sam", verb="rest"),
+                           label="contrast")
+        plan = ir.DocumentPlan(root=seq(node), entities={"sam": SAM})
+        assert ir.validate(plan) == [
+            "root.children[0]: leaf node has a label"]
+
     def test_entity_needs_exactly_one_of_name_head(self):
         both = ir.Entity(id="x", name="X", head="thing")
         neither = ir.Entity(id="y")
@@ -292,8 +299,11 @@ class TestSerialization:
         plans = [ir.SentencePlan(clauses=(
             ir.ClauseSpec(subject_ref=ref, verb="rest"),))]
         payload = json.loads(ir.sentence_plans_to_json(plans))
+        assert list(payload) == ["entities", "sentences"]
+        assert payload["entities"] == {"sam": dataclasses.asdict(SAM)}
         (clause,) = payload["sentences"][0]["clauses"]
-        assert clause["subject_ref"]["entity"]["name"] == "Sam"
+        assert clause["subject_ref"] == {"entity": "sam",
+                                         "mode": "full-name"}
 
     def test_sentence_plans_carry_no_terminal_and_word_markers(self):
         ref = ir.ReferenceSpec(entity=SAM)
@@ -325,19 +335,152 @@ class TestSerialization:
     def test_deep_nesting_is_a_serialization_error(self):
         with pytest.raises(SerializationError):
             ir.sentence_plans_from_json("[" * 100_000)
-        clause = {"subject_ref": {"entity": {"id": "sam", "name": "Sam"}},
-                  "verb": "rest"}
+        clause = {"subject_ref": {"entity": "sam"}, "verb": "rest"}
         for _ in range(900):
             clause = {"subject_ref": clause["subject_ref"], "verb": "rest",
                       "condition": clause}
-        text = json.dumps({"sentences": [{"clauses": [clause]}]})
-        with pytest.raises(SerializationError):
+        text = json.dumps({"entities": {"sam": {"id": "sam", "name": "Sam"}},
+                           "sentences": [{"clauses": [clause]}]})
+        with pytest.raises(SerializationError, match="nested too deeply"):
             ir.sentence_plans_from_json(text)
 
     def test_domains_are_the_literal_members(self):
         assert ir.PERSONS == get_args(ir.Person)
         assert ir.CASES == get_args(ir.Case)
         assert get_type_hints(ir.Entity)["person"] is ir.Person
+
+
+def _references(plans):
+    for sp in plans:
+        for clause in sp.clauses:
+            while clause is not None:
+                yield clause.subject_ref
+                yield from (rc.ref for unit in clause.complements
+                            for rc in unit if rc.ref is not None)
+                clause = clause.condition
+
+
+def _reference_encoding(plan) -> str:
+    # An encoder that shares no code with ir's: dataclasses.asdict.
+    return json.dumps(dataclasses.asdict(plan), sort_keys=True,
+                      ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+class TestCodecProperties:
+    @staticmethod
+    def _sentence_plans(rng):
+        from nlgen import plan_sentences
+
+        for _ in range(20):
+            plan = random_document_plan(rng)
+            for profile in ("fluent", "plain"):
+                yield plan_sentences(plan, profile)
+
+    # The round trip: TestSerialization.test_sentence_plans_round_trip.
+    def test_references_to_one_id_share_one_entity(self, rng):
+        for plans in self._sentence_plans(rng):
+            decoded = ir.sentence_plans_from_json(
+                ir.sentence_plans_to_json(plans))
+            by_id = {}
+            for ref in _references(decoded):
+                assert by_id.setdefault(ref.entity.id, ref.entity) \
+                    is ref.entity
+            assert by_id == {ref.entity.id: ref.entity
+                             for ref in _references(plans)}
+
+    def test_decoded_objects_are_frozen_and_hash_alike(self, rng):
+        for plans in self._sentence_plans(rng):
+            decoded = ir.sentence_plans_from_json(
+                ir.sentence_plans_to_json(plans))
+            assert hash(tuple(decoded)) == hash(tuple(plans))
+            clause = decoded[0].clauses[0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clause.verb = "go"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clause.subject_ref.entity.gender = "feminine"
+        plan = random_document_plan(rng)
+        again = ir.document_plan_from_json(ir.document_plan_to_json(plan))
+        assert hash(again.root) == hash(plan.root)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.root.label = "contrast"
+
+    def test_document_plan_matches_a_reference_encoder(self, rng):
+        for _ in range(30):
+            plan = random_document_plan(rng)
+            assert ir.document_plan_to_json(plan) == \
+                _reference_encoding(plan)
+        assert ir.document_plan_to_json(ir.DocumentPlan(root=None)) == \
+            _reference_encoding(ir.DocumentPlan(root=None))
+
+    def test_defaults_are_filled_and_factories_called(self):
+        one = ir.document_plan_from_json('{"root":null}')
+        two = ir.document_plan_from_json('{"root":null}')
+        assert one == ir.DocumentPlan(root=None)
+        assert one.entities == {} and one.entities is not two.entities
+        (sp,) = ir.sentence_plans_from_json(
+            '{"entities":{"sam":{"id":"sam","name":"Sam"}},'
+            '"sentences":[{"clauses":[{"subject_ref":{"entity":"sam"},'
+            '"verb":"rest"}]}]}')
+        assert sp == ir.SentencePlan(clauses=(ir.ClauseSpec(
+            subject_ref=ir.ReferenceSpec(entity=ir.Entity(id="sam",
+                                                          name="Sam")),
+            verb="rest"),))
+
+    def test_table_belongs_to_one_file(self):
+        ref = ir.ReferenceSpec(entity=SAM)
+        plans = [ir.SentencePlan(clauses=(
+            ir.ClauseSpec(subject_ref=ref, verb="rest"),))]
+        payload = json.loads(ir.sentence_plans_to_json(plans))
+        assert ir.sentence_plans_from_json(json.dumps(payload)) == plans
+        bad = dict(payload, sentences=[{"clauses": [{"verb": 1}]}])
+        with pytest.raises(SerializationError):
+            ir.sentence_plans_from_json(json.dumps(bad))
+        # Neither the good nor the failed call leaves its table behind.
+        with pytest.raises(SerializationError,
+                           match="^entity: unknown entity 'sam'$"):
+            ir.from_obj(ir.ReferenceSpec, {"entity": "sam"})
+        del payload["entities"]
+        with pytest.raises(SerializationError,
+                           match=r"^sentences\[0\]\.clauses\[0\]\."
+                                 r"subject_ref\.entity: unknown entity "
+                                 r"'sam'$"):
+            ir.sentence_plans_from_json(json.dumps(payload))
+
+    def test_table_is_read_first_whatever_the_key_order(self):
+        text = ir.sentence_plans_to_json([ir.SentencePlan(clauses=(
+            ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=SAM),
+                          verb="rest"),))])
+        payload = json.loads(text)
+        swapped = {"sentences": payload["sentences"],
+                   "entities": payload["entities"]}
+        assert ir.sentence_plans_from_json(json.dumps(swapped)) == \
+            ir.sentence_plans_from_json(text)
+
+    def test_one_id_with_two_feature_sets_is_not_encoded(self):
+        she = dataclasses.replace(SAM, gender="feminine")
+        plans = [ir.SentencePlan(clauses=(
+            ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=SAM),
+                          verb="rest"),
+            ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=she),
+                          verb="rest")))]
+        with pytest.raises(SerializationError, match="'sam'"):
+            ir.sentence_plans_to_json(plans)
+
+    def test_decoder_refuses_classes_with_init_logic(self):
+        @dataclasses.dataclass(frozen=True)
+        class Checked:
+            n: str
+
+            def __post_init__(self):
+                pass
+
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Slotted:
+            n: str
+
+        for cls in (Checked, Slotted):
+            with pytest.raises(TypeError, match="__init__"):
+                ir.from_obj(cls, {"n": "x"})
 
 
 class TestValidateSentences:
