@@ -46,11 +46,13 @@ def _fail(stage: str, code: int, message: str) -> _StageFailure:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            # Decoded here: sys.stdin's error handler follows the locale,
+            # and in UTF-8 mode it would let bad bytes through.
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _fail("io", EXIT_IO, f"cannot read {path}: {exc}")
 
 

@@ -48,6 +48,13 @@ CASES = get_args(Case)
 # prefix, e.g. "@mrs_black".
 ENTITY_MARKER = "@"
 
+# How deep a document plan's relation nodes may nest below its root.
+# traverse counts one level per `call` and per non-sequence arc and stops
+# past it, and validate() refuses a deeper decoded plan, so every stage
+# walks trees that fit the interpreter's stack: to_json spends about
+# three interpreter frames per plan level and overflows near 330 levels.
+MAX_NESTING = 100
+
 
 def is_verb_lemma(verb: str) -> bool:
     """A verb lemma is one lowercase alphabetic word ("have", not "Has",
@@ -364,7 +371,7 @@ def validate(plan: DocumentPlan) -> list[str]:
     problems: list[str] = []
     _validate_entities(plan.entities, problems)
 
-    def walk(node: PlanNode, where: str) -> None:
+    def walk(node: PlanNode, where: str, level: int) -> None:
         if node.message is not None:
             _validate_message(node.message, plan, f"{where}.message",
                               problems)
@@ -373,15 +380,19 @@ def validate(plan: DocumentPlan) -> list[str]:
             if node.label is not None:
                 problems.append(f"{where}: leaf node has a label")
             return
+        if level > MAX_NESTING:
+            problems.append(f"{where}: relation nodes nest more than "
+                            f"{MAX_NESTING} levels below the root")
+            return
         if node.label is None:
             problems.append(f"{where}: relation node has no label")
         if not node.children:
             problems.append(f"{where}: relation node has no children")
         for i, child in enumerate(node.children):
-            walk(child, f"{where}.children[{i}]")
+            walk(child, f"{where}.children[{i}]", level + 1)
 
     if plan.root is not None:
-        walk(plan.root, "root")
+        walk(plan.root, "root", 0)
     return problems
 
 

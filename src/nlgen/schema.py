@@ -26,8 +26,11 @@ templates and following every arc whose guard is true, in declaration
 order.  Arcs labeled sequence splice their results into the surrounding
 flow; elaboration and contrast arcs group consecutive same-labeled
 results under one relation node, and `call` results form a subtree.  A
-per-node visit budget (default 32) turns runaway cycles into errors, and
-nesting deeper than the interpreter's recursion limit is a TraversalError.
+per-node visit budget (default 32) turns runaway cycles into errors.
+Traversal keeps its own stack, so a sequence chain may be any length;
+each `call` and each non-sequence arc nests one level, and nesting deeper
+than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
+operators as deep, and no deeper.
 """
 
 from __future__ import annotations
@@ -277,11 +280,16 @@ class _LineParser:
             return Expr("path", path)
         raise self._fail("expected a quoted literal or path(...)")
 
-    def condition(self) -> Condition:
+    def condition(self, level: int = 1) -> Condition:
+        """One guard operator, ``level`` operators deep in its guard."""
         op_tok = self.take("ident")
         op = op_tok.value
         if op not in ("exists", "eq", "gt", "lt", "and", "or", "not"):
             raise SchemaParseError(f"unknown condition operator {op!r}",
+                                   self.line, op_tok.col)
+        if level > ir.MAX_NESTING:
+            raise SchemaParseError(f"guard nests deeper than "
+                                   f"{ir.MAX_NESTING} levels",
                                    self.line, op_tok.col)
         self.take("symbol", "(")
         if op == "exists":
@@ -295,13 +303,13 @@ class _LineParser:
             self.take("symbol", ")")
             return Condition(op=op, path=path, value=value)
         if op == "not":
-            arg = self.condition()
+            arg = self.condition(level + 1)
             self.take("symbol", ")")
             return Condition(op="not", args=(arg,))
-        args = [self.condition()]
+        args = [self.condition(level + 1)]
         while self.peek() is not None and self.peek().value == ",":
             self.take("symbol", ",")
-            args.append(self.condition())
+            args.append(self.condition(level + 1))
         self.take("symbol", ")")
         if len(args) < 2:
             raise SchemaParseError(f"{op}(...) needs at least two arguments",
@@ -628,6 +636,8 @@ def load_data(text: str) -> DataRecordSet:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"data file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DataError("data file is nested too deeply") from None
     if not isinstance(payload, dict):
         raise DataError("data file must be a JSON object")
     unknown = set(payload) - {"entities", "records"}
@@ -655,18 +665,22 @@ def load_data(text: str) -> DataRecordSet:
     return DataRecordSet(entities=entities, records=records)
 
 
-def _check_entity_refs(value: Any, entities: dict[str, ir.Entity]) -> None:
-    if isinstance(value, str):
-        ref = ir.entity_ref(value)
-        if ref is not None and ref not in entities:
-            raise DataError(f"record value references unknown entity "
-                            f"{ref!r}")
-    elif isinstance(value, dict):
-        for v in value.values():
-            _check_entity_refs(v, entities)
-    elif isinstance(value, list):
-        for v in value:
-            _check_entity_refs(v, entities)
+def _check_entity_refs(records: dict[str, Any],
+                       entities: dict[str, ir.Entity]) -> None:
+    """Refuse the first @ reference, in document order, to an entity the
+    data does not declare; records may nest as deep as JSON allows."""
+    pending: list[Any] = [records]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, str):
+            ref = ir.entity_ref(value)
+            if ref is not None and ref not in entities:
+                raise DataError(f"record value references unknown entity "
+                                f"{ref!r}")
+        elif isinstance(value, dict):
+            pending.extend(reversed(value.values()))
+        elif isinstance(value, list):
+            pending.extend(reversed(value))
 
 
 def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],
@@ -830,72 +844,72 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
     """Interpret a schema over the data records, producing a document plan.
 
     Deterministic: equal schema and data always yield a structurally
-    equal plan.
+    equal plan.  Each `call` and each non-sequence arc nests one level,
+    and nesting past ir.MAX_NESTING is a TraversalError.
     """
     visits: dict[tuple[str, str], int] = {}
+    # One frame per node being visited: its schema, its arcs not yet
+    # followed, its pieces, its runs of same-label results (a callee's
+    # pieces are a run labeled "call"), its level, and the label of the
+    # run its pieces join in its parent's frame.
+    stack: list[tuple] = []
 
-    def visit(definition: SchemaDef, node_id: str) -> list[ir.PlanNode]:
-        key = (definition.name, node_id)
-        visits[key] = visits.get(key, 0) + 1
-        if visits[key] > max_visits:
-            raise TraversalError(
-                f"visit limit ({max_visits}) exceeded at node "
-                f"{node_id!r} in schema {definition.name!r}; probable "
-                f"schema cycle")
-        node = definition.node(node_id)
-        pieces: list[ir.PlanNode] = []
-        if node.kind == "emit":
-            message = _instantiate_node(definition, node, data)
-            pieces.append(ir.PlanNode(message=message))
-        elif node.kind == "call":
+    def enter(definition: SchemaDef, node_id: str, level: int,
+              joins: str) -> None:
+        while True:  # a call node's frame is topped by its callee's entry
+            key = (definition.name, node_id)
+            visits[key] = visits.get(key, 0) + 1
+            if visits[key] > max_visits:
+                raise TraversalError(
+                    f"visit limit ({max_visits}) exceeded at node "
+                    f"{node_id!r} in schema {definition.name!r}; probable "
+                    f"schema cycle")
+            if level > ir.MAX_NESTING:
+                raise TraversalError(
+                    f"schema nesting deeper than {ir.MAX_NESTING} levels "
+                    f"at node {node_id!r} in schema {definition.name!r}")
+            node = definition.node(node_id)
+            pieces: list[ir.PlanNode] = []
+            if node.kind == "emit":
+                pieces.append(ir.PlanNode(
+                    message=_instantiate_node(definition, node, data)))
+            stack.append((definition, iter(definition.arcs_from(node_id)),
+                          pieces, [], level, joins))
+            if node.kind != "call":
+                return
             sub = definition.schema_set.get(node.target)
             if sub is None:
                 raise TraversalError(
                     f"node {node.id!r}: unresolved sub-schema "
                     f"{node.target!r}")
-            sub_pieces = visit(sub, sub.entry)
-            if len(sub_pieces) == 1:
-                pieces.append(sub_pieces[0])
-            elif sub_pieces:
-                pieces.append(ir.PlanNode(label="sequence",
-                                          children=tuple(sub_pieces)))
-        # Arcs in declaration order; every true guard is taken.
-        taken: list[tuple[str, list[ir.PlanNode]]] = []
-        for arc in definition.arcs_from(node_id):
-            if arc.guard is not None and not eval_condition(arc.guard, data):
-                continue
-            taken.append((arc.rel, visit(definition, arc.dst)))
-        i = 0
-        while i < len(taken):
-            rel = taken[i][0]
-            combined: list[ir.PlanNode] = []
-            while i < len(taken) and taken[i][0] == rel:
-                combined.extend(taken[i][1])
-                i += 1
-            if not combined:
-                continue
-            if rel == "sequence":
-                pieces.extend(combined)
-            else:
-                pieces.append(ir.PlanNode(label=rel, children=tuple(combined)))
-        return pieces
+            definition, node_id = sub, sub.entry
+            level, joins = level + 1, "call"
 
-    try:
-        pieces = visit(schema, schema.entry)
-    except RecursionError as exc:
-        # Name the deepest node reached, from the last visit frame on the
-        # traceback, so that the visit loop needs no depth bookkeeping.
-        node_id, definition = schema.entry, schema
-        tb = exc.__traceback__
-        while tb is not None:
-            if tb.tb_frame.f_code is visit.__code__:
-                node_id = tb.tb_frame.f_locals["node_id"]
-                definition = tb.tb_frame.f_locals["definition"]
-            tb = tb.tb_next
-        raise TraversalError(
-            f"schema nesting too deep at node {node_id!r} in schema "
-            f"{definition.name!r}") from None
-    root = None
-    if pieces:
-        root = ir.PlanNode(label="sequence", children=tuple(pieces))
+    enter(schema, schema.entry, 0, "sequence")
+    while True:
+        definition, arcs, pieces, runs, level, joins = stack[-1]
+        # Arcs in declaration order; every true guard is taken.
+        for arc in arcs:
+            if arc.guard is None or eval_condition(arc.guard, data):
+                enter(definition, arc.dst, level + (arc.rel != "sequence"),
+                      arc.rel)
+                break
+        else:
+            stack.pop()
+            for rel, combined in runs:
+                if rel == "sequence" or rel == "call" and len(combined) == 1:
+                    pieces.extend(combined)
+                elif combined:
+                    pieces.append(ir.PlanNode(
+                        label="sequence" if rel == "call" else rel,
+                        children=tuple(combined)))
+            if not stack:
+                break
+            runs = stack[-1][3]
+            if runs and runs[-1][0] == joins:
+                runs[-1][1].extend(pieces)
+            else:
+                runs.append((joins, pieces))
+    root = ir.PlanNode(label="sequence", children=tuple(pieces)) \
+        if pieces else None
     return ir.DocumentPlan(root=root, entities=dict(data.entities))

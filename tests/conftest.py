@@ -67,6 +67,11 @@ def run_cli(args: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def fake_stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin holding ``data``; the CLI reads its bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Random plan generation (seeded) for the property harnesses
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nlgen import ir, plan_sentences, schema, sentplan, traverse
 
-from conftest import run_cli
+from conftest import fake_stdin, run_cli
 
 
 def get(corpus, name):
@@ -128,19 +128,6 @@ class TestGenerate:
         assert err.count("\n") == 1
         assert "node 'a', condition node 'b'" in err
         assert "missing data path: r.missing" in err
-
-    def test_deep_chain_exits_2_without_traceback(self, tmp_path):
-        lines = ["schema chain"]
-        lines += [f"node n{i} emit subject=\"sam\" verb=rest"
-                  for i in range(3000)]
-        lines += [f"arc n{i} -> n{i + 1}" for i in range(2999)]
-        code, out, err = self._generate(tmp_path, "\n".join(lines) + "\n",
-                                        {})
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1
-        assert err.startswith("traverse:")
-        assert "schema nesting too deep at node 'n" in err
-        assert "in schema 'chain'" in err
 
     def test_lexicon_without_pronoun_cell_exits_4(self, corpus, tmp_path):
         doc = get(corpus, "reflexive")
@@ -522,6 +509,92 @@ class TestStageComposition:
         assert err.startswith("sentplan:")
 
 
+def _staged(tmp_path, schema_text, data) -> tuple[str, str]:
+    """generate's output and plan | sentplan | realize's, which must
+    both succeed, on one schema text and data object."""
+    code, direct, err = _run_one(tmp_path, "generate", schema_text, data)
+    assert (code, err) == (0, "")
+    code, plan_json, err = _run_one(tmp_path, "plan", schema_text, data)
+    assert (code, err) == (0, "")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plan_json, encoding="utf-8")
+    code, sent_json, err = run_cli(["sentplan", "--plan", str(plan_file)])
+    assert (code, err) == (0, "")
+    sent_file = tmp_path / "sent.json"
+    sent_file.write_text(sent_json, encoding="utf-8")
+    code, piped, err = run_cli(["realize", "--sentences", str(sent_file)])
+    assert (code, err) == (0, "")
+    return direct, piped
+
+
+class TestNestingBound:
+    """ir.MAX_NESTING is the one depth rule: sequence chains of any length
+    generate, and deeper nesting fails the same way in every command."""
+
+    def test_long_sequence_chain_generates_and_stages(self, tmp_path):
+        lines = ["schema chain"]
+        lines += [f"node n{i} emit subject=\"sam\" verb=rest"
+                  for i in range(5000)]
+        lines += [f"arc n{i} -> n{i + 1}" for i in range(4999)]
+        direct, piped = _staged(tmp_path, "\n".join(lines) + "\n",
+                                {"entities": _SAM, "records": {}})
+        assert direct.count("rests") == 5000
+        assert piped == direct
+
+    def test_nested_calls_past_the_bound_exit_2_alike(self, tmp_path):
+        lines = []
+        for i in range(400):
+            lines += [f"schema s{i}", f"node c call s{i + 1}"]
+        lines += ["schema s400", 'node a emit subject="sam" verb=rest']
+        errs = set()
+        for command in ("plan", "generate"):
+            code, out, err = _run_one(tmp_path, command,
+                                      "\n".join(lines) + "\n",
+                                      {"entities": _SAM, "records": {}})
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1
+            errs.add(err)
+        (err,) = errs
+        assert err.startswith("traverse: ")
+        assert (f"schema nesting deeper than {ir.MAX_NESTING} levels at "
+                f"node 'c' in schema 's{ir.MAX_NESTING + 1}'") in err
+
+    @staticmethod
+    def _elaboration_chain(links: int) -> str:
+        lines = ["schema s"]
+        lines += [f"node n{i} emit subject=\"sam\" verb=rest"
+                  for i in range(links + 1)]
+        lines += [f"arc n{i} -> n{i + 1} rel elaboration"
+                  for i in range(links)]
+        return "\n".join(lines) + "\n"
+
+    def test_plan_at_the_bound_passes_every_stage(self, tmp_path):
+        direct, piped = _staged(tmp_path,
+                                self._elaboration_chain(ir.MAX_NESTING),
+                                {"entities": _SAM, "records": {}})
+        assert direct.count("rests") == ir.MAX_NESTING + 1
+        assert piped == direct
+
+    def test_plan_one_level_deeper_exits_3(self, tmp_path):
+        code, plan_json, _ = _run_one(
+            tmp_path, "plan", self._elaboration_chain(ir.MAX_NESTING),
+            {"entities": _SAM, "records": {}})
+        assert code == 0
+        obj = json.loads(plan_json)
+        deepest = obj["root"]
+        while deepest["children"][-1]["label"] is not None:
+            deepest = deepest["children"][-1]
+        deepest["children"] = [{"label": "elaboration", "message": None,
+                                "children": deepest["children"]}]
+        plan_file = tmp_path / "deeper.json"
+        plan_file.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run_cli(["sentplan", "--plan", str(plan_file)])
+        assert (code, out) == (3, "")
+        assert err.startswith("sentplan: ")
+        assert err.count("\n") == 1
+        assert f"nest more than {ir.MAX_NESTING} levels" in err
+
+
 def _sentence_plan_obj(doc) -> dict:
     plans = plan_sentences(traverse(doc.schema, doc.data), "fluent")
     return json.loads(ir.sentence_plans_to_json(plans))
@@ -620,7 +693,8 @@ class TestBadSentencePlans:
         obj = _sentence_plan_obj(get(corpus, "patient_report"))
         container, key = data.draw(st.sampled_from(_scalar_slots(obj)))
         container[key] = data.draw(_SCALARS)
-        with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))):
+        with mock.patch("sys.stdin",
+                        fake_stdin(json.dumps(obj).encode("utf-8"))):
             code, _, err = run_cli(["realize", "--sentences", "-"])
         assert code in (0, 4)
         assert code == 0 or err.startswith("realize:")
@@ -636,7 +710,8 @@ class TestBadDocumentPlans:
             traverse(doc.schema, doc.data)))
         container, key = data.draw(st.sampled_from(_scalar_slots(obj)))
         container[key] = data.draw(_SCALARS)
-        with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))):
+        with mock.patch("sys.stdin",
+                        fake_stdin(json.dumps(obj).encode("utf-8"))):
             code, _, err = run_cli(["sentplan", "--plan", "-"])
         assert code in (0, 3)
         assert code == 0 or err.startswith("sentplan:")
@@ -705,3 +780,41 @@ class TestBadDataFiles:
         assert (batch / "p0.txt").read_text(encoding="utf-8") == \
             doc.golden("fluent")
         assert not (batch / "p2.txt").exists()
+
+    def test_undecodable_schema_file_exits_5(self, corpus, tmp_path):
+        doc = get(corpus, "sam_pair")
+        bad = tmp_path / "bad.schema"
+        bad.write_bytes(b"schema s\n\xff\n")
+        code, out, err = run_cli([
+            "generate", "--schema", str(bad), "--data", str(doc.data_path)])
+        assert (code, out) == (5, "")
+        assert err.startswith(f"io: cannot read {bad}: 'utf-8' codec "
+                              f"can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_undecodable_stdin_exits_5(self):
+        with mock.patch("sys.stdin", fake_stdin(b'{"root": "\xff"}')):
+            code, out, err = run_cli(["sentplan", "--plan", "-"])
+        assert (code, out) == (5, "")
+        assert err.startswith("io: cannot read -: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth", [985, 990])
+    def test_deeply_nested_records_never_raise(self, tmp_path, depth):
+        # Depending on the interpreter, json.loads or the entity-reference
+        # check is the first to meet this depth.
+        data_file = tmp_path / "d.json"
+        data_file.write_text(
+            '{"entities": {"sam": {"name": "Sam"}}, "records": {"r": '
+            + "[" * depth + '"@sam"' + "]" * depth + "}}", encoding="utf-8")
+        schema_file = tmp_path / "s.schema"
+        schema_file.write_text('schema s\nnode a emit subject="sam" '
+                               'verb=rest\n', encoding="utf-8")
+        code, out, err = run_cli(["generate", "--schema", str(schema_file),
+                                  "--data", str(data_file)])
+        if code == 0:
+            assert (out, err) == ("Sam rests.\n", "")
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("parse: ")
+            assert err.count("\n") == 1

@@ -374,14 +374,6 @@ class TestTemplates:
         assert realize.realize_template(t["w"], {"who": PATIENT}) == \
             "The patient rests."
 
-    def test_default_library_parses(self):
-        from importlib import resources
-
-        text = (resources.files("nlgen") / "data/templates.txt") \
-            .read_text(encoding="utf-8")
-        templates = realize.parse_templates(text)
-        assert "temperature_report" in templates
-
     def test_raw_slot_and_multiple_blocks(self):
         source = ("template one\nhello {name}.\n\n"
                    "template two\nbye {name}.\n")

@@ -207,6 +207,22 @@ class TestParse:
         assert rebuilt == parsed
         assert rebuilt.arcs_from("b") == (parsed.arcs[1],)
 
+    def test_guard_nesting_bound(self):
+        def source(operators):
+            guard = ("not(" * (operators - 1) + "exists(r.x)"
+                     + ")" * (operators - 1))
+            return ("schema s\nnode a emit subject=\"sam\" verb=rest\n"
+                    f"node b end\narc a -> b when {guard}\n")
+
+        parsed = schema.parse_schema(source(ir.MAX_NESTING))
+        assert schema.print_schema(parsed) == source(ir.MAX_NESTING)
+        with pytest.raises(SchemaParseError) as info:
+            schema.parse_schema(source(ir.MAX_NESTING + 1))
+        assert (info.value.line, info.value.column) == \
+            (4, len("arc a -> b when ") + 4 * ir.MAX_NESTING + 1)
+        assert f"guard nests deeper than {ir.MAX_NESTING} levels" in \
+            str(info.value)
+
     def test_string_escapes(self):
         parsed = schema.parse_schema(
             'schema s\nnode a emit subject="sam" verb=say '
@@ -359,6 +375,35 @@ class TestTraverse:
         with pytest.raises(TraversalError) as info:
             schema.traverse(parsed, data)
         assert "patient.missing" in str(info.value)
+
+    def test_nesting_bound_counts_only_non_sequence_arcs(self):
+        # Every elaboration link is followed by a sequence link, which
+        # splices into the flow and so nests nothing.
+        def traverse_chain(links):
+            lines = ["schema s"]
+            for i in range(links + 1):
+                lines += [f"node e{i} emit subject=\"sam\" verb=rest",
+                          f"node q{i} emit subject=\"sam\" verb=go"]
+            for i in range(links + 1):
+                lines.append(f"arc e{i} -> q{i}")
+                if i < links:
+                    lines.append(f"arc q{i} -> e{i + 1} rel elaboration")
+            data = schema.load_data(
+                '{"entities": {"sam": {"name": "Sam"}}, "records": {}}')
+            return schema.traverse(
+                schema.parse_schema("\n".join(lines) + "\n"), data)
+
+        plan = traverse_chain(ir.MAX_NESTING)
+        assert ir.validate(plan) == []
+        node, levels = plan.root, 0
+        while node.children[-1].label is not None:
+            node, levels = node.children[-1], levels + 1
+        assert levels == ir.MAX_NESTING
+        assert len(ir.plan_leaves(plan)) == 2 * (ir.MAX_NESTING + 1)
+        with pytest.raises(TraversalError, match=(
+                f"nesting deeper than {ir.MAX_NESTING} levels at node "
+                f"'e{ir.MAX_NESTING + 1}' in schema 's'")):
+            traverse_chain(ir.MAX_NESTING + 1)
 
     def test_elaboration_arcs_group_into_one_relation(self):
         src = ("schema s\n"
@@ -540,6 +585,12 @@ class TestLoadData:
             schema.load_data(
                 '{"entities": {}, "records": {"r": {"who": "@ghost"}}}')
         assert "ghost" in str(info.value)
+
+    def test_first_unknown_reference_in_document_order(self):
+        with pytest.raises(DataError, match="unknown entity 'one'$"):
+            schema.load_data(
+                '{"entities": {}, "records": {"a": [[{"b": "@one"}], '
+                '"@two"], "c": {"d": "@three"}}}')
 
     def test_entity_defaults(self):
         data = schema.load_data(
