@@ -54,6 +54,9 @@ ENTITY_MARKER = "@"
 # walks trees that fit the interpreter's stack: to_json spends about
 # three interpreter frames per plan level and overflows near 330 levels.
 MAX_NESTING = 100
+# The problem named for plan JSON too deep for the decoders to walk (a
+# few hundred levels, by Python version); no valid file comes near it.
+_TOO_DEEP = f"JSON values nest more than {MAX_NESTING} levels"
 
 
 def is_verb_lemma(verb: str) -> bool:
@@ -381,8 +384,12 @@ def validate(plan: DocumentPlan) -> list[str]:
                 problems.append(f"{where}: leaf node has a label")
             return
         if level > MAX_NESTING:
-            problems.append(f"{where}: relation nodes nest more than "
-                            f"{MAX_NESTING} levels below the root")
+            # The full path repeats ".children[i]" past the bound; its
+            # first segments and the level say where the plan went deep.
+            head = ".".join(where.split(".")[:3])
+            problems.append(f"{head}... (level {level}): relation nodes "
+                            f"nest more than {MAX_NESTING} levels below "
+                            f"the root")
             return
         if node.label is None:
             problems.append(f"{where}: relation node has no label")
@@ -639,7 +646,7 @@ def from_obj(tp, value, where: str = ""):
     except _Invalid as exc:
         problem, path = str(exc), where + "".join(reversed(exc.path))
     except RecursionError:
-        problem, path = "nested too deeply", where
+        problem, path = _TOO_DEEP, where
     path = path.lstrip(".")
     raise SerializationError(f"{path}: {problem}" if path else problem)
 
@@ -647,8 +654,10 @@ def from_obj(tp, value, where: str = ""):
 def _parse(text: str, what: str):
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise SerializationError(f"malformed {what}: {exc}") from None
+    except RecursionError:
+        raise SerializationError(f"malformed {what}: {_TOO_DEEP}") from None
 
 
 def _check(problems: list[str]) -> None:

@@ -31,13 +31,22 @@ Traversal keeps its own stack, so a sequence chain may be any length;
 each `call` and each non-sequence arc nests one level, and nesting deeper
 than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
 operators as deep, and no deeper.
+
+Guards and literal complements are compiled on first use and cached on
+the frozen schema objects: each Condition builds one predicate over the
+data records (Condition.test), and each MessageTemplate parses its literal
+complements once (MessageTemplate.phrases).  Parsing builds neither, so a
+schema that is parsed and not run costs nothing more; checks that depend
+on the data, such as @ references naming an entity, run for every
+document.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .errors import (
@@ -87,6 +96,12 @@ class Condition:
         object.__setattr__(self, "segments", tuple(self.path.split("."))
                            if self.path is not None else ())
 
+    @cached_property
+    def test(self) -> Callable[[Any], bool]:
+        """This guard as a predicate over data records, built on first
+        use; eval_condition() calls it."""
+        return _compile_condition(self)
+
 
 @dataclass(frozen=True)
 class MessageTemplate:
@@ -97,6 +112,13 @@ class MessageTemplate:
     modal: str | None = None
     adverb: Expr | None = None
     condition_node: str | None = None
+
+    @cached_property
+    def phrases(self) -> tuple[ir.ComplementPhrase | None, ...]:
+        """Each literal complement parsed once, on first use; None for a
+        path, and for a literal that does not parse, which then fails at
+        traversal with its node named."""
+        return tuple(_parse_literal_complement(e) for e in self.complements)
 
 
 @dataclass(frozen=True)
@@ -697,22 +719,9 @@ def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],
     return value
 
 
-def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
-    """Evaluate an arc guard; missing paths and type mismatches are errors
-    except under exists()."""
-    if cond.op == "exists":
-        try:
-            _resolve_segments(data.records, cond.segments, cond.path)
-            return True
-        except MissingPathError:
-            return False
-    if cond.op == "not":
-        return not eval_condition(cond.args[0], data)
-    if cond.op == "and":
-        return all(eval_condition(a, data) for a in cond.args)
-    if cond.op == "or":
-        return any(eval_condition(a, data) for a in cond.args)
-    value = _resolve_segments(data.records, cond.segments, cond.path)
+def _compare(cond: Condition, value: Any) -> bool:
+    """eq/gt/lt on a resolved path value, with every type rule; the
+    compiled guards take a shortcut only where these rules agree."""
     literal = cond.value
     if cond.op == "eq":
         if isinstance(value, bool) != isinstance(literal, bool):
@@ -737,6 +746,79 @@ def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
     if cond.op == "gt":
         return value > literal
     return value < literal
+
+
+# Literal types for which a value of exactly the literal's type compares
+# as _compare would compare it, with no type rule to apply.
+_SAME_TYPE_FAST = {"eq": (int, float, str), "gt": (int, float),
+                   "lt": (int, float)}
+
+
+def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
+    """One closure per operator; children are compiled with their parent.
+    Each comparison has its own closure, so that its shortcut is one
+    inline operation."""
+    op, segments, path = cond.op, cond.segments, cond.path
+    if op == "exists":
+        def test(records):
+            value = records
+            for segment in segments:
+                if not (type(value) is dict or isinstance(value, Mapping)) \
+                        or segment not in value:
+                    return False
+                value = value[segment]
+            return True
+    elif op == "not":
+        inner = cond.args[0].test
+
+        def test(records):
+            return not inner(records)
+    elif op == "and":
+        tests = tuple(arg.test for arg in cond.args)
+
+        def test(records):
+            for arg_test in tests:
+                if not arg_test(records):
+                    return False
+            return True
+    elif op == "or":
+        tests = tuple(arg.test for arg in cond.args)
+
+        def test(records):
+            for arg_test in tests:
+                if arg_test(records):
+                    return True
+            return False
+    else:
+        literal = cond.value
+        # type() never returns None, so None turns the shortcut off.
+        fast = type(literal) \
+            if type(literal) in _SAME_TYPE_FAST.get(op, ()) else None
+        if op == "eq":
+            def test(records):
+                value = _resolve_segments(records, segments, path)
+                if type(value) is fast:
+                    return value == literal
+                return _compare(cond, value)
+        elif op == "gt":
+            def test(records):
+                value = _resolve_segments(records, segments, path)
+                if type(value) is fast:
+                    return value > literal
+                return _compare(cond, value)
+        else:  # lt, and any other op, as in _compare
+            def test(records):
+                value = _resolve_segments(records, segments, path)
+                if type(value) is fast:
+                    return value < literal
+                return _compare(cond, value)
+    return test
+
+
+def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
+    """Evaluate an arc guard; missing paths and type mismatches are errors
+    except under exists()."""
+    return cond.test(data.records)
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +846,15 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
     return ir.ComplementPhrase(head=head, determiner=determiner,
                                premodifiers=premodifiers,
                                preposition=preposition)
+
+
+def _parse_literal_complement(expr: Expr) -> ir.ComplementPhrase | None:
+    if expr.kind != "literal":
+        return None
+    try:
+        return _parse_complement_text(expr.value)
+    except TraversalError:
+        return None
 
 
 # JSON values that have no text form of their own.
@@ -798,9 +889,10 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
         subject = subject[len(ir.ENTITY_MARKER):]
     if subject not in data.entities:
         raise TraversalError(f"unknown entity {subject!r}")
-    complements = tuple(
-        _parse_complement_text(_resolve_expr(e, data))
-        for e in template.complements)
+    complements = tuple([
+        _parse_complement_text(_resolve_expr(expr, data))
+        if phrase is None else phrase
+        for expr, phrase in zip(template.complements, template.phrases)])
     for phrase in complements:
         ref = ir.entity_ref(phrase.head)
         if ref is not None and ref not in data.entities:

@@ -110,10 +110,68 @@ def _find_node(definition, node_id):
     raise KeyError(node_id)
 
 
+def _reference_resolve(records, path):
+    """Walk a dotted path down the records, splitting it on every call."""
+    from collections.abc import Mapping
+
+    from nlgen.errors import MissingPathError
+
+    value = records
+    for segment in path.split("."):
+        if not isinstance(value, Mapping) or segment not in value:
+            raise MissingPathError(path)
+        value = value[segment]
+    return value
+
+
+def reference_eval_condition(cond, data):
+    """Guards by interpretation, as the library evaluated them before it
+    compiled them: every call walks the operator and its type rules."""
+    from nlgen.errors import MissingPathError, TypeMismatchError
+
+    if cond.op == "exists":
+        try:
+            _reference_resolve(data.records, cond.path)
+            return True
+        except MissingPathError:
+            return False
+    if cond.op == "not":
+        return not reference_eval_condition(cond.args[0], data)
+    if cond.op == "and":
+        return all(reference_eval_condition(a, data) for a in cond.args)
+    if cond.op == "or":
+        return any(reference_eval_condition(a, data) for a in cond.args)
+    value = _reference_resolve(data.records, cond.path)
+    literal = cond.value
+    if cond.op == "eq":
+        if isinstance(value, bool) != isinstance(literal, bool):
+            raise TypeMismatchError(
+                f"eq({cond.path}, ...): cannot compare "
+                f"{type(value).__name__} with {type(literal).__name__}")
+        if isinstance(value, bool):
+            return value == literal
+        if isinstance(value, (int, float)) and \
+                isinstance(literal, (int, float)):
+            return value == literal
+        if isinstance(value, str) and isinstance(literal, str):
+            return value == literal
+        raise TypeMismatchError(
+            f"eq({cond.path}, ...): cannot compare "
+            f"{type(value).__name__} with {type(literal).__name__}")
+    # gt / lt: numbers only
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeMismatchError(
+            f"{cond.op}({cond.path}, ...): path value is "
+            f"{type(value).__name__}, not a number")
+    if cond.op == "gt":
+        return value > literal
+    return value < literal
+
+
 def reference_traverse(definition, data, max_visits=32):
     """Traversal by plain enumeration: every visit scans all of its
-    schema's arcs for its own and finds nodes by linear search.  Guards and
-    templates go through the library's eval_condition and
+    schema's arcs for its own and finds nodes by linear search.  Guards go
+    through reference_eval_condition, templates through the library's
     instantiate_template; error classes match schema.traverse."""
     from nlgen import ir, schema
     from nlgen.errors import MissingPathError, TraversalError
@@ -158,7 +216,7 @@ def reference_traverse(definition, data, max_visits=32):
             if arc.src != node_id:
                 continue
             if arc.guard is not None \
-                    and not schema.eval_condition(arc.guard, data):
+                    and not reference_eval_condition(arc.guard, data):
                 continue
             result = visit(d, arc.dst)
             if runs and runs[-1][0] == arc.rel:

@@ -401,6 +401,47 @@ class TestNoLostOrBlankWords:
         assert f"data path r.v holds {shown}, not a finite number" in err
 
 
+class TestLiteralComplements:
+    """Literal complements are parsed once per template; the checks that
+    ran at traversal still run there, for every document."""
+
+    @pytest.mark.parametrize("command", ["plan", "generate"])
+    @pytest.mark.parametrize("complement", ['""', '"  "'])
+    def test_blank_literal_exits_2_naming_the_node(self, tmp_path, command,
+                                                   complement):
+        code, out, err = _run_one(
+            tmp_path, command,
+            f'schema s\nnode a emit subject="sam" verb=see '
+            f'complement={complement}\n',
+            {"entities": _SAM, "records": {}})
+        assert (code, out) == (2, "")
+        assert err.startswith("traverse: ")
+        assert err.count("\n") == 1
+        assert "node 'a'" in err and "empty complement text" in err
+
+    def test_entity_literal_is_checked_for_every_document(self, tmp_path):
+        # --batch parses the schema once: the second document reuses the
+        # parsed "@ghost" and must still find its entity missing.
+        schema_file = tmp_path / "s.schema"
+        schema_file.write_text('schema s\nnode a emit subject="sam" '
+                               'verb=see complement="@ghost"\n')
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        ghost = {"ghost": {"name": "Ghost"}}
+        (batch / "p0.json").write_text(json.dumps(
+            {"entities": {**_SAM, **ghost}, "records": {}}))
+        (batch / "p1.json").write_text(json.dumps(
+            {"entities": _SAM, "records": {}}))
+        code, out, err = run_cli(["generate", "--schema", str(schema_file),
+                                  "--batch", str(batch)])
+        assert (code, out) == (2, "")
+        assert (batch / "p0.txt").read_text() == "Sam sees Ghost.\n"
+        assert err.startswith("traverse: ")
+        assert err.count("\n") == 1
+        assert str(batch / "p1.json") in err
+        assert "node 'a'" in err and "unknown entity 'ghost'" in err
+
+
 class TestNumbers:
     @pytest.mark.parametrize("value, shown", [
         ("1e300", "1" + "0" * 300), ("1e16", "10000000000000000"),
@@ -593,6 +634,43 @@ class TestNestingBound:
         assert err.startswith("sentplan: ")
         assert err.count("\n") == 1
         assert f"nest more than {ir.MAX_NESTING} levels" in err
+        # The line names the level and the first steps of the path, not
+        # all 101 of them.
+        with mock.patch("sys.stdin", fake_stdin(plan_file.read_bytes())):
+            code, out, err = run_cli(["sentplan", "--plan", "-"])
+        assert (code, out) == (3, "")
+        assert err == (f"sentplan: <stdin>: root.children[1].children[1]... "
+                       f"(level {ir.MAX_NESTING + 1}): relation nodes nest "
+                       f"more than {ir.MAX_NESTING} levels below the root\n")
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("depth", [600, 2000])
+    @pytest.mark.parametrize("command, code", [("sentplan", 3),
+                                               ("realize", 4)])
+    def test_files_too_deep_to_decode_exit_alike(self, depth, command,
+                                                 code):
+        # Past a few hundred levels the JSON decoders, not validate, meet
+        # the depth first; the line still names the bound.
+        if command == "sentplan":
+            leaf = '{"message": {"subject": "sam", "verb": "rest"}}'
+            text = ('{"entities": {"sam": {"id": "sam", "name": "Sam"}}, '
+                    '"root": ' + '{"label": "elaboration", "children": ['
+                    * depth + leaf + "]}" * depth + "}")
+            flag = "--plan"
+        else:
+            clause = '{"subject_ref": {"entity": "sam"}, "verb": "rest"'
+            text = ('{"entities": {"sam": {"id": "sam", "name": "Sam"}}, '
+                    '"sentences": [{"clauses": ['
+                    + (clause + ', "condition": ') * depth + clause
+                    + "}" * (depth + 1) + "]}]}")
+            flag = "--sentences"
+        with mock.patch("sys.stdin", fake_stdin(text.encode("utf-8"))):
+            got, out, err = run_cli([command, flag, "-"])
+        assert (got, out) == (code, "")
+        assert err.startswith(f"{command}: <stdin>: ")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert f"nest more than {ir.MAX_NESTING} levels" in err
+        assert "recursion" not in err
 
 
 def _sentence_plan_obj(doc) -> dict:

@@ -333,7 +333,8 @@ class TestSerialization:
             ir.document_plan_from_json(json.dumps(payload))
 
     def test_deep_nesting_is_a_serialization_error(self):
-        with pytest.raises(SerializationError):
+        too_deep = f"JSON values nest more than {ir.MAX_NESTING} levels"
+        with pytest.raises(SerializationError, match=too_deep):
             ir.sentence_plans_from_json("[" * 100_000)
         clause = {"subject_ref": {"entity": "sam"}, "verb": "rest"}
         for _ in range(900):
@@ -341,7 +342,7 @@ class TestSerialization:
                       "condition": clause}
         text = json.dumps({"entities": {"sam": {"id": "sam", "name": "Sam"}},
                            "sentences": [{"clauses": [clause]}]})
-        with pytest.raises(SerializationError, match="nested too deeply"):
+        with pytest.raises(SerializationError, match=too_deep):
             ir.sentence_plans_from_json(text)
 
     def test_domains_are_the_literal_members(self):

@@ -307,6 +307,116 @@ class TestEvalCondition:
         assert schema.eval_condition(NOT, data)
 
 
+# Two keys and short paths, so that most paths resolve, to a scalar more
+# often than not.  Record values and literals share numbers across int,
+# float and bool, so that eq(a, 1) meets True and 1.0, and gt meets
+# booleans, strings, lists and objects.
+_GUARD_KEYS = st.sampled_from(["a", "b"])
+_GUARD_PATHS = st.lists(_GUARD_KEYS, min_size=1, max_size=2).map(".".join)
+_GUARD_LITERALS = st.one_of(
+    st.booleans(), st.integers(0, 2),
+    st.sampled_from([0.0, 1.0, 1.5, float("nan")]),
+    st.sampled_from(["on", "off", ""]))
+_GUARD_VALUES = st.one_of(_GUARD_LITERALS, st.none(),
+                          st.lists(_GUARD_LITERALS, max_size=1))
+_GUARD_RECORD = st.one_of(
+    _GUARD_LITERALS, _GUARD_VALUES,
+    st.dictionaries(_GUARD_KEYS, _GUARD_VALUES, min_size=1))
+_GUARD_RECORDS = st.fixed_dictionaries({"a": _GUARD_RECORD,
+                                        "b": _GUARD_RECORD})
+_DIRECT_GUARDS = st.recursive(
+    st.one_of(
+        st.builds(lambda path: schema.Condition(op="exists", path=path),
+                  _GUARD_PATHS),
+        st.builds(lambda op, path, value: schema.Condition(
+            op=op, path=path, value=value),
+            st.sampled_from(["eq", "gt", "lt"]), _GUARD_PATHS,
+            _GUARD_LITERALS)),
+    lambda inner: st.one_of(
+        st.builds(lambda arg: schema.Condition(op="not", args=(arg,)),
+                  inner),
+        st.builds(lambda op, args: schema.Condition(op=op, args=tuple(args)),
+                  st.sampled_from(["and", "or"]),
+                  st.lists(inner, min_size=1, max_size=3))),
+    max_leaves=6)
+
+
+class TestCompiledGuards:
+    """Guards built directly, as TestEvalCondition builds them, are
+    compiled on first use; each must behave as the interpreter in
+    oracle.reference_eval_condition on every record set, whether it
+    returns or raises."""
+
+    @staticmethod
+    def _outcome(evaluate, cond, data):
+        try:
+            result = evaluate(cond, data)
+        except Exception as exc:  # compared by class and message
+            return type(exc), str(exc)
+        return type(result), result
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(cond=_DIRECT_GUARDS,
+           tables=st.lists(_GUARD_RECORDS, min_size=1, max_size=4))
+    def test_matches_the_interpreter(self, cond, tables):
+        # One Condition over several record sets: what the first use
+        # compiles must serve every later one.
+        for records in tables:
+            data = schema.DataRecordSet(entities={}, records=records)
+            assert self._outcome(schema.eval_condition, cond, data) == \
+                self._outcome(oracle.reference_eval_condition, cond, data)
+
+    def test_every_comparison_type_pair(self):
+        # The shortcut for same-typed operands sits on these pairs, which
+        # random guards meet only now and then.
+        literals = [True, False, 0, 1, 2, 0.0, 1.0, 1.5, float("nan"),
+                    "on", "off", "", None]
+        for value in literals + [[], [1], {}, {"b": 1}]:
+            data = schema.DataRecordSet(entities={}, records={"a": value})
+            for op in ("eq", "gt", "lt"):
+                for literal in literals:
+                    cond = schema.Condition(op=op, path="a", value=literal)
+                    assert self._outcome(schema.eval_condition, cond,
+                                         data) == \
+                        self._outcome(oracle.reference_eval_condition, cond,
+                                      data), (op, value, literal)
+
+    def test_parsing_compiles_nothing(self, corpus):
+        # Compiling is left to the first traversal, so that a schema that
+        # is parsed and not run costs no more than before.
+        for doc in corpus:
+            parsed = schema.parse_schema(doc.schema_source)
+            for definition in parsed.schema_set.values():
+                for arc in definition.arcs:
+                    if arc.guard is not None:
+                        assert "test" not in vars(arc.guard)
+                for node in definition.nodes:
+                    if node.template is not None:
+                        assert "phrases" not in vars(node.template)
+            schema.traverse(parsed, doc.data)
+            assert any("phrases" in vars(node.template)
+                       for node in parsed.nodes if node.template)
+
+    def test_one_parse_serves_many_documents(self, corpus):
+        doc = get(corpus, "patient_report")
+        text = doc.schema_path.read_text(encoding="utf-8")
+        busy = json.loads(doc.data_path.read_text(encoding="utf-8"))
+        calm = json.loads(doc.data_path.read_text(encoding="utf-8"))
+        # Guards and a path complement read differently; a result kept
+        # from one document would show in the next.
+        calm["records"]["patient"].update(
+            needs_advice=False, bp={"systolic": 120, "diastolic": 80},
+            findings={"bp": "normal blood pressure"})
+        datas = [schema.load_data(json.dumps(records))
+                 for records in (busy, calm, busy)]
+        fresh = [schema.traverse(schema.parse_schema(text), data)
+                 for data in datas]
+        shared = schema.parse_schema(text)
+        assert [schema.traverse(shared, data) for data in datas] == fresh
+        assert fresh[0] != fresh[1]
+
+
 class TestTraverse:
     def test_demo_propositions_match_hand_enumeration(self, corpus):
         doc = get(corpus, "patient_report")
