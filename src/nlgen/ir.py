@@ -41,6 +41,7 @@ NUMBERS = get_args(Number)
 PERSONS = get_args(Person)
 TENSES = get_args(Tense)
 MODALS = get_args(Modal)
+POLARITIES = get_args(Polarity)
 RELATION_LABELS = get_args(RelationLabel)
 CASES = get_args(Case)
 
@@ -368,13 +369,16 @@ def _validate_message(msg: Message, plan: DocumentPlan, where: str,
 
 def validate(plan: DocumentPlan) -> list[str]:
     """Check the plan invariants that its types cannot express; returns
-    one description per violation (empty list means the plan is
-    well-formed).  document_plan_from_json() runs it on every decoded
-    plan; call it on a plan built by hand before planning sentences."""
+    one description per violation, and one for all branches past
+    MAX_NESTING (empty list means the plan is well-formed).
+    document_plan_from_json() runs it on every decoded plan; call it on a
+    plan built by hand before planning sentences."""
     problems: list[str] = []
     _validate_entities(plan.entities, problems)
+    too_deep = False
 
     def walk(node: PlanNode, where: str, level: int) -> None:
+        nonlocal too_deep
         if node.message is not None:
             _validate_message(node.message, plan, f"{where}.message",
                               problems)
@@ -384,12 +388,15 @@ def validate(plan: DocumentPlan) -> list[str]:
                 problems.append(f"{where}: leaf node has a label")
             return
         if level > MAX_NESTING:
-            # The full path repeats ".children[i]" past the bound; its
-            # first segments and the level say where the plan went deep.
-            head = ".".join(where.split(".")[:3])
-            problems.append(f"{head}... (level {level}): relation nodes "
-                            f"nest more than {MAX_NESTING} levels below "
-                            f"the root")
+            # Named once, at the first branch past the bound.  The full
+            # path repeats ".children[i]"; its first segments and the
+            # level say where the plan went deep.
+            if not too_deep:
+                head = ".".join(where.split(".")[:3])
+                problems.append(f"{head}... (level {level}): relation "
+                                f"nodes nest more than {MAX_NESTING} "
+                                f"levels below the root")
+            too_deep = True
             return
         if node.label is None:
             problems.append(f"{where}: relation node has no label")
@@ -660,9 +667,17 @@ def _parse(text: str, what: str):
         raise SerializationError(f"malformed {what}: {_TOO_DEEP}") from None
 
 
+def summarize(problems: list[str]) -> str:
+    """The problems as one line: the first three, then how many more."""
+    line = "; ".join(problems[:3])
+    if len(problems) > 3:
+        line += f"; and {len(problems) - 3} more"
+    return line
+
+
 def _check(problems: list[str]) -> None:
     if problems:
-        raise SerializationError("; ".join(problems))
+        raise SerializationError(summarize(problems))
 
 
 def document_plan_to_json(plan: DocumentPlan) -> str:

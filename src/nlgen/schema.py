@@ -6,7 +6,7 @@ line-oriented, UTF-8, with '#' comments:
 
     schema <name>
     node <id> emit subject=<expr> verb=<lemma> [modal=<m>] [tense=<t>]
-                   [adverb=<expr>] [condition=<node-id>]
+                   [polarity=<p>] [adverb=<expr>] [condition=<node-id>]
                    complement=<expr>[, <expr>...]
     node <id> call <schema-name>
     node <id> end
@@ -44,10 +44,11 @@ document.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import (
     DataError,
@@ -110,6 +111,7 @@ class MessageTemplate:
     complements: tuple[Expr, ...] = ()
     tense: str = "present"
     modal: str | None = None
+    polarity: str = "positive"
     adverb: Expr | None = None
     condition_node: str | None = None
 
@@ -179,77 +181,50 @@ class DataRecordSet:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_SYMBOLS = ("->", "=", "(", ")", ",")
+# Blanks and a comment give no token; a symbol's kind is its own text.
+_TOKEN = re.compile(r"""
+      [ \t]+ | \#.*
+    | (?P<string> "(?:[^"\\]|\\.)*" )
+    | (?P<symbol> -> | [=(),] )
+    | (?P<number> -?\d[\d.]* )
+    | (?P<ident> \w[\w.]* )
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | number | string | symbol
+class _Tok(NamedTuple):
+    kind: str  # ident | number | string | a symbol's text
     value: Any
-    line: int
     col: int
 
 
 def _tokenize_line(text: str, line: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                buf.append(text[j])
-                j += 1
-            else:
-                raise SchemaParseError("lexical error: unterminated string",
-                                       line, col)
-            toks.append(_Tok("string", "".join(buf), line, col))
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("symbol", "->", line, col))
-            i += 2
-            continue
-        if ch in "=(),":
-            toks.append(_Tok("symbol", ch, line, col))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            lit = text[i:j]
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        col = pos + 1
+        kind = match.lastgroup if match else "bad"
+        # \w also matches numerals that are not digits, such as "²".
+        if kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = "bad"
+        if kind == "bad":
+            problem = "unterminated string" if text[pos] == '"' \
+                else f"unexpected character {text[pos]!r}"
+            raise SchemaParseError(f"lexical error: {problem}", line, col)
+        pos = match.end()
+        lit = match[0]
+        if kind == "string":
+            toks.append(_Tok(kind, _ESCAPE.sub(r"\1", lit[1:-1]), col))
+        elif kind == "number":
             try:
                 value = float(lit) if "." in lit else int(lit)
             except ValueError:
                 raise SchemaParseError(
                     f"lexical error: bad number {lit!r}", line, col)
-            toks.append(_Tok("number", value, line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            i = j
-            continue
-        raise SchemaParseError(f"lexical error: unexpected character "
-                               f"{ch!r}", line, col)
+            toks.append(_Tok(kind, value, col))
+        elif kind is not None:  # blanks and a comment have no group
+            toks.append(_Tok(lit if kind == "symbol" else kind, lit, col))
     return toks
 
 
@@ -275,14 +250,18 @@ class _LineParser:
             else (self.toks[-1].col + 1 if self.toks else 1)
         return SchemaParseError(message, self.line, col)
 
-    def take(self, kind: str, value: Any = None) -> _Tok:
+    def skip(self, kind: str) -> bool:
+        """Take the next token if it is of ``kind``."""
         tok = self.peek()
-        if tok is None or tok.kind != kind or \
-                (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            raise self._fail(f"expected {want!r}")
+        if tok is None or tok.kind != kind:
+            return False
         self.pos += 1
-        return tok
+        return True
+
+    def take(self, kind: str) -> _Tok:
+        if not self.skip(kind):
+            raise self._fail(f"expected {kind!r}")
+        return self.toks[self.pos - 1]
 
     def take_ident(self) -> str:
         return self.take("ident").value
@@ -296,9 +275,9 @@ class _LineParser:
             return Expr("literal", tok.value)
         if tok.kind == "ident" and tok.value == "path":
             self.pos += 1
-            self.take("symbol", "(")
+            self.take("(")
             path = self.take_ident()
-            self.take("symbol", ")")
+            self.take(")")
             return Expr("path", path)
         raise self._fail("expected a quoted literal or path(...)")
 
@@ -313,26 +292,25 @@ class _LineParser:
             raise SchemaParseError(f"guard nests deeper than "
                                    f"{ir.MAX_NESTING} levels",
                                    self.line, op_tok.col)
-        self.take("symbol", "(")
+        self.take("(")
         if op == "exists":
             path = self.take_ident()
-            self.take("symbol", ")")
+            self.take(")")
             return Condition(op="exists", path=path)
         if op in ("eq", "gt", "lt"):
             path = self.take_ident()
-            self.take("symbol", ",")
+            self.take(",")
             value = self._literal(numeric_only=op in ("gt", "lt"))
-            self.take("symbol", ")")
+            self.take(")")
             return Condition(op=op, path=path, value=value)
         if op == "not":
             arg = self.condition(level + 1)
-            self.take("symbol", ")")
+            self.take(")")
             return Condition(op="not", args=(arg,))
         args = [self.condition(level + 1)]
-        while self.peek() is not None and self.peek().value == ",":
-            self.take("symbol", ",")
+        while self.skip(","):
             args.append(self.condition(level + 1))
-        self.take("symbol", ")")
+        self.take(")")
         if len(args) < 2:
             raise SchemaParseError(f"{op}(...) needs at least two arguments",
                                    self.line, op_tok.col)
@@ -356,6 +334,11 @@ class _LineParser:
         raise self._fail("expected a string, number, or true/false")
 
 
+# Emit fields that take one word of an ir domain, in printing order.
+_DOMAIN_FIELDS = {"modal": ir.MODALS, "tense": ir.TENSES,
+                  "polarity": ir.POLARITIES}
+
+
 def _parse_emit_fields(p: _LineParser,
                        node_id: str) -> tuple[MessageTemplate, int]:
     """The template, and the column of its condition node name (or 1)."""
@@ -365,7 +348,7 @@ def _parse_emit_fields(p: _LineParser,
     while not p.done():
         key_tok = p.take("ident")
         key = key_tok.value
-        p.take("symbol", "=")
+        p.take("=")
         if key == "subject":
             fields["subject"] = p.expr()
         elif key == "verb":
@@ -381,18 +364,12 @@ def _parse_emit_fields(p: _LineParser,
                     f"alphabetic word",
                     p.line, tok.col)
             fields["verb"] = verb
-        elif key == "tense":
-            tense = p.take_ident()
-            if tense not in ir.TENSES:
-                raise SchemaParseError(f"unknown tense {tense!r}",
+        elif key in _DOMAIN_FIELDS:
+            value = p.take_ident()
+            if value not in _DOMAIN_FIELDS[key]:
+                raise SchemaParseError(f"unknown {key} {value!r}",
                                        p.line, key_tok.col)
-            fields["tense"] = tense
-        elif key == "modal":
-            modal = p.take_ident()
-            if modal not in ir.MODALS:
-                raise SchemaParseError(f"unknown modal {modal!r}",
-                                       p.line, key_tok.col)
-            fields["modal"] = modal
+            fields[key] = value
         elif key == "adverb":
             fields["adverb"] = p.expr()
         elif key == "condition":
@@ -401,8 +378,7 @@ def _parse_emit_fields(p: _LineParser,
             condition_col = name_tok.col
         elif key == "complement":
             complements.append(p.expr())
-            while p.peek() is not None and p.peek().value == ",":
-                p.take("symbol", ",")
+            while p.skip(","):
                 complements.append(p.expr())
         else:
             raise SchemaParseError(
@@ -485,7 +461,7 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
             current.node_positions[node_id] = (lineno, ref_col)
         elif head.value == "arc":
             src = p.take("ident")
-            p.take("symbol", "->")
+            p.take("->")
             dst = p.take("ident")
             guard = None
             rel = "sequence"
@@ -579,11 +555,15 @@ def parse_schema(source: str) -> SchemaDef:
 # Canonical pretty-printer
 
 
+def _quote(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def _print_expr(expr: Expr) -> str:
     if expr.kind == "path":
         return f"path({expr.value})"
-    escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return _quote(expr.value)
 
 
 def _print_literal(value: Any) -> str:
@@ -591,8 +571,7 @@ def _print_literal(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value)
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return _quote(str(value))
 
 
 def print_condition(cond: Condition) -> str:
@@ -612,10 +591,10 @@ def _print_node(node: SchemaNode) -> str:
     t = node.template
     parts = [f"node {node.id} emit", f"subject={_print_expr(t.subject)}",
              f"verb={t.verb}"]
-    if t.modal:
-        parts.append(f"modal={t.modal}")
-    if t.tense != "present":
-        parts.append(f"tense={t.tense}")
+    for key in _DOMAIN_FIELDS:
+        value = getattr(t, key)
+        if value != getattr(MessageTemplate, key):  # the field's default
+            parts.append(f"{key}={value}")
     if t.adverb is not None:
         parts.append(f"adverb={_print_expr(t.adverb)}")
     if t.condition_node:
@@ -679,7 +658,7 @@ def load_data(text: str) -> DataRecordSet:
     # The entity-table rules (key is id, one of name/head) live in ir.
     problems = ir.validate(ir.DocumentPlan(root=None, entities=entities))
     if problems:
-        raise DataError("; ".join(problems))
+        raise DataError(ir.summarize(problems))
     records = payload.get("records", {})
     if not isinstance(records, dict):
         raise DataError('"records" must be an object')
@@ -906,6 +885,7 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
         complements=complements,
         tense=template.tense,
         modal=template.modal,
+        polarity=template.polarity,
         adverb=adverb,
         condition=condition,
     )

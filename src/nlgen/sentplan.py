@@ -168,8 +168,9 @@ def pronominalize(plans: list[ir.SentencePlan],
     current sentence, and no other third-person entity with the same
     gender and number appears in that window.  A non-subject mention
     coreferent with its clause subject becomes a reflexive regardless of
-    the window.  First mentions are never pronominalized.  A sentence
-    whose reference modes all stay as they are is returned as given.
+    the window, in every person ("I see myself.").  First mentions are
+    never pronominalized.  A sentence whose reference modes all stay as
+    they are is returned as given.
     """
     prev_sentence: list[ir.Entity] = []
     current: list[ir.Entity] = []
@@ -180,18 +181,17 @@ def pronominalize(plans: list[ir.SentencePlan],
         # an object of; None for a subject mention.
         ent = _entity(entities, ref.entity.id)
         mode = ref.mode
-        if ent.person == "third":
-            if ent.id == local_subject:
-                mode = "reflexive-pronoun"
-            else:
-                window = prev_sentence + current
-                mentioned = any(o.id == ent.id for o in window)
-                competitors = any(
-                    o.id != ent.id and o.person == "third"
-                    and o.gender == ent.gender and o.number == ent.number
-                    for o in window)
-                if mentioned and not competitors:
-                    mode = "pronoun"
+        if ent.id == local_subject:
+            mode = "reflexive-pronoun"
+        elif ent.person == "third":
+            window = prev_sentence + current
+            mentioned = any(o.id == ent.id for o in window)
+            competitors = any(
+                o.id != ent.id and o.person == "third"
+                and o.gender == ent.gender and o.number == ent.number
+                for o in window)
+            if mentioned and not competitors:
+                mode = "pronoun"
         current.append(ent)
         if mode == ref.mode:
             return ref

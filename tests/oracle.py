@@ -6,6 +6,8 @@ are used to check.
 """
 
 from collections import Counter
+from dataclasses import dataclass
+from typing import Any
 
 
 def _norm_phrase(phrase):
@@ -101,6 +103,81 @@ def check_pronouns_recoverable(plans):
                             f"{antecedent.id if antecedent else None!r}")
                 mentions.append(ent)
     return failures
+
+
+@dataclass(frozen=True)
+class _ReferenceTok:
+    kind: str  # ident | number | string | symbol
+    value: Any
+    line: int
+    col: int
+
+
+def reference_tokenize_line(text: str, line: int) -> list[_ReferenceTok]:
+    """One line of schema text by a character loop, as the library read it
+    before it matched one token regex; symbols have kind "symbol"."""
+    from nlgen.errors import SchemaParseError
+
+    toks: list[_ReferenceTok] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        col = i + 1
+        if ch == '"':
+            j = i + 1
+            buf = []
+            while j < n:
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                    continue
+                if text[j] == '"':
+                    break
+                buf.append(text[j])
+                j += 1
+            else:
+                raise SchemaParseError("lexical error: unterminated string",
+                                       line, col)
+            toks.append(_ReferenceTok("string", "".join(buf), line, col))
+            i = j + 1
+            continue
+        if text.startswith("->", i):
+            toks.append(_ReferenceTok("symbol", "->", line, col))
+            i += 2
+            continue
+        if ch in "=(),":
+            toks.append(_ReferenceTok("symbol", ch, line, col))
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            lit = text[i:j]
+            try:
+                value = float(lit) if "." in lit else int(lit)
+            except ValueError:
+                raise SchemaParseError(
+                    f"lexical error: bad number {lit!r}", line, col)
+            toks.append(_ReferenceTok("number", value, line, col))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_."):
+                j += 1
+            toks.append(_ReferenceTok("ident", text[i:j], line, col))
+            i = j
+            continue
+        raise SchemaParseError(f"lexical error: unexpected character "
+                               f"{ch!r}", line, col)
+    return toks
 
 
 def _find_node(definition, node_id):
@@ -368,19 +445,18 @@ def reference_pronominalize(plans, entities):
                 else:
                     local_subject = clause.subject_ref.entity.id
                 is_subject = path[-1] == "subject"
-                if ent.person == "third":
-                    if not is_subject and ent.id == local_subject:
-                        modes[path] = "reflexive-pronoun"
-                    else:
-                        window = prev_sentence + current
-                        mentioned = any(o.id == ent.id for o in window)
-                        competitors = any(
-                            o.id != ent.id and o.person == "third"
-                            and o.gender == ent.gender
-                            and o.number == ent.number
-                            for o in window)
-                        if mentioned and not competitors:
-                            modes[path] = "pronoun"
+                if not is_subject and ent.id == local_subject:
+                    modes[path] = "reflexive-pronoun"
+                elif ent.person == "third":
+                    window = prev_sentence + current
+                    mentioned = any(o.id == ent.id for o in window)
+                    competitors = any(
+                        o.id != ent.id and o.person == "third"
+                        and o.gender == ent.gender
+                        and o.number == ent.number
+                        for o in window)
+                    if mentioned and not competitors:
+                        modes[path] = "pronoun"
                 current.append(ent)
             new_clauses.append(_reference_rewrite_clause(clause, modes))
         out.append(replace(sp, clauses=tuple(new_clauses)))

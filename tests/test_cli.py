@@ -237,6 +237,18 @@ class TestPlan:
         assert code == 1
         assert "line 2" in err
 
+    def test_statement_error_is_one_parse_line(self, tmp_path):
+        s = tmp_path / "bad.schema"
+        s.write_text('schema s\nnode a emit subject="sam" verb=rest\n'
+                     "node b end\narc a -> b when maybe(r.x)\n")
+        d = tmp_path / "d.json"
+        d.write_text('{"entities": {}, "records": {}}')
+        code, out, err = run_cli(["plan", "--schema", str(s),
+                                  "--data", str(d)])
+        assert (code, out) == (1, "")
+        assert err == (f"parse: {s}: line 4, column 17: unknown condition "
+                       f"operator 'maybe'\n")
+
 
 def _run_one(tmp_path, command, schema_text, data):
     """Run ``command`` on one schema text and one data object."""
@@ -644,6 +656,24 @@ class TestNestingBound:
                        f"more than {ir.MAX_NESTING} levels below the root\n")
         assert len(err) < 200
 
+    def test_many_deep_branches_give_one_short_line(self, tmp_path):
+        # 20 branches, each 102 levels deep: the bound is named once, at
+        # the first branch past it.
+        branch = {"message": {"subject": "sam", "verb": "rest"}}
+        for _ in range(102):
+            branch = {"label": "elaboration", "children": [branch]}
+        obj = {"entities": {"sam": {"id": "sam", "name": "Sam"}},
+               "root": {"label": "sequence", "children": [branch] * 20}}
+        plan_file = tmp_path / "wide_and_deep.json"
+        plan_file.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run_cli(["sentplan", "--plan", str(plan_file)])
+        assert (code, out) == (3, "")
+        assert err == (f"sentplan: {plan_file}: root.children[0]."
+                       f"children[0]... (level {ir.MAX_NESTING + 1}): "
+                       f"relation nodes nest more than {ir.MAX_NESTING} "
+                       f"levels below the root\n")
+        assert len(err) < 300
+
     @pytest.mark.parametrize("depth", [600, 2000])
     @pytest.mark.parametrize("command, code", [("sentplan", 3),
                                                ("realize", 4)])
@@ -779,6 +809,21 @@ class TestBadSentencePlans:
 
 
 class TestBadDocumentPlans:
+    def test_many_problems_name_three_and_a_count(self):
+        leaf = {"message": {"subject": "sam", "verb": "rest",
+                            "adverb": " "}}
+        obj = {"entities": {"sam": {"id": "sam", "name": "Sam"}},
+               "root": {"label": "sequence", "children": [leaf] * 20}}
+        with mock.patch("sys.stdin",
+                        fake_stdin(json.dumps(obj).encode("utf-8"))):
+            code, out, err = run_cli(["sentplan", "--plan", "-"])
+        assert (code, out) == (3, "")
+        assert err == ("sentplan: <stdin>: "
+                       "root.children[0].message: blank adverb; "
+                       "root.children[1].message: blank adverb; "
+                       "root.children[2].message: blank adverb; "
+                       "and 17 more\n")
+
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())

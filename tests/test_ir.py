@@ -117,6 +117,15 @@ class TestValidate:
     def test_empty_plan_is_clean(self):
         assert ir.validate(ir.DocumentPlan(root=None)) == []
 
+    def test_summary_names_three_problems_and_a_count(self):
+        # Up to three problems are joined as they always were.
+        assert ir.summarize(["p1"]) == "p1"
+        assert ir.summarize(["p1", "p2", "p3"]) == "p1; p2; p3"
+        assert ir.summarize(["p1", "p2", "p3", "p4"]) == \
+            "p1; p2; p3; and 1 more"
+        assert ir.summarize([f"p{i}" for i in range(20)]) == \
+            "p0; p1; p2; and 17 more"
+
     def test_relation_without_children(self):
         plan = ir.DocumentPlan(
             root=seq(seq(), leaf(ir.Message(subject="sam", verb="rest"))),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlgen
 from nlgen import ir, realize, schema, sentplan
 from nlgen.errors import ReferentialIntegrityError
 
@@ -204,6 +205,27 @@ class TestPronominalize:
         ref = out[0].clauses[0].complements[0][0].ref
         assert ref.mode == "reflexive-pronoun"
         assert render(out) == "John saw himself."
+
+    @pytest.mark.parametrize("features, fluent, plain", [
+        ('"person": "first"', "I see myself.", "I see me."),
+        ('"person": "first", "number": "plural"', "We see ourselves.",
+         "We see us."),
+        ('"person": "second"', "You see yourself.", "You see you."),
+        ('"person": "second", "number": "plural"', "You see yourselves.",
+         "You see you."),
+    ])
+    def test_speaker_and_hearer_objects_are_reflexive(self, features,
+                                                      fluent, plain):
+        # Binding applies in every person; the plain profile writes every
+        # reference as given and so keeps no reflexive.
+        parsed = schema.parse_schema(
+            "schema s\nnode a emit subject=path(r.who) verb=see "
+            "complement=path(r.obj)\n")
+        data = schema.load_data(
+            f'{{"entities": {{"me": {{"head": "speaker", {features}}}}}, '
+            f'"records": {{"r": {{"who": "@me", "obj": "@me"}}}}}}')
+        assert nlgen.generate_text(parsed, data, profile="fluent") == fluent
+        assert nlgen.generate_text(parsed, data, profile="plain") == plain
 
     def test_condition_clause_licenses_main_subject(self):
         trigger = message("sam", "go", np(head="hospital", det="the",
