@@ -60,6 +60,12 @@ MAX_NESTING = 100
 _TOO_DEEP = f"JSON values nest more than {MAX_NESTING} levels"
 
 
+# A modal is followed by the bare verb and has no tense of its own, so
+# "can go" cannot say past or future: the schema parser, validate() and
+# validate_sentences() refuse a modal with another tense.
+MODAL_TENSE_RULE = "a modal takes present tense"
+
+
 def is_verb_lemma(verb: str) -> bool:
     """A verb lemma is one lowercase alphabetic word ("have", not "Has",
     "go.to" or "go home")."""
@@ -323,10 +329,13 @@ def _validate_entities(entities: dict[str, Entity],
                 f"{where}: exactly one of name/head must be given, not blank")
 
 
-def _validate_verb(verb: str, where: str, problems: list[str]) -> None:
-    if not is_verb_lemma(verb):
+def _validate_verb(msg: Message | ClauseSpec, where: str,
+                   problems: list[str]) -> None:
+    if not is_verb_lemma(msg.verb):
         problems.append(
             f"{where}: verb lemma must be one lowercase alphabetic word")
+    if msg.modal and msg.tense != "present":
+        problems.append(f"{where}: {MODAL_TENSE_RULE}")
 
 
 def _validate_phrase(phrase: ComplementPhrase, where: str,
@@ -345,7 +354,7 @@ def _validate_phrase(phrase: ComplementPhrase, where: str,
 
 def _validate_message(msg: Message, plan: DocumentPlan, where: str,
                       problems: list[str], nested: bool = False) -> None:
-    _validate_verb(msg.verb, where, problems)
+    _validate_verb(msg, where, problems)
     if msg.subject not in plan.entities:
         problems.append(
             f"{where}: referential integrity: unknown subject entity "
@@ -412,7 +421,7 @@ def validate(plan: DocumentPlan) -> list[str]:
 
 def _validate_clause(clause: ClauseSpec, where: str,
                      problems: list[str]) -> None:
-    _validate_verb(clause.verb, where, problems)
+    _validate_verb(clause, where, problems)
     units = clause.complements
     if len(units) > 1 and not all(units):
         problems.append(f"{where}: empty unit in a coordination group")

@@ -8,8 +8,10 @@ stream into the final string with an ordered list of rewrite rules:
 
     1. punctuation collapse: ","+"." -> "." (point absorption) and
        duplicate adjacent identical marks -> one mark
-    2. "a" -> "an" before a vowel-initial word, with a lexicon-driven
-       exceptions list ("an hour", "a university")
+    2. "a" -> "an" before a word spoken with a leading vowel sound: a
+       vowel letter, a number such as 8 or 11, or a letter name such as
+       F in "FBI"; a lexicon-driven exceptions list wins ("an hour",
+       "a university")
     3. capitalization at sentence starts; standalone "i" -> "I"
     4. spacing: single spaces between words, none before punctuation,
        blank line at paragraph boundaries
@@ -54,9 +56,10 @@ def boundary(kind: str = "sentence") -> Token:
     return Token("boundary", kind)
 
 
-def _words(text: str) -> list[Token]:
-    # Multi-word names ("Helen Jones") become one token per word.
-    return [word(w) for w in text.split()]
+# The fixed tokens of every clause and sentence, built once.
+_AND, _IF, _NOT, _WILL = map(word, ("and", "if", "not", "will"))
+_COMMA, _PERIOD = punct(COMMA), punct(PERIOD)
+_SENTENCE, _PARAGRAPH = boundary("sentence"), boundary("paragraph")
 
 
 # ---------------------------------------------------------------------------
@@ -80,86 +83,76 @@ def _full_reference(ent: ir.Entity, lex: Lexicon) -> list[str]:
     return ["the", *_head_words(ent, lex)]
 
 
-def _reference_tokens(ref: ir.ReferenceSpec, case: str,
-                      lex: Lexicon) -> list[Token]:
-    """Tokens for one mention; ``case`` is "subjective" for a subject and
+def _add_reference(out: list[Token], ref: ir.ReferenceSpec, case: str,
+                   lex: Lexicon) -> None:
+    """Append one mention; ``case`` is "subjective" for a subject and
     "objective" for a complement."""
     ent = ref.entity
     # English has no non-pronominal way to mention speaker or hearer, so
     # only a third-person full reference is not a pronoun.
     if ref.mode == "full-name" and ent.person == "third":
-        return [word(w) for w in _full_reference(ent, lex)]
+        out += map(word, _full_reference(ent, lex))
+        return
     if ref.mode == "reflexive-pronoun":
         case = "reflexive"
-    return [word(pronoun(ent.person, ent.number, ent.gender, case, lex))]
+    out.append(word(pronoun(ent.person, ent.number, ent.gender, case, lex)))
 
 
-def _verb_tokens(clause: ir.ClauseSpec, lex: Lexicon) -> list[Token]:
-    subj = clause.subject_ref.entity
-    markers = [word(m) for m in clause.discourse_markers]
+def _add_verb(out: list[Token], clause: ir.ClauseSpec, lex: Lexicon) -> None:
     negative = clause.polarity == "negative"
-    if clause.modal:
-        toks = [word(clause.modal)]
+    # A modal takes present tense only, so it and "will" both carry the
+    # bare verb.
+    if clause.modal or clause.tense == "future":
+        out.append(word(clause.modal) if clause.modal else _WILL)
         if negative:
-            toks.append(word("not"))
-        return toks + markers + [word(clause.verb)]
-    if clause.tense == "future":
-        toks = [word("will")]
-        if negative:
-            toks.append(word("not"))
-        return toks + markers + [word(clause.verb)]
+            out.append(_NOT)
+        out += map(word, clause.discourse_markers)
+        out.append(word(clause.verb))
+        return
+    subj = clause.subject_ref.entity
     if negative:
-        if clause.verb == "be":  # copula negates without do-support
-            form = verb_form("be", subj.person, subj.number, clause.tense,
-                             lex)
-            return [word(form), word("not")] + markers
-        aux = verb_form("do", subj.person, subj.number, clause.tense, lex)
-        return [word(aux), word("not")] + markers + [word(clause.verb)]
-    form = verb_form(clause.verb, subj.person, subj.number, clause.tense,
-                     lex)
-    return markers + _words(form)
+        copula = clause.verb == "be"  # negates without do-support
+        out.append(word(verb_form("be" if copula else "do", subj.person,
+                                  subj.number, clause.tense, lex)))
+        out.append(_NOT)
+        out += map(word, clause.discourse_markers)
+        if not copula:
+            out.append(word(clause.verb))
+        return
+    out += map(word, clause.discourse_markers)
+    out += map(word, verb_form(clause.verb, subj.person, subj.number,
+                               clause.tense, lex).split())
 
 
-def _phrase_tokens(rc: ir.ResolvedComplement, lex: Lexicon) -> list[Token]:
+def _add_phrase(out: list[Token], rc: ir.ResolvedComplement,
+                lex: Lexicon) -> None:
     phrase = rc.phrase
-    toks: list[Token] = []
     if phrase.preposition:
-        toks.append(word(phrase.preposition))
+        out.append(word(phrase.preposition))
     if rc.ref is not None:
-        return toks + _reference_tokens(rc.ref, "objective", lex)
+        _add_reference(out, rc.ref, "objective", lex)
+        return
     if phrase.determiner:
-        toks.append(word(phrase.determiner))
-    for mod in phrase.premodifiers:
-        toks.append(word(mod))
-    toks += _words(phrase.head)
-    return toks
+        out.append(word(phrase.determiner))
+    out += map(word, phrase.premodifiers)
+    out += map(word, phrase.head.split())
 
 
-def _complement_tokens(units, lex: Lexicon) -> list[Token]:
-    # Units of one coordination group: "A", "A and B", "A, B and C".
-    toks: list[Token] = []
-    count = len(units)
-    for i, unit in enumerate(units):
-        if i > 0:
-            if i == count - 1:
-                toks.append(word("and"))
-            else:
-                toks.append(punct(COMMA))
-        for rc in unit:
-            toks += _phrase_tokens(rc, lex)
-    return toks
-
-
-def _clause_tokens(clause: ir.ClauseSpec, lex: Lexicon) -> list[Token]:
-    toks: list[Token] = []
+def _add_clause(out: list[Token], clause: ir.ClauseSpec,
+                lex: Lexicon) -> None:
     if clause.condition is not None:
-        toks.append(word("if"))
-        toks += _clause_tokens(clause.condition, lex)
-        toks.append(punct(COMMA))
-    toks += _reference_tokens(clause.subject_ref, "subjective", lex)
-    toks += _verb_tokens(clause, lex)
-    toks += _complement_tokens(clause.complements, lex)
-    return toks
+        out.append(_IF)
+        _add_clause(out, clause.condition, lex)
+        out.append(_COMMA)
+    _add_reference(out, clause.subject_ref, "subjective", lex)
+    _add_verb(out, clause, lex)
+    # Units of one coordination group: "A", "A and B", "A, B and C".
+    last = len(clause.complements) - 1
+    for i, unit in enumerate(clause.complements):
+        if i:
+            out.append(_AND if i == last else _COMMA)
+        for rc in unit:
+            _add_phrase(out, rc, lex)
 
 
 def realize_sentence(sp: ir.SentencePlan,
@@ -169,11 +162,11 @@ def realize_sentence(sp: ir.SentencePlan,
     lex = lex or default_lexicon()
     toks: list[Token] = []
     for i, clause in enumerate(sp.clauses):
-        if i > 0:
-            toks.append(word("and"))
-        toks += _clause_tokens(clause, lex)
-    toks.append(punct(PERIOD))
-    toks.append(boundary("sentence"))
+        if i:
+            toks.append(_AND)
+        _add_clause(toks, clause, lex)
+    toks.append(_PERIOD)
+    toks.append(_SENTENCE)
     return toks
 
 
@@ -185,7 +178,7 @@ def realize_document(plans: list[ir.SentencePlan],
     stream: list[Token] = []
     for sp in plans:
         if stream and sp.new_paragraph:
-            stream[-1] = boundary("paragraph")
+            stream[-1] = _PARAGRAPH
         stream += realize_sentence(sp, lex)
     return orthography(stream, lex)
 
@@ -229,6 +222,26 @@ def _collapse_punct(stream: list[Token]) -> list[Token]:
         stream = out
 
 
+# Letters whose English name starts with a vowel sound: "an F", "an x".
+_VOWEL_NAMED_LETTERS = frozenset("AEFHILMNORSX")
+
+
+def _vowel_sound(text: str) -> bool:
+    """Whether ``text`` is spoken with a leading vowel sound.  A number
+    is read aloud ("an 8", "an 11", "an 18,000", "a 1,800"); a single
+    letter or an all-caps initialism, alone or before a hyphen, by its
+    first letter's name ("an FBI agent", "an x-ray"); any other word by
+    its first letter."""
+    digits = text.replace(",", "").partition(".")[0]
+    if digits.isascii() and digits.isdigit():
+        lead = digits[:len(digits) % 3 or 3]  # the leading thousands group
+        return lead[0] == "8" or lead in ("11", "18")
+    first = text.partition("-")[0]
+    if first.isalpha() and (len(first) == 1 or first.isupper()):
+        return first[0].upper() in _VOWEL_NAMED_LETTERS
+    return text[:1].lower() in "aeiou"
+
+
 def _apply_articles(stream: list[Token], lex: Lexicon) -> list[Token]:
     exceptions = lex.article_exceptions
     out = list(stream)
@@ -240,10 +253,10 @@ def _apply_articles(stream: list[Token], lex: Lexicon) -> list[Token]:
             j += 1
         if j >= len(out) or out[j].kind != "word":
             continue
-        following = out[j].text.lower()
-        article = exceptions.get(following)
+        following = out[j].text
+        article = exceptions.get(following.lower())
         if article is None:
-            article = "an" if following[:1] in "aeiou" else "a"
+            article = "an" if _vowel_sound(following) else "a"
         if article == "an":
             out[i] = word("An" if tok.text == "A" else "an")
     return out
@@ -306,7 +319,7 @@ def tokenize_text(text: str) -> list[Token]:
     paragraphs = [p for p in text.split("\n\n") if p.strip()]
     for pi, para in enumerate(paragraphs):
         if pi > 0:
-            stream.append(boundary("paragraph"))
+            stream.append(_PARAGRAPH)
         for piece in para.split():
             if piece in _PUNCT_MARKS:
                 stream.append(punct(piece))
@@ -322,7 +335,7 @@ def tokenize_text(text: str) -> list[Token]:
             if piece:
                 stream.append(word(piece))
             stream.extend(trailing)
-    stream.append(boundary("sentence"))
+    stream.append(_SENTENCE)
     return stream
 
 

@@ -32,13 +32,16 @@ each `call` and each non-sequence arc nests one level, and nesting deeper
 than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
 operators as deep, and no deeper.
 
-Guards and literal complements are compiled on first use and cached on
-the frozen schema objects: each Condition builds one predicate over the
-data records (Condition.test), and each MessageTemplate parses its literal
-complements once (MessageTemplate.phrases).  Parsing builds neither, so a
-schema that is parsed and not run costs nothing more; checks that depend
-on the data, such as @ references naming an entity, run for every
-document.
+Guards are compiled on first use and cached on the frozen schema
+objects: each Condition builds one predicate over the data records
+(Condition.test).  Complement text, literal or read from a path, is parsed
+through one bounded cache shared by the whole process
+(COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped
+first), so each distinct text is parsed once; text that does not parse
+is not cached and fails again each time.  Parsing a schema fills neither,
+so a schema that is parsed and not run costs nothing more; checks that
+depend on the data, such as @ references naming an entity, run for every
+complement of every document.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
 
 from .errors import (
@@ -114,13 +117,6 @@ class MessageTemplate:
     polarity: str = "positive"
     adverb: Expr | None = None
     condition_node: str | None = None
-
-    @cached_property
-    def phrases(self) -> tuple[ir.ComplementPhrase | None, ...]:
-        """Each literal complement parsed once, on first use; None for a
-        path, and for a literal that does not parse, which then fails at
-        traversal with its node named."""
-        return tuple(_parse_literal_complement(e) for e in self.complements)
 
 
 @dataclass(frozen=True)
@@ -343,11 +339,13 @@ def _parse_emit_fields(p: _LineParser,
                        node_id: str) -> tuple[MessageTemplate, int]:
     """The template, and the column of its condition node name (or 1)."""
     fields: dict[str, Any] = {}
+    columns: dict[str, int] = {}  # where each field's key was written
     condition_col = 1
     complements: list[Expr] = []
     while not p.done():
         key_tok = p.take("ident")
         key = key_tok.value
+        columns[key] = key_tok.col
         p.take("=")
         if key == "subject":
             fields["subject"] = p.expr()
@@ -389,6 +387,9 @@ def _parse_emit_fields(p: _LineParser,
     if "verb" not in fields:
         raise SchemaParseError(f"node {node_id!r}: emit needs verb=",
                                p.line, 1)
+    if fields.get("modal") and fields.get("tense", "present") != "present":
+        raise SchemaParseError(ir.MODAL_TENSE_RULE, p.line,
+                               max(columns["modal"], columns["tense"]))
     return MessageTemplate(complements=tuple(complements), **fields), \
         condition_col
 
@@ -804,7 +805,15 @@ def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
 # Template instantiation and traversal
 
 
+# Distinct complement texts kept parsed; a document repeats a few texts
+# many times, so the cache stays far below this bound in practice.
+COMPLEMENT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=COMPLEMENT_CACHE_SIZE)
 def _parse_complement_text(text: str) -> ir.ComplementPhrase:
+    """Complement text as a phrase; the result is frozen, so every caller
+    may share it, and a text that fails raises again on every call."""
     text = text.strip()
     if ir.entity_ref(text) is not None:
         return ir.ComplementPhrase(head=text)
@@ -825,15 +834,6 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
     return ir.ComplementPhrase(head=head, determiner=determiner,
                                premodifiers=premodifiers,
                                preposition=preposition)
-
-
-def _parse_literal_complement(expr: Expr) -> ir.ComplementPhrase | None:
-    if expr.kind != "literal":
-        return None
-    try:
-        return _parse_complement_text(expr.value)
-    except TraversalError:
-        return None
 
 
 # JSON values that have no text form of their own.
@@ -868,10 +868,8 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
         subject = subject[len(ir.ENTITY_MARKER):]
     if subject not in data.entities:
         raise TraversalError(f"unknown entity {subject!r}")
-    complements = tuple([
-        _parse_complement_text(_resolve_expr(expr, data))
-        if phrase is None else phrase
-        for expr, phrase in zip(template.complements, template.phrases)])
+    complements = tuple([_parse_complement_text(_resolve_expr(expr, data))
+                         for expr in template.complements])
     for phrase in complements:
         ref = ir.entity_ref(phrase.head)
         if ref is not None and ref not in data.entities:

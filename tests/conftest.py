@@ -120,13 +120,20 @@ def random_message(rng: random.Random, entity_ids: list[str],
     condition = None
     if allow_condition and rng.random() < 0.2:
         condition = random_message(rng, entity_ids, allow_condition=False)
+    subject = rng.choice(entity_ids)
+    verb = rng.choice(_VERBS)
+    complements = tuple(random_phrase(rng, entity_ids)
+                        for _ in range(rng.randint(0, 2)))
+    tense = rng.choice(["present", "past", "future"])
+    modal = rng.choice([None, None, None, "should", "must", "can"])
     return ir.Message(
-        subject=rng.choice(entity_ids),
-        verb=rng.choice(_VERBS),
-        complements=tuple(random_phrase(rng, entity_ids)
-                          for _ in range(rng.randint(0, 2))),
-        tense=rng.choice(["present", "past", "future"]),
-        modal=rng.choice([None, None, None, "should", "must", "can"]),
+        subject=subject,
+        verb=verb,
+        complements=complements,
+        # A modal takes present tense; the tense is still drawn, so the
+        # draws that follow are the same with or without a modal.
+        tense="present" if modal else tense,
+        modal=modal,
         polarity=rng.choice(["positive"] * 4 + ["negative"]),
         adverb=rng.choice([None] * 5 + ["just"]),
         condition=condition,

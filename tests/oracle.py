@@ -484,3 +484,104 @@ def reference_plan_sentences(plan, profile):
         sentences = reference_insert_discourse_markers(sentences)
         sentences = reference_pronominalize(sentences, plan.entities)
     return sentences
+
+
+def reference_realize_sentence(sp, lex):
+    """realize_sentence as each helper returning a fresh token list that
+    its caller concatenates; words and inflections come from the same
+    lexicon functions."""
+    from nlgen.lexicon import pluralize, pronoun, verb_form
+    from nlgen.realize import COMMA, PERIOD, boundary, punct, word
+
+    def words(text):
+        return [word(w) for w in text.split()]
+
+    def full_reference(ent):
+        if ent.name:
+            return f"{ent.honorific or ''} {ent.name}".split()
+        head = ent.head.split()
+        if ent.number == "plural" and head:
+            head[-1] = pluralize(head[-1], lex)
+        return ["the", *head]
+
+    def reference_tokens(ref, case):
+        ent = ref.entity
+        if ref.mode == "full-name" and ent.person == "third":
+            return [word(w) for w in full_reference(ent)]
+        if ref.mode == "reflexive-pronoun":
+            case = "reflexive"
+        return [word(pronoun(ent.person, ent.number, ent.gender, case,
+                             lex))]
+
+    def verb_tokens(clause):
+        subj = clause.subject_ref.entity
+        markers = [word(m) for m in clause.discourse_markers]
+        negative = clause.polarity == "negative"
+        if clause.modal:
+            toks = [word(clause.modal)]
+            if negative:
+                toks.append(word("not"))
+            return toks + markers + [word(clause.verb)]
+        if clause.tense == "future":
+            toks = [word("will")]
+            if negative:
+                toks.append(word("not"))
+            return toks + markers + [word(clause.verb)]
+        if negative:
+            if clause.verb == "be":
+                form = verb_form("be", subj.person, subj.number,
+                                 clause.tense, lex)
+                return [word(form), word("not")] + markers
+            aux = verb_form("do", subj.person, subj.number, clause.tense,
+                            lex)
+            return [word(aux), word("not")] + markers + [word(clause.verb)]
+        form = verb_form(clause.verb, subj.person, subj.number,
+                         clause.tense, lex)
+        return markers + words(form)
+
+    def phrase_tokens(rc):
+        phrase = rc.phrase
+        toks = []
+        if phrase.preposition:
+            toks.append(word(phrase.preposition))
+        if rc.ref is not None:
+            return toks + reference_tokens(rc.ref, "objective")
+        if phrase.determiner:
+            toks.append(word(phrase.determiner))
+        for mod in phrase.premodifiers:
+            toks.append(word(mod))
+        toks += words(phrase.head)
+        return toks
+
+    def complement_tokens(units):
+        toks = []
+        count = len(units)
+        for i, unit in enumerate(units):
+            if i > 0:
+                if i == count - 1:
+                    toks.append(word("and"))
+                else:
+                    toks.append(punct(COMMA))
+            for rc in unit:
+                toks += phrase_tokens(rc)
+        return toks
+
+    def clause_tokens(clause):
+        toks = []
+        if clause.condition is not None:
+            toks.append(word("if"))
+            toks += clause_tokens(clause.condition)
+            toks.append(punct(COMMA))
+        toks += reference_tokens(clause.subject_ref, "subjective")
+        toks += verb_tokens(clause)
+        toks += complement_tokens(clause.complements)
+        return toks
+
+    toks = []
+    for i, clause in enumerate(sp.clauses):
+        if i > 0:
+            toks.append(word("and"))
+        toks += clause_tokens(clause)
+    toks.append(punct(PERIOD))
+    toks.append(boundary("sentence"))
+    return toks

@@ -344,6 +344,15 @@ class TestCheckedWhereTheyEnter:
         assert err.count("\n") == 1
         assert "root.children[0]: leaf node has a label" in err
 
+    def test_modal_with_past_tense_exits_3(self, tmp_path, corpus):
+        code, out, err = self._sentplan(
+            tmp_path, corpus, lambda obj: obj["root"]["children"][0]
+            ["message"].update(modal="can", tense="past"))
+        assert (code, out) == (3, "")
+        assert err.startswith("sentplan: ")
+        assert err.count("\n") == 1
+        assert "root.children[0].message: a modal takes present tense" in err
+
     def test_plan_json_with_record_keys_exits_3(self, tmp_path, corpus):
         code, out, err = self._sentplan(
             tmp_path, corpus, lambda obj: obj.update(record_keys=["p"]))
@@ -740,6 +749,10 @@ class TestBadSentencePlans:
             "subject_ref": {"entity": "sam"},
             "verb": "rest", "discourse_markers": ["also", " "]},
          "sentences[0].clauses[0]: blank discourse marker"),
+        (_CLAUSE + ("condition",), {
+            "subject_ref": {"entity": "sam"}, "verb": "go", "modal": "can",
+            "tense": "future"},
+         "sentences[0].clauses[0].condition: a modal takes present tense"),
         # The document-plan rules, applied to sentence plans.
         (_CLAUSE + ("verb",), "go.to",
          "sentences[0].clauses[0]: verb lemma must be one lowercase "

@@ -191,6 +191,20 @@ class TestValidate:
             plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
             assert any("verb lemma" in p for p in ir.validate(plan))
 
+    def test_modal_takes_present_tense(self):
+        for tense in ("past", "future"):
+            trigger = ir.Message(subject="sam", verb="go", modal="can",
+                                 tense=tense)
+            msg = ir.Message(subject="sam", verb="rest", modal="must",
+                             tense=tense, condition=trigger)
+            plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+            assert ir.validate(plan) == [
+                "root.message: a modal takes present tense",
+                "root.message.condition: a modal takes present tense"]
+        ok = ir.Message(subject="sam", verb="rest", modal="can")
+        assert ir.validate(ir.DocumentPlan(root=leaf(ok),
+                                           entities={"sam": SAM})) == []
+
     def test_blank_text_rejected(self):
         msg = ir.Message(subject="sam", verb="rest", adverb=" ",
                          complements=(phrase(" ", head="report"),
@@ -517,6 +531,17 @@ class TestValidateSentences:
         problems = ir.validate_sentences([ok, bad])
         assert len(problems) == 1
         assert problems[0].startswith("sentences[1].clauses[0].condition:")
+
+    def test_modal_takes_present_tense(self):
+        ref = ir.ReferenceSpec(entity=SAM)
+        trigger = ir.ClauseSpec(subject_ref=ref, verb="go", modal="should",
+                                tense="future")
+        main = ir.ClauseSpec(subject_ref=ref, verb="rest", modal="can",
+                             tense="past", condition=trigger)
+        assert ir.validate_sentences([ir.SentencePlan(clauses=(main,))]) == [
+            "sentences[0].clauses[0]: a modal takes present tense",
+            "sentences[0].clauses[0].condition: a modal takes present "
+            "tense"]
 
     def test_decoding_checks_sentences(self):
         text = ir.sentence_plans_to_json([ir.SentencePlan(clauses=())])

@@ -4,11 +4,17 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlgen
 from nlgen import ir, realize
 from nlgen.errors import TemplateError
+from nlgen.lexicon import default_lexicon
 from nlgen.realize import boundary, punct, word
+
+import oracle
+from conftest import random_document_plan
 
 SAM = ir.Entity(id="sam", name="Sam", gender="masculine",
                 number="singular")
@@ -153,6 +159,77 @@ class TestRealizeSentence:
         assert text == "Sam rests and Mrs. Black rests."
 
 
+NURSES = ir.Entity(id="nurses", head="night nurse", gender="feminine",
+                   number="plural")
+YOU = ir.Entity(id="you", head="reader", person="second", number="plural")
+
+# Hand-built sentences for the branches random plans reach rarely or not
+# at all: the copula, negation with a modal or "will", markers after each
+# kind of auxiliary, honorifics, plural heads, reflexives, first and
+# second person, and coordination of three units.
+_HAND_BUILT = {
+    "negated-copula-with-marker": sentence(clause(
+        SAM, "be", (np(head="ill"),), polarity="negative",
+        markers=("also",))),
+    "plural-copula-past": sentence(clause(
+        NURSES, "be", (np(head="tired"),), tense="past")),
+    "negated-past-with-marker": sentence(clause(
+        SAM, "see", (entity_comp(MRS_BLACK),), polarity="negative",
+        tense="past", markers=("still",))),
+    "negated-modal-with-marker": sentence(clause(
+        MRS_BLACK, "go", (np(head="home"),), modal="can",
+        polarity="negative", markers=("also",))),
+    "negated-future-with-marker": sentence(clause(
+        NURSES, "rest", tense="future", polarity="negative",
+        markers=("also",))),
+    "reflexive": sentence(clause(
+        SAM, "see", (entity_comp(SAM, "reflexive-pronoun"),),
+        mode="pronoun")),
+    "plural-reflexive-after-preposition": sentence(clause(
+        NURSES, "watch",
+        (entity_comp(NURSES, "reflexive-pronoun", prep="with"),),
+        tense="future")),
+    "first-and-second-person": sentence(
+        clause(SPEAKER, "call", (entity_comp(YOU, "pronoun"),)),
+        clause(YOU, "have", (np("new", head="report", det="a"),),
+               mode="pronoun", tense="past")),
+    "three-units-and-a-second-clause": sentence(
+        clause(NURSES, "have", (np("high", head="pressure"),),
+               (np(head="store", det="the", prep="to"),),
+               (entity_comp(MRS_BLACK, "pronoun", prep="with"),)),
+        clause(JOHN, "visit", (entity_comp(NURSES),), modal="must")),
+    "condition-with-honorific": sentence(clause(
+        MRS_BLACK, "go", (np(head="store", det="the", prep="to"),),
+        mode="pronoun", modal="should", markers=("also",),
+        condition=clause(MRS_BLACK, "go",
+                         (np(head="hospital", det="the", prep="to"),),
+                         polarity="negative", tense="past"))),
+}
+
+
+class TestLinearizerMatchesReference:
+    """realize_sentence against the list-concatenating linearizer kept in
+    oracle.py: identical token lists, token for token."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_plans(self, seed):
+        plan = random_document_plan(random.Random(seed))
+        lex = default_lexicon()
+        for profile in ("plain", "fluent"):
+            for sp in nlgen.plan_sentences(plan, profile):
+                assert realize.realize_sentence(sp, lex) == \
+                    oracle.reference_realize_sentence(sp, lex)
+
+    @pytest.mark.parametrize("name", _HAND_BUILT)
+    def test_hand_built_sentences(self, name):
+        sp = _HAND_BUILT[name]
+        lex = default_lexicon()
+        assert realize.realize_sentence(sp, lex) == \
+            oracle.reference_realize_sentence(sp, lex)
+
+
 class TestRealizeDocument:
     def test_sentences_join_with_single_space(self):
         plans = [sentence(clause(SAM, "rest")),
@@ -214,6 +291,35 @@ class TestOrthography:
         assert realize.orthography(stream) == "An hour."
         stream = [word("a"), word("university"), punct("."), boundary()]
         assert realize.orthography(stream) == "A university."
+
+    @pytest.mark.parametrize("following, article", [
+        # A number is read aloud: its leading thousands group decides.
+        ("8", "an"), ("80", "an"), ("800", "an"), ("8,000", "an"),
+        ("8000", "an"), ("11", "an"), ("18", "an"), ("11,000", "an"),
+        ("18500", "an"), ("8.5", "an"), ("1,800", "a"), ("1800", "a"),
+        ("110", "a"), ("180", "a"), ("7", "a"), ("100", "a"),
+        # Initialisms and single letters go by the first letter's name.
+        ("FBI", "an"), ("NHS", "an"), ("MRI", "an"), ("X", "an"),
+        ("x-ray", "an"), ("f", "an"), ("UK", "a"), ("U-turn", "a"),
+        ("BBC", "a"), ("y", "a"),
+        # Other words go by their first letter; the lexicon wins first.
+        ("apple", "an"), ("Umbrella", "an"), ("fox", "a"), ("hour", "an"),
+        ("university", "a"), ("unit", "a"), ("ex-wife", "an"),
+    ])
+    def test_article_by_spoken_sound(self, following, article):
+        stream = [word("a"), word(following), word("shift"), punct("."),
+                  boundary()]
+        assert realize.orthography(stream) == \
+            f"{article.capitalize()} {following} shift."
+
+    def test_lexicon_exception_beats_the_letter_rule(self):
+        base = default_lexicon()
+        lex = dataclasses.replace(base, article_exceptions={
+            **base.article_exceptions, "nato": "a"})
+        stream = [word("a"), word("NATO"), word("plan"), punct("."),
+                  boundary()]
+        assert realize.orthography(stream, lex) == "A NATO plan."
+        assert realize.orthography(stream) == "An NATO plan."
 
     def test_sentence_boundary_single_space(self):
         stream = [word("one"), punct("."), boundary(), word("two"),

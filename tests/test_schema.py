@@ -192,6 +192,11 @@ class TestParse:
          "line 4, column 31: expected a quoted literal or path(...)"),
         ("node c emit subject=sam verb=rest\n",
          "line 4, column 21: expected a quoted literal or path(...)"),
+        # The later of the two fields is named.
+        ('node c emit subject="sam" verb=go modal=can tense=past\n',
+         "line 4, column 45: a modal takes present tense"),
+        ('node c emit subject="sam" tense=future verb=go modal=must\n',
+         "line 4, column 48: a modal takes present tense"),
     ])
     def test_statement_error_message(self, extra, message):
         with pytest.raises(SchemaParseError) as info:
@@ -290,7 +295,7 @@ class TestRoundTrip:
     def test_guard_and_labels_survive(self):
         src = ("schema s\n"
                "node a emit subject=path(r.id) verb=go modal=must "
-               "tense=future adverb=\"just\" complement=\"to the store\", "
+               "tense=present adverb=\"just\" complement=\"to the store\", "
                "\"a box\"\n"
                "node b end\n"
                "arc a -> b when or(not(exists(r.x)), gt(r.n, 1.5), "
@@ -523,17 +528,15 @@ class TestCompiledGuards:
         # Compiling is left to the first traversal, so that a schema that
         # is parsed and not run costs no more than before.
         for doc in corpus:
+            schema._parse_complement_text.cache_clear()
             parsed = schema.parse_schema(doc.schema_source)
             for definition in parsed.schema_set.values():
                 for arc in definition.arcs:
                     if arc.guard is not None:
                         assert "test" not in vars(arc.guard)
-                for node in definition.nodes:
-                    if node.template is not None:
-                        assert "phrases" not in vars(node.template)
+            assert schema._parse_complement_text.cache_info().currsize == 0
             schema.traverse(parsed, doc.data)
-            assert any("phrases" in vars(node.template)
-                       for node in parsed.nodes if node.template)
+            assert schema._parse_complement_text.cache_info().currsize > 0
 
     def test_one_parse_serves_many_documents(self, corpus):
         doc = get(corpus, "patient_report")
@@ -816,6 +819,63 @@ class TestInstantiate:
         assert parse("with @sam") == ir.ComplementPhrase(
             head="@sam", preposition="with")
         assert parse("here") == ir.ComplementPhrase(head="here")
+
+
+class TestComplementCache:
+    """Complement text is parsed through one process-wide cache; what
+    depends on the data is still checked for every document."""
+
+    @staticmethod
+    def _data(entities, records=None):
+        return schema.load_data(json.dumps({
+            "entities": {e: {"name": e.title()} for e in entities},
+            "records": records or {}}))
+
+    def test_each_distinct_text_is_parsed_once(self):
+        parsed = schema.parse_schema(
+            "schema s\n"
+            'node a emit subject="sam" verb=have complement="a fever", '
+            "path(r.same)\n"
+            'node b emit subject="sam" verb=have complement="a fever"\n'
+            'node c emit subject="sam" verb=go complement=path(r.place), '
+            '"to the store"\n'
+            "arc a -> b\narc b -> c\n")
+        data = self._data(["sam"], {"r": {"same": "a fever",
+                                          "place": "to the store"}})
+        cache = schema._parse_complement_text
+        cache.cache_clear()
+        plan = schema.traverse(parsed, data)
+        # Five complements, two distinct texts, literal or read from data.
+        assert len(ir.plan_leaves(plan)) == 3
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+        schema.traverse(parsed, data)
+        assert cache.cache_info().misses == 2
+
+    def test_cached_entity_phrase_is_checked_for_each_document(self):
+        parsed = schema.parse_schema(
+            'schema s\nnode a emit subject="sam" verb=see '
+            'complement="@ghost", path(r.who)\n')
+        records = {"r": {"who": "with @ghost"}}
+        plan = schema.traverse(parsed, self._data(["sam", "ghost"], records))
+        assert len(ir.plan_leaves(plan)) == 1
+        # load_data refuses an @ghost record without ghost, so only the
+        # literal, parsed and cached above, can name it here.
+        with pytest.raises(TraversalError) as info:
+            schema.traverse(parsed, self._data(["sam"],
+                                               {"r": {"who": "with @sam"}}))
+        assert str(info.value) == ("node 'a': template instantiation "
+                                   "failed: unknown entity 'ghost'")
+
+    def test_empty_complement_fails_on_every_traversal(self):
+        parsed = schema.parse_schema(
+            'schema s\nnode a emit subject="sam" verb=see complement=""\n')
+        data = self._data(["sam"])
+        for _ in range(3):
+            with pytest.raises(TraversalError) as info:
+                schema.traverse(parsed, data)
+            assert str(info.value) == ("node 'a': template instantiation "
+                                       "failed: empty complement text")
 
 
 class TestLoadData:
