@@ -37,6 +37,7 @@ Determiner = Literal["a", "the"]
 ReferenceMode = Literal["full-name", "pronoun", "reflexive-pronoun"]
 Case = Literal["subjective", "objective"]
 
+GENDERS = get_args(Gender)
 NUMBERS = get_args(Number)
 PERSONS = get_args(Person)
 TENSES = get_args(Tense)

@@ -10,12 +10,14 @@ headers [plurals], [verbs], [pronouns] and [articles]:
     [pronouns]  person <TAB> number <TAB> gender <TAB> case <TAB> form
     [articles]  word <TAB> a|an
 
-Pronoun rows use "-" for gender where English makes no distinction (first
-and second person, and the third-person plural).  Unknown verbs conjugate
-regularly rather than erroring, so generation never fails on a new domain
-verb; misinflections surface in the golden tests instead.  Orthographic
-doubling (run -> running) is not modeled: only the tense forms below are
-ever generated.
+A pronoun row's gender is masculine, feminine or neuter, or "-" where
+English makes no distinction (first and second person, and the
+third-person plural); any other gender is a DataError.  Article keys are
+case-insensitive: a row "Hour" applies to "hour", "Hour" and "HOUR".
+Unknown verbs conjugate regularly rather than erroring, so generation
+never fails on a new domain verb; misinflections surface in the golden
+tests instead.  Orthographic doubling (run -> running) is not modeled:
+only the tense forms below are ever generated.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import DataError
-from .ir import CASES, NUMBERS, PERSONS, TENSES
+from .ir import CASES, GENDERS, NUMBERS, PERSONS, TENSES
 
 VOWELS = "aeiou"
 SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
@@ -83,6 +85,7 @@ def load_lexicon(text: str) -> Lexicon:
                     f"'person<TAB>number<TAB>gender<TAB>case<TAB>form'")
             person, number, gender, case, form = fields
             if person not in PERSONS or number not in NUMBERS \
+                    or gender not in GENDERS + ("-",) \
                     or case not in _PRONOUN_CASES:
                 raise DataError(
                     f"lexicon line {lineno}: bad pronoun features")
@@ -91,7 +94,7 @@ def load_lexicon(text: str) -> Lexicon:
             if len(fields) != 2 or fields[1] not in ("a", "an"):
                 raise DataError(f"lexicon line {lineno}: expected "
                                 f"'word<TAB>a|an'")
-            articles[fields[0]] = fields[1]
+            articles[fields[0].lower()] = fields[1]
         else:
             raise DataError(f"lexicon line {lineno}: entry before any "
                             f"section header")

@@ -4,21 +4,23 @@ Realization happens in two steps.  realize_sentence() linearizes a
 SentencePlan into a token stream (words, punctuation marks, boundaries),
 inflecting the verb against the subject's agreement features and rendering
 every reference through the lexicon.  orthography() then turns a token
-stream into the final string with an ordered list of rewrite rules:
+stream into the final string with four ordered rules:
 
     1. punctuation collapse: ","+"." -> "." (point absorption) and
        duplicate adjacent identical marks -> one mark
-    2. "a" -> "an" before a word spoken with a leading vowel sound: a
-       vowel letter, a number such as 8 or 11, or a letter name such as
-       F in "FBI"; a lexicon-driven exceptions list wins ("an hour",
-       "a university")
+    2. "a" or "an", whichever the next word takes: "an" before a word
+       spoken with a leading vowel sound (a vowel letter, a number such
+       as 8 or 11, or a letter name such as F in "FBI"), else "a"; so
+       "a" becomes "an" and "an" becomes "a" as needed.  A lexicon-driven
+       exceptions list wins ("an hour", "a university")
     3. capitalization at sentence starts; standalone "i" -> "I"
     4. spacing: single spaces between words, none before punctuation,
        blank line at paragraph boundaries
 
-Keeping point absorption a token-level rewrite makes it locally testable
-instead of string surgery.  The module also hosts the fill-in-the-blank
-template realizer, which shares the orthography pass.
+Rule 1 is one pass over the tokens; rules 2-4 are a second pass that
+writes the text.  Keeping point absorption a token-level rewrite makes it
+locally testable instead of string surgery.  The module also hosts the
+fill-in-the-blank template realizer, which shares the orthography pass.
 """
 
 from __future__ import annotations
@@ -187,39 +189,30 @@ def realize_document(plans: list[ir.SentencePlan],
 # Orthography
 
 
-def _collapse_punct_once(stream: list[Token]) -> list[Token]:
+def _collapse_punct(stream: list[Token]) -> list[Token]:
     # Boundaries render as mere spacing, so punctuation marks separated
     # only by boundaries are adjacent on the page and collapse the same
     # way as direct neighbors.
     out: list[Token] = []
-    last_punct = -1  # index into out; words invalidate it
+    marks: list[int] = []  # indexes into out of the marks since the last word
     for tok in stream:
         if tok.kind == "word":
-            out.append(tok)
-            last_punct = -1
-        elif tok.kind == "boundary":
-            out.append(tok)
-        else:
-            if last_punct >= 0:
-                prev = out[last_punct]
-                if prev.text == tok.text:
-                    continue  # duplicate mark
-                if prev.text == COMMA and tok.text == PERIOD:
-                    out[last_punct] = tok  # the period absorbs the comma
-                    continue
-            out.append(tok)
-            last_punct = len(out) - 1
+            marks.clear()
+        elif tok.kind == "punct":
+            prev = out[marks[-1]].text if marks else None
+            if prev == tok.text:
+                continue  # duplicate mark
+            if prev == COMMA and tok.text == PERIOD:
+                # The period absorbs the comma; if a period came before
+                # that comma, the two periods are one.
+                if len(marks) > 1 and out[marks[-2]].text == PERIOD:
+                    del out[marks.pop()]
+                else:
+                    out[marks[-1]] = tok
+                continue
+            marks.append(len(out))
+        out.append(tok)
     return out
-
-
-def _collapse_punct(stream: list[Token]) -> list[Token]:
-    # An absorption can create a new adjacency, so run to a fixed point;
-    # every changing pass removes at least one mark.
-    while True:
-        out = _collapse_punct_once(stream)
-        if out == stream:
-            return out
-        stream = out
 
 
 # Letters whose English name starts with a vowel sound: "an F", "an x".
@@ -242,70 +235,48 @@ def _vowel_sound(text: str) -> bool:
     return text[:1].lower() in "aeiou"
 
 
-def _apply_articles(stream: list[Token], lex: Lexicon) -> list[Token]:
-    exceptions = lex.article_exceptions
-    out = list(stream)
-    for i, tok in enumerate(out):
-        if tok.kind != "word" or tok.text.lower() != "a":
-            continue
-        j = i + 1  # boundaries render as spacing; the next word decides
-        while j < len(out) and out[j].kind == "boundary":
-            j += 1
-        if j >= len(out) or out[j].kind != "word":
-            continue
-        following = out[j].text
-        article = exceptions.get(following.lower())
-        if article is None:
-            article = "an" if _vowel_sound(following) else "a"
-        if article == "an":
-            out[i] = word("An" if tok.text == "A" else "an")
-    return out
-
-
-def _capitalize(stream: list[Token]) -> list[Token]:
-    out = list(stream)
-    sentence_start = True
-    for i, tok in enumerate(stream):
-        if tok.kind == "word":
-            text = tok.text
-            if text == "i":
-                out[i] = word("I")
-            elif sentence_start and text[:1].isalpha():
-                upper = text[0].upper() + text[1:]
-                if upper != text:
-                    out[i] = word(upper)
-            sentence_start = False
-        elif tok.kind == "boundary" or tok.text in (PERIOD, QUESTION):
-            sentence_start = True
-    return out
-
-
-def _assemble(stream: list[Token]) -> str:
+def _render(stream: list[Token], exceptions: dict[str, str]) -> str:
+    """Rules 2-4: each "a"/"an" is settled when the next word arrives."""
     parts: list[str] = []
-    sep = ""  # pending separator before the next word
-    for tok in stream:
-        if tok.kind == "word":
+    sep = ""  # separator before the next word
+    sentence_start = True
+    article = -1  # index into parts of an "a"/"an" awaiting the next word
+    for kind, text in stream:
+        if kind == "word":
+            if article >= 0:
+                # Boundaries render as spacing; the next word decides.
+                chosen = exceptions.get(text.lower()) \
+                    or ("an" if _vowel_sound(text) else "a")
+                old = parts[article]
+                if chosen != old.lower():
+                    parts[article] = chosen.capitalize() \
+                        if old[0] == "A" else chosen
+            if text == "i":
+                text = "I"
+            elif sentence_start and text[:1].isalpha():
+                text = text[0].upper() + text[1:]
             if parts:
-                parts.append(sep or " ")
-            parts.append(tok.text)
+                parts.append(sep)
+            parts.append(text)
+            article = len(parts) - 1 if text.lower() in ("a", "an") else -1
             sep = " "
-        elif tok.kind == "punct":
-            parts.append(tok.text)  # no space before punctuation
+            sentence_start = False
+        elif kind == "punct":
+            parts.append(text)  # no space before punctuation
             sep = " "
-        elif tok.kind == "boundary":
-            if tok.text == "paragraph":
+            article = -1
+            sentence_start = sentence_start or text in (PERIOD, QUESTION)
+        else:  # a boundary
+            if text == "paragraph":
                 sep = "\n\n"
-            elif sep != "\n\n":
-                sep = " "
+            sentence_start = True
     return "".join(parts)
 
 
 def orthography(stream: list[Token], lex: Lexicon | None = None) -> str:
     """Final string for a token stream; total over well-formed streams."""
-    stream = _collapse_punct(stream)
-    stream = _apply_articles(stream, lex or default_lexicon())
-    stream = _capitalize(stream)
-    return _assemble(stream)
+    lex = lex or default_lexicon()
+    return _render(_collapse_punct(stream), lex.article_exceptions)
 
 
 def tokenize_text(text: str) -> list[Token]:

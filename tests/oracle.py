@@ -585,3 +585,115 @@ def reference_realize_sentence(sp, lex):
     toks.append(punct(PERIOD))
     toks.append(boundary("sentence"))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Orthography as four passes, point absorption run to a fixed point.  The
+# library's two-pass orthography must give the same text.
+
+
+def _reference_collapse_punct_once(stream):
+    from nlgen.realize import COMMA, PERIOD
+
+    out = []
+    last_punct = -1  # index into out; words invalidate it
+    for tok in stream:
+        if tok.kind == "word":
+            out.append(tok)
+            last_punct = -1
+        elif tok.kind == "boundary":
+            out.append(tok)
+        else:
+            if last_punct >= 0:
+                prev = out[last_punct]
+                if prev.text == tok.text:
+                    continue  # duplicate mark
+                if prev.text == COMMA and tok.text == PERIOD:
+                    out[last_punct] = tok  # the period absorbs the comma
+                    continue
+            out.append(tok)
+            last_punct = len(out) - 1
+    return out
+
+
+def _reference_collapse_punct(stream):
+    # An absorption can create a new adjacency, so run to a fixed point;
+    # every changing pass removes at least one mark.
+    while True:
+        out = _reference_collapse_punct_once(stream)
+        if out == stream:
+            return out
+        stream = out
+
+
+def _reference_apply_articles(stream, lex):
+    from nlgen.realize import _vowel_sound, word
+
+    exceptions = lex.article_exceptions
+    out = list(stream)
+    for i, tok in enumerate(out):
+        if tok.kind != "word" or tok.text.lower() not in ("a", "an"):
+            continue
+        j = i + 1  # boundaries render as spacing; the next word decides
+        while j < len(out) and out[j].kind == "boundary":
+            j += 1
+        if j >= len(out) or out[j].kind != "word":
+            continue
+        following = out[j].text
+        article = exceptions.get(following.lower())
+        if article is None:
+            article = "an" if _vowel_sound(following) else "a"
+        if article != tok.text.lower():
+            out[i] = word(article.capitalize() if tok.text[0] == "A"
+                          else article)
+    return out
+
+
+def _reference_capitalize(stream):
+    from nlgen.realize import PERIOD, QUESTION, word
+
+    out = list(stream)
+    sentence_start = True
+    for i, tok in enumerate(stream):
+        if tok.kind == "word":
+            text = tok.text
+            if text == "i":
+                out[i] = word("I")
+            elif sentence_start and text[:1].isalpha():
+                upper = text[0].upper() + text[1:]
+                if upper != text:
+                    out[i] = word(upper)
+            sentence_start = False
+        elif tok.kind == "boundary" or tok.text in (PERIOD, QUESTION):
+            sentence_start = True
+    return out
+
+
+def _reference_assemble(stream):
+    parts = []
+    sep = ""  # pending separator before the next word
+    for tok in stream:
+        if tok.kind == "word":
+            if parts:
+                parts.append(sep or " ")
+            parts.append(tok.text)
+            sep = " "
+        elif tok.kind == "punct":
+            parts.append(tok.text)  # no space before punctuation
+            sep = " "
+        elif tok.kind == "boundary":
+            if tok.text == "paragraph":
+                sep = "\n\n"
+            elif sep != "\n\n":
+                sep = " "
+    return "".join(parts)
+
+
+def reference_orthography(stream, lex):
+    """orthography as one pass per rule: point absorption repeated until
+    nothing changes, then a/an, capitals and spacing, each copying the
+    stream.  The a/an rule sets both "a" and "an"."""
+    stream = _reference_collapse_punct(stream)
+    stream = _reference_apply_articles(stream, lex)
+    stream = _reference_capitalize(stream)
+    return _reference_assemble(stream)

@@ -141,6 +141,17 @@ class TestGenerate:
         assert err.count("\n") == 1
         assert "no pronoun for third/singular/masculine/reflexive" in err
 
+    def test_lexicon_with_misspelled_gender_exits_1(self, corpus, tmp_path):
+        doc = get(corpus, "reflexive")
+        lex = tmp_path / "lex.txt"
+        lex.write_text("[pronouns]\nthird\tsingular\tfeminin\tsubjective"
+                       "\tshe\n")
+        code, out, err = run_cli([
+            "generate", "--schema", str(doc.schema_path),
+            "--data", str(doc.data_path), "--lexicon", str(lex)])
+        assert (code, out) == (1, "")
+        assert err == f"parse: {lex}: lexicon line 2: bad pronoun features\n"
+
     def test_lexicon_override(self, corpus, tmp_path):
         doc = get(corpus, "sam_pair")
         lex = tmp_path / "lex.txt"

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from nlgen import lexicon
+from nlgen import ir, lexicon, realize
 from nlgen.errors import DataError
+from nlgen.realize import boundary, punct, word
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,3 +154,26 @@ class TestLexiconFile:
         lex = lexicon.load_lexicon(
             "# header\n\n[plurals]\n# note\nchild\tchildren\n")
         assert lex.irregular_plurals == {"child": "children"}
+
+    def test_article_keys_are_case_insensitive(self):
+        lex = lexicon.load_lexicon("[articles]\nHour\tan\nNATO\ta\n")
+        assert lex.article_exceptions == {"hour": "an", "nato": "a"}
+        for following, text in [("hour", "An hour."), ("Hour", "An Hour."),
+                                ("NATO", "A NATO.")]:
+            stream = [word("a"), word(following), punct("."), boundary()]
+            assert realize.orthography(stream, lex) == text
+
+    @pytest.mark.parametrize("gender", ir.GENDERS + ("-",))
+    def test_pronoun_gender_in_domain_loads(self, gender):
+        lex = lexicon.load_lexicon(
+            f"[pronouns]\nthird\tsingular\t{gender}\tsubjective\tit\n")
+        assert lex.pronoun_table == {
+            ("third", "singular", gender, "subjective"): "it"}
+
+    @pytest.mark.parametrize("gender", ["feminin", "Feminine", "", "plural"])
+    def test_pronoun_gender_outside_domain_refused(self, gender):
+        with pytest.raises(DataError) as info:
+            lexicon.load_lexicon(
+                f"[pronouns]\n# she\n"
+                f"third\tsingular\t{gender}\tsubjective\tshe\n")
+        assert str(info.value) == "lexicon line 3: bad pronoun features"

@@ -321,6 +321,22 @@ class TestOrthography:
         assert realize.orthography(stream, lex) == "A NATO plan."
         assert realize.orthography(stream) == "An NATO plan."
 
+    @pytest.mark.parametrize("text, expected", [
+        ("We saw an university and an 7 hour delay.",
+         "We saw a university and a 7 hour delay."),
+        ("An UK visa.", "A UK visa."),
+        ("A apple and A FBI agent.", "An apple and An FBI agent."),
+        # Lexicon exceptions win, and a right article stays as written.
+        ("We waited an hour, a hour and an Hour.",
+         "We waited an hour, an hour and an Hour."),
+        ("AN apple and An egg.", "AN apple and An egg."),
+        # A mark between the article and the next word blocks the rule.
+        ("an, university.", "An, university."),
+    ])
+    def test_article_chosen_both_ways(self, text, expected):
+        t = realize.parse_templates(f"template t\n{text}\n")
+        assert realize.realize_template(t["t"], {}) == expected
+
     def test_sentence_boundary_single_space(self):
         stream = [word("one"), punct("."), boundary(), word("two"),
                   punct("."), boundary()]
@@ -401,6 +417,42 @@ def random_stream(rng):
                                              "paragraph"])))
     toks.append(boundary())
     return toks
+
+
+_ORTHOGRAPHY_TOKENS = st.one_of(
+    st.sampled_from([
+        "a", "an", "A", "An", "i", "apple", "Egg", "umbrella", "cat",
+        "Store", "8", "11", "7", "1,800", "FBI", "UK", "x-ray", "hour",
+        "university", "mrs."]).map(word),
+    st.sampled_from([",", ".", "?"]).map(punct),
+    st.sampled_from(["sentence", "paragraph"]).map(boundary))
+
+
+class TestOrthographyMatchesReference:
+    """orthography against the one-pass-per-rule version kept in
+    oracle.py, which runs point absorption to a fixed point."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(stream=st.lists(_ORTHOGRAPHY_TOKENS, max_size=24))
+    def test_random_streams(self, stream):
+        lex = default_lexicon()
+        assert realize.orthography(stream, lex) == \
+            oracle.reference_orthography(stream, lex)
+
+    @pytest.mark.parametrize("marks, text", [
+        ([".", "paragraph", ",", "."], "One.\n\nTwo."),
+        ([",", "paragraph", "."], "One.\n\nTwo."),
+        ([".", ",", ".", ",", "."], "One. Two."),
+        (["?", ",", "sentence", "."], "One?. Two."),
+    ])
+    def test_mark_runs(self, marks, text):
+        stream = [word("one")]
+        stream += [boundary(m) if m.isalpha() else punct(m) for m in marks]
+        stream += [word("two"), punct("."), boundary()]
+        lex = default_lexicon()
+        assert realize.orthography(stream, lex) == text
+        assert oracle.reference_orthography(stream, lex) == text
 
 
 class TestOrthographyProperties:
