@@ -238,11 +238,11 @@ def _normalize_phrase(phrase: ComplementPhrase) -> tuple:
 
 
 def _message_tuple(msg: Message, entities: dict[str, Entity]) -> tuple:
-    _check_entity(msg.subject, entities)
+    lookup_entity(entities, msg.subject)
     for phrase in msg.complements:
         ref = entity_ref(phrase.head)
         if ref is not None:
-            _check_entity(ref, entities)
+            lookup_entity(entities, ref)
     comps = tuple(_normalize_phrase(c) for c in msg.complements)
     cond = None
     if msg.condition is not None:
@@ -251,10 +251,13 @@ def _message_tuple(msg: Message, entities: dict[str, Entity]) -> tuple:
             msg.modal or "none", msg.polarity, cond)
 
 
-def _check_entity(entity_id: str, entities: dict[str, Entity]) -> None:
-    if entity_id not in entities:
+def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
+    """The entity ``entity_id`` names in ``entities``."""
+    entity = entities.get(entity_id)
+    if entity is None:
         raise ReferentialIntegrityError(
             f"dangling entity reference: {entity_id!r}")
+    return entity
 
 
 def _clause_tuples(clause: ClauseSpec) -> list[tuple]:

@@ -101,27 +101,32 @@ def _add_reference(out: list[Token], ref: ir.ReferenceSpec, case: str,
 
 
 def _add_verb(out: list[Token], clause: ir.ClauseSpec, lex: Lexicon) -> None:
+    # Markers come before "not": after an auxiliary that negates on its
+    # own ("is also not", "can also not"), else before the verb group
+    # ("still did not see", "also goes").
     negative = clause.polarity == "negative"
+    markers = map(word, clause.discourse_markers)
     # A modal takes present tense only, so it and "will" both carry the
     # bare verb.
     if clause.modal or clause.tense == "future":
         out.append(word(clause.modal) if clause.modal else _WILL)
+        out += markers
         if negative:
             out.append(_NOT)
-        out += map(word, clause.discourse_markers)
         out.append(word(clause.verb))
         return
     subj = clause.subject_ref.entity
-    if negative:
-        copula = clause.verb == "be"  # negates without do-support
-        out.append(word(verb_form("be" if copula else "do", subj.person,
-                                  subj.number, clause.tense, lex)))
+    if negative and clause.verb == "be":  # negates without do-support
+        out.append(word(verb_form("be", subj.person, subj.number,
+                                  clause.tense, lex)))
+        out += markers
         out.append(_NOT)
-        out += map(word, clause.discourse_markers)
-        if not copula:
-            out.append(word(clause.verb))
         return
-    out += map(word, clause.discourse_markers)
+    out += markers
+    if negative:
+        out += (word(verb_form("do", subj.person, subj.number, clause.tense,
+                               lex)), _NOT, word(clause.verb))
+        return
     out += map(word, verb_form(clause.verb, subj.person, subj.number,
                                clause.tense, lex).split())
 

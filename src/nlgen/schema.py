@@ -34,7 +34,10 @@ operators as deep, and no deeper.
 
 Guards are compiled on first use and cached on the frozen schema
 objects: each Condition builds one predicate over the data records
-(Condition.test).  Complement text, literal or read from a path, is parsed
+(Condition.test).  Compiling a comparison fixes the operand types it
+accepts, from its operator and its literal.  A guard that fails (a
+missing path, a value of another type) is a TraversalError naming its
+arc and schema.  Complement text, literal or read from a path, is parsed
 through one bounded cache shared by the whole process
 (COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped
 first), so each distinct text is parsed once; text that does not parse
@@ -93,12 +96,6 @@ class Condition:
     path: str | None = None
     value: Any = None
     args: tuple["Condition", ...] = ()
-    # The path's dotted segments, split once when the guard is built.
-    segments: tuple[str, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.path.split("."))
-                           if self.path is not None else ())
 
     @cached_property
     def test(self) -> Callable[[Any], bool]:
@@ -699,46 +696,33 @@ def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],
     return value
 
 
-def _compare(cond: Condition, value: Any) -> bool:
-    """eq/gt/lt on a resolved path value, with every type rule; the
-    compiled guards take a shortcut only where these rules agree."""
-    literal = cond.value
+# The value kinds a literal can be, bool first: a bool is an int too, but
+# never a number here.
+_KINDS = ((bool,), (str,), (int, float))
+_NUMBER = _KINDS[2]
+
+
+def _mismatch(cond: Condition, value: Any) -> TypeMismatchError:
     if cond.op == "eq":
-        if isinstance(value, bool) != isinstance(literal, bool):
-            raise TypeMismatchError(
-                f"eq({cond.path}, ...): cannot compare "
-                f"{type(value).__name__} with {type(literal).__name__}")
-        if isinstance(value, bool):
-            return value == literal
-        if isinstance(value, (int, float)) and \
-                isinstance(literal, (int, float)):
-            return value == literal
-        if isinstance(value, str) and isinstance(literal, str):
-            return value == literal
-        raise TypeMismatchError(
+        return TypeMismatchError(
             f"eq({cond.path}, ...): cannot compare "
-            f"{type(value).__name__} with {type(literal).__name__}")
-    # gt / lt: numbers only
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeMismatchError(
-            f"{cond.op}({cond.path}, ...): path value is "
-            f"{type(value).__name__}, not a number")
-    if cond.op == "gt":
-        return value > literal
-    return value < literal
-
-
-# Literal types for which a value of exactly the literal's type compares
-# as _compare would compare it, with no type rule to apply.
-_SAME_TYPE_FAST = {"eq": (int, float, str), "gt": (int, float),
-                   "lt": (int, float)}
+            f"{type(value).__name__} with {type(cond.value).__name__}")
+    return TypeMismatchError(
+        f"{cond.op}({cond.path}, ...): path value is "
+        f"{type(value).__name__}, not a number")
 
 
 def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     """One closure per operator; children are compiled with their parent.
-    Each comparison has its own closure, so that its shortcut is one
-    inline operation."""
-    op, segments, path = cond.op, cond.segments, cond.path
+
+    A comparison's operand types are fixed here, from its operator and its
+    literal: eq takes a value of its literal's kind (bool; str; int and
+    float), gt and lt take a number, and bool is never a number.  Each
+    comparison has its own closure, which tests one exact type inline and
+    falls back to isinstance, so subclass values are accepted too; any
+    other value is a TypeMismatchError."""
+    op, path = cond.op, cond.path
+    segments = tuple(path.split(".")) if path is not None else ()
     if op == "exists":
         def test(records):
             value = records
@@ -771,27 +755,32 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
             return False
     else:
         literal = cond.value
-        # type() never returns None, so None turns the shortcut off.
-        fast = type(literal) \
-            if type(literal) in _SAME_TYPE_FAST.get(op, ()) else None
+        kinds = _NUMBER if op != "eq" else next(
+            (kind for kind in _KINDS if isinstance(literal, kind)), ())
+        # The type tested inline; None, which no value has, turns it off.
+        fast = type(literal) if type(literal) in kinds \
+            else kinds[0] if kinds else None
         if op == "eq":
             def test(records):
                 value = _resolve_segments(records, segments, path)
-                if type(value) is fast:
+                if type(value) is fast or isinstance(value, kinds) \
+                        and type(value) is not bool:
                     return value == literal
-                return _compare(cond, value)
+                raise _mismatch(cond, value)
         elif op == "gt":
             def test(records):
                 value = _resolve_segments(records, segments, path)
-                if type(value) is fast:
+                if type(value) is fast or isinstance(value, kinds) \
+                        and type(value) is not bool:
                     return value > literal
-                return _compare(cond, value)
-        else:  # lt, and any other op, as in _compare
+                raise _mismatch(cond, value)
+        else:  # lt, and any other op
             def test(records):
                 value = _resolve_segments(records, segments, path)
-                if type(value) is fast:
+                if type(value) is fast or isinstance(value, kinds) \
+                        and type(value) is not bool:
                     return value < literal
-                return _compare(cond, value)
+                raise _mismatch(cond, value)
     return test
 
 
@@ -960,7 +949,13 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
         definition, arcs, pieces, runs, level, joins = stack[-1]
         # Arcs in declaration order; every true guard is taken.
         for arc in arcs:
-            if arc.guard is None or eval_condition(arc.guard, data):
+            try:
+                taken = arc.guard is None or eval_condition(arc.guard, data)
+            except (MissingPathError, TypeMismatchError) as exc:
+                raise TraversalError(
+                    f"arc {arc.src!r} -> {arc.dst!r} in schema "
+                    f"{definition.name!r}: guard failed: {exc}") from exc
+            if taken:
                 enter(definition, arc.dst, level + (arc.rel != "sequence"),
                       arc.rel)
                 break

@@ -11,6 +11,10 @@ Three passes add fluency without changing what the text says:
   pronominalize          replace repeated full references with pronouns
                          (and same-clause object corefs with reflexives)
 
+Each pass's decision is one predicate: _joins (whether a message joins
+the group before it), _takes_also (whether a clause takes "also") and
+_only_meaning (whether a pronoun can only mean its entity in the window).
+
 The "plain" profile skips all three: one sentence per message, every
 reference full.  Under both profiles proposition_set() of the output
 equals proposition_set() of the input plan; the test suite enforces this
@@ -33,31 +37,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import ir
-from .errors import ReferentialIntegrityError
 
 PROFILES = ("fluent", "plain")
 
 AGGREGATION_CAP = 3  # max coordination units in one group
 
 
-def _entity(entities: dict[str, ir.Entity], entity_id: str) -> ir.Entity:
-    ent = entities.get(entity_id)
-    if ent is None:
-        raise ReferentialIntegrityError(
-            f"dangling entity reference: {entity_id!r}")
-    return ent
-
-
 def _resolve_unit(complements, entities) -> tuple[ir.ResolvedComplement, ...]:
     unit = []
     for phrase in complements:
         ref_id = ir.entity_ref(phrase.head)
-        if ref_id is None:
-            unit.append(ir.ResolvedComplement(phrase=phrase))
-        else:
-            unit.append(ir.ResolvedComplement(
-                phrase=phrase,
-                ref=ir.ReferenceSpec(entity=_entity(entities, ref_id))))
+        ref = None if ref_id is None else \
+            ir.ReferenceSpec(entity=ir.lookup_entity(entities, ref_id))
+        unit.append(ir.ResolvedComplement(phrase=phrase, ref=ref))
     return tuple(unit)
 
 
@@ -69,7 +61,8 @@ def _build_clause(msg: ir.Message, entities,
     if msg.condition is not None:
         condition = _build_clause(msg.condition, entities)
     return ir.ClauseSpec(
-        subject_ref=ir.ReferenceSpec(entity=_entity(entities, msg.subject)),
+        subject_ref=ir.ReferenceSpec(
+            entity=ir.lookup_entity(entities, msg.subject)),
         verb=msg.verb,
         tense=msg.tense,
         modal=msg.modal,
@@ -81,9 +74,18 @@ def _build_clause(msg: ir.Message, entities,
     )
 
 
-def _merge_key(msg: ir.Message):
-    return (msg.subject, msg.verb, msg.tense, msg.modal, msg.polarity,
-            msg.adverb)
+def _joins(group: list[ir.Message], msg: ir.Message) -> bool:
+    """Whether ``msg`` joins ``group``, the messages just before it: a
+    group holds at most AGGREGATION_CAP messages, each with complements
+    and no condition, that share subject, verb, tense, modal, polarity
+    and adverb."""
+    first = group[0]
+    return len(group) < AGGREGATION_CAP \
+        and msg.condition is None and first.condition is None \
+        and bool(msg.complements) and bool(first.complements) \
+        and (msg.subject, msg.verb, msg.tense, msg.modal, msg.polarity,
+             msg.adverb) == (first.subject, first.verb, first.tense,
+                             first.modal, first.polarity, first.adverb)
 
 
 def aggregate(messages: list[ir.Message],
@@ -92,29 +94,13 @@ def aggregate(messages: list[ir.Message],
     polarity into one coordinated clause, greedily left to right, at most
     AGGREGATION_CAP units per group.  Condition-bearing messages and messages
     without complements never merge; order is always preserved."""
-    clauses: list[ir.ClauseSpec] = []
-    group: list[ir.Message] = []
-
-    def mergeable(msg: ir.Message) -> bool:
-        return msg.condition is None and bool(msg.complements)
-
-    def flush() -> None:
-        nonlocal group
-        if not group:
-            return
-        clauses.append(_build_clause(group[0], entities, group))
-        group = []
-
+    groups: list[list[ir.Message]] = []
     for msg in messages:
-        if group and mergeable(msg) and mergeable(group[0]) \
-                and _merge_key(msg) == _merge_key(group[0]) \
-                and len(group) < AGGREGATION_CAP:
-            group.append(msg)
-            continue
-        flush()
-        group = [msg]
-    flush()
-    return clauses
+        if groups and _joins(groups[-1], msg):
+            groups[-1].append(msg)
+        else:
+            groups.append([msg])
+    return [_build_clause(group[0], entities, group) for group in groups]
 
 
 def _with_clauses(sp: ir.SentencePlan,
@@ -126,6 +112,20 @@ def _with_clauses(sp: ir.SentencePlan,
                            new_paragraph=sp.new_paragraph)
 
 
+def _norm_units(clause: ir.ClauseSpec) -> tuple:
+    return tuple(tuple(ir._normalize_phrase(rc.phrase) for rc in unit)
+                 for unit in clause.complements)
+
+
+def _takes_also(clause: ir.ClauseSpec) -> bool:
+    """Whether ``clause`` takes "also": its condition has the same verb
+    and different complements, and it has no "also" yet."""
+    cond = clause.condition
+    return cond is not None and clause.verb == cond.verb \
+        and "also" not in clause.discourse_markers \
+        and _norm_units(clause) != _norm_units(cond)
+
+
 def insert_discourse_markers(
         plans: list[ir.SentencePlan]) -> list[ir.SentencePlan]:
     """Attach "also" before the main verb of a conditional sentence whose
@@ -133,30 +133,28 @@ def insert_discourse_markers(
     Idempotent: an existing "also" is never duplicated.  Sentences that
     gain no marker are returned as they were given."""
 
-    def norm_units(clause: ir.ClauseSpec):
-        return tuple(
-            tuple(ir._normalize_phrase(rc.phrase) for rc in unit)
-            for unit in clause.complements)
-
     def mark(clause: ir.ClauseSpec) -> ir.ClauseSpec:
-        cond = clause.condition
-        if cond is None:
-            return clause
-        if clause.verb != cond.verb:
-            return clause
-        if norm_units(clause) == norm_units(cond):
-            return clause
-        if "also" in clause.discourse_markers:
+        if not _takes_also(clause):
             return clause
         return ir.ClauseSpec(
             subject_ref=clause.subject_ref, verb=clause.verb,
             tense=clause.tense, modal=clause.modal,
             polarity=clause.polarity, complements=clause.complements,
             discourse_markers=clause.discourse_markers + ("also",),
-            condition=cond)
+            condition=clause.condition)
 
     return [_with_clauses(sp, [mark(c) for c in sp.clauses])
             for sp in plans]
+
+
+def _only_meaning(ent: ir.Entity, window: list[ir.Entity]) -> bool:
+    """Whether a pronoun can only mean ``ent`` in ``window``, the mentions
+    of the sentence before and of this one so far: ``ent`` is there, and
+    no other third-person entity of its gender and number is."""
+    return any(o.id == ent.id for o in window) and not any(
+        o.id != ent.id and o.person == "third"
+        and o.gender == ent.gender and o.number == ent.number
+        for o in window)
 
 
 def pronominalize(plans: list[ir.SentencePlan],
@@ -179,19 +177,13 @@ def pronominalize(plans: list[ir.SentencePlan],
               local_subject: str | None) -> ir.ReferenceSpec:
         # local_subject: id of the subject of the clause this mention is
         # an object of; None for a subject mention.
-        ent = _entity(entities, ref.entity.id)
+        ent = ir.lookup_entity(entities, ref.entity.id)
         mode = ref.mode
         if ent.id == local_subject:
             mode = "reflexive-pronoun"
-        elif ent.person == "third":
-            window = prev_sentence + current
-            mentioned = any(o.id == ent.id for o in window)
-            competitors = any(
-                o.id != ent.id and o.person == "third"
-                and o.gender == ent.gender and o.number == ent.number
-                for o in window)
-            if mentioned and not competitors:
-                mode = "pronoun"
+        elif ent.person == "third" \
+                and _only_meaning(ent, prev_sentence + current):
+            mode = "pronoun"
         current.append(ent)
         if mode == ref.mode:
             return ref
@@ -240,20 +232,16 @@ def _paragraph_leaf_groups(plan: ir.DocumentPlan) -> list[list[ir.Message]]:
     if plan.root.message is not None:
         return [[plan.root.message]]
     groups: list[list[ir.Message]] = []
-    run: list[ir.Message] = []
+    after_leaf = False  # whether groups[-1] is a run of bare leaves
     for child in plan.root.children:
-        if child.message is not None:
-            run.append(child.message)
-            continue
-        if run:
-            groups.append(run)
-            run = []
-        messages = [leaf.message for leaf in
-                    ir.plan_leaves(ir.DocumentPlan(root=child))]
-        if messages:
-            groups.append(messages)
-    if run:
-        groups.append(run)
+        if child.message is None:  # a valid relation node has leaves
+            groups.append([leaf.message for leaf in
+                           ir.plan_leaves(ir.DocumentPlan(root=child))])
+        elif after_leaf:
+            groups[-1].append(child.message)
+        else:
+            groups.append([child.message])
+        after_leaf = child.message is not None
     return groups
 
 

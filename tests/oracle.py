@@ -251,7 +251,8 @@ def reference_traverse(definition, data, max_visits=32):
     through reference_eval_condition, templates through the library's
     instantiate_template; error classes match schema.traverse."""
     from nlgen import ir, schema
-    from nlgen.errors import MissingPathError, TraversalError
+    from nlgen.errors import (
+        MissingPathError, TraversalError, TypeMismatchError)
 
     visits = Counter()
 
@@ -292,8 +293,12 @@ def reference_traverse(definition, data, max_visits=32):
         for arc in d.arcs:
             if arc.src != node_id:
                 continue
-            if arc.guard is not None \
-                    and not reference_eval_condition(arc.guard, data):
+            try:
+                skip = arc.guard is not None \
+                    and not reference_eval_condition(arc.guard, data)
+            except (MissingPathError, TypeMismatchError) as exc:
+                raise TraversalError(f"arc {arc.src!r}: {exc}") from exc
+            if skip:
                 continue
             result = visit(d, arc.dst)
             if runs and runs[-1][0] == arc.rel:
@@ -322,6 +327,11 @@ def reference_traverse(definition, data, max_visits=32):
 # reuse unchanged objects instead and must give equal plans.
 
 
+def _reference_merge_key(msg):
+    return (msg.subject, msg.verb, msg.tense, msg.modal, msg.polarity,
+            msg.adverb)
+
+
 def reference_aggregate(messages, entities, cap=3):
     from dataclasses import replace
 
@@ -347,7 +357,8 @@ def reference_aggregate(messages, entities, cap=3):
 
     for msg in messages:
         if group and mergeable(msg) and mergeable(group[0]) \
-                and sentplan._merge_key(msg) == sentplan._merge_key(group[0]) \
+                and _reference_merge_key(msg) == \
+                _reference_merge_key(group[0]) \
                 and len(group) < cap:
             group.append(msg)
             continue
@@ -464,13 +475,40 @@ def reference_pronominalize(plans, entities):
     return out
 
 
+def reference_paragraphs(plan):
+    """Split the plan into paragraphs: one per relation child of the root,
+    with runs of bare leaf children sharing a paragraph."""
+    from nlgen import ir
+
+    if plan.root is None:
+        return []
+    if plan.root.message is not None:
+        return [[plan.root.message]]
+    groups = []
+    run = []
+    for child in plan.root.children:
+        if child.message is not None:
+            run.append(child.message)
+            continue
+        if run:
+            groups.append(run)
+            run = []
+        messages = [leaf.message for leaf in
+                    ir.plan_leaves(ir.DocumentPlan(root=child))]
+        if messages:
+            groups.append(messages)
+    if run:
+        groups.append(run)
+    return groups
+
+
 def reference_plan_sentences(plan, profile):
-    """plan_sentences with the copy-and-replace passes above; paragraph
-    grouping and clause building are the library's."""
+    """plan_sentences with the paragraph split and the copy-and-replace
+    passes above; clause building is the library's."""
     from nlgen import ir, sentplan
 
     sentences = []
-    for pi, messages in enumerate(sentplan._paragraph_leaf_groups(plan)):
+    for pi, messages in enumerate(reference_paragraphs(plan)):
         if profile == "plain":
             clauses = [sentplan._build_clause(m, plan.entities)
                        for m in messages]
@@ -517,24 +555,22 @@ def reference_realize_sentence(sp, lex):
         subj = clause.subject_ref.entity
         markers = [word(m) for m in clause.discourse_markers]
         negative = clause.polarity == "negative"
+        # A marker precedes "not": it follows a modal, "will" or a form of
+        # "be", and goes before the do-form of do-support.
+        negation = [word("not")] if negative else []
         if clause.modal:
-            toks = [word(clause.modal)]
-            if negative:
-                toks.append(word("not"))
-            return toks + markers + [word(clause.verb)]
+            return [word(clause.modal)] + markers + negation + \
+                [word(clause.verb)]
         if clause.tense == "future":
-            toks = [word("will")]
-            if negative:
-                toks.append(word("not"))
-            return toks + markers + [word(clause.verb)]
+            return [word("will")] + markers + negation + [word(clause.verb)]
         if negative:
             if clause.verb == "be":
                 form = verb_form("be", subj.person, subj.number,
                                  clause.tense, lex)
-                return [word(form), word("not")] + markers
+                return [word(form)] + markers + negation
             aux = verb_form("do", subj.person, subj.number, clause.tense,
                             lex)
-            return [word(aux), word("not")] + markers + [word(clause.verb)]
+            return markers + [word(aux)] + negation + [word(clause.verb)]
         form = verb_form(clause.verb, subj.person, subj.number,
                          clause.tense, lex)
         return markers + words(form)

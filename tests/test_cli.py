@@ -129,6 +129,20 @@ class TestGenerate:
         assert "node 'a', condition node 'b'" in err
         assert "missing data path: r.missing" in err
 
+    @pytest.mark.parametrize("records, problem", [
+        ({}, "missing data path: r.x"),
+        ({"r": {"x": "hi"}}, "gt(r.x, ...): path value is str, not a number"),
+    ])
+    def test_guard_failure_names_its_arc(self, tmp_path, records, problem):
+        src = ("schema s\n"
+               "node a emit subject=\"sam\" verb=rest\n"
+               "node b emit subject=\"sam\" verb=go\n"
+               "arc a -> b when gt(r.x, 1)\n")
+        code, out, err = self._generate(tmp_path, src, records)
+        assert (code, out) == (2, "")
+        assert err == (f"traverse: {tmp_path / 'd.json'}: arc 'a' -> 'b' in "
+                       f"schema 's': guard failed: {problem}\n")
+
     def test_lexicon_without_pronoun_cell_exits_4(self, corpus, tmp_path):
         doc = get(corpus, "reflexive")
         lex = tmp_path / "lex.txt"

@@ -229,6 +229,17 @@ class TestLinearizerMatchesReference:
         assert realize.realize_sentence(sp, lex) == \
             oracle.reference_realize_sentence(sp, lex)
 
+    @pytest.mark.parametrize("name, text", [
+        ("negated-copula-with-marker", "Sam is also not ill."),
+        ("negated-modal-with-marker", "Mrs. Black can also not go home."),
+        ("negated-future-with-marker", "The night nurses will also not rest."),
+        ("negated-past-with-marker", "Sam still did not see Mrs. Black."),
+    ])
+    def test_marker_comes_before_not(self, name, text):
+        lex = default_lexicon()
+        tokens = realize.realize_sentence(_HAND_BUILT[name], lex)
+        assert realize.orthography(tokens, lex) == text
+
 
 class TestRealizeDocument:
     def test_sentences_join_with_single_space(self):

@@ -511,9 +511,18 @@ class TestCompiledGuards:
 
     def test_every_comparison_type_pair(self):
         # The shortcut for same-typed operands sits on these pairs, which
-        # random guards meet only now and then.
+        # random guards meet only now and then.  Subclass values and
+        # literals miss the exact-type test and must still compare as
+        # their base types do.
+        class Text(str):
+            pass
+
+        class Real(float):
+            pass
+
         literals = [True, False, 0, 1, 2, 0.0, 1.0, 1.5, float("nan"),
-                    "on", "off", "", None]
+                    "on", "off", "", None, Text("on"), Text("no"),
+                    Real(1.0), Real(2.5)]
         for value in literals + [[], [1], {}, {"b": 1}]:
             data = schema.DataRecordSet(entities={}, records={"a": value})
             for op in ("eq", "gt", "lt"):
