@@ -33,15 +33,7 @@ from .lexicon import (
     pronoun,
     verb_form,
 )
-from .realize import (
-    Template,
-    orthography,
-    parse_templates,
-    realize_document,
-    realize_sentence,
-    realize_template,
-    tokenize_text,
-)
+from .realize import orthography, realize_document, realize_sentence
 from .schema import (
     DataRecordSet,
     SchemaDef,

@@ -41,9 +41,5 @@ class ReferentialIntegrityError(NlgenError):
     """A plan references an entity that is not in its entity table."""
 
 
-class TemplateError(NlgenError):
-    """Template definition or slot-filling problem."""
-
-
 class SerializationError(NlgenError):
     """A serialized plan file did not match the canonical JSON form."""

@@ -629,14 +629,10 @@ def print_schema(schema: SchemaDef) -> str:
 
 def load_data(text: str) -> DataRecordSet:
     """Parse a data file: JSON object with "entities" and "records"."""
-    import json
-
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"data file is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise DataError("data file is nested too deeply") from None
+        payload = ir._parse(text, "data file")
+    except SerializationError as exc:
+        raise DataError(str(exc)) from exc
     if not isinstance(payload, dict):
         raise DataError("data file must be a JSON object")
     unknown = set(payload) - {"entities", "records"}

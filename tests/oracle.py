@@ -529,7 +529,8 @@ def reference_realize_sentence(sp, lex):
     its caller concatenates; words and inflections come from the same
     lexicon functions."""
     from nlgen.lexicon import pluralize, pronoun, verb_form
-    from nlgen.realize import COMMA, PERIOD, boundary, punct, word
+    from nlgen.realize import (
+        COMMA, PERIOD, _vowel_sound, boundary, punct, word)
 
     def words(text):
         return [word(w) for w in text.split()]
@@ -582,7 +583,13 @@ def reference_realize_sentence(sp, lex):
             toks.append(word(phrase.preposition))
         if rc.ref is not None:
             return toks + reference_tokens(rc.ref, "objective")
-        if phrase.determiner:
+        if phrase.determiner == "a":
+            following = [*phrase.premodifiers, *phrase.head.split()][0]
+            article = lex.article_exceptions.get(following.lower())
+            if article is None:
+                article = "an" if _vowel_sound(following) else "a"
+            toks.append(word(article))
+        elif phrase.determiner:
             toks.append(word(phrase.determiner))
         for mod in phrase.premodifiers:
             toks.append(word(mod))
@@ -624,7 +631,7 @@ def reference_realize_sentence(sp, lex):
 
 
 # ---------------------------------------------------------------------------
-# Orthography as four passes, point absorption run to a fixed point.  The
+# Orthography as three passes, point absorption run to a fixed point.  The
 # library's two-pass orthography must give the same text.
 
 
@@ -633,10 +640,12 @@ def _reference_collapse_punct_once(stream):
 
     out = []
     last_punct = -1  # index into out; words invalidate it
+    own_period = False  # the last word ends in a period ("Jr.")
     for tok in stream:
         if tok.kind == "word":
             out.append(tok)
             last_punct = -1
+            own_period = tok.text.endswith(PERIOD)
         elif tok.kind == "boundary":
             out.append(tok)
         else:
@@ -647,6 +656,8 @@ def _reference_collapse_punct_once(stream):
                 if prev.text == COMMA and tok.text == PERIOD:
                     out[last_punct] = tok  # the period absorbs the comma
                     continue
+            elif own_period and tok.text == PERIOD:
+                continue  # the word's own period ends the sentence
             out.append(tok)
             last_punct = len(out) - 1
     return out
@@ -662,45 +673,20 @@ def _reference_collapse_punct(stream):
         stream = out
 
 
-def _reference_apply_articles(stream, lex):
-    from nlgen.realize import _vowel_sound, word
-
-    exceptions = lex.article_exceptions
-    out = list(stream)
-    for i, tok in enumerate(out):
-        if tok.kind != "word" or tok.text.lower() not in ("a", "an"):
-            continue
-        j = i + 1  # boundaries render as spacing; the next word decides
-        while j < len(out) and out[j].kind == "boundary":
-            j += 1
-        if j >= len(out) or out[j].kind != "word":
-            continue
-        following = out[j].text
-        article = exceptions.get(following.lower())
-        if article is None:
-            article = "an" if _vowel_sound(following) else "a"
-        if article != tok.text.lower():
-            out[i] = word(article.capitalize() if tok.text[0] == "A"
-                          else article)
-    return out
-
-
 def _reference_capitalize(stream):
-    from nlgen.realize import PERIOD, QUESTION, word
+    from nlgen.realize import PERIOD, word
 
     out = list(stream)
     sentence_start = True
     for i, tok in enumerate(stream):
         if tok.kind == "word":
             text = tok.text
-            if text == "i":
-                out[i] = word("I")
-            elif sentence_start and text[:1].isalpha():
+            if sentence_start and text[:1].isalpha():
                 upper = text[0].upper() + text[1:]
                 if upper != text:
                     out[i] = word(upper)
             sentence_start = False
-        elif tok.kind == "boundary" or tok.text in (PERIOD, QUESTION):
+        elif tok.kind == "boundary" or tok.text == PERIOD:
             sentence_start = True
     return out
 
@@ -725,11 +711,10 @@ def _reference_assemble(stream):
     return "".join(parts)
 
 
-def reference_orthography(stream, lex):
+def reference_orthography(stream):
     """orthography as one pass per rule: point absorption repeated until
-    nothing changes, then a/an, capitals and spacing, each copying the
-    stream.  The a/an rule sets both "a" and "an"."""
+    nothing changes, then capitals and spacing, each copying the
+    stream."""
     stream = _reference_collapse_punct(stream)
-    stream = _reference_apply_articles(stream, lex)
     stream = _reference_capitalize(stream)
     return _reference_assemble(stream)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from typing import Literal, get_args, get_origin
 from unittest import mock
 
@@ -959,6 +960,25 @@ class TestBadDataFiles:
         assert (code, out) == (5, "")
         assert err.startswith("io: cannot read -: 'utf-8' codec")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer digits")
+    def test_oversized_integer_exits_1(self, tmp_path):
+        # Past the interpreter's limit on integer digits, json.loads
+        # raises ValueError; the data file gets one line like plan files.
+        data_file = tmp_path / "d.json"
+        data_file.write_text('{"entities": {"sam": {"name": "Sam"}}, '
+                             '"records": {"n": ' + "1" * 5001 + "}}",
+                             encoding="utf-8")
+        schema_file = tmp_path / "s.schema"
+        schema_file.write_text('schema s\nnode a emit subject="sam" '
+                               'verb=rest\n', encoding="utf-8")
+        code, out, err = run_cli(["generate", "--schema", str(schema_file),
+                                  "--data", str(data_file)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"parse: {data_file}: malformed data file: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("depth", [985, 990])
     def test_deeply_nested_records_never_raise(self, tmp_path, depth):

@@ -4,7 +4,6 @@ import pytest
 
 from nlgen import ir, lexicon, realize
 from nlgen.errors import DataError
-from nlgen.realize import boundary, punct, word
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,10 +157,16 @@ class TestLexiconFile:
     def test_article_keys_are_case_insensitive(self):
         lex = lexicon.load_lexicon("[articles]\nHour\tan\nNATO\ta\n")
         assert lex.article_exceptions == {"hour": "an", "nato": "a"}
-        for following, text in [("hour", "An hour."), ("Hour", "An Hour."),
-                                ("NATO", "A NATO.")]:
-            stream = [word("a"), word(following), punct("."), boundary()]
-            assert realize.orthography(stream, lex) == text
+        sam = ir.ReferenceSpec(entity=ir.Entity(id="sam", name="Sam"))
+        for following, text in [("hour", "Sam sees an hour."),
+                                ("Hour", "Sam sees an Hour."),
+                                ("NATO", "Sam sees a NATO.")]:
+            phrase = ir.ComplementPhrase(head=following, determiner="a")
+            clause = ir.ClauseSpec(
+                subject_ref=sam, verb="see",
+                complements=((ir.ResolvedComplement(phrase=phrase),),))
+            assert realize.realize_document(
+                [ir.SentencePlan(clauses=(clause,))], lex) == text
 
     @pytest.mark.parametrize("gender", ir.GENDERS + ("-",))
     def test_pronoun_gender_in_domain_loads(self, gender):
