@@ -28,7 +28,6 @@ from .lexicon import (
     Lexicon,
     default_lexicon,
     load_lexicon,
-    load_lexicon_file,
     pluralize,
     pronoun,
     verb_form,

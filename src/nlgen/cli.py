@@ -73,26 +73,17 @@ def _stage(stage: str, code: int, source: str, fn, *args):
         raise _fail(stage, code, f"{name}: {exc}")
 
 
-def _load_schema(path: str) -> schema.SchemaDef:
-    return _stage("parse", EXIT_PARSE, path, schema.parse_schema,
-                  _read_text(path))
-
-
-def _load_data(path: str) -> schema.DataRecordSet:
-    return _stage("parse", EXIT_PARSE, path, schema.load_data,
-                  _read_text(path))
-
-
-def _load_lexicon(path: str | None) -> Lexicon:
-    if path is None:
-        return default_lexicon()
-    return _stage("parse", EXIT_PARSE, path, load_lexicon, _read_text(path))
+def _read(stage: str, code: int, path: str, parse):
+    """Read one input file and decode it with ``parse``; the one reader
+    for every input kind."""
+    return _stage(stage, code, path, parse, _read_text(path))
 
 
 def _make_plan(schema_def: schema.SchemaDef,
                data_path: str) -> ir.DocumentPlan:
+    data = _read("parse", EXIT_PARSE, data_path, schema.load_data)
     return _stage("traverse", EXIT_TRAVERSE, data_path, schema.traverse,
-                  schema_def, _load_data(data_path))
+                  schema_def, data)
 
 
 def _emit(text: str) -> None:
@@ -105,24 +96,15 @@ def _generate_one(args, schema_def: schema.SchemaDef, data_path: str,
     plan = _make_plan(schema_def, data_path)
     plans = _stage("sentplan", EXIT_SENTPLAN, data_path,
                    sentplan.plan_sentences, plan, args.profile)
-    if args.dump_plan:
-        _write_text(args.dump_plan, ir.document_plan_to_json(plan))
-    if args.dump_sentences:
-        _write_text(args.dump_sentences, ir.sentence_plans_to_json(plans))
     return _stage("realize", EXIT_REALIZE, data_path,
                   realize.realize_document, plans, lex)
 
 
 def cmd_generate(args) -> int:
-    lex = _load_lexicon(args.lexicon)
-    schema_def = _load_schema(args.schema)
+    lex = default_lexicon() if args.lexicon is None else \
+        _read("parse", EXIT_PARSE, args.lexicon, load_lexicon)
+    schema_def = _read("parse", EXIT_PARSE, args.schema, schema.parse_schema)
     if args.batch:
-        # One dump file per run would be rewritten for every data file.
-        for flag, value in (("--dump-plan", args.dump_plan),
-                            ("--dump-sentences", args.dump_sentences)):
-            if value:
-                raise _fail("io", EXIT_IO,
-                            f"{flag} cannot be used with --batch")
         batch_dir = Path(args.batch)
         if not batch_dir.is_dir():
             raise _fail("io", EXIT_IO, f"not a directory: {args.batch}")
@@ -142,14 +124,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    plan = _make_plan(_load_schema(args.schema), args.data)
+    schema_def = _read("parse", EXIT_PARSE, args.schema, schema.parse_schema)
+    plan = _make_plan(schema_def, args.data)
     sys.stdout.write(ir.document_plan_to_json(plan))
     return EXIT_OK
 
 
 def cmd_sentplan(args) -> int:
-    plan = _stage("sentplan", EXIT_SENTPLAN, args.plan,
-                  ir.document_plan_from_json, _read_text(args.plan))
+    plan = _read("sentplan", EXIT_SENTPLAN, args.plan,
+                 ir.document_plan_from_json)
     plans = _stage("sentplan", EXIT_SENTPLAN, args.plan,
                    sentplan.plan_sentences, plan, args.profile)
     sys.stdout.write(ir.sentence_plans_to_json(plans))
@@ -157,9 +140,10 @@ def cmd_sentplan(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    lex = _load_lexicon(args.lexicon)
-    plans = _stage("realize", EXIT_REALIZE, args.sentences,
-                   ir.sentence_plans_from_json, _read_text(args.sentences))
+    lex = default_lexicon() if args.lexicon is None else \
+        _read("parse", EXIT_PARSE, args.lexicon, load_lexicon)
+    plans = _read("realize", EXIT_REALIZE, args.sentences,
+                  ir.sentence_plans_from_json)
     _emit(_stage("realize", EXIT_REALIZE, args.sentences,
                  realize.realize_document, plans, lex))
     return EXIT_OK
@@ -178,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--profile", choices=sentplan.PROFILES,
                      default="fluent")
     gen.add_argument("--lexicon", help="lexicon file override")
-    gen.add_argument("--dump-plan", metavar="PATH",
-                     help="write the document plan JSON here "
-                          "(not with --batch)")
-    gen.add_argument("--dump-sentences", metavar="PATH",
-                     help="write the sentence plans JSON here "
-                          "(not with --batch)")
     gen.add_argument("--batch", metavar="DIR",
                      help="generate one document per .json file in DIR, "
                           "writing .txt files next to them")

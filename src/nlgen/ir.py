@@ -423,9 +423,11 @@ def validate(plan: DocumentPlan) -> list[str]:
     return problems
 
 
-def _validate_clause(clause: ClauseSpec, where: str,
-                     problems: list[str]) -> None:
+def _validate_clause(clause: ClauseSpec, where: str, problems: list[str],
+                     nested: bool = False) -> None:
     _validate_verb(clause, where, problems)
+    if not all(w.strip() for w in clause.discourse_markers):
+        problems.append(f"{where}: blank discourse marker")
     units = clause.complements
     if len(units) > 1 and not all(units):
         problems.append(f"{where}: empty unit in a coordination group")
@@ -440,6 +442,13 @@ def _validate_clause(clause: ClauseSpec, where: str,
             if rc.ref.entity.id != ref:
                 problems.append(f"{at}.ref: entity {rc.ref.entity.id!r} is "
                                 f"not the one its head names")
+    if clause.condition is not None:
+        if nested:
+            problems.append(
+                f"{where}: conditions may not nest below one level")
+        else:
+            _validate_clause(clause.condition, f"{where}.condition",
+                             problems, nested=True)
 
 
 def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
@@ -454,18 +463,8 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")
         for j, clause in enumerate(sp.clauses):
-            where = f"sentences[{i}].clauses[{j}]"
-            _validate_clause(clause, where, problems)
-            cond = clause.condition
-            if cond is not None:
-                _validate_clause(cond, f"{where}.condition", problems)
-                if cond.condition is not None:
-                    problems.append(f"{where}.condition: conditions may not "
-                                    f"nest below one level")
-            for c in (clause, cond):
-                if c is not None and \
-                        not all(w.strip() for w in c.discourse_markers):
-                    problems.append(f"{where}: blank discourse marker")
+            _validate_clause(clause, f"sentences[{i}].clauses[{j}]",
+                             problems)
     return problems
 
 

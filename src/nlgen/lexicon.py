@@ -31,8 +31,19 @@ from .ir import CASES, GENDERS, NUMBERS, PERSONS, TENSES
 VOWELS = "aeiou"
 SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 
-# Pronoun cells add the reflexive to the cases a reference can take.
-_PRONOUN_CASES = CASES + ("reflexive",)
+# Each section's columns; the last one holds the entry, the others its
+# key.  A column named here takes only these values: a feature's ir
+# domain, plus "-" for a gender English does not mark and the reflexive
+# among the cases a pronoun cell can take.
+_COLUMNS = {
+    "plurals": ("lemma", "plural"),
+    "verbs": ("lemma", "person", "number", "tense", "form"),
+    "pronouns": ("person", "number", "gender", "case", "form"),
+    "articles": ("word", "a|an"),
+}
+_DOMAINS = {"person": PERSONS, "number": NUMBERS, "tense": TENSES,
+            "gender": GENDERS + ("-",), "case": CASES + ("reflexive",),
+            "a|an": ("a", "an")}
 
 
 @dataclass(frozen=True)
@@ -47,63 +58,34 @@ class Lexicon:
 
 def load_lexicon(text: str) -> Lexicon:
     """Parse lexicon file text; raises DataError on malformed lines."""
-    plurals: dict[str, str] = {}
-    verbs: dict[tuple[str, str, str, str], str] = {}
-    pronouns: dict[tuple[str, str, str, str], str] = {}
-    articles: dict[str, str] = {}
+    tables: dict[str, dict] = {section: {} for section in _COLUMNS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
+        where = f"lexicon line {lineno}"
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("plurals", "verbs", "pronouns", "articles"):
-                raise DataError(f"lexicon line {lineno}: unknown section "
-                                f"[{section}]")
+            if section not in _COLUMNS:
+                raise DataError(f"{where}: unknown section [{section}]")
             continue
+        if section is None:
+            raise DataError(f"{where}: entry before any section header")
+        columns = _COLUMNS[section]
         fields = line.split("\t")
-        if section == "plurals":
-            if len(fields) != 2:
-                raise DataError(f"lexicon line {lineno}: expected "
-                                f"'lemma<TAB>plural'")
-            plurals[fields[0]] = fields[1]
-        elif section == "verbs":
-            if len(fields) != 5:
-                raise DataError(
-                    f"lexicon line {lineno}: expected "
-                    f"'lemma<TAB>person<TAB>number<TAB>tense<TAB>form'")
-            lemma, person, number, tense, form = fields
-            if person not in PERSONS or number not in NUMBERS \
-                    or tense not in TENSES:
-                raise DataError(f"lexicon line {lineno}: bad verb features")
-            verbs[(lemma, person, number, tense)] = form
-        elif section == "pronouns":
-            if len(fields) != 5:
-                raise DataError(
-                    f"lexicon line {lineno}: expected "
-                    f"'person<TAB>number<TAB>gender<TAB>case<TAB>form'")
-            person, number, gender, case, form = fields
-            if person not in PERSONS or number not in NUMBERS \
-                    or gender not in GENDERS + ("-",) \
-                    or case not in _PRONOUN_CASES:
-                raise DataError(
-                    f"lexicon line {lineno}: bad pronoun features")
-            pronouns[(person, number, gender, case)] = form
-        elif section == "articles":
-            if len(fields) != 2 or fields[1] not in ("a", "an"):
-                raise DataError(f"lexicon line {lineno}: expected "
-                                f"'word<TAB>a|an'")
-            articles[fields[0].lower()] = fields[1]
-        else:
-            raise DataError(f"lexicon line {lineno}: entry before any "
-                            f"section header")
-    return Lexicon(plurals, verbs, pronouns, articles)
-
-
-def load_lexicon_file(path: str) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return load_lexicon(fh.read())
+        if len(fields) != len(columns):
+            raise DataError(f"{where}: expected '{'<TAB>'.join(columns)}'")
+        if any(value not in _DOMAINS[column]
+               for column, value in zip(columns, fields)
+               if column in _DOMAINS):
+            raise DataError(f"{where}: bad {section[:-1]} features")
+        *key, entry = fields
+        if section == "articles":
+            key[0] = key[0].lower()
+        tables[section][tuple(key) if len(key) > 1 else key[0]] = entry
+    return Lexicon(tables["plurals"], tables["verbs"], tables["pronouns"],
+                   tables["articles"])
 
 
 _default: Lexicon | None = None

@@ -167,8 +167,9 @@ class SchemaDef:
 
 @dataclass(frozen=True)
 class DataRecordSet:
-    entities: dict[str, ir.Entity]
-    records: dict[str, Any]
+    # records stays raw JSON: schema paths read into it as they find it.
+    entities: dict[str, ir.Entity] = field(default_factory=dict)
+    records: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,8 @@ def _tokenize_line(text: str, line: int) -> list[_Tok]:
         elif kind == "number":
             try:
                 value = float(lit) if "." in lit else int(lit)
+                if value in (math.inf, -math.inf):
+                    raise ValueError
             except ValueError:
                 raise SchemaParseError(
                     f"lexical error: bad number {lit!r}", line, col)
@@ -568,7 +571,11 @@ def _print_literal(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
-        return repr(value)
+        text = ir.number_text(value)
+        # A float keeps a point, so that it reads back as a float.
+        if isinstance(value, float) and "." not in text:
+            text += ".0"
+        return text
     return _quote(str(value))
 
 
@@ -628,54 +635,46 @@ def print_schema(schema: SchemaDef) -> str:
 
 
 def load_data(text: str) -> DataRecordSet:
-    """Parse a data file: JSON object with "entities" and "records"."""
+    """Parse a data file: JSON object with "entities" and "records".
+
+    The file goes through the plan codec; an entity's id may be left out
+    and defaults to its key in the table."""
     try:
         payload = ir._parse(text, "data file")
+        table = payload.get("entities") if type(payload) is dict else None
+        if type(table) is dict:
+            for eid, obj in table.items():
+                if type(obj) is dict:
+                    obj.setdefault("id", eid)
+        data = ir.from_obj(DataRecordSet, payload)
     except SerializationError as exc:
         raise DataError(str(exc)) from exc
-    if not isinstance(payload, dict):
-        raise DataError("data file must be a JSON object")
-    unknown = set(payload) - {"entities", "records"}
-    if unknown:
-        raise DataError(f"unknown top-level keys: {sorted(unknown)}")
-    table = payload.get("entities", {})
-    if not isinstance(table, dict):
-        raise DataError('"entities" must be an object')
-    entities: dict[str, ir.Entity] = {}
-    for eid, obj in table.items():
-        if isinstance(obj, dict) and "id" not in obj:
-            obj = {"id": eid, **obj}
-        try:
-            entities[eid] = ir.from_obj(ir.Entity, obj, f"entities[{eid}]")
-        except SerializationError as exc:
-            raise DataError(str(exc)) from exc
-    # The entity-table rules (key is id, one of name/head) live in ir.
-    problems = ir.validate(ir.DocumentPlan(root=None, entities=entities))
+    problems: list[str] = []
+    ir._validate_entities(data.entities, problems)
     if problems:
         raise DataError(ir.summarize(problems))
-    records = payload.get("records", {})
-    if not isinstance(records, dict):
-        raise DataError('"records" must be an object')
-    _check_entity_refs(records, entities)
-    return DataRecordSet(entities=entities, records=records)
+    _check_entity_refs(data.records, data.entities)
+    return data
 
 
-def _check_entity_refs(records: dict[str, Any],
+def _check_entity_refs(records: dict,
                        entities: dict[str, ir.Entity]) -> None:
     """Refuse the first @ reference, in document order, to an entity the
-    data does not declare; records may nest as deep as JSON allows."""
-    pending: list[Any] = [records]
+    data does not declare, and records nested deeper than ir.MAX_NESTING
+    levels (the file's top-level object is level 1)."""
+    pending: list[tuple[Any, int]] = [(records, 2)]
     while pending:
-        value = pending.pop()
+        value, level = pending.pop()
         if isinstance(value, str):
             ref = ir.entity_ref(value)
             if ref is not None and ref not in entities:
                 raise DataError(f"record value references unknown entity "
                                 f"{ref!r}")
-        elif isinstance(value, dict):
-            pending.extend(reversed(value.values()))
-        elif isinstance(value, list):
-            pending.extend(reversed(value))
+        elif isinstance(value, (dict, list)):
+            if level > ir.MAX_NESTING:
+                raise DataError(f"malformed data file: {ir._TOO_DEEP}")
+            items = value.values() if isinstance(value, dict) else value
+            pending.extend((v, level + 1) for v in reversed(items))
 
 
 def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],

@@ -162,6 +162,8 @@ def reference_tokenize_line(text: str, line: int) -> list[_ReferenceTok]:
             lit = text[i:j]
             try:
                 value = float(lit) if "." in lit else int(lit)
+                if value in (float("inf"), float("-inf")):
+                    raise ValueError
             except ValueError:
                 raise SchemaParseError(
                     f"lexical error: bad number {lit!r}", line, col)

@@ -17,6 +17,22 @@ def get(corpus, name):
     return next(d for d in corpus if d.name == name)
 
 
+def _sentences_file(tmp_path, doc, profile="fluent"):
+    """Run plan, then sentplan, on a corpus document; the sentence plans
+    file, written to ``tmp_path``."""
+    code, plan_json, _ = run_cli(["plan", "--schema", str(doc.schema_path),
+                                  "--data", str(doc.data_path)])
+    assert code == 0
+    plan_file = tmp_path / f"{doc.name}.plan.json"
+    plan_file.write_text(plan_json, encoding="utf-8")
+    code, sent_json, _ = run_cli(["sentplan", "--plan", str(plan_file),
+                                  "--profile", profile])
+    assert code == 0
+    sent_file = tmp_path / f"{doc.name}.{profile}.sentences.json"
+    sent_file.write_text(sent_json, encoding="utf-8")
+    return sent_file
+
+
 class TestGenerate:
     def test_fluent_golden_byte_exact(self, corpus):
         for doc in corpus:
@@ -38,24 +54,12 @@ class TestGenerate:
     def test_plain_dumps_same_propositions_more_sentences(self, corpus,
                                                           tmp_path):
         doc = get(corpus, "patient_report")
-        dumps = {}
-        for profile in ("fluent", "plain"):
-            plan_file = tmp_path / f"{profile}.plan.json"
-            sent_file = tmp_path / f"{profile}.sentences.json"
-            code, _, _ = run_cli([
-                "generate", "--schema", str(doc.schema_path),
-                "--data", str(doc.data_path), "--profile", profile,
-                "--dump-plan", str(plan_file),
-                "--dump-sentences", str(sent_file)])
-            assert code == 0
-            dumps[profile] = (
-                ir.document_plan_from_json(plan_file.read_text()),
-                ir.sentence_plans_from_json(sent_file.read_text()))
-        fluent_plan, fluent_sents = dumps["fluent"]
-        plain_plan, plain_sents = dumps["plain"]
+        fluent_sents, plain_sents = (
+            ir.sentence_plans_from_json(
+                _sentences_file(tmp_path, doc, profile).read_text())
+            for profile in ("fluent", "plain"))
         assert len(plain_sents) >= len(fluent_sents)
-        want = ir.proposition_set(fluent_plan)
-        assert ir.proposition_set(plain_plan) == want
+        want = ir.proposition_set(traverse(doc.schema, doc.data))
         assert ir.proposition_set(fluent_sents) == want
         assert ir.proposition_set(plain_sents) == want
 
@@ -201,20 +205,23 @@ class TestGenerate:
             "--batch", "/nonexistent"])
         assert code == 5
 
-    @pytest.mark.parametrize("flag", ["--dump-plan", "--dump-sentences"])
-    def test_batch_rejects_dump_files(self, corpus, tmp_path, flag):
+    def test_batch_without_data_files_exits_5(self, corpus, tmp_path):
         doc = get(corpus, "sam_pair")
         batch = tmp_path / "batch"
         batch.mkdir()
-        (batch / "p0.json").write_text(
-            doc.data_path.read_text(encoding="utf-8"))
-        dump = batch / "dump.json"
+        (batch / "notes.txt").write_text("not data", encoding="utf-8")
         code, out, err = run_cli([
             "generate", "--schema", str(doc.schema_path),
-            "--batch", str(batch), flag, str(dump)])
+            "--batch", str(batch)])
         assert (code, out) == (5, "")
-        assert err == f"io: {flag} cannot be used with --batch\n"
-        assert sorted(p.name for p in batch.iterdir()) == ["p0.json"]
+        assert err == f"io: no .json data files in {batch}\n"
+
+    def test_neither_data_nor_batch_exits_5(self, corpus):
+        doc = get(corpus, "sam_pair")
+        code, out, err = run_cli([
+            "generate", "--schema", str(doc.schema_path)])
+        assert (code, out) == (5, "")
+        assert err == "io: either --data or --batch is required\n"
 
 
 class TestPlan:
@@ -509,12 +516,11 @@ class TestNumbers:
 class TestRealizeCommand:
     def test_re_realizing_dump_is_byte_identical(self, corpus, tmp_path):
         doc = get(corpus, "patient_report")
-        sent_file = tmp_path / "sentences.json"
         code, text, _ = run_cli([
             "generate", "--schema", str(doc.schema_path),
-            "--data", str(doc.data_path),
-            "--dump-sentences", str(sent_file)])
+            "--data", str(doc.data_path)])
         assert code == 0
+        sent_file = _sentences_file(tmp_path, doc)
         code, again, _ = run_cli(["realize", "--sentences",
                                   str(sent_file)])
         assert code == 0
@@ -541,11 +547,7 @@ class TestRealizeCommand:
         assert (code, out, err) == (0, "", "")
 
     def test_truncated_file_exits_4(self, corpus, tmp_path):
-        doc = get(corpus, "patient_report")
-        sent_file = tmp_path / "sentences.json"
-        run_cli(["generate", "--schema", str(doc.schema_path),
-                 "--data", str(doc.data_path),
-                 "--dump-sentences", str(sent_file)])
+        sent_file = _sentences_file(tmp_path, get(corpus, "patient_report"))
         broken = tmp_path / "broken.json"
         broken.write_text(sent_file.read_text()[:40])
         code, out, err = run_cli(["realize", "--sentences", str(broken)])
@@ -578,16 +580,6 @@ class TestStageComposition:
                     "realize", "--sentences", str(sent_file)])
                 assert code == 0
                 assert piped == direct, (doc.name, profile)
-
-    def test_dump_plan_matches_plan_command(self, corpus, tmp_path):
-        doc = get(corpus, "patient_report")
-        plan_file = tmp_path / "dumped.json"
-        run_cli(["generate", "--schema", str(doc.schema_path),
-                 "--data", str(doc.data_path),
-                 "--dump-plan", str(plan_file)])
-        _, direct, _ = run_cli(["plan", "--schema", str(doc.schema_path),
-                                "--data", str(doc.data_path)])
-        assert plan_file.read_text(encoding="utf-8") == direct
 
     def test_sentplan_rejects_malformed_plan(self, tmp_path):
         f = tmp_path / "bad.json"
@@ -774,7 +766,7 @@ class TestBadSentencePlans:
         (_CLAUSE + ("condition",), {
             "subject_ref": {"entity": "sam"},
             "verb": "rest", "discourse_markers": ["also", " "]},
-         "sentences[0].clauses[0]: blank discourse marker"),
+         "sentences[0].clauses[0].condition: blank discourse marker"),
         (_CLAUSE + ("condition",), {
             "subject_ref": {"entity": "sam"}, "verb": "go", "modal": "can",
             "tense": "future"},
@@ -813,6 +805,13 @@ class TestBadSentencePlans:
         (("entities",), _DELETE,
          "sentences[0].clauses[0].subject_ref.entity: unknown entity "
          "'sam'"),
+        # Each clause is named once, at its own path.
+        (_CLAUSE, {"subject_ref": {"entity": "sam"}, "verb": "rest",
+                   "discourse_markers": [" "],
+                   "condition": {"subject_ref": {"entity": "sam"},
+                                 "verb": "rest", "discourse_markers": [""]}},
+         "sentences[0].clauses[0]: blank discourse marker; "
+         "sentences[0].clauses[0].condition: blank discourse marker\n"),
     ])
     def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
                                          value, detail):
@@ -848,6 +847,39 @@ class TestBadSentencePlans:
 
 
 class TestBadDocumentPlans:
+    _LEAF = {"message": {"subject": "sam", "verb": "rest"}}
+
+    @staticmethod
+    def _sentplan(root) -> tuple[int, str, str]:
+        obj = {"entities": {"sam": {"id": "sam", "name": "Sam"}},
+               "root": root}
+        with mock.patch("sys.stdin",
+                        fake_stdin(json.dumps(obj).encode("utf-8"))):
+            return run_cli(["sentplan", "--plan", "-"])
+
+    @pytest.mark.parametrize("root, detail", [
+        ({**_LEAF, "children": [_LEAF]}, "root: leaf node has children"),
+        ({"message": {"subject": "sam", "verb": "see",
+                      "complements": [{"head": "@ghost"}]}},
+         "root.message.complements[0]: referential integrity: unknown "
+         "entity 'ghost'"),
+    ])
+    def test_invalid_plan_exits_3(self, root, detail):
+        code, out, err = self._sentplan(root)
+        assert (code, out) == (3, "")
+        assert err == f"sentplan: <stdin>: {detail}\n"
+
+    def test_leaf_root_is_one_sentence(self):
+        code, out, err = self._sentplan(self._LEAF)
+        assert (code, err) == (0, "")
+        plans = ir.sentence_plans_from_json(out)
+        assert [c.verb for sp in plans for c in sp.clauses] == ["rest"]
+
+    def test_null_root_is_no_sentences(self):
+        code, out, err = self._sentplan(None)
+        assert (code, err) == (0, "")
+        assert out == '{"entities":{},"sentences":[]}\n'
+
     def test_many_problems_name_three_and_a_count(self):
         leaf = {"message": {"subject": "sam", "verb": "rest",
                             "adverb": " "}}
@@ -980,22 +1012,47 @@ class TestBadDataFiles:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("depth", [985, 990])
-    def test_deeply_nested_records_never_raise(self, tmp_path, depth):
-        # Depending on the interpreter, json.loads or the entity-reference
-        # check is the first to meet this depth.
+    @staticmethod
+    def _generate(tmp_path, text: str) -> tuple[int, str, str]:
         data_file = tmp_path / "d.json"
-        data_file.write_text(
-            '{"entities": {"sam": {"name": "Sam"}}, "records": {"r": '
-            + "[" * depth + '"@sam"' + "]" * depth + "}}", encoding="utf-8")
+        data_file.write_text(text, encoding="utf-8")
         schema_file = tmp_path / "s.schema"
         schema_file.write_text('schema s\nnode a emit subject="sam" '
                                'verb=rest\n', encoding="utf-8")
-        code, out, err = run_cli(["generate", "--schema", str(schema_file),
-                                  "--data", str(data_file)])
-        if code == 0:
-            assert (out, err) == ("Sam rests.\n", "")
-        else:
-            assert (code, out) == (1, "")
-            assert err.startswith("parse: ")
-            assert err.count("\n") == 1
+        return run_cli(["generate", "--schema", str(schema_file),
+                        "--data", str(data_file)])
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[]", "expected an object, got array"),
+        ('{"entities": {}, "records": []}',
+         "records: expected an object, got array"),
+        ('{"entities": {}, "extra": {}}', "unknown field 'extra'"),
+    ])
+    def test_wrong_shape_exits_1(self, tmp_path, text, detail):
+        code, out, err = self._generate(tmp_path, text)
+        assert (code, out) == (1, "")
+        assert err == f"parse: {tmp_path / 'd.json'}: {detail}\n"
+
+    @staticmethod
+    def _nested(levels: int) -> str:
+        """A data file whose JSON values nest ``levels`` deep, counting
+        its top-level object and the records object."""
+        lists = levels - 2
+        return ('{"entities": {"sam": {"name": "Sam"}}, "records": {"r": '
+                + "[" * lists + '"@sam"' + "]" * lists + "}}")
+
+    @pytest.mark.parametrize("levels", [ir.MAX_NESTING - 50, ir.MAX_NESTING])
+    def test_records_at_the_bound_generate(self, tmp_path, levels):
+        assert self._generate(tmp_path, self._nested(levels)) == \
+            (0, "Sam rests.\n", "")
+
+    @pytest.mark.parametrize("depth", [ir.MAX_NESTING + 1, 150, 900, 985,
+                                       990])
+    def test_deeply_nested_records_never_raise(self, tmp_path, depth):
+        # Past the bound the line is the same, whether the bound on record
+        # nesting or, on a file deep enough, json.loads meets it first.
+        code, out, err = self._generate(tmp_path, self._nested(depth))
+        assert (code, out) == (1, "")
+        assert err == (f"parse: {tmp_path / 'd.json'}: malformed data file: "
+                       f"JSON values nest more than {ir.MAX_NESTING} "
+                       f"levels\n")

@@ -133,8 +133,28 @@ class TestLexiconFile:
     def test_custom_lexicon(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("[plurals]\ncactus\tcacti\n", encoding="utf-8")
-        lex = lexicon.load_lexicon_file(str(path))
+        lex = lexicon.load_lexicon(path.read_text(encoding="utf-8"))
         assert lexicon.pluralize("cactus", lex) == "cacti"
+
+    @pytest.mark.parametrize("section, row, problem", [
+        ("plurals", "cactus", "expected 'lemma<TAB>plural'"),
+        ("verbs", "be\tthird\tsingular\tpresent",
+         "expected 'lemma<TAB>person<TAB>number<TAB>tense<TAB>form'"),
+        ("verbs", "be\tfourth\tsingular\tpresent\tis",
+         "bad verb features"),
+        ("verbs", "be\tthird\tsingular\tpluperfect\tis",
+         "bad verb features"),
+        ("pronouns", "third\tsingular\tfeminine\tshe",
+         "expected 'person<TAB>number<TAB>gender<TAB>case<TAB>form'"),
+        ("pronouns", "third\tsingular\tfeminine\tgenitive\ther",
+         "bad pronoun features"),
+        ("articles", "hour\tan\tx", "expected 'word<TAB>a|an'"),
+        ("articles", "hour\tthe", "bad article features"),
+    ])
+    def test_bad_row_in_each_section(self, section, row, problem):
+        with pytest.raises(DataError) as info:
+            lexicon.load_lexicon(f"[{section}]\n{row}\n")
+        assert str(info.value) == f"lexicon line 2: {problem}"
 
     def test_malformed_line(self):
         with pytest.raises(DataError) as info:

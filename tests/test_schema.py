@@ -188,6 +188,10 @@ class TestParse:
          "'arc', got 'edge'"),
         ("arc a -> b when eq(r.x, 1.2.3)\n",
          "line 4, column 25: lexical error: bad number '1.2.3'"),
+        # A float literal too large to hold is not read as infinity.
+        ("arc a -> b when gt(r.x, -" + "9" * 400 + ".0)\n",
+         "line 4, column 25: lexical error: bad number '-" + "9" * 400
+         + ".0'"),
         ("node c emit verb=rest subject=\n",
          "line 4, column 31: expected a quoted literal or path(...)"),
         ("node c emit subject=sam verb=rest\n",
@@ -299,11 +303,19 @@ class TestRoundTrip:
                "\"a box\"\n"
                "node b end\n"
                "arc a -> b when or(not(exists(r.x)), gt(r.n, 1.5), "
-               "eq(r.s, \"hi\"), eq(r.b, false), lt(r.n, 10)) "
+               "eq(r.s, \"hi\"), eq(r.b, false), lt(r.n, 10), "
+               "gt(r.n, 0.0000001), lt(r.n, 100000000000000000000.0), "
+               "eq(r.n, 12345678901234567890123.0), eq(r.n, -0.0)) "
                "rel contrast\n")
         once = schema.parse_schema(src)
-        again = schema.parse_schema(schema.print_schema(once))
+        printed = schema.print_schema(once)
+        again = schema.parse_schema(printed)
         assert dict(again.schema_set) == dict(once.schema_set)
+        # Numbers are written positionally, and a float keeps its point.
+        assert "gt(r.n, 0.0000001)" in printed
+        assert "lt(r.n, 100000000000000000000.0)" in printed
+        guards = again.arcs[0].guard.args
+        assert [type(g.value) for g in guards[5:]] == [float] * 4
 
 
 class TestPolarity:
@@ -933,7 +945,7 @@ class TestLoadData:
         ('{"sam": {"name": ["Sam"]}}',
          "entities[sam].name: expected a string, got array"),
         ('{"sam": "Sam"}', "entities[sam]: expected an object, got string"),
-        ('["sam"]', '"entities" must be an object'),
+        ('["sam"]', "entities: expected an object, got array"),
         ('{"sam": {"id": "samuel", "name": "Sam"}}',
          "entities[sam]: table key does not match entity id 'samuel'"),
         ('{"sam": {"name": "Sam", "head": "man"}}',
