@@ -2,22 +2,27 @@
 
 Subcommands mirror the pipeline stages:
 
-    nlgen generate  --schema S --data D [--profile fluent|plain] ...
+    nlgen generate  --schema S (--data D | --batch DIR) [--profile P] ...
     nlgen plan      --schema S --data D
     nlgen sentplan  --plan P [--profile fluent|plain]
     nlgen realize   --sentences F [--lexicon L]
 
 plan/sentplan/realize read and write the canonical JSON serializations,
 so their composition is byte-identical to generate.  "-" reads a stage
-input from stdin.  Generated text is the only stdout content; diagnostics
-go to stderr as a single "stage: message" line, and each failing stage
-has its own exit code (1 parse, 2 traverse, 3 sentplan, 4 realize,
-5 I/O).
+input from stdin.  generate takes exactly one of --data and --batch.
+Generated text is the only stdout content.  Every failure, a bad argument
+included, leaves through main() as a single "stage: message" line on
+stderr and that stage's exit code (1 parse, 2 traverse, 3 sentplan,
+4 realize, 5 I/O, 6 usage).  The line cuts each run of more than 120
+characters without a blank to its head, "…" and its tail, so input is
+never echoed without bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -25,24 +30,23 @@ from . import ir, realize, schema, sentplan
 from .errors import NlgenError
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_TRAVERSE = 2
-EXIT_SENTPLAN = 3
-EXIT_REALIZE = 4
-EXIT_IO = 5
+# The exit code of each stage; a failure's stage decides its code.
+STAGE_CODES = {"parse": 1, "traverse": 2, "sentplan": 3, "realize": 4,
+               "io": 5, "usage": 6}
+
+_LONG_RUN = re.compile(r"\S{121,}")
 
 
 class _StageFailure(Exception):
-    def __init__(self, stage: str, code: int, message: str):
-        super().__init__(message)
-        self.stage = stage
-        self.code = code
+    """``_StageFailure(stage, message)``, written out by main()."""
 
 
-def _fail(stage: str, code: int, message: str) -> _StageFailure:
-    first_line = str(message).splitlines()[0] if str(message) else "error"
-    return _StageFailure(stage, code, first_line)
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a failure of the "usage" stage; subparsers
+    are built from the same class."""
+
+    def error(self, message: str):
+        raise _StageFailure("usage", message)
 
 
 def _read_text(path: str) -> str:
@@ -53,104 +57,99 @@ def _read_text(path: str) -> str:
             return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail("io", EXIT_IO, f"cannot read {path}: {exc}")
+        raise _StageFailure("io", f"cannot read {path}: {exc}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is
+    None; output that is not empty ends in a newline."""
+    if text and not text.endswith("\n"):
+        text += "\n"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _fail("io", EXIT_IO, f"cannot write {path}: {exc}")
+        if path is None and sys.stdout is sys.__stdout__:
+            # What the buffer still holds would fail again when the
+            # interpreter flushes it at exit; the null device takes it.
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise _StageFailure("io", f"cannot write {path or '<stdout>'}: {exc}")
 
 
-def _stage(stage: str, code: int, source: str, fn, *args):
+def _stage(stage: str, source: str, fn, *args):
     """Run one pipeline step; its failure names the stage and the input
     file it was working on."""
     try:
         return fn(*args)
     except NlgenError as exc:
         name = "<stdin>" if source == "-" else source
-        raise _fail(stage, code, f"{name}: {exc}")
+        raise _StageFailure(stage, f"{name}: {exc}")
 
 
-def _read(stage: str, code: int, path: str, parse):
+def _read(stage: str, path: str, parse):
     """Read one input file and decode it with ``parse``; the one reader
     for every input kind."""
-    return _stage(stage, code, path, parse, _read_text(path))
+    return _stage(stage, path, parse, _read_text(path))
 
 
 def _make_plan(schema_def: schema.SchemaDef,
                data_path: str) -> ir.DocumentPlan:
-    data = _read("parse", EXIT_PARSE, data_path, schema.load_data)
-    return _stage("traverse", EXIT_TRAVERSE, data_path, schema.traverse,
-                  schema_def, data)
-
-
-def _emit(text: str) -> None:
-    if text:
-        sys.stdout.write(text + "\n")
+    data = _read("parse", data_path, schema.load_data)
+    return _stage("traverse", data_path, schema.traverse, schema_def, data)
 
 
 def _generate_one(args, schema_def: schema.SchemaDef, data_path: str,
                   lex: Lexicon) -> str:
     plan = _make_plan(schema_def, data_path)
-    plans = _stage("sentplan", EXIT_SENTPLAN, data_path,
-                   sentplan.plan_sentences, plan, args.profile)
-    return _stage("realize", EXIT_REALIZE, data_path,
-                  realize.realize_document, plans, lex)
+    plans = _stage("sentplan", data_path, sentplan.plan_sentences, plan,
+                   args.profile)
+    return _stage("realize", data_path, realize.realize_document, plans, lex)
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     lex = default_lexicon() if args.lexicon is None else \
-        _read("parse", EXIT_PARSE, args.lexicon, load_lexicon)
-    schema_def = _read("parse", EXIT_PARSE, args.schema, schema.parse_schema)
-    if args.batch:
-        batch_dir = Path(args.batch)
-        if not batch_dir.is_dir():
-            raise _fail("io", EXIT_IO, f"not a directory: {args.batch}")
-        data_files = sorted(batch_dir.glob("*.json"))
-        if not data_files:
-            raise _fail("io", EXIT_IO,
-                        f"no .json data files in {args.batch}")
-        for data_file in data_files:
-            text = _generate_one(args, schema_def, str(data_file), lex)
-            _write_text(str(data_file.with_suffix(".txt")),
-                        text + "\n" if text else "")
-        return EXIT_OK
-    if not args.data:
-        raise _fail("io", EXIT_IO, "either --data or --batch is required")
-    _emit(_generate_one(args, schema_def, args.data, lex))
-    return EXIT_OK
+        _read("parse", args.lexicon, load_lexicon)
+    schema_def = _read("parse", args.schema, schema.parse_schema)
+    if args.batch is None:
+        _write(None, _generate_one(args, schema_def, args.data, lex))
+        return
+    batch_dir = Path(args.batch)
+    if not batch_dir.is_dir():
+        raise _StageFailure("io", f"not a directory: {args.batch}")
+    data_files = sorted(batch_dir.glob("*.json"))
+    if not data_files:
+        raise _StageFailure("io", f"no .json data files in {args.batch}")
+    for data_file in data_files:
+        _write(str(data_file.with_suffix(".txt")),
+               _generate_one(args, schema_def, str(data_file), lex))
 
 
-def cmd_plan(args) -> int:
-    schema_def = _read("parse", EXIT_PARSE, args.schema, schema.parse_schema)
-    plan = _make_plan(schema_def, args.data)
-    sys.stdout.write(ir.document_plan_to_json(plan))
-    return EXIT_OK
+def cmd_plan(args) -> None:
+    schema_def = _read("parse", args.schema, schema.parse_schema)
+    _write(None, ir.document_plan_to_json(_make_plan(schema_def, args.data)))
 
 
-def cmd_sentplan(args) -> int:
-    plan = _read("sentplan", EXIT_SENTPLAN, args.plan,
-                 ir.document_plan_from_json)
-    plans = _stage("sentplan", EXIT_SENTPLAN, args.plan,
-                   sentplan.plan_sentences, plan, args.profile)
-    sys.stdout.write(ir.sentence_plans_to_json(plans))
-    return EXIT_OK
+def cmd_sentplan(args) -> None:
+    plan = _read("sentplan", args.plan, ir.document_plan_from_json)
+    plans = _stage("sentplan", args.plan, sentplan.plan_sentences, plan,
+                   args.profile)
+    _write(None, ir.sentence_plans_to_json(plans))
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> None:
     lex = default_lexicon() if args.lexicon is None else \
-        _read("parse", EXIT_PARSE, args.lexicon, load_lexicon)
-    plans = _read("realize", EXIT_REALIZE, args.sentences,
-                  ir.sentence_plans_from_json)
-    _emit(_stage("realize", EXIT_REALIZE, args.sentences,
-                 realize.realize_document, plans, lex))
-    return EXIT_OK
+        _read("parse", args.lexicon, load_lexicon)
+    plans = _read("realize", args.sentences, ir.sentence_plans_from_json)
+    _write(None, _stage("realize", args.sentences, realize.realize_document,
+                        plans, lex))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlgen",
         description="Generate English documents from structured data "
                     "through a schema-driven three-stage pipeline.")
@@ -158,13 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="run the full pipeline")
     gen.add_argument("--schema", required=True, help="schema file")
-    gen.add_argument("--data", help="data file (JSON)")
+    source = gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="data file (JSON)")
+    source.add_argument("--batch", metavar="DIR",
+                        help="generate one document per .json file in DIR, "
+                             "writing .txt files next to them")
     gen.add_argument("--profile", choices=sentplan.PROFILES,
                      default="fluent")
     gen.add_argument("--lexicon", help="lexicon file override")
-    gen.add_argument("--batch", metavar="DIR",
-                     help="generate one document per .json file in DIR, "
-                          "writing .txt files next to them")
     gen.set_defaults(func=cmd_generate)
 
     plan = sub.add_parser("plan", help="stage 1: schema + data to "
@@ -191,13 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Every failure leaves here, as one stderr line
+    and its stage's exit code; --help alone exits through argparse."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        args.func(args)
     except _StageFailure as failure:
-        print(f"{failure.stage}: {failure}", file=sys.stderr)
-        return failure.code
+        stage, message = failure.args
+        line = (message.splitlines() or ["error"])[0]
+        line = _LONG_RUN.sub(lambda run: f"{run[0][:40]}…{run[0][-40:]}",
+                             line)
+        print(f"{stage}: {line}", file=sys.stderr)
+        return STAGE_CODES[stage]
+    return 0
 
 
 def entry() -> None:

@@ -20,21 +20,10 @@ class DataError(NlgenError):
     """Malformed input data or lexicon file."""
 
 
-class MissingPathError(NlgenError):
-    """A dotted data path did not resolve to a value."""
-
-    def __init__(self, path: str):
-        super().__init__(f"missing data path: {path}")
-        self.path = path
-
-
-class TypeMismatchError(NlgenError):
-    """A condition compared values of incompatible types."""
-
-
 class TraversalError(NlgenError):
-    """Schema traversal failed (cycle budget, nesting depth, unresolved
-    call, bad template or path value)."""
+    """Schema traversal failed: a data path that does not resolve, a guard
+    comparing values of incompatible types, a bad template or path value,
+    an unresolved call, the cycle budget or the nesting depth."""
 
 
 class ReferentialIntegrityError(NlgenError):

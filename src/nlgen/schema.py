@@ -35,9 +35,10 @@ operators as deep, and no deeper.
 Guards are compiled on first use and cached on the frozen schema
 objects: each Condition builds one predicate over the data records
 (Condition.test).  Compiling a comparison fixes the operand types it
-accepts, from its operator and its literal.  A guard that fails (a
-missing path, a value of another type) is a TraversalError naming its
-arc and schema.  Complement text, literal or read from a path, is parsed
+accepts, from its operator and its literal.  Every failure during
+traversal is a TraversalError: a missing path or a value of another type
+in a guard is one naming its arc and schema, and in a template one naming
+its node.  Complement text, literal or read from a path, is parsed
 through one bounded cache shared by the whole process
 (COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped
 first), so each distinct text is parsed once; text that does not parse
@@ -58,11 +59,9 @@ from typing import Any, NamedTuple
 
 from .errors import (
     DataError,
-    MissingPathError,
     SchemaParseError,
     SerializationError,
     TraversalError,
-    TypeMismatchError,
 )
 from . import ir
 
@@ -241,7 +240,7 @@ class _LineParser:
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if not self.done() else None
 
-    def _fail(self, message: str) -> SchemaParseError:
+    def error(self, message: str) -> SchemaParseError:
         col = self.toks[self.pos].col if not self.done() \
             else (self.toks[-1].col + 1 if self.toks else 1)
         return SchemaParseError(message, self.line, col)
@@ -256,7 +255,7 @@ class _LineParser:
 
     def take(self, kind: str) -> _Tok:
         if not self.skip(kind):
-            raise self._fail(f"expected {kind!r}")
+            raise self.error(f"expected {kind!r}")
         return self.toks[self.pos - 1]
 
     def take_ident(self) -> str:
@@ -265,7 +264,7 @@ class _LineParser:
     def expr(self) -> Expr:
         tok = self.peek()
         if tok is None:
-            raise self._fail("expected a quoted literal or path(...)")
+            raise self.error("expected a quoted literal or path(...)")
         if tok.kind == "string":
             self.pos += 1
             return Expr("literal", tok.value)
@@ -275,7 +274,7 @@ class _LineParser:
             path = self.take_ident()
             self.take(")")
             return Expr("path", path)
-        raise self._fail("expected a quoted literal or path(...)")
+        raise self.error("expected a quoted literal or path(...)")
 
     def condition(self, level: int = 1) -> Condition:
         """One guard operator, ``level`` operators deep in its guard."""
@@ -315,19 +314,19 @@ class _LineParser:
     def _literal(self, numeric_only: bool = False) -> Any:
         tok = self.peek()
         if tok is None:
-            raise self._fail("expected a literal")
+            raise self.error("expected a literal")
         if tok.kind == "number":
             self.pos += 1
             return tok.value
         if numeric_only:
-            raise self._fail("expected a number")
+            raise self.error("expected a number")
         if tok.kind == "string":
             self.pos += 1
             return tok.value
         if tok.kind == "ident" and tok.value in ("true", "false"):
             self.pos += 1
             return tok.value == "true"
-        raise self._fail("expected a string, number, or true/false")
+        raise self.error("expected a string, number, or true/false")
 
 
 # Emit fields that take one word of an ir domain, in printing order.
@@ -423,7 +422,7 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
             name_tok = p.take("ident")
             name = name_tok.value
             if not p.done():
-                raise p._fail("unexpected text after schema name")
+                raise p.error("unexpected text after schema name")
             if name in seen_names:
                 raise SchemaParseError(f"duplicate schema {name!r}",
                                        lineno, head.col)
@@ -447,12 +446,12 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
             elif kind == "call":
                 target = p.take("ident")
                 if not p.done():
-                    raise p._fail("unexpected text after call target")
+                    raise p.error("unexpected text after call target")
                 node = SchemaNode(node_id, "call", target=target.value)
                 ref_col = target.col
             elif kind == "end":
                 if not p.done():
-                    raise p._fail("unexpected text after end")
+                    raise p.error("unexpected text after end")
                 node = SchemaNode(node_id, "end")
             else:
                 raise SchemaParseError(
@@ -686,7 +685,7 @@ def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],
         # much slower ABC check for them.
         if not (type(value) is dict or isinstance(value, Mapping)) \
                 or segment not in value:
-            raise MissingPathError(path)
+            raise TraversalError(f"missing data path: {path}")
         value = value[segment]
     return value
 
@@ -697,12 +696,12 @@ _KINDS = ((bool,), (str,), (int, float))
 _NUMBER = _KINDS[2]
 
 
-def _mismatch(cond: Condition, value: Any) -> TypeMismatchError:
+def _mismatch(cond: Condition, value: Any) -> TraversalError:
     if cond.op == "eq":
-        return TypeMismatchError(
+        return TraversalError(
             f"eq({cond.path}, ...): cannot compare "
             f"{type(value).__name__} with {type(cond.value).__name__}")
-    return TypeMismatchError(
+    return TraversalError(
         f"{cond.op}({cond.path}, ...): path value is "
         f"{type(value).__name__}, not a number")
 
@@ -715,7 +714,7 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     float), gt and lt take a number, and bool is never a number.  Each
     comparison has its own closure, which tests one exact type inline and
     falls back to isinstance, so subclass values are accepted too; any
-    other value is a TypeMismatchError."""
+    other value is a TraversalError."""
     op, path = cond.op, cond.path
     segments = tuple(path.split(".")) if path is not None else ()
     if op == "exists":
@@ -780,8 +779,8 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
 
 
 def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
-    """Evaluate an arc guard; missing paths and type mismatches are errors
-    except under exists()."""
+    """Evaluate an arc guard; a missing path or a value of another type
+    is a TraversalError, except that exists() is false on a missing path."""
     return cond.test(data.records)
 
 
@@ -877,7 +876,7 @@ def _instantiate(where: str, template: MessageTemplate, data: DataRecordSet,
                  condition: ir.Message | None = None) -> ir.Message:
     try:
         return instantiate_template(template, data, condition)
-    except (MissingPathError, TraversalError) as exc:
+    except TraversalError as exc:
         raise TraversalError(
             f"{where}: template instantiation failed: {exc}") from exc
 
@@ -946,7 +945,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
         for arc in arcs:
             try:
                 taken = arc.guard is None or eval_condition(arc.guard, data)
-            except (MissingPathError, TypeMismatchError) as exc:
+            except TraversalError as exc:
                 raise TraversalError(
                     f"arc {arc.src!r} -> {arc.dst!r} in schema "
                     f"{definition.name!r}: guard failed: {exc}") from exc

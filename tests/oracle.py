@@ -193,12 +193,12 @@ def _reference_resolve(records, path):
     """Walk a dotted path down the records, splitting it on every call."""
     from collections.abc import Mapping
 
-    from nlgen.errors import MissingPathError
+    from nlgen.errors import TraversalError
 
     value = records
     for segment in path.split("."):
         if not isinstance(value, Mapping) or segment not in value:
-            raise MissingPathError(path)
+            raise TraversalError(f"missing data path: {path}")
         value = value[segment]
     return value
 
@@ -206,13 +206,13 @@ def _reference_resolve(records, path):
 def reference_eval_condition(cond, data):
     """Guards by interpretation, as the library evaluated them before it
     compiled them: every call walks the operator and its type rules."""
-    from nlgen.errors import MissingPathError, TypeMismatchError
+    from nlgen.errors import TraversalError
 
     if cond.op == "exists":
         try:
             _reference_resolve(data.records, cond.path)
             return True
-        except MissingPathError:
+        except TraversalError:
             return False
     if cond.op == "not":
         return not reference_eval_condition(cond.args[0], data)
@@ -224,7 +224,7 @@ def reference_eval_condition(cond, data):
     literal = cond.value
     if cond.op == "eq":
         if isinstance(value, bool) != isinstance(literal, bool):
-            raise TypeMismatchError(
+            raise TraversalError(
                 f"eq({cond.path}, ...): cannot compare "
                 f"{type(value).__name__} with {type(literal).__name__}")
         if isinstance(value, bool):
@@ -234,12 +234,12 @@ def reference_eval_condition(cond, data):
             return value == literal
         if isinstance(value, str) and isinstance(literal, str):
             return value == literal
-        raise TypeMismatchError(
+        raise TraversalError(
             f"eq({cond.path}, ...): cannot compare "
             f"{type(value).__name__} with {type(literal).__name__}")
     # gt / lt: numbers only
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeMismatchError(
+        raise TraversalError(
             f"{cond.op}({cond.path}, ...): path value is "
             f"{type(value).__name__}, not a number")
     if cond.op == "gt":
@@ -251,17 +251,17 @@ def reference_traverse(definition, data, max_visits=32):
     """Traversal by plain enumeration: every visit scans all of its
     schema's arcs for its own and finds nodes by linear search.  Guards go
     through reference_eval_condition, templates through the library's
-    instantiate_template; error classes match schema.traverse."""
+    instantiate_template; every error is a TraversalError, as in
+    schema.traverse."""
     from nlgen import ir, schema
-    from nlgen.errors import (
-        MissingPathError, TraversalError, TypeMismatchError)
+    from nlgen.errors import TraversalError
 
     visits = Counter()
 
     def instantiate(node_id, template, condition=None):
         try:
             return schema.instantiate_template(template, data, condition)
-        except (MissingPathError, TraversalError) as exc:
+        except TraversalError as exc:
             raise TraversalError(f"node {node_id!r}: {exc}") from exc
 
     def relation(label, children):
@@ -298,7 +298,7 @@ def reference_traverse(definition, data, max_visits=32):
             try:
                 skip = arc.guard is not None \
                     and not reference_eval_condition(arc.guard, data)
-            except (MissingPathError, TypeMismatchError) as exc:
+            except TraversalError as exc:
                 raise TraversalError(f"arc {arc.src!r}: {exc}") from exc
             if skip:
                 continue

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import io
 import json
 import sys
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgen import ir, plan_sentences, schema, sentplan, traverse
+from nlgen import cli, ir, plan_sentences, schema, sentplan, traverse
 
 from conftest import fake_stdin, run_cli
 
@@ -216,12 +218,74 @@ class TestGenerate:
         assert (code, out) == (5, "")
         assert err == f"io: no .json data files in {batch}\n"
 
-    def test_neither_data_nor_batch_exits_5(self, corpus):
+    def test_unwritable_batch_text_exits_5(self, corpus, tmp_path):
         doc = get(corpus, "sam_pair")
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        (batch / "x.json").write_text(
+            doc.data_path.read_text(encoding="utf-8"), encoding="utf-8")
+        (batch / "x.txt").mkdir()
         code, out, err = run_cli([
-            "generate", "--schema", str(doc.schema_path)])
+            "generate", "--schema", str(doc.schema_path),
+            "--batch", str(batch)])
         assert (code, out) == (5, "")
-        assert err == "io: either --data or --batch is required\n"
+        assert err.startswith(f"io: cannot write {batch / 'x.txt'}: ")
+        assert err.count("\n") == 1
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestOneExit:
+    """Argument errors and stdout write errors leave like stage failures:
+    one line and the stage's code, never SystemExit or a traceback."""
+
+    @pytest.mark.parametrize("args, detail", [
+        (["generate", "--schema", "s", "--data", "d", "--dump-plan", "x"],
+         "unrecognized arguments: --dump-plan x"),
+        (["plan", "--data", "d"],
+         "the following arguments are required: --schema"),
+        (["sentplan", "--plan", "p", "--profile", "terse"],
+         "argument --profile: invalid choice: "),
+        ([], "the following arguments are required: command"),
+        (["frob"], "argument command: invalid choice: "),
+        (["generate", "--schema", "s", "--data", "d", "--batch", "b"],
+         "argument --batch: not allowed with argument --data"),
+        (["generate", "--schema", "s"],
+         "one of the arguments --data --batch is required"),
+    ], ids=["unknown-flag", "missing-schema", "bad-profile", "no-command",
+            "unknown-command", "data-and-batch", "neither-data-nor-batch"])
+    def test_usage_error_exits_6(self, args, detail):
+        code, out, err = run_cli(args)
+        assert (code, out) == (6, "")
+        assert err.startswith(f"usage: {detail}")
+        assert err.count("\n") == 1
+
+    def test_help_goes_to_stdout_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["generate", "--help"])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: nlgen generate") and err == ""
+
+    @pytest.mark.parametrize("command",
+                             ["generate", "plan", "sentplan", "realize"])
+    def test_stdout_write_error_exits_5(self, corpus, tmp_path, command):
+        doc = get(corpus, "sam_pair")
+        sources = ["--schema", str(doc.schema_path),
+                   "--data", str(doc.data_path)]
+        sentences = _sentences_file(tmp_path, doc)
+        args = {"sentplan": ["--plan", str(tmp_path / "sam_pair.plan.json")],
+                "realize": ["--sentences", str(sentences)]}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_FullStdout()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, *args.get(command, sources)])
+        assert (code, err.getvalue()) == (
+            5, "io: cannot write <stdout>: [Errno 28] No space left on "
+               "device\n")
 
 
 class TestPlan:
@@ -546,6 +610,30 @@ class TestRealizeCommand:
         code, out, err = run_cli(["realize", "--sentences", str(f)])
         assert (code, out, err) == (0, "", "")
 
+    def test_lexicon_file_is_used(self, corpus, demo_dir, tmp_path):
+        sent_file = _sentences_file(tmp_path, get(corpus, "sam_pair"))
+        shipped = (demo_dir.parent / "lexicon.txt").read_text(
+            encoding="utf-8")
+        changed = shipped.replace("third\tsingular\tpresent\thas\n",
+                                  "third\tsingular\tpresent\thath\n")
+        assert changed != shipped
+        lex = tmp_path / "lex.txt"
+        lex.write_text(changed, encoding="utf-8")
+        code, out, err = run_cli(["realize", "--sentences", str(sent_file),
+                                  "--lexicon", str(lex)])
+        assert (code, err) == (0, "")
+        assert out == "Sam hath high blood pressure and low blood sugar.\n"
+
+    def test_bad_lexicon_file_exits_1(self, corpus, tmp_path):
+        sent_file = _sentences_file(tmp_path, get(corpus, "sam_pair"))
+        lex = tmp_path / "lex.txt"
+        lex.write_text("[plurals]\nchild\n", encoding="utf-8")
+        code, out, err = run_cli(["realize", "--sentences", str(sent_file),
+                                  "--lexicon", str(lex)])
+        assert (code, out) == (1, "")
+        assert err == (f"parse: {lex}: lexicon line 2: expected "
+                       f"'lemma<TAB>plural'\n")
+
     def test_truncated_file_exits_4(self, corpus, tmp_path):
         sent_file = _sentences_file(tmp_path, get(corpus, "patient_report"))
         broken = tmp_path / "broken.json"
@@ -728,6 +816,55 @@ class TestNestingBound:
         assert err.count("\n") == 1 and len(err) < 200
         assert f"nest more than {ir.MAX_NESTING} levels" in err
         assert "recursion" not in err
+
+
+_LONG = "x" * 10_000
+_DIGITS = "1" * 5001
+_NUMBERS_LIMITED = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no limit on integer digits")
+_REST = 'schema s\nnode a emit subject="sam" verb=rest\nnode b end\n'
+_SAM_ONLY = '{"entities": {"sam": {"name": "Sam"}}, "records": {%s}}'
+_GENERATE = "generate --schema {0}/s.schema --data {0}/d.json"
+
+
+class TestBoundedFailureLines:
+    """Each input kind holding a 10,000-character token, or a 5,001-digit
+    number where the kind holds numbers: the failure is still one line of
+    under 300 characters that names the file."""
+
+    @pytest.mark.parametrize("command, name, text, stage", [
+        (_GENERATE, "s.schema", _REST + f"arc a -> {_LONG}\n", "parse"),
+        pytest.param(_GENERATE, "s.schema",
+                     _REST + f"arc a -> b when gt(r.n, {_DIGITS})\n",
+                     "parse", marks=_NUMBERS_LIMITED),
+        (_GENERATE, "d.json", _SAM_ONLY % f'"r": "@{_LONG}"', "parse"),
+        pytest.param(_GENERATE, "d.json", _SAM_ONLY % f'"n": {_DIGITS}',
+                     "parse", marks=_NUMBERS_LIMITED),
+        (_GENERATE + " --lexicon {0}/l.txt", "l.txt", f"[{_LONG}]\n",
+         "parse"),
+        ("sentplan --plan {0}/p.json", "p.json",
+         f'{{"root": null, "{_LONG}": 1}}', "sentplan"),
+        pytest.param("sentplan --plan {0}/p.json", "p.json",
+                     f'{{"root": {_DIGITS}}}', "sentplan",
+                     marks=_NUMBERS_LIMITED),
+        ("realize --sentences {0}/f.json", "f.json",
+         f'{{"sentences": [], "{_LONG}": 1}}', "realize"),
+        pytest.param("realize --sentences {0}/f.json", "f.json",
+                     f'{{"sentences": {_DIGITS}}}', "realize",
+                     marks=_NUMBERS_LIMITED),
+    ], ids=["schema-token", "schema-number", "data-token", "data-number",
+            "lexicon-token", "plan-token", "plan-number", "sentences-token",
+            "sentences-number"])
+    def test_one_short_line(self, tmp_path, command, name, text, stage):
+        (tmp_path / "s.schema").write_text(_REST, encoding="utf-8")
+        (tmp_path / "d.json").write_text(_SAM_ONLY % "", encoding="utf-8")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        code, out, err = run_cli(command.format(tmp_path).split())
+        assert (code, out) == (cli.STAGE_CODES[stage], "")
+        assert err.startswith(f"{stage}: {tmp_path / name}: ")
+        assert err.count("\n") == 1 and len(err) < 300
+        assert "Traceback" not in err
 
 
 def _sentence_plan_obj(doc) -> dict:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,9 @@ import nlgen
 from nlgen import ir, schema
 from nlgen.errors import (
     DataError,
-    MissingPathError,
     NlgenError,
     SchemaParseError,
     TraversalError,
-    TypeMismatchError,
 )
 
 import oracle
@@ -427,26 +426,31 @@ class TestEvalCondition:
     def test_eq_type_mismatch(self, corpus):
         data = get(corpus, "patient_report").data
         cond = schema.Condition(op="eq", path="patient.id", value=3)
-        with pytest.raises(TypeMismatchError):
+        with pytest.raises(TraversalError, match=re.escape(
+                "eq(patient.id, ...): cannot compare str with int")):
             schema.eval_condition(cond, data)
 
     def test_eq_bool_vs_number_mismatch(self, corpus):
         data = get(corpus, "patient_report").data
         cond = schema.Condition(op="eq", path="patient.needs_advice",
                                 value=1)
-        with pytest.raises(TypeMismatchError):
+        with pytest.raises(TraversalError, match=re.escape(
+                "eq(patient.needs_advice, ...): cannot compare bool "
+                "with int")):
             schema.eval_condition(cond, data)
 
     def test_missing_path_is_error_not_false(self, corpus):
         data = get(corpus, "patient_report").data
         cond = schema.Condition(op="eq", path="patient.missing", value=1)
-        with pytest.raises(MissingPathError):
+        with pytest.raises(TraversalError,
+                           match="^missing data path: patient.missing$"):
             schema.eval_condition(cond, data)
 
     def test_gt_on_string_is_type_error(self, corpus):
         data = get(corpus, "patient_report").data
         cond = schema.Condition(op="gt", path="patient.id", value=1)
-        with pytest.raises(TypeMismatchError):
+        with pytest.raises(TraversalError, match=re.escape(
+                "gt(patient.id, ...): path value is str, not a number")):
             schema.eval_condition(cond, data)
 
     def test_boolean_connectives(self, corpus):
@@ -822,9 +826,9 @@ class TestInstantiate:
             subject=schema.Expr("path", "patient.missing"), verb="rest")
         data = schema.load_data(
             '{"entities": {}, "records": {"patient": {}}}')
-        with pytest.raises(MissingPathError) as info:
+        with pytest.raises(TraversalError,
+                           match="^missing data path: patient.missing$"):
             schema.instantiate_template(template, data)
-        assert "patient.missing" in str(info.value)
 
     def test_complement_text_parsing(self):
         parse = schema._parse_complement_text
