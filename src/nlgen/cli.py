@@ -13,16 +13,15 @@ input from stdin.  generate takes exactly one of --data and --batch.
 Generated text is the only stdout content.  Every failure, a bad argument
 included, leaves through main() as a single "stage: message" line on
 stderr and that stage's exit code (1 parse, 2 traverse, 3 sentplan,
-4 realize, 5 I/O, 6 usage).  The line cuts each run of more than 120
-characters without a blank to its head, "…" and its tail, so input is
-never echoed without bound.
+4 realize, 5 I/O, 6 usage).  A line longer than 280 characters keeps
+its head and its tail around "…", so input is never echoed without
+bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -33,8 +32,9 @@ from .lexicon import Lexicon, default_lexicon, load_lexicon
 # The exit code of each stage; a failure's stage decides its code.
 STAGE_CODES = {"parse": 1, "traverse": 2, "sentplan": 3, "realize": 4,
                "io": 5, "usage": 6}
-
-_LONG_RUN = re.compile(r"\S{121,}")
+# The longest failure line written whole, and how much of a longer one
+# is kept: its head, which names the stage and the file, and its tail.
+_MAX_LINE, _HEAD, _TAIL = 280, 200, 60
 
 
 class _StageFailure(Exception):
@@ -198,10 +198,10 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except _StageFailure as failure:
         stage, message = failure.args
-        line = (message.splitlines() or ["error"])[0]
-        line = _LONG_RUN.sub(lambda run: f"{run[0][:40]}…{run[0][-40:]}",
-                             line)
-        print(f"{stage}: {line}", file=sys.stderr)
+        line = f"{stage}: {(message.splitlines() or ['error'])[0]}"
+        if len(line) > _MAX_LINE:
+            line = f"{line[:_HEAD]}…{line[-_TAIL:]}"
+        print(line, file=sys.stderr)
         return STAGE_CODES[stage]
     return 0
 

@@ -65,6 +65,10 @@ _TOO_DEEP = f"JSON values nest more than {MAX_NESTING} levels"
 # "can go" cannot say past or future: the schema parser, validate() and
 # validate_sentences() refuse a modal with another tense.
 MODAL_TENSE_RULE = "a modal takes present tense"
+# An @ head names an entity, which the realizer writes whole: traverse(),
+# on complement text, and validate() refuse any word before it but a
+# preposition.
+ENTITY_HEAD_RULE = "an @entity head takes no determiner or premodifiers"
 
 
 def is_verb_lemma(verb: str) -> bool:
@@ -74,21 +78,27 @@ def is_verb_lemma(verb: str) -> bool:
 
 
 def number_text(value: int | float) -> str:
-    """A finite number in positional notation, written from its shortest
-    repr: 1e-07 is "0.0000001" and 1e+16 is "10000000000000000"; a
-    number whose repr has no exponent is written as its repr."""
+    """A finite number in positional notation: its shortest repr, with the
+    point moved when the repr has an exponent (1e-07 is "0.0000001" and
+    1e+16 is "10000000000000000")."""
     text = repr(value)
-    mantissa, _, exponent = text.partition("e")
-    if not exponent:
+    if "e" not in text:
         return text
-    sign = "-" if mantissa.startswith("-") else ""
-    whole, _, fraction = mantissa.lstrip("-").partition(".")
-    digits, point = whole + fraction, len(whole) + int(exponent)
-    if point <= 0:
-        digits, point = "0" * (1 - point) + digits, 1
-    digits = digits.ljust(point, "0")
-    fraction = digits[point:]
-    return sign + digits[:point] + ("." + fraction if fraction else "")
+    from decimal import Decimal  # on first use: it slows start-up
+
+    return format(Decimal(text), "f")
+
+
+# The name of each JSON kind of value, as failure messages write it.
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def json_kind(value) -> str:
+    """The JSON kind of ``value`` as messages name it ("an array", "a
+    number", "null"); a value no JSON file holds is named by its type."""
+    return _JSON_KINDS.get(type(value)) or type(value).__name__
 
 
 def entity_ref(head: str) -> str | None:
@@ -351,8 +361,7 @@ def _validate_phrase(phrase: ComplementPhrase, where: str,
         problems.append(f"{where}: blank word in complement")
     ref = entity_ref(phrase.head)
     if ref is not None and (phrase.determiner or phrase.premodifiers):
-        problems.append(f"{where}: an @entity head takes no determiner or "
-                        f"premodifiers")
+        problems.append(f"{where}: {ENTITY_HEAD_RULE}")
     return ref
 
 
@@ -512,19 +521,10 @@ class _Invalid(Exception):
         self.path: list[str] = []
 
 
-def _json_type(value) -> str:
-    return {dict: "object", list: "array", str: "string", bool: "boolean",
-            type(None): "null"}.get(type(value), "number")
-
-
-_JSON_NAMES = {str: "a string", bool: "a boolean", list: "an array",
-               dict: "an object"}
-
-
 def _expect(value, kind: type):
     if type(value) is not kind:
-        raise _Invalid(f"expected {_JSON_NAMES[kind]}, got "
-                       f"{_json_type(value)}")
+        raise _Invalid(f"expected {_JSON_KINDS[kind]}, got "
+                       f"{json_kind(value)}")
     return value
 
 
@@ -594,7 +594,7 @@ def _build_decoder(tp):
                     exc.path.append(f"[{key}]")
                     raise
             return out
-    elif tp in _JSON_NAMES:
+    elif tp in _JSON_KINDS:
         def decode(value):
             if type(value) is tp:
                 return value

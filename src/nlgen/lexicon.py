@@ -14,10 +14,12 @@ A pronoun row's gender is masculine, feminine or neuter, or "-" where
 English makes no distinction (first and second person, and the
 third-person plural); any other gender is a DataError.  Article keys are
 case-insensitive: a row "Hour" applies to "hour", "Hour" and "HOUR".
-Unknown verbs conjugate regularly rather than erroring, so generation
-never fails on a new domain verb; misinflections surface in the golden
-tests instead.  Orthographic doubling (run -> running) is not modeled:
-only the tense forms below are ever generated.
+A verb row's tense is present or past: the future is always "will" and
+the lemma, so a future row is a DataError.  Unknown verbs conjugate
+regularly rather than erroring, so generation never fails on a new
+domain verb; misinflections surface in the golden tests instead.
+Orthographic doubling (run -> running) is not modeled: only the tense
+forms below are ever generated.
 """
 
 from __future__ import annotations
@@ -34,16 +36,16 @@ SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 # Each section's columns; the last one holds the entry, the others its
 # key.  A column named here takes only these values: a feature's ir
 # domain, plus "-" for a gender English does not mark and the reflexive
-# among the cases a pronoun cell can take.
+# among the cases a pronoun cell can take; a verb row has no future.
 _COLUMNS = {
     "plurals": ("lemma", "plural"),
     "verbs": ("lemma", "person", "number", "tense", "form"),
     "pronouns": ("person", "number", "gender", "case", "form"),
     "articles": ("word", "a|an"),
 }
-_DOMAINS = {"person": PERSONS, "number": NUMBERS, "tense": TENSES,
-            "gender": GENDERS + ("-",), "case": CASES + ("reflexive",),
-            "a|an": ("a", "an")}
+_DOMAINS = {"person": PERSONS, "number": NUMBERS,
+            "tense": ("present", "past"), "gender": GENDERS + ("-",),
+            "case": CASES + ("reflexive",), "a|an": ("a", "an")}
 
 
 @dataclass(frozen=True)

@@ -699,11 +699,11 @@ _NUMBER = _KINDS[2]
 def _mismatch(cond: Condition, value: Any) -> TraversalError:
     if cond.op == "eq":
         return TraversalError(
-            f"eq({cond.path}, ...): cannot compare "
-            f"{type(value).__name__} with {type(cond.value).__name__}")
+            f"eq({cond.path}, ...): cannot compare {ir.json_kind(value)} "
+            f"with {ir.json_kind(cond.value)}")
     return TraversalError(
-        f"{cond.op}({cond.path}, ...): path value is "
-        f"{type(value).__name__}, not a number")
+        f"{cond.op}({cond.path}, ...): path value is {ir.json_kind(value)}, "
+        f"not a number")
 
 
 def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
@@ -812,33 +812,30 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
     head = words[-1]
     premodifiers = tuple(words[:-1])
     if ir.entity_ref(head) is not None and (determiner or premodifiers):
-        raise TraversalError(f"entity reference {head!r} takes no "
-                             f"determiner or premodifiers: {text!r}")
+        raise TraversalError(f"{head!r}: {ir.ENTITY_HEAD_RULE}")
     return ir.ComplementPhrase(head=head, determiner=determiner,
                                premodifiers=premodifiers,
                                preposition=preposition)
 
 
-# JSON values that have no text form of their own.
-_NON_SCALARS = {dict: "an object", list: "a list", type(None): "null"}
-
-
 def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
+    """The text of an expression: a path's value must be a string, a
+    boolean ("true"/"false") or a finite number."""
     if expr.kind == "literal":
         return expr.value
     value = _resolve_segments(data.records, expr.segments, expr.value)
-    if isinstance(value, bool):
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is bool:
         return "true" if value else "false"
-    non_scalar = _NON_SCALARS.get(type(value))
-    if non_scalar is not None:
-        raise TraversalError(f"data path {expr.value} holds {non_scalar}, "
-                             f"not a string or number")
-    if type(value) is float:
-        if not math.isfinite(value):
-            raise TraversalError(f"data path {expr.value} holds {value}, "
-                                 f"not a finite number")
+    if kind is int or kind is float and math.isfinite(value):
         return ir.number_text(value)
-    return str(value)
+    if kind is float:
+        raise TraversalError(f"data path {expr.value} holds {value}, "
+                             f"not a finite number")
+    raise TraversalError(f"data path {expr.value} holds "
+                         f"{ir.json_kind(value)}, not a string or number")
 
 
 def instantiate_template(template: MessageTemplate, data: DataRecordSet,

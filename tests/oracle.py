@@ -203,6 +203,17 @@ def _reference_resolve(records, path):
     return value
 
 
+# Kinds of value as the reference guards name them in failures; values
+# no JSON file holds are named by their type.
+_REFERENCE_KINDS = {dict: "an object", list: "an array", str: "a string",
+                    int: "a number", float: "a number", bool: "a boolean",
+                    type(None): "null"}
+
+
+def _reference_kind(value):
+    return _REFERENCE_KINDS.get(type(value), type(value).__name__)
+
+
 def reference_eval_condition(cond, data):
     """Guards by interpretation, as the library evaluated them before it
     compiled them: every call walks the operator and its type rules."""
@@ -226,7 +237,7 @@ def reference_eval_condition(cond, data):
         if isinstance(value, bool) != isinstance(literal, bool):
             raise TraversalError(
                 f"eq({cond.path}, ...): cannot compare "
-                f"{type(value).__name__} with {type(literal).__name__}")
+                f"{_reference_kind(value)} with {_reference_kind(literal)}")
         if isinstance(value, bool):
             return value == literal
         if isinstance(value, (int, float)) and \
@@ -236,12 +247,12 @@ def reference_eval_condition(cond, data):
             return value == literal
         raise TraversalError(
             f"eq({cond.path}, ...): cannot compare "
-            f"{type(value).__name__} with {type(literal).__name__}")
+            f"{_reference_kind(value)} with {_reference_kind(literal)}")
     # gt / lt: numbers only
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TraversalError(
             f"{cond.op}({cond.path}, ...): path value is "
-            f"{type(value).__name__}, not a number")
+            f"{_reference_kind(value)}, not a number")
     if cond.op == "gt":
         return value > literal
     return value < literal

@@ -114,7 +114,7 @@ class TestGenerate:
                "node a emit subject=\"sam\" verb=have "
                "complement=path(r.{})\n")
         records = {"r": {"obj": {"k": [1, 2]}, "seq": [1], "nul": None}}
-        for key, kind in (("obj", "an object"), ("seq", "a list"),
+        for key, kind in (("obj", "an object"), ("seq", "an array"),
                           ("nul", "null")):
             code, out, err = self._generate(tmp_path, src.format(key),
                                             records)
@@ -138,7 +138,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("records, problem", [
         ({}, "missing data path: r.x"),
-        ({"r": {"x": "hi"}}, "gt(r.x, ...): path value is str, not a number"),
+        ({"r": {"x": "hi"}},
+         "gt(r.x, ...): path value is a string, not a number"),
     ])
     def test_guard_failure_names_its_arc(self, tmp_path, records, problem):
         src = ("schema s\n"
@@ -498,8 +499,7 @@ class TestNoLostOrBlankWords:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert "node 'a'" in err
-        assert "entity reference '@sam' takes no determiner or " \
-               "premodifiers" in err
+        assert f"'@sam': {ir.ENTITY_HEAD_RULE}" in err
 
     @pytest.mark.parametrize("value, shown", [("1e400", "inf"),
                                               ("-1e400", "-inf"),
@@ -575,6 +575,14 @@ class TestNumbers:
         code, out, err = run_cli(["generate", "--schema", str(schema_file),
                                   "--data", str(data_file)])
         assert (code, out, err) == (0, f"Sam has {shown}.\n", "")
+
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_positional_text_reads_back(self, value):
+        text = ir.number_text(value)
+        assert "e" not in text
+        assert repr(float(text)) == repr(value)  # -0.0 keeps its sign
 
 
 class TestRealizeCommand:
@@ -820,6 +828,7 @@ class TestNestingBound:
 
 _LONG = "x" * 10_000
 _DIGITS = "1" * 5001
+_WORDS = " ".join(["big"] * 2500)  # 9,999 characters with blanks
 _NUMBERS_LIMITED = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="no limit on integer digits")
@@ -830,8 +839,9 @@ _GENERATE = "generate --schema {0}/s.schema --data {0}/d.json"
 
 class TestBoundedFailureLines:
     """Each input kind holding a 10,000-character token, or a 5,001-digit
-    number where the kind holds numbers: the failure is still one line of
-    under 300 characters that names the file."""
+    number where the kind holds numbers, and schema text of 10,000
+    characters with blanks: the failure is still one line of under 300
+    characters that names the file."""
 
     @pytest.mark.parametrize("command, name, text, stage", [
         (_GENERATE, "s.schema", _REST + f"arc a -> {_LONG}\n", "parse"),
@@ -853,16 +863,24 @@ class TestBoundedFailureLines:
         pytest.param("realize --sentences {0}/f.json", "f.json",
                      f'{{"sentences": {_DIGITS}}}', "realize",
                      marks=_NUMBERS_LIMITED),
+        (_GENERATE, "s.schema",
+         f'schema s\nnode a emit subject="{_WORDS}" verb=rest\n', "traverse"),
+        (_GENERATE, "s.schema",
+         f'schema s\nnode a emit subject="sam" verb=see '
+         f'complement="{_WORDS} @sam"\n', "traverse"),
     ], ids=["schema-token", "schema-number", "data-token", "data-number",
             "lexicon-token", "plan-token", "plan-number", "sentences-token",
-            "sentences-number"])
+            "sentences-number", "schema-subject-words",
+            "schema-complement-words"])
     def test_one_short_line(self, tmp_path, command, name, text, stage):
         (tmp_path / "s.schema").write_text(_REST, encoding="utf-8")
         (tmp_path / "d.json").write_text(_SAM_ONLY % "", encoding="utf-8")
         (tmp_path / name).write_text(text, encoding="utf-8")
         code, out, err = run_cli(command.format(tmp_path).split())
         assert (code, out) == (cli.STAGE_CODES[stage], "")
-        assert err.startswith(f"{stage}: {tmp_path / name}: ")
+        # A traversal failure names the data file it was working on.
+        named = "d.json" if stage == "traverse" else name
+        assert err.startswith(f"{stage}: {tmp_path / named}: ")
         assert err.count("\n") == 1 and len(err) < 300
         assert "Traceback" not in err
 
@@ -895,7 +913,7 @@ class TestBadSentencePlans:
         (_CLAUSE + ("verb",), _DELETE,
          "sentences[0].clauses[0]: missing field 'verb'"),
         (_CLAUSE + ("subject_ref",), [],
-         "subject_ref: expected an object, got array"),
+         "subject_ref: expected an object, got an array"),
         (("sentences", 0, "clauses"), [],
          "sentences[0]: sentence has no clauses"),
         (_CLAUSE + ("discourse_markers",), [""],
@@ -938,7 +956,7 @@ class TestBadSentencePlans:
          "entities[sam]: table key does not match entity id 'samuel'"),
         (_CLAUSE + ("subject_ref", "entity"), {"id": "sam", "name": "Sam"},
          "sentences[0].clauses[0].subject_ref.entity: expected a string, "
-         "got object"),
+         "got an object"),
         (("entities",), _DELETE,
          "sentences[0].clauses[0].subject_ref.entity: unknown entity "
          "'sam'"),
@@ -1160,9 +1178,9 @@ class TestBadDataFiles:
                         "--data", str(data_file)])
 
     @pytest.mark.parametrize("text, detail", [
-        ("[]", "expected an object, got array"),
+        ("[]", "expected an object, got an array"),
         ('{"entities": {}, "records": []}',
-         "records: expected an object, got array"),
+         "records: expected an object, got an array"),
         ('{"entities": {}, "extra": {}}', "unknown field 'extra'"),
     ])
     def test_wrong_shape_exits_1(self, tmp_path, text, detail):

@@ -352,7 +352,7 @@ class TestSerialization:
         payload["entities"]["sam"]["name"] = 7
         with pytest.raises(SerializationError,
                            match=r"entities\[sam\]\.name: expected a "
-                                 r"string, got number"):
+                                 r"string, got a number"):
             ir.document_plan_from_json(json.dumps(payload))
 
     def test_deep_nesting_is_a_serialization_error(self):

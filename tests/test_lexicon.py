@@ -144,6 +144,8 @@ class TestLexiconFile:
          "bad verb features"),
         ("verbs", "be\tthird\tsingular\tpluperfect\tis",
          "bad verb features"),
+        ("verbs", "go\tthird\tsingular\tfuture\tshall go",
+         "bad verb features"),
         ("pronouns", "third\tsingular\tfeminine\tshe",
          "expected 'person<TAB>number<TAB>gender<TAB>case<TAB>form'"),
         ("pronouns", "third\tsingular\tfeminine\tgenitive\ther",

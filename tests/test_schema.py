@@ -11,6 +11,7 @@ from nlgen.errors import (
     DataError,
     NlgenError,
     SchemaParseError,
+    SerializationError,
     TraversalError,
 )
 
@@ -427,7 +428,7 @@ class TestEvalCondition:
         data = get(corpus, "patient_report").data
         cond = schema.Condition(op="eq", path="patient.id", value=3)
         with pytest.raises(TraversalError, match=re.escape(
-                "eq(patient.id, ...): cannot compare str with int")):
+                "eq(patient.id, ...): cannot compare a string with a number")):
             schema.eval_condition(cond, data)
 
     def test_eq_bool_vs_number_mismatch(self, corpus):
@@ -435,8 +436,8 @@ class TestEvalCondition:
         cond = schema.Condition(op="eq", path="patient.needs_advice",
                                 value=1)
         with pytest.raises(TraversalError, match=re.escape(
-                "eq(patient.needs_advice, ...): cannot compare bool "
-                "with int")):
+                "eq(patient.needs_advice, ...): cannot compare a boolean "
+                "with a number")):
             schema.eval_condition(cond, data)
 
     def test_missing_path_is_error_not_false(self, corpus):
@@ -450,7 +451,8 @@ class TestEvalCondition:
         data = get(corpus, "patient_report").data
         cond = schema.Condition(op="gt", path="patient.id", value=1)
         with pytest.raises(TraversalError, match=re.escape(
-                "gt(patient.id, ...): path value is str, not a number")):
+                "gt(patient.id, ...): path value is a string, not a "
+                "number")):
             schema.eval_condition(cond, data)
 
     def test_boolean_connectives(self, corpus):
@@ -845,6 +847,58 @@ class TestInstantiate:
             head="@sam", preposition="with")
         assert parse("here") == ir.ComplementPhrase(head="here")
 
+    @pytest.mark.parametrize("value, kind", [
+        ({1, 2}, "set"), ((1, 2), "tuple"), (b"hi", "bytes"),
+        (object(), "object")])
+    def test_no_python_value_reaches_the_text(self, value, kind):
+        # Only records built by hand hold these; no data file can.
+        parsed = schema.parse_schema(
+            'schema s\nnode a emit subject="sam" verb=see '
+            'complement=path(r.x)\n')
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": {"x": value}})
+        with pytest.raises(TraversalError, match=re.escape(
+                f"node 'a': template instantiation failed: data path r.x "
+                f"holds {kind}, not a string or number")):
+            nlgen.generate_text(parsed, data)
+
+
+class TestKindNames:
+    """The codec, templates and guards name a value's kind alike."""
+
+    @pytest.mark.parametrize("value, kind", [
+        ({"k": 1}, "an object"), ([1], "an array"), ("s", "a string"),
+        (1, "a number"), (1.5, "a number"), (True, "a boolean"),
+        (None, "null")])
+    def test_one_name_at_every_site(self, value, kind):
+        assert ir.json_kind(value) == kind
+        # Where the codec wants an array, or an object for an array.
+        key, wanted = ("entities", "an object") if type(value) is list \
+            else ("sentences", "an array")
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{key}: expected {wanted}, got {kind}")):
+            ir.sentence_plans_from_json(
+                json.dumps({"sentences": [], key: value}))
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"x": value})
+        literal, named = (1, "a number") if type(value) is str \
+            else ("s", "a string")
+        with pytest.raises(TraversalError, match=re.escape(
+                f"eq(x, ...): cannot compare {kind} with {named}")):
+            schema.eval_condition(
+                schema.Condition(op="eq", path="x", value=literal), data)
+        template = schema.MessageTemplate(
+            subject=schema.Expr("literal", "sam"), verb="see",
+            complements=(schema.Expr("path", "x"),))
+        if kind in ("a string", "a number", "a boolean"):  # written as text
+            schema.instantiate_template(template, data)
+            return
+        with pytest.raises(TraversalError, match=re.escape(
+                f"data path x holds {kind}, not a string or number")):
+            schema.instantiate_template(template, data)
+
 
 class TestComplementCache:
     """Complement text is parsed through one process-wide cache; what
@@ -947,9 +1001,10 @@ class TestLoadData:
         ('{"sam": {"name": "Sam", "age": 40}}',
          "entities[sam]: unknown field 'age'"),
         ('{"sam": {"name": ["Sam"]}}',
-         "entities[sam].name: expected a string, got array"),
-        ('{"sam": "Sam"}', "entities[sam]: expected an object, got string"),
-        ('["sam"]', "entities: expected an object, got array"),
+         "entities[sam].name: expected a string, got an array"),
+        ('{"sam": "Sam"}',
+         "entities[sam]: expected an object, got a string"),
+        ('["sam"]', "entities: expected an object, got an array"),
         ('{"sam": {"id": "samuel", "name": "Sam"}}',
          "entities[sam]: table key does not match entity id 'samuel'"),
         ('{"sam": {"name": "Sam", "head": "man"}}',
