@@ -17,7 +17,10 @@ class SchemaParseError(NlgenError):
 
 
 class DataError(NlgenError):
-    """Malformed input data or lexicon file."""
+    """Malformed input other than schema text: a data, lexicon,
+    document-plan or sentence-plans file, or a plan built by hand that
+    breaks a rule the codec or validate() checks, such as naming an
+    entity its table does not hold."""
 
 
 class TraversalError(NlgenError):
@@ -25,10 +28,3 @@ class TraversalError(NlgenError):
     comparing values of incompatible types, a bad template or path value,
     an unresolved call, the cycle budget or the nesting depth."""
 
-
-class ReferentialIntegrityError(NlgenError):
-    """A plan references an entity that is not in its entity table."""
-
-
-class SerializationError(NlgenError):
-    """A serialized plan file did not match the canonical JSON form."""

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
-from .errors import ReferentialIntegrityError, SerializationError
+from .errors import DataError
 
 # Each enum domain is declared once, as a Literal; the decoder checks
 # values against it and the tuples below are its members, in order.
@@ -59,6 +59,23 @@ MAX_NESTING = 100
 # The problem named for plan JSON too deep for the decoders to walk (a
 # few hundred levels, by Python version); no valid file comes near it.
 _TOO_DEEP = f"JSON values nest more than {MAX_NESTING} levels"
+
+
+# The most digits an integer may have in any input: the interpreter's
+# default limit on integer text, which nlgen applies itself, so that every
+# interpreter refuses the same numbers with the same message.  INT_BOUND is
+# the least integer past it, for values that are already ints.
+MAX_DIGITS = 4300
+DIGITS_RULE = f"an integer has at most {MAX_DIGITS} digits"
+INT_BOUND = 10 ** MAX_DIGITS
+
+
+def parse_int(text: str) -> int:
+    """Integer text as an int; a ValueError naming DIGITS_RULE past
+    MAX_DIGITS digits, before any conversion."""
+    if len(text) > MAX_DIGITS and len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(DIGITS_RULE)
+    return int(text)
 
 
 # A modal is followed by the bare verb and has no tense of its own, so
@@ -265,8 +282,7 @@ def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
     """The entity ``entity_id`` names in ``entities``."""
     entity = entities.get(entity_id)
     if entity is None:
-        raise ReferentialIntegrityError(
-            f"dangling entity reference: {entity_id!r}")
+        raise DataError(f"dangling entity reference: {entity_id!r}")
     return entity
 
 
@@ -657,8 +673,7 @@ def _dataclass_decoder(cls):
 def from_obj(tp, value, where: str = ""):
     """Decode a parsed JSON value into ``tp`` (the one decoder).
 
-    Raises SerializationError naming the offending path, prefixed by
-    ``where``.
+    Raises DataError naming the offending path, prefixed by ``where``.
     """
     try:
         return _decoder(tp)(value)
@@ -667,16 +682,23 @@ def from_obj(tp, value, where: str = ""):
     except RecursionError:
         problem, path = _TOO_DEEP, where
     path = path.lstrip(".")
-    raise SerializationError(f"{path}: {problem}" if path else problem)
+    raise DataError(f"{path}: {problem}" if path else problem)
+
+
+# Built once: json.loads builds a decoder per call when given parse_int.
+_JSON = json.JSONDecoder(parse_int=parse_int)
 
 
 def _parse(text: str, what: str):
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _JSON.decode(text)
     except ValueError as exc:
-        raise SerializationError(f"malformed {what}: {exc}") from None
+        raise DataError(f"malformed {what}: {exc}") from None
     except RecursionError:
-        raise SerializationError(f"malformed {what}: {_TOO_DEEP}") from None
+        raise DataError(f"malformed {what}: {_TOO_DEEP}") from None
 
 
 def summarize(problems: list[str]) -> str:
@@ -689,7 +711,7 @@ def summarize(problems: list[str]) -> str:
 
 def _check(problems: list[str]) -> None:
     if problems:
-        raise SerializationError(summarize(problems))
+        raise DataError(summarize(problems))
 
 
 def document_plan_to_json(plan: DocumentPlan) -> str:
@@ -723,9 +745,8 @@ def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
     for ref in _references(plans):
         known = entities.setdefault(ref.entity.id, ref.entity)
         if known is not ref.entity and known != ref.entity:
-            raise SerializationError(
-                f"entity {known.id!r} is referenced with two different "
-                f"feature sets")
+            raise DataError(f"entity {known.id!r} is referenced with two "
+                            f"different feature sets")
     return to_json({"entities": entities, "sentences": plans})
 
 

@@ -13,11 +13,12 @@ line-oriented, UTF-8, with '#' comments:
     arc <from> -> <to> [when <condition>] [rel <sequence|elaboration|contrast>]
 
 <expr> is a quoted literal or path(<dotted.path>); paths resolve inside
-the data record tables.  Complement text starting with '@' references an
-entity.  Conditions combine exists/eq/gt/lt/and/or/not with parentheses.
-The entry node of a schema is its first declared node, and the default
-arc relation is sequence.  A file may declare several schemas; `call`
-nodes may target any schema in the same file.  An emit node's optional
+the data record tables.  A statement gives each field at most once.
+Complement text starting with '@' references an entity.  Conditions
+combine exists/eq/gt/lt/and/or/not with parentheses.  The entry node
+of a schema is its first declared node, and the default arc relation is
+sequence.  A file may declare several schemas; `call` nodes may target
+any schema in the same file.  An emit node's optional
 condition=<node-id> names another emit node in the same schema whose
 instantiated message becomes the "If ..." antecedent.
 
@@ -57,12 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
 
-from .errors import (
-    DataError,
-    SchemaParseError,
-    SerializationError,
-    TraversalError,
-)
+from .errors import DataError, SchemaParseError, TraversalError
 from . import ir
 
 PREPOSITIONS = frozenset({
@@ -211,12 +207,14 @@ def _tokenize_line(text: str, line: int) -> list[_Tok]:
             toks.append(_Tok(kind, _ESCAPE.sub(r"\1", lit[1:-1]), col))
         elif kind == "number":
             try:
-                value = float(lit) if "." in lit else int(lit)
+                value = float(lit) if "." in lit else ir.parse_int(lit)
                 if value in (math.inf, -math.inf):
                     raise ValueError
             except ValueError:
-                raise SchemaParseError(
-                    f"lexical error: bad number {lit!r}", line, col)
+                # Digits alone fail only past the integer size rule.
+                problem = f"bad number {lit!r}" if "." in lit \
+                    else ir.DIGITS_RULE
+                raise SchemaParseError(f"lexical error: {problem}", line, col)
             toks.append(_Tok(kind, value, col))
         elif kind is not None:  # blanks and a comment have no group
             toks.append(_Tok(lit if kind == "symbol" else kind, lit, col))
@@ -344,6 +342,9 @@ def _parse_emit_fields(p: _LineParser,
     while not p.done():
         key_tok = p.take("ident")
         key = key_tok.value
+        if key in columns:
+            raise SchemaParseError(f"duplicate field {key!r}", p.line,
+                                   key_tok.col)
         columns[key] = key_tok.col
         p.take("=")
         if key == "subject":
@@ -465,8 +466,13 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
             dst = p.take("ident")
             guard = None
             rel = "sequence"
+            keys: set[str] = set()
             while not p.done():
                 kw = p.take("ident")
+                if kw.value in keys:
+                    raise SchemaParseError(f"duplicate field {kw.value!r}",
+                                           lineno, kw.col)
+                keys.add(kw.value)
                 if kw.value == "when":
                     guard = p.condition()
                 elif kw.value == "rel":
@@ -638,20 +644,16 @@ def load_data(text: str) -> DataRecordSet:
 
     The file goes through the plan codec; an entity's id may be left out
     and defaults to its key in the table."""
-    try:
-        payload = ir._parse(text, "data file")
-        table = payload.get("entities") if type(payload) is dict else None
-        if type(table) is dict:
-            for eid, obj in table.items():
-                if type(obj) is dict:
-                    obj.setdefault("id", eid)
-        data = ir.from_obj(DataRecordSet, payload)
-    except SerializationError as exc:
-        raise DataError(str(exc)) from exc
+    payload = ir._parse(text, "data file")
+    table = payload.get("entities") if type(payload) is dict else None
+    if type(table) is dict:
+        for eid, obj in table.items():
+            if type(obj) is dict:
+                obj.setdefault("id", eid)
+    data = ir.from_obj(DataRecordSet, payload)
     problems: list[str] = []
     ir._validate_entities(data.entities, problems)
-    if problems:
-        raise DataError(ir.summarize(problems))
+    ir._check(problems)
     _check_entity_refs(data.records, data.entities)
     return data
 
@@ -820,7 +822,8 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
 
 def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
     """The text of an expression: a path's value must be a string, a
-    boolean ("true"/"false") or a finite number."""
+    boolean ("true"/"false"), a finite float or an int of at most
+    ir.MAX_DIGITS digits."""
     if expr.kind == "literal":
         return expr.value
     value = _resolve_segments(data.records, expr.segments, expr.value)
@@ -829,8 +832,11 @@ def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
         return value
     if kind is bool:
         return "true" if value else "false"
-    if kind is int or kind is float and math.isfinite(value):
+    if kind is int and -ir.INT_BOUND < value < ir.INT_BOUND \
+            or kind is float and math.isfinite(value):
         return ir.number_text(value)
+    if kind is int:
+        raise TraversalError(f"data path {expr.value}: {ir.DIGITS_RULE}")
     if kind is float:
         raise TraversalError(f"data path {expr.value} holds {value}, "
                              f"not a finite number")

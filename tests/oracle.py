@@ -450,7 +450,7 @@ def _reference_rewrite_clause(clause, modes):
 def reference_pronominalize(plans, entities):
     from dataclasses import replace
 
-    from nlgen.errors import ReferentialIntegrityError
+    from nlgen.errors import DataError
 
     out = []
     prev_sentence = []
@@ -462,7 +462,7 @@ def reference_pronominalize(plans, entities):
             for path, ref in _reference_mention_slots(clause):
                 ent = entities.get(ref.entity.id)
                 if ent is None:
-                    raise ReferentialIntegrityError(
+                    raise DataError(
                         f"dangling entity reference: {ref.entity.id!r}")
                 if path[0] == "condition" and clause.condition is not None:
                     local_subject = clause.condition.subject_ref.entity.id

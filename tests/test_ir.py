@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import re
 from typing import get_args, get_type_hints
 
 import pytest
 
 from nlgen import ir
-from nlgen.errors import ReferentialIntegrityError, SerializationError
+from nlgen.errors import DataError
 
 import oracle
 from conftest import random_document_plan
@@ -97,14 +98,14 @@ class TestPropositionSet:
 
     def test_dangling_subject_raises(self):
         plan = dataclasses.replace(sam_pair_plan(), entities={})
-        with pytest.raises(ReferentialIntegrityError):
+        with pytest.raises(DataError):
             ir.proposition_set(plan)
 
     def test_dangling_complement_reference_raises(self):
         msg = ir.Message(subject="sam", verb="see",
                          complements=(ir.ComplementPhrase(head="@ghost"),))
         plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
-        with pytest.raises(ReferentialIntegrityError):
+        with pytest.raises(DataError):
             ir.proposition_set(plan)
 
 
@@ -277,15 +278,15 @@ class TestSerialization:
                 assert ir.sentence_plans_from_json(text) == plans
 
     def test_malformed_document_plan(self):
-        with pytest.raises(SerializationError):
+        with pytest.raises(DataError):
             ir.document_plan_from_json("{\"root\": {}}")
-        with pytest.raises(SerializationError):
+        with pytest.raises(DataError):
             ir.document_plan_from_json("not json")
 
     def test_decoding_validates_the_document_plan(self):
         text = ir.document_plan_to_json(
             dataclasses.replace(sam_pair_plan(), entities={}))
-        with pytest.raises(SerializationError,
+        with pytest.raises(DataError,
                            match=r"^root\.children\[0\]\.message: "
                                  r"referential integrity"):
             ir.document_plan_from_json(text)
@@ -293,12 +294,12 @@ class TestSerialization:
     def test_messages_carry_no_source_key(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
         payload["root"]["children"][0]["message"]["source_key"] = ""
-        with pytest.raises(SerializationError,
+        with pytest.raises(DataError,
                            match="unknown field 'source_key'"):
             ir.document_plan_from_json(json.dumps(payload))
 
     def test_malformed_sentence_plans(self):
-        with pytest.raises(SerializationError):
+        with pytest.raises(DataError):
             ir.sentence_plans_from_json("{\"sentences\": [{}]}")
 
     def test_empty_plan_serializes(self):
@@ -342,7 +343,7 @@ class TestSerialization:
     def test_decode_error_names_the_path(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
         payload["root"]["children"][1]["message"]["tense"] = "pluperfect"
-        with pytest.raises(SerializationError,
+        with pytest.raises(DataError,
                            match=r"^root\.children\[1\]\.message\.tense: "
                                  r"unknown value 'pluperfect'"):
             ir.document_plan_from_json(json.dumps(payload))
@@ -350,14 +351,31 @@ class TestSerialization:
     def test_decode_rejects_wrong_json_types(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
         payload["entities"]["sam"]["name"] = 7
-        with pytest.raises(SerializationError,
+        with pytest.raises(DataError,
                            match=r"entities\[sam\]\.name: expected a "
                                  r"string, got a number"):
             ir.document_plan_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("text", ["1" * (ir.MAX_DIGITS + 1),
+                                      "-" + "9" * (ir.MAX_DIGITS + 1)],
+                             ids=["past-bound", "minus-past-bound"])
+    def test_integer_past_the_size_rule_is_refused(self, text):
+        with pytest.raises(DataError, match=re.escape(
+                f"malformed document plan: {ir.DIGITS_RULE}")):
+            ir.document_plan_from_json(f'{{"root": {text}}}')
+
+    def test_integer_at_the_size_rule_decodes(self):
+        text = "-" + "9" * ir.MAX_DIGITS
+        assert ir._parse(f"[{text}]", "file") == [1 - ir.INT_BOUND]
+
+    def test_byte_order_mark_is_refused(self):
+        with pytest.raises(DataError, match="^malformed sentence plans: "
+                                            "Unexpected UTF-8 BOM"):
+            ir.sentence_plans_from_json('\ufeff{"sentences": []}')
+
     def test_deep_nesting_is_a_serialization_error(self):
         too_deep = f"JSON values nest more than {ir.MAX_NESTING} levels"
-        with pytest.raises(SerializationError, match=too_deep):
+        with pytest.raises(DataError, match=too_deep):
             ir.sentence_plans_from_json("[" * 100_000)
         clause = {"subject_ref": {"entity": "sam"}, "verb": "rest"}
         for _ in range(900):
@@ -365,7 +383,7 @@ class TestSerialization:
                       "condition": clause}
         text = json.dumps({"entities": {"sam": {"id": "sam", "name": "Sam"}},
                            "sentences": [{"clauses": [clause]}]})
-        with pytest.raises(SerializationError, match=too_deep):
+        with pytest.raises(DataError, match=too_deep):
             ir.sentence_plans_from_json(text)
 
     def test_domains_are_the_literal_members(self):
@@ -457,14 +475,14 @@ class TestCodecProperties:
         payload = json.loads(ir.sentence_plans_to_json(plans))
         assert ir.sentence_plans_from_json(json.dumps(payload)) == plans
         bad = dict(payload, sentences=[{"clauses": [{"verb": 1}]}])
-        with pytest.raises(SerializationError):
+        with pytest.raises(DataError):
             ir.sentence_plans_from_json(json.dumps(bad))
         # Neither the good nor the failed call leaves its table behind.
-        with pytest.raises(SerializationError,
+        with pytest.raises(DataError,
                            match="^entity: unknown entity 'sam'$"):
             ir.from_obj(ir.ReferenceSpec, {"entity": "sam"})
         del payload["entities"]
-        with pytest.raises(SerializationError,
+        with pytest.raises(DataError,
                            match=r"^sentences\[0\]\.clauses\[0\]\."
                                  r"subject_ref\.entity: unknown entity "
                                  r"'sam'$"):
@@ -487,7 +505,7 @@ class TestCodecProperties:
                           verb="rest"),
             ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=she),
                           verb="rest")))]
-        with pytest.raises(SerializationError, match="'sam'"):
+        with pytest.raises(DataError, match="'sam'"):
             ir.sentence_plans_to_json(plans)
 
     def test_decoder_refuses_classes_with_init_logic(self):
@@ -545,7 +563,7 @@ class TestValidateSentences:
 
     def test_decoding_checks_sentences(self):
         text = ir.sentence_plans_to_json([ir.SentencePlan(clauses=())])
-        with pytest.raises(SerializationError, match="no clauses"):
+        with pytest.raises(DataError, match="no clauses"):
             ir.sentence_plans_from_json(text)
 
 

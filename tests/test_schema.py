@@ -11,7 +11,6 @@ from nlgen.errors import (
     DataError,
     NlgenError,
     SchemaParseError,
-    SerializationError,
     TraversalError,
 )
 
@@ -192,6 +191,24 @@ class TestParse:
         ("arc a -> b when gt(r.x, -" + "9" * 400 + ".0)\n",
          "line 4, column 25: lexical error: bad number '-" + "9" * 400
          + ".0'"),
+        # An integer past the size rule is refused before it is read,
+        # and the message does not repeat its digits.
+        ("arc a -> b when gt(r.x, " + "1" * 5001 + ")\n",
+         f"line 4, column 25: lexical error: {ir.DIGITS_RULE}"),
+        ("arc a -> b when eq(r.x, -" + "9" * 4301 + ")\n",
+         f"line 4, column 25: lexical error: {ir.DIGITS_RULE}"),
+        # A field or clause is given once; the second key is named.
+        ('node c emit subject="sam" subject="ann" verb=see verb=rest\n',
+         "line 4, column 27: duplicate field 'subject'"),
+        ('node c emit subject="sam" verb=see complement="@ann" '
+         'complement="a dog"\n',
+         "line 4, column 54: duplicate field 'complement'"),
+        ('node c emit subject="sam" verb=go modal=can modal=must\n',
+         "line 4, column 45: duplicate field 'modal'"),
+        ("arc a -> b when exists(r.x) rel contrast rel elaboration "
+         "when exists(r.y)\n", "line 4, column 42: duplicate field 'rel'"),
+        ("arc a -> b rel contrast when exists(r.x) when exists(r.y)\n",
+         "line 4, column 42: duplicate field 'when'"),
         ("node c emit verb=rest subject=\n",
          "line 4, column 31: expected a quoted literal or path(...)"),
         ("node c emit subject=sam verb=rest\n",
@@ -206,6 +223,12 @@ class TestParse:
         with pytest.raises(SchemaParseError) as info:
             schema.parse_schema(self._HEAD + extra)
         assert str(info.value) == message
+
+    def test_integer_literal_at_the_digit_bound_parses(self):
+        parsed = schema.parse_schema(
+            self._HEAD + "arc a -> b when eq(r.x, -" + "9" * ir.MAX_DIGITS
+            + ")\n")
+        assert parsed.arcs[0].guard.value == 1 - ir.INT_BOUND
 
     def test_quoted_comma_is_a_string_not_a_comma(self):
         with pytest.raises(SchemaParseError) as info:
@@ -863,6 +886,25 @@ class TestInstantiate:
                 f"holds {kind}, not a string or number")):
             nlgen.generate_text(parsed, data)
 
+    @pytest.mark.parametrize("value", [ir.INT_BOUND, -ir.INT_BOUND,
+                                       10 ** 5000],
+                             ids=["bound", "minus-bound", "5001-digits"])
+    def test_integer_past_the_size_rule_is_refused(self, value):
+        # Only records built by hand hold one; the JSON reader refuses it.
+        parsed = schema.parse_schema(
+            'schema s\nnode a emit subject="sam" verb=see '
+            'complement=path(r.x)\n')
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": {"x": value}})
+        with pytest.raises(TraversalError, match=re.escape(
+                f"node 'a': template instantiation failed: data path r.x: "
+                f"{ir.DIGITS_RULE}")):
+            nlgen.generate_text(parsed, data)
+        data.records["r"]["x"] = 1 - ir.INT_BOUND  # MAX_DIGITS nines
+        assert nlgen.generate_text(parsed, data) == \
+            f"Sam sees -{'9' * ir.MAX_DIGITS}."
+
 
 class TestKindNames:
     """The codec, templates and guards name a value's kind alike."""
@@ -876,7 +918,7 @@ class TestKindNames:
         # Where the codec wants an array, or an object for an array.
         key, wanted = ("entities", "an object") if type(value) is list \
             else ("sentences", "an array")
-        with pytest.raises(SerializationError, match=re.escape(
+        with pytest.raises(DataError, match=re.escape(
                 f"{key}: expected {wanted}, got {kind}")):
             ir.sentence_plans_from_json(
                 json.dumps({"sentences": [], key: value}))
@@ -1015,3 +1057,13 @@ class TestLoadData:
         with pytest.raises(DataError) as info:
             schema.load_data(f'{{"entities": {entities}, "records": {{}}}}')
         assert str(info.value).startswith(detail)
+
+
+class TestErrorClasses:
+    def test_four_classes(self):
+        # Schema text, every other malformed input, and a schema and data
+        # that disagree, under one base class.
+        classes = {name for name, value in vars(nlgen.errors).items()
+                   if isinstance(value, type)}
+        assert classes == {"NlgenError", "SchemaParseError", "DataError",
+                           "TraversalError"}

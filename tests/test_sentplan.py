@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nlgen
 from nlgen import ir, realize, schema, sentplan
-from nlgen.errors import ReferentialIntegrityError
+from nlgen.errors import DataError
 
 import oracle
 from conftest import random_document_plan
@@ -267,7 +267,7 @@ class TestPronominalize:
 
     def test_unknown_entity_is_lookup_failure(self):
         plans = self.build(message("sam", "rest"))
-        with pytest.raises(ReferentialIntegrityError):
+        with pytest.raises(DataError):
             sentplan.pronominalize(plans, {})
 
     def test_pronouns_recoverable_on_random_plans(self, rng):
@@ -357,7 +357,7 @@ class TestPlanSentences:
 
     def test_invalid_plan_rejected(self):
         bad = dataclasses.replace(self.sam_pair(), entities={})
-        with pytest.raises(ReferentialIntegrityError):
+        with pytest.raises(DataError):
             sentplan.plan_sentences(bad, "fluent")
 
     def test_plans_are_not_validated_again(self, corpus, monkeypatch):
