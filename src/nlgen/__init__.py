@@ -19,7 +19,6 @@ from .ir import (
     SentencePlan,
     document_plan_from_json,
     document_plan_to_json,
-    proposition_set,
     sentence_plans_from_json,
     sentence_plans_to_json,
     validate,
@@ -40,7 +39,6 @@ from .schema import (
     instantiate_template,
     load_data,
     parse_schema,
-    print_schema,
     traverse,
 )
 from .sentplan import (

@@ -7,10 +7,10 @@ renders those to text.  Both plan kinds serialize to a canonical JSON form
 that round-trips losslessly; that serialization is the contract between
 the stage-level CLI commands.
 
-proposition_set() reduces either representation to a set of canonical
-proposition tuples.  Sentence planning must preserve that set exactly,
-which is how the test suite checks that cohesion passes never change what
-a document says.
+validate() and validate_sentences() hold the plan invariants.  The check
+that sentence planning never changes what a document says is test code:
+tests/oracle.py reduces either representation to a set of proposition
+tuples, and the two sets must be equal.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import dataclasses
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Literal, Union, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import DataError
 
@@ -246,36 +246,8 @@ class SentencePlan:
     new_paragraph: bool = False
 
 
-PlanLike = Union[DocumentPlan, "list[SentencePlan]", "tuple[SentencePlan, ...]"]
-
-
 # ---------------------------------------------------------------------------
-# Proposition tuples
-
-
-def _normalize_phrase(phrase: ComplementPhrase) -> tuple:
-    head = phrase.head if entity_ref(phrase.head) else phrase.head.lower()
-    return (
-        phrase.kind,
-        phrase.determiner or "none",
-        tuple(sorted(p.lower() for p in phrase.premodifiers)),
-        head,
-        phrase.preposition or "none",
-    )
-
-
-def _message_tuple(msg: Message, entities: dict[str, Entity]) -> tuple:
-    lookup_entity(entities, msg.subject)
-    for phrase in msg.complements:
-        ref = entity_ref(phrase.head)
-        if ref is not None:
-            lookup_entity(entities, ref)
-    comps = tuple(_normalize_phrase(c) for c in msg.complements)
-    cond = None
-    if msg.condition is not None:
-        cond = _message_tuple(msg.condition, entities)[:6]
-    return (msg.subject, msg.verb.lower(), comps, msg.tense,
-            msg.modal or "none", msg.polarity, cond)
+# Plan lookups
 
 
 def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
@@ -284,21 +256,6 @@ def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
     if entity is None:
         raise DataError(f"dangling entity reference: {entity_id!r}")
     return entity
-
-
-def _clause_tuples(clause: ClauseSpec) -> list[tuple]:
-    cond = None
-    if clause.condition is not None:
-        # Conditions never aggregate, so the nested clause holds one unit.
-        cond = _clause_tuples(clause.condition)[0][:6]
-    units = clause.complements or ((),)
-    out = []
-    for unit in units:
-        comps = tuple(_normalize_phrase(rc.phrase) for rc in unit)
-        out.append((clause.subject_ref.entity.id, clause.verb.lower(), comps,
-                    clause.tense, clause.modal or "none", clause.polarity,
-                    cond))
-    return out
 
 
 def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
@@ -315,26 +272,6 @@ def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
     if plan.root is not None:
         walk(plan.root)
     return leaves
-
-
-def proposition_set(plan: PlanLike) -> set[tuple]:
-    """Canonical proposition tuples carried by a plan.
-
-    Works on a DocumentPlan or on a sequence of SentencePlans; coordination
-    groups on the sentence side expand back into one tuple per source
-    message, and reference modes are ignored (a pronoun and a full name for
-    the same entity yield the same tuple).
-    """
-    if isinstance(plan, DocumentPlan):
-        return {
-            _message_tuple(leaf.message, plan.entities)
-            for leaf in plan_leaves(plan)
-        }
-    out: set[tuple] = set()
-    for sp in plan:
-        for clause in sp.clauses:
-            out.update(_clause_tuples(clause))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,16 @@ def _tokenize_line(text: str, line: int) -> list[_Tok]:
         elif kind == "number":
             try:
                 value = float(lit) if "." in lit else ir.parse_int(lit)
-                if value in (math.inf, -math.inf):
-                    raise ValueError
             except ValueError:
                 # Digits alone fail only past the integer size rule.
                 problem = f"bad number {lit!r}" if "." in lit \
                     else ir.DIGITS_RULE
                 raise SchemaParseError(f"lexical error: {problem}", line, col)
+            # A float literal too large to hold reads as infinity; like
+            # the size rule, the message does not repeat its digits.
+            if value in (math.inf, -math.inf):
+                raise SchemaParseError(
+                    "lexical error: a number must be finite", line, col)
             toks.append(_Tok(kind, value, col))
         elif kind is not None:  # blanks and a comment have no group
             toks.append(_Tok(lit if kind == "symbol" else kind, lit, col))
@@ -327,7 +330,7 @@ class _LineParser:
         raise self.error("expected a string, number, or true/false")
 
 
-# Emit fields that take one word of an ir domain, in printing order.
+# Emit fields that take one word of an ir domain.
 _DOMAIN_FIELDS = {"modal": ir.MODALS, "tense": ir.TENSES,
                   "polarity": ir.POLARITIES}
 
@@ -555,84 +558,6 @@ def parse_schema(source: str) -> SchemaDef:
         )
         shared[b.name] = definition
     return next(iter(shared.values()))
-
-
-# ---------------------------------------------------------------------------
-# Canonical pretty-printer
-
-
-def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def _print_expr(expr: Expr) -> str:
-    if expr.kind == "path":
-        return f"path({expr.value})"
-    return _quote(expr.value)
-
-
-def _print_literal(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        text = ir.number_text(value)
-        # A float keeps a point, so that it reads back as a float.
-        if isinstance(value, float) and "." not in text:
-            text += ".0"
-        return text
-    return _quote(str(value))
-
-
-def print_condition(cond: Condition) -> str:
-    if cond.op == "exists":
-        return f"exists({cond.path})"
-    if cond.op in ("eq", "gt", "lt"):
-        return f"{cond.op}({cond.path}, {_print_literal(cond.value)})"
-    inner = ", ".join(print_condition(a) for a in cond.args)
-    return f"{cond.op}({inner})"
-
-
-def _print_node(node: SchemaNode) -> str:
-    if node.kind == "end":
-        return f"node {node.id} end"
-    if node.kind == "call":
-        return f"node {node.id} call {node.target}"
-    t = node.template
-    parts = [f"node {node.id} emit", f"subject={_print_expr(t.subject)}",
-             f"verb={t.verb}"]
-    for key in _DOMAIN_FIELDS:
-        value = getattr(t, key)
-        if value != getattr(MessageTemplate, key):  # the field's default
-            parts.append(f"{key}={value}")
-    if t.adverb is not None:
-        parts.append(f"adverb={_print_expr(t.adverb)}")
-    if t.condition_node:
-        parts.append(f"condition={t.condition_node}")
-    if t.complements:
-        exprs = ", ".join(_print_expr(e) for e in t.complements)
-        parts.append(f"complement={exprs}")
-    return " ".join(parts)
-
-
-def print_schema(schema: SchemaDef) -> str:
-    """Canonical text for a schema and every schema in its set; parsing
-    the output reproduces the same definitions."""
-    blocks = []
-    definitions = list(schema.schema_set.values()) \
-        if schema.schema_set else [schema]
-    for definition in definitions:
-        lines = [f"schema {definition.name}"]
-        lines += [_print_node(n) for n in definition.nodes]
-        for arc in definition.arcs:
-            line = f"arc {arc.src} -> {arc.dst}"
-            if arc.guard is not None:
-                line += f" when {print_condition(arc.guard)}"
-            if arc.rel != "sequence":
-                line += f" rel {arc.rel}"
-            lines.append(line)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------

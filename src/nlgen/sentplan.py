@@ -16,9 +16,10 @@ the group before it), _takes_also (whether a clause takes "also") and
 _only_meaning (whether a pronoun can only mean its entity in the window).
 
 The "plain" profile skips all three: one sentence per message, every
-reference full.  Under both profiles proposition_set() of the output
-equals proposition_set() of the input plan; the test suite enforces this
-on every corpus document and on randomized plans.
+reference full.  Under both profiles the output carries the same
+propositions as the input plan: the test suite expands both sides into
+proposition tuples with tests/oracle.py and compares them on every corpus
+document and on randomized plans.
 
 Pass order matters: aggregation changes the sentence boundaries that the
 recency-based pronoun rule depends on, and the marker pass needs final
@@ -112,8 +113,19 @@ def _with_clauses(sp: ir.SentencePlan,
                            new_paragraph=sp.new_paragraph)
 
 
+def _normalize_phrase(phrase: ir.ComplementPhrase) -> tuple:
+    head = phrase.head if ir.entity_ref(phrase.head) else phrase.head.lower()
+    return (
+        phrase.kind,
+        phrase.determiner or "none",
+        tuple(sorted(p.lower() for p in phrase.premodifiers)),
+        head,
+        phrase.preposition or "none",
+    )
+
+
 def _norm_units(clause: ir.ClauseSpec) -> tuple:
-    return tuple(tuple(ir._normalize_phrase(rc.phrase) for rc in unit)
+    return tuple(tuple(_normalize_phrase(rc.phrase) for rc in unit)
                  for unit in clause.complements)
 
 

@@ -1,8 +1,11 @@
 """Brute-force oracles for the test suite.
 
 These walk the plan dataclasses directly and re-derive expected values by
-plain enumeration, independent of the proposition_set / planning code they
-are used to check.
+plain enumeration, independent of the planning code they are used to
+check.  The proposition oracle is here and not in the package:
+expand_document_plan and expand_sentence_plans reduce the two sides of
+sentence planning to proposition tuples, and the sets must be equal.
+print_schema writes schema text back for the parse/print round trip.
 """
 
 from collections import Counter
@@ -41,6 +44,28 @@ def _clause_expansion(clause):
             condition,
         ))
     return rows
+
+
+def _message_expansion(msg):
+    condition = None
+    if msg.condition is not None:
+        condition = _message_expansion(msg.condition)[:6]
+    return (msg.subject, msg.verb.lower(),
+            tuple(_norm_phrase(p) for p in msg.complements),
+            msg.tense, msg.modal or "none", msg.polarity, condition)
+
+
+def expand_document_plan(plan):
+    """Proposition tuples of a document plan: one per leaf message,
+    whatever the relation labels above it."""
+    out = set()
+    nodes = [plan.root] if plan.root is not None else []
+    while nodes:
+        node = nodes.pop()
+        if node.message is not None:
+            out.add(_message_expansion(node.message))
+        nodes.extend(node.children)
+    return out
 
 
 def expand_sentence_plans(plans):
@@ -162,11 +187,12 @@ def reference_tokenize_line(text: str, line: int) -> list[_ReferenceTok]:
             lit = text[i:j]
             try:
                 value = float(lit) if "." in lit else int(lit)
-                if value in (float("inf"), float("-inf")):
-                    raise ValueError
             except ValueError:
                 raise SchemaParseError(
                     f"lexical error: bad number {lit!r}", line, col)
+            if value in (float("inf"), float("-inf")):
+                raise SchemaParseError(
+                    "lexical error: a number must be finite", line, col)
             toks.append(_ReferenceTok("number", value, line, col))
             i = j
             continue
@@ -180,6 +206,89 @@ def reference_tokenize_line(text: str, line: int) -> list[_ReferenceTok]:
         raise SchemaParseError(f"lexical error: unexpected character "
                                f"{ch!r}", line, col)
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Schema text written back from a parsed schema, so that parsing the
+# printed text can be checked to give the same definitions.
+
+
+def _quote(text):
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def _print_expr(expr):
+    if expr.kind == "path":
+        return f"path({expr.value})"
+    return _quote(expr.value)
+
+
+def _print_literal(value):
+    from nlgen import ir
+
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        text = ir.number_text(value)
+        # A float keeps a point, so that it reads back as a float.
+        if isinstance(value, float) and "." not in text:
+            text += ".0"
+        return text
+    return _quote(str(value))
+
+
+def print_condition(cond):
+    if cond.op == "exists":
+        return f"exists({cond.path})"
+    if cond.op in ("eq", "gt", "lt"):
+        return f"{cond.op}({cond.path}, {_print_literal(cond.value)})"
+    inner = ", ".join(print_condition(a) for a in cond.args)
+    return f"{cond.op}({inner})"
+
+
+def _print_node(node):
+    from nlgen.schema import MessageTemplate
+
+    if node.kind == "end":
+        return f"node {node.id} end"
+    if node.kind == "call":
+        return f"node {node.id} call {node.target}"
+    t = node.template
+    parts = [f"node {node.id} emit", f"subject={_print_expr(t.subject)}",
+             f"verb={t.verb}"]
+    for key in ("modal", "tense", "polarity"):
+        value = getattr(t, key)
+        if value != getattr(MessageTemplate, key):  # the field's default
+            parts.append(f"{key}={value}")
+    if t.adverb is not None:
+        parts.append(f"adverb={_print_expr(t.adverb)}")
+    if t.condition_node:
+        parts.append(f"condition={t.condition_node}")
+    if t.complements:
+        exprs = ", ".join(_print_expr(e) for e in t.complements)
+        parts.append(f"complement={exprs}")
+    return " ".join(parts)
+
+
+def print_schema(schema):
+    """Canonical text for a schema and every schema in its set; parsing
+    the output reproduces the same definitions."""
+    blocks = []
+    definitions = list(schema.schema_set.values()) \
+        if schema.schema_set else [schema]
+    for definition in definitions:
+        lines = [f"schema {definition.name}"]
+        lines += [_print_node(n) for n in definition.nodes]
+        for arc in definition.arcs:
+            line = f"arc {arc.src} -> {arc.dst}"
+            if arc.guard is not None:
+                line += f" when {print_condition(arc.guard)}"
+            if arc.rel != "sequence":
+                line += f" rel {arc.rel}"
+            lines.append(line)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _find_node(definition, node_id):
@@ -384,12 +493,9 @@ def reference_aggregate(messages, entities, cap=3):
 def reference_insert_discourse_markers(plans):
     from dataclasses import replace
 
-    from nlgen import ir
-
     def norm_units(clause):
-        return tuple(
-            tuple(ir._normalize_phrase(rc.phrase) for rc in unit)
-            for unit in clause.complements)
+        return tuple(tuple(_norm_phrase(rc.phrase) for rc in unit)
+                     for unit in clause.complements)
 
     def mark(clause):
         cond = clause.condition

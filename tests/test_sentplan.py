@@ -313,18 +313,18 @@ class TestPlanSentences:
 
         for doc in corpus:
             plan = traverse(doc.schema, doc.data)
-            want = ir.proposition_set(plan)
+            want = oracle.expand_document_plan(plan)
             for profile in ("fluent", "plain"):
                 plans = sentplan.plan_sentences(plan, profile)
-                assert ir.proposition_set(plans) == want, \
+                assert oracle.expand_sentence_plans(plans) == want, \
                     (doc.name, profile)
 
     def test_information_preserved_on_random_plans(self, rng):
         for _ in range(30):
             plan = random_document_plan(rng)
-            want = ir.proposition_set(plan)
+            want = oracle.expand_document_plan(plan)
             for profile in ("fluent", "plain"):
-                assert ir.proposition_set(
+                assert oracle.expand_sentence_plans(
                     sentplan.plan_sentences(plan, profile)) == want
 
     def test_paragraphs_follow_root_relation_children(self):
