@@ -33,10 +33,12 @@ each `call` and each non-sequence arc nests one level, and nesting deeper
 than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
 operators as deep, and no deeper.
 
-Guards are compiled on first use and cached on the frozen schema
-objects: each Condition builds one predicate over the data records
-(Condition.test).  Compiling a comparison fixes the operand types it
-accepts, from its operator and its literal.  Every failure during
+Parsing stores each schema's nodes by id and its arcs by source node,
+both in declaration order, and a template path as the tuple of its
+dotted segments.  Guards are compiled on first use and cached on the
+frozen schema objects: each Condition builds one predicate over the data
+records (Condition.test).  Compiling a comparison fixes the operand types
+it accepts, from its operator and its literal.  Every failure during
 traversal is a TraversalError: a missing path or a value of another type
 in a guard is one naming its arc and schema, and in a template one naming
 its node.  Complement text, literal or read from a path, is parsed
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
@@ -74,18 +76,6 @@ _ARTICLES = {"a": "a", "an": "a", "the": "the"}
 
 
 @dataclass(frozen=True)
-class Expr:
-    kind: str  # "literal" | "path"
-    value: str
-    # A path's dotted segments, split once when the expression is built.
-    segments: tuple[str, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.value.split("."))
-                           if self.kind == "path" else ())
-
-
-@dataclass(frozen=True)
 class Condition:
     op: str  # exists | eq | gt | lt | and | or | not
     path: str | None = None
@@ -101,13 +91,15 @@ class Condition:
 
 @dataclass(frozen=True)
 class MessageTemplate:
-    subject: Expr
+    # An expression: a literal is its text, a path the tuple of its
+    # dotted segments.
+    subject: str | tuple[str, ...]
     verb: str
-    complements: tuple[Expr, ...] = ()
+    complements: tuple[str | tuple[str, ...], ...] = ()
     tense: str = "present"
     modal: str | None = None
     polarity: str = "positive"
-    adverb: Expr | None = None
+    adverb: str | tuple[str, ...] | None = None
     condition_node: str | None = None
 
 
@@ -130,34 +122,15 @@ class Arc:
 @dataclass(frozen=True)
 class SchemaDef:
     name: str
+    # The first declared node; dict equality ignores key order.
     entry: str
-    nodes: tuple[SchemaNode, ...]
-    arcs: tuple[Arc, ...]
+    # Nodes by id, and each node's outgoing arcs by its id, both in
+    # declaration order, so that a traversal step costs only the visited
+    # node's own arcs.
+    nodes: dict[str, SchemaNode]
+    arcs: dict[str, tuple[Arc, ...]]
     # All schemas parsed from the same file, shared for call resolution.
     schema_set: dict = field(default_factory=dict, compare=False, repr=False)
-    # Indexes derived from nodes and arcs, so that a traversal step costs
-    # only the visited node's own arcs.
-    _nodes_by_id: dict[str, SchemaNode] = field(
-        init=False, compare=False, repr=False)
-    _arcs_by_src: dict[str, tuple[Arc, ...]] = field(
-        init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        arcs_by_src: dict[str, list[Arc]] = {}
-        for arc in self.arcs:
-            arcs_by_src.setdefault(arc.src, []).append(arc)
-        object.__setattr__(self, "_nodes_by_id",
-                           {node.id: node for node in self.nodes})
-        object.__setattr__(self, "_arcs_by_src",
-                           {src: tuple(arcs)
-                            for src, arcs in arcs_by_src.items()})
-
-    def node(self, node_id: str) -> SchemaNode:
-        return self._nodes_by_id[node_id]
-
-    def arcs_from(self, node_id: str) -> tuple[Arc, ...]:
-        """The node's outgoing arcs, in declaration order."""
-        return self._arcs_by_src.get(node_id, ())
 
 
 @dataclass(frozen=True)
@@ -206,15 +179,17 @@ def _tokenize_line(text: str, line: int) -> list[_Tok]:
         if kind == "string":
             toks.append(_Tok(kind, _ESCAPE.sub(r"\1", lit[1:-1]), col))
         elif kind == "number":
+            # Like every number rule, these messages do not repeat the
+            # literal, which may be any length.
+            if lit.count(".") > 1:
+                raise SchemaParseError(
+                    "lexical error: a number has at most one point", line, col)
             try:
                 value = float(lit) if "." in lit else ir.parse_int(lit)
-            except ValueError:
-                # Digits alone fail only past the integer size rule.
-                problem = f"bad number {lit!r}" if "." in lit \
-                    else ir.DIGITS_RULE
-                raise SchemaParseError(f"lexical error: {problem}", line, col)
-            # A float literal too large to hold reads as infinity; like
-            # the size rule, the message does not repeat its digits.
+            except ValueError:  # digits alone fail only past the size rule
+                raise SchemaParseError(f"lexical error: {ir.DIGITS_RULE}",
+                                       line, col)
+            # A float literal too large to hold reads as infinity.
             if value in (math.inf, -math.inf):
                 raise SchemaParseError(
                     "lexical error: a number must be finite", line, col)
@@ -262,19 +237,19 @@ class _LineParser:
     def take_ident(self) -> str:
         return self.take("ident").value
 
-    def expr(self) -> Expr:
+    def expr(self) -> str | tuple[str, ...]:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a quoted literal or path(...)")
         if tok.kind == "string":
             self.pos += 1
-            return Expr("literal", tok.value)
+            return tok.value
         if tok.kind == "ident" and tok.value == "path":
             self.pos += 1
             self.take("(")
             path = self.take_ident()
             self.take(")")
-            return Expr("path", path)
+            return tuple(path.split("."))
         raise self.error("expected a quoted literal or path(...)")
 
     def condition(self, level: int = 1) -> Condition:
@@ -341,7 +316,7 @@ def _parse_emit_fields(p: _LineParser,
     fields: dict[str, Any] = {}
     columns: dict[str, int] = {}  # where each field's key was written
     condition_col = 1
-    complements: list[Expr] = []
+    complements: list[str | tuple[str, ...]] = []
     while not p.done():
         key_tok = p.take("ident")
         key = key_tok.value
@@ -549,14 +524,16 @@ def parse_schema(source: str) -> SchemaDef:
     shared: dict[str, SchemaDef] = {}
     for b in builders:
         _check_builder(b, all_names)
-        definition = SchemaDef(
+        arcs: dict[str, list[Arc]] = {}
+        for arc in b.arcs:
+            arcs.setdefault(arc.src, []).append(arc)
+        shared[b.name] = SchemaDef(
             name=b.name,
             entry=next(iter(b.nodes)),
-            nodes=tuple(b.nodes.values()),
-            arcs=tuple(b.arcs),
+            nodes=b.nodes,
+            arcs={src: tuple(group) for src, group in arcs.items()},
             schema_set=shared,
         )
-        shared[b.name] = definition
     return next(iter(shared.values()))
 
 
@@ -603,16 +580,19 @@ def _check_entity_refs(records: dict,
             pending.extend((v, level + 1) for v in reversed(items))
 
 
-def _resolve_segments(records: Mapping[str, Any], segments: Sequence[str],
-                      path: str) -> Any:
-    """Walk ``segments`` (``path`` already split) down the records."""
+# What _lookup() gives for a path the records do not hold.
+_MISSING = object()
+
+
+def _lookup(records: Mapping[str, Any], segments: tuple[str, ...]) -> Any:
+    """The value at a path, given as its segments, or _MISSING."""
     value: Any = records
     for segment in segments:
         # Data files decode to plain dicts; the exact-type test skips the
         # much slower ABC check for them.
         if not (type(value) is dict or isinstance(value, Mapping)) \
                 or segment not in value:
-            raise TraversalError(f"missing data path: {path}")
+            return _MISSING
         value = value[segment]
     return value
 
@@ -624,6 +604,8 @@ _NUMBER = _KINDS[2]
 
 
 def _mismatch(cond: Condition, value: Any) -> TraversalError:
+    if value is _MISSING:
+        return TraversalError(f"missing data path: {cond.path}")
     if cond.op == "eq":
         return TraversalError(
             f"eq({cond.path}, ...): cannot compare {ir.json_kind(value)} "
@@ -641,18 +623,12 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     float), gt and lt take a number, and bool is never a number.  Each
     comparison has its own closure, which tests one exact type inline and
     falls back to isinstance, so subclass values are accepted too; any
-    other value is a TraversalError."""
+    other value, or a missing path, is a TraversalError."""
     op, path = cond.op, cond.path
     segments = tuple(path.split(".")) if path is not None else ()
     if op == "exists":
         def test(records):
-            value = records
-            for segment in segments:
-                if not (type(value) is dict or isinstance(value, Mapping)) \
-                        or segment not in value:
-                    return False
-                value = value[segment]
-            return True
+            return _lookup(records, segments) is not _MISSING
     elif op == "not":
         inner = cond.args[0].test
 
@@ -683,21 +659,21 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
             else kinds[0] if kinds else None
         if op == "eq":
             def test(records):
-                value = _resolve_segments(records, segments, path)
+                value = _lookup(records, segments)
                 if type(value) is fast or isinstance(value, kinds) \
                         and type(value) is not bool:
                     return value == literal
                 raise _mismatch(cond, value)
         elif op == "gt":
             def test(records):
-                value = _resolve_segments(records, segments, path)
+                value = _lookup(records, segments)
                 if type(value) is fast or isinstance(value, kinds) \
                         and type(value) is not bool:
                     return value > literal
                 raise _mismatch(cond, value)
         else:  # lt, and any other op
             def test(records):
-                value = _resolve_segments(records, segments, path)
+                value = _lookup(records, segments)
                 if type(value) is fast or isinstance(value, kinds) \
                         and type(value) is not bool:
                     return value < literal
@@ -745,13 +721,13 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
                                preposition=preposition)
 
 
-def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
+def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     """The text of an expression: a path's value must be a string, a
     boolean ("true"/"false"), a finite float or an int of at most
     ir.MAX_DIGITS digits."""
-    if expr.kind == "literal":
-        return expr.value
-    value = _resolve_segments(data.records, expr.segments, expr.value)
+    if type(expr) is str:
+        return expr
+    value = _lookup(data.records, expr)
     kind = type(value)
     if kind is str:
         return value
@@ -760,12 +736,15 @@ def _resolve_expr(expr: Expr, data: DataRecordSet) -> str:
     if kind is int and -ir.INT_BOUND < value < ir.INT_BOUND \
             or kind is float and math.isfinite(value):
         return ir.number_text(value)
+    path = ".".join(expr)
+    if value is _MISSING:
+        raise TraversalError(f"missing data path: {path}")
     if kind is int:
-        raise TraversalError(f"data path {expr.value}: {ir.DIGITS_RULE}")
+        raise TraversalError(f"data path {path}: {ir.DIGITS_RULE}")
     if kind is float:
-        raise TraversalError(f"data path {expr.value} holds {value}, "
+        raise TraversalError(f"data path {path} holds {value}, "
                              f"not a finite number")
-    raise TraversalError(f"data path {expr.value} holds "
+    raise TraversalError(f"data path {path} holds "
                          f"{ir.json_kind(value)}, not a string or number")
 
 
@@ -816,7 +795,7 @@ def _instantiate_node(schema: SchemaDef, node: SchemaNode,
     if template.condition_node:
         condition = _instantiate(
             f"node {node.id!r}, condition node {template.condition_node!r}",
-            schema.node(template.condition_node).template, data)
+            schema.nodes[template.condition_node].template, data)
     return _instantiate(f"node {node.id!r}", template, data, condition)
 
 
@@ -849,12 +828,12 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
                 raise TraversalError(
                     f"schema nesting deeper than {ir.MAX_NESTING} levels "
                     f"at node {node_id!r} in schema {definition.name!r}")
-            node = definition.node(node_id)
+            node = definition.nodes[node_id]
             pieces: list[ir.PlanNode] = []
             if node.kind == "emit":
                 pieces.append(ir.PlanNode(
                     message=_instantiate_node(definition, node, data)))
-            stack.append((definition, iter(definition.arcs_from(node_id)),
+            stack.append((definition, iter(definition.arcs.get(node_id, ())),
                           pieces, [], level, joins))
             if node.kind != "call":
                 return

@@ -185,6 +185,10 @@ def reference_tokenize_line(text: str, line: int) -> list[_ReferenceTok]:
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
             lit = text[i:j]
+            if lit.count(".") > 1:
+                raise SchemaParseError(
+                    "lexical error: a number has at most one point", line,
+                    col)
             try:
                 value = float(lit) if "." in lit else int(lit)
             except ValueError:
@@ -219,9 +223,9 @@ def _quote(text):
 
 
 def _print_expr(expr):
-    if expr.kind == "path":
-        return f"path({expr.value})"
-    return _quote(expr.value)
+    if type(expr) is tuple:
+        return f"path({'.'.join(expr)})"
+    return _quote(expr)
 
 
 def _print_literal(value):
@@ -279,8 +283,8 @@ def print_schema(schema):
         if schema.schema_set else [schema]
     for definition in definitions:
         lines = [f"schema {definition.name}"]
-        lines += [_print_node(n) for n in definition.nodes]
-        for arc in definition.arcs:
+        lines += [_print_node(n) for n in definition.nodes.values()]
+        for arc in all_arcs(definition):
             line = f"arc {arc.src} -> {arc.dst}"
             if arc.guard is not None:
                 line += f" when {print_condition(arc.guard)}"
@@ -291,8 +295,13 @@ def print_schema(schema):
     return "\n\n".join(blocks) + "\n"
 
 
+def all_arcs(definition):
+    """Every arc of a schema, grouped by source node."""
+    return [arc for arcs in definition.arcs.values() for arc in arcs]
+
+
 def _find_node(definition, node_id):
-    for node in definition.nodes:
+    for node in definition.nodes.values():
         if node.id == node_id:
             return node
     raise KeyError(node_id)
@@ -412,7 +421,7 @@ def reference_traverse(definition, data, max_visits=32):
                 pieces.append(relation("sequence", sub_pieces))
         # Runs of consecutive taken arcs with the same label.
         runs = []
-        for arc in d.arcs:
+        for arc in all_arcs(d):
             if arc.src != node_id:
                 continue
             try:

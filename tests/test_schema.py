@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -185,8 +187,12 @@ class TestParse:
          "line 4, column 12: expected 'when' or 'rel', got 'if'"),
         ("edge a -> b\n", "line 4, column 1: expected 'schema', 'node', or "
          "'arc', got 'edge'"),
+        # A literal of digits and points with more than one point is
+        # refused by a rule, whatever its length, without its text.
         ("arc a -> b when eq(r.x, 1.2.3)\n",
-         "line 4, column 25: lexical error: bad number '1.2.3'"),
+         "line 4, column 25: lexical error: a number has at most one point"),
+        ("arc a -> b when gt(r.x, " + "1." * 3000 + "1)\n",
+         "line 4, column 25: lexical error: a number has at most one point"),
         # A float literal too large to hold is not read as infinity,
         # and the message does not repeat its digits.
         ("arc a -> b when gt(r.x, -" + "9" * 400 + ".0)\n",
@@ -230,7 +236,7 @@ class TestParse:
         parsed = schema.parse_schema(
             self._HEAD + "arc a -> b when eq(r.x, -" + "9" * ir.MAX_DIGITS
             + ")\n")
-        assert parsed.arcs[0].guard.value == 1 - ir.INT_BOUND
+        assert parsed.arcs["a"][0].guard.value == 1 - ir.INT_BOUND
 
     def test_quoted_comma_is_a_string_not_a_comma(self):
         with pytest.raises(SchemaParseError) as info:
@@ -277,17 +283,26 @@ class TestParse:
             "arc a -> c when exists(r.x)\n"
             "arc b -> c\n"
             "arc a -> b rel contrast\n")
-        assert parsed.arcs_from("a") == (parsed.arcs[0], parsed.arcs[2])
-        assert parsed.arcs_from("c") == ()
-        assert parsed.node("b") is parsed.nodes[1]
-        with pytest.raises(KeyError):
-            parsed.node("ghost")
-        # Hand-built definitions get the indexes too; they take no part in
-        # equality.
-        rebuilt = schema.SchemaDef(name="s", entry="a", nodes=parsed.nodes,
-                                   arcs=parsed.arcs)
+        assert list(parsed.nodes) == ["a", "b", "c"]
+        assert parsed.nodes["b"].id == "b"
+        # Each node's outgoing arcs, in declaration order; an end node
+        # has none.
+        assert [(arc.src, arc.dst, arc.rel)
+                for arcs in parsed.arcs.values() for arc in arcs] == [
+            ("a", "c", "sequence"), ("a", "b", "contrast"),
+            ("b", "c", "sequence")]
+        assert "c" not in parsed.arcs
+        # Equality ignores the order of the dicts' keys, but not the
+        # order of a node's arcs, nor which node is the entry.
+        rebuilt = schema.SchemaDef(
+            name="s", entry="a",
+            nodes=dict(reversed(parsed.nodes.items())),
+            arcs=dict(reversed(parsed.arcs.items())))
         assert rebuilt == parsed
-        assert rebuilt.arcs_from("b") == (parsed.arcs[1],)
+        assert dataclasses.replace(parsed, entry="b") != parsed
+        assert dataclasses.replace(
+            parsed, arcs={**parsed.arcs, "a": parsed.arcs["a"][::-1]}) \
+            != parsed
 
     def test_guard_nesting_bound(self):
         def source(operators):
@@ -309,8 +324,8 @@ class TestParse:
         parsed = schema.parse_schema(
             'schema s\nnode a emit subject="sam" verb=say '
             'complement="a \\"quoted\\" word"\n')
-        template = parsed.nodes[0].template
-        assert template.complements[0].value == 'a "quoted" word'
+        template = parsed.nodes["a"].template
+        assert template.complements == ('a "quoted" word',)
 
 
 class TestRoundTrip:
@@ -339,7 +354,7 @@ class TestRoundTrip:
         # Numbers are written positionally, and a float keeps its point.
         assert "gt(r.n, 0.0000001)" in printed
         assert "lt(r.n, 100000000000000000000.0)" in printed
-        guards = again.arcs[0].guard.args
+        guards = again.arcs["a"][0].guard.args
         assert [type(g.value) for g in guards[5:]] == [float] * 4
 
 
@@ -480,6 +495,36 @@ class TestEvalCondition:
                 "number")):
             schema.eval_condition(cond, data)
 
+    @pytest.mark.parametrize("wrap", [dict, MappingProxyType])
+    def test_any_mapping_reads_as_records(self, wrap):
+        # Records are read through the Mapping interface, so a read-only
+        # view behaves as the dicts a data file decodes to.
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records=wrap({"r": wrap({"n": 5, "s": "ill"})}))
+
+        def holds(op, path, value=None):
+            return schema.eval_condition(
+                schema.Condition(op=op, path=path, value=value), data)
+
+        assert holds("exists", "r.n")
+        assert not holds("exists", "r.y")
+        assert not holds("exists", "r.n.z")
+        assert holds("eq", "r.s", "ill")
+        assert not holds("eq", "r.s", "well")
+        assert holds("gt", "r.n", 4)
+        assert not holds("gt", "r.n", 5)
+        template = schema.MessageTemplate(subject="sam", verb="be",
+                                          complements=(("r", "s"),))
+        assert schema.instantiate_template(template, data).complements == \
+            (ir.ComplementPhrase(head="ill"),)
+        with pytest.raises(TraversalError, match=r"^missing data path: r\.y$"):
+            holds("eq", "r.y", 1)
+        with pytest.raises(TraversalError, match=r"^missing data path: r\.y$"):
+            schema.instantiate_template(
+                dataclasses.replace(template, complements=(("r", "y"),)),
+                data)
+
     def test_boolean_connectives(self, corpus):
         data = get(corpus, "patient_report").data
         t = schema.Condition(op="exists", path="patient.bp")
@@ -583,7 +628,7 @@ class TestCompiledGuards:
             schema._parse_complement_text.cache_clear()
             parsed = schema.parse_schema(doc.schema_source)
             for definition in parsed.schema_set.values():
-                for arc in definition.arcs:
+                for arc in oracle.all_arcs(definition):
                     if arc.guard is not None:
                         assert "test" not in vars(arc.guard)
             assert schema._parse_complement_text.cache_info().currsize == 0
@@ -663,8 +708,8 @@ class TestTraverse:
 
     def test_unresolved_subschema_at_traverse_time(self):
         node = schema.SchemaNode(id="a", kind="call", target="ghost")
-        bad = schema.SchemaDef(name="s", entry="a", nodes=(node,),
-                               arcs=())
+        bad = schema.SchemaDef(name="s", entry="a", nodes={"a": node},
+                               arcs={})
         data = schema.load_data('{"entities": {}, "records": {}}')
         with pytest.raises(TraversalError):
             schema.traverse(bad, data)
@@ -830,7 +875,7 @@ class TestTraversalOracle:
 class TestInstantiate:
     def test_paths_resolve_to_message(self, corpus):
         doc = get(corpus, "sam_pair")
-        template = doc.schema.node("bp").template
+        template = doc.schema.nodes["bp"].template
         msg = schema.instantiate_template(template, doc.data)
         assert msg == ir.Message(
             subject="sam", verb="have",
@@ -839,7 +884,7 @@ class TestInstantiate:
 
     def test_literal_only_template_ignores_data(self):
         template = schema.MessageTemplate(
-            subject=schema.Expr("literal", "sam"), verb="rest")
+            subject="sam", verb="rest")
 
         def data(records):
             return schema.load_data(json.dumps(
@@ -851,7 +896,7 @@ class TestInstantiate:
 
     def test_missing_path_names_it(self):
         template = schema.MessageTemplate(
-            subject=schema.Expr("path", "patient.missing"), verb="rest")
+            subject=("patient", "missing"), verb="rest")
         data = schema.load_data(
             '{"entities": {}, "records": {"patient": {}}}')
         with pytest.raises(TraversalError,
@@ -935,8 +980,7 @@ class TestKindNames:
             schema.eval_condition(
                 schema.Condition(op="eq", path="x", value=literal), data)
         template = schema.MessageTemplate(
-            subject=schema.Expr("literal", "sam"), verb="see",
-            complements=(schema.Expr("path", "x"),))
+            subject="sam", verb="see", complements=(("x",),))
         if kind in ("a string", "a number", "a boolean"):  # written as text
             schema.instantiate_template(template, data)
             return
