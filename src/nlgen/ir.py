@@ -86,6 +86,9 @@ MODAL_TENSE_RULE = "a modal takes present tense"
 # on complement text, and validate() refuse any word before it but a
 # preposition.
 ENTITY_HEAD_RULE = "an @entity head takes no determiner or premodifiers"
+# The realizer writes an honorific only before a name, so every entity
+# table refuses one on an unnamed entity, or a blank one.
+HONORIFIC_RULE = "an honorific needs a name and may not be blank"
 
 
 def is_verb_lemma(verb: str) -> bool:
@@ -294,6 +297,9 @@ def _validate_entities(entities: dict[str, Entity],
         if len(given) != 1 or given[0].isspace():
             problems.append(
                 f"{where}: exactly one of name/head must be given, not blank")
+        if ent.honorific is not None and not (ent.name and
+                                              ent.honorific.strip()):
+            problems.append(f"{where}: {HONORIFIC_RULE}")
 
 
 def _validate_verb(msg: Message | ClauseSpec, where: str,

@@ -27,7 +27,7 @@ templates and following every arc whose guard is true, in declaration
 order.  Arcs labeled sequence splice their results into the surrounding
 flow; elaboration and contrast arcs group consecutive same-labeled
 results under one relation node, and `call` results form a subtree.  A
-per-node visit budget (default 32) turns runaway cycles into errors.
+per-node visit budget, MAX_VISITS (32), turns runaway cycles into errors.
 Traversal keeps its own stack, so a sequence chain may be any length;
 each `call` and each non-sequence arc nests one level, and nesting deeper
 than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
@@ -69,6 +69,9 @@ PREPOSITIONS = frozenset({
 })
 
 _ARTICLES = {"a": "a", "an": "a", "the": "the"}
+
+# The visits each node gets in one traversal; one more is a schema cycle.
+MAX_VISITS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +802,7 @@ def _instantiate_node(schema: SchemaDef, node: SchemaNode,
     return _instantiate(f"node {node.id!r}", template, data, condition)
 
 
-def traverse(schema: SchemaDef, data: DataRecordSet,
-             max_visits: int = 32) -> ir.DocumentPlan:
+def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
     """Interpret a schema over the data records, producing a document plan.
 
     Deterministic: equal schema and data always yield a structurally
@@ -819,9 +821,9 @@ def traverse(schema: SchemaDef, data: DataRecordSet,
         while True:  # a call node's frame is topped by its callee's entry
             key = (definition.name, node_id)
             visits[key] = visits.get(key, 0) + 1
-            if visits[key] > max_visits:
+            if visits[key] > MAX_VISITS:
                 raise TraversalError(
-                    f"visit limit ({max_visits}) exceeded at node "
+                    f"visit limit ({MAX_VISITS}) exceeded at node "
                     f"{node_id!r} in schema {definition.name!r}; probable "
                     f"schema cycle")
             if level > ir.MAX_NESTING:

@@ -36,22 +36,24 @@ def _sentences_file(tmp_path, doc, profile="fluent"):
 
 
 class TestGenerate:
-    def test_fluent_golden_byte_exact(self, corpus):
+    @staticmethod
+    def _goldens(corpus, demo_dir, profile):
+        """Each golden, with the embedded lexicon and with the shipped
+        lexicon file passed by --lexicon, whose loader checks pronoun
+        genders and lowercases article keys."""
+        shipped = ["--lexicon", str(demo_dir.parent / "lexicon.txt")]
         for doc in corpus:
-            code, out, err = run_cli([
-                "generate", "--schema", str(doc.schema_path),
-                "--data", str(doc.data_path), "--profile", "fluent"])
-            assert code == 0
-            assert err == ""
-            assert out == doc.golden("fluent")
+            for lexicon in ([], shipped):
+                assert run_cli([
+                    "generate", "--schema", str(doc.schema_path),
+                    "--data", str(doc.data_path), "--profile", profile,
+                    *lexicon]) == (0, doc.golden(profile), ""), doc.name
 
-    def test_plain_golden_byte_exact(self, corpus):
-        for doc in corpus:
-            code, out, _ = run_cli([
-                "generate", "--schema", str(doc.schema_path),
-                "--data", str(doc.data_path), "--profile", "plain"])
-            assert code == 0
-            assert out == doc.golden("plain")
+    def test_fluent_golden_byte_exact(self, corpus, demo_dir):
+        self._goldens(corpus, demo_dir, "fluent")
+
+    def test_plain_golden_byte_exact(self, corpus, demo_dir):
+        self._goldens(corpus, demo_dir, "plain")
 
     def test_plain_dumps_same_propositions_more_sentences(self, corpus,
                                                           tmp_path):
@@ -262,7 +264,7 @@ class TestOneExit:
         code, out, err = run_cli(args)
         assert (code, out) == (6, "")
         assert err.startswith(f"usage: {detail}")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 300
 
     def test_help_goes_to_stdout_and_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -828,6 +830,11 @@ class TestNestingBound:
 
 _LONG = "x" * 10_000
 _DIGITS = "1" * 5001
+_POINTS = "1." * 3000 + "1"  # 6,001 characters
+# The rule each oversized number literal breaks, the longest literal first.
+_NUMBER_RULES = {_POINTS: "a number has at most one point",
+                 f"{_DIGITS}.0": "a number must be finite",
+                 _DIGITS: ir.DIGITS_RULE}
 _WORDS = " ".join(["big"] * 2500)  # 9,999 characters with blanks
 _MANY = 10_000  # levels of nesting, or bad entries, in one file
 _REST = 'schema s\nnode a emit subject="sam" verb=rest\nnode b end\n'
@@ -852,6 +859,11 @@ class TestBoundedFailureLines:
          _REST + f"arc a -> b when gt(r.n, {_DIGITS})\n", "parse"),
         (_GENERATE, "s.schema",
          _REST + f"arc a -> b when gt(r.n, {_DIGITS}.0)\n", "parse"),
+        (_GENERATE, "s.schema",
+         _REST + f"arc a -> b when gt(r.n, {_POINTS})\n", "parse"),
+        (_GENERATE, "s.schema",
+         'schema s\nnode a emit subject="sam" subject="ann" verb=rest\n',
+         "parse"),
         (_GENERATE, "d.json", _SAM_ONLY % f'"r": "@{_LONG}"', "parse"),
         (_GENERATE, "d.json", _SAM_ONLY % f'"n": {_DIGITS}', "parse"),
         (_GENERATE + " --lexicon {0}/l.txt", "l.txt", f"[{_LONG}]\n",
@@ -898,7 +910,8 @@ class TestBoundedFailureLines:
         (_GENERATE + " --lexicon {0}/l.txt", "l.txt",
          "[verbs]\n" + "go\tfourth\tsingular\tpresent\tgoes\n" * _MANY,
          "parse"),
-    ], ids=["schema-token", "schema-number", "schema-float", "data-token",
+    ], ids=["schema-token", "schema-number", "schema-float", "schema-points",
+            "schema-field-twice", "data-token",
             "data-number", "lexicon-token", "plan-token", "plan-number",
             "sentences-token", "sentences-number", "schema-subject-words",
             "schema-complement-words", "data-records-deep",
@@ -916,12 +929,15 @@ class TestBoundedFailureLines:
         assert err.startswith(f"{stage}: {tmp_path / named}: ")
         assert err.count("\n") == 1 and len(err) < 300
         assert "Traceback" not in err
-        # A number past the size rule gets nlgen's message on every
-        # interpreter, not the interpreter's own or none at all; a float
-        # too large to hold names the finite-number rule instead.
-        rule = "a number must be finite" if f"{_DIGITS}.0" in text \
-            else ir.DIGITS_RULE
-        assert (rule in err) == (_DIGITS in text)
+        # A number past a size rule gets nlgen's message for that rule on
+        # every interpreter, not the interpreter's own or none at all, and
+        # the line never repeats the number.
+        broken = next((rule for literal, rule in _NUMBER_RULES.items()
+                       if literal in text), None)
+        for rule in _NUMBER_RULES.values():
+            assert (rule in err) == (rule == broken), rule
+        for echo in ("1" * 8, "1.1.1.1", "set_int_max_str_digits"):
+            assert echo not in err
 
 
 def _sentence_plan_obj(doc) -> dict:
@@ -1006,6 +1022,9 @@ class TestBadSentencePlans:
                                  "verb": "rest", "discourse_markers": [""]}},
          "sentences[0].clauses[0]: blank discourse marker; "
          "sentences[0].clauses[0].condition: blank discourse marker\n"),
+        # An honorific is written only before a name.
+        (_SAM_ENTRY + ("honorific",), "  ",
+         "entities[sam]: an honorific needs a name and may not be blank"),
     ])
     def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
                                          value, detail):
@@ -1044,9 +1063,8 @@ class TestBadDocumentPlans:
     _LEAF = {"message": {"subject": "sam", "verb": "rest"}}
 
     @staticmethod
-    def _sentplan(root) -> tuple[int, str, str]:
-        obj = {"entities": {"sam": {"id": "sam", "name": "Sam"}},
-               "root": root}
+    def _sentplan(root, sam=_SAM["sam"]) -> tuple[int, str, str]:
+        obj = {"entities": {"sam": {"id": "sam", **sam}}, "root": root}
         with mock.patch("sys.stdin",
                         fake_stdin(json.dumps(obj).encode("utf-8"))):
             return run_cli(["sentplan", "--plan", "-"])
@@ -1062,6 +1080,13 @@ class TestBadDocumentPlans:
         code, out, err = self._sentplan(root)
         assert (code, out) == (3, "")
         assert err == f"sentplan: <stdin>: {detail}\n"
+
+    def test_honorific_without_a_name_exits_3(self):
+        code, out, err = self._sentplan(self._LEAF,
+                                        {"head": "man", "honorific": "Dr."})
+        assert (code, out) == (3, "")
+        assert err == ("sentplan: <stdin>: entities[sam]: an honorific "
+                       "needs a name and may not be blank\n")
 
     def test_leaf_root_is_one_sentence(self):
         code, out, err = self._sentplan(self._LEAF)
@@ -1140,6 +1165,19 @@ class TestBadDataFiles:
         assert err.startswith("parse:")
         assert err.count("\n") == 1
         assert "entities[sam].person: unknown value 'fourth'" in err
+
+    @pytest.mark.parametrize("doc", [{"head": "doctor", "honorific": "Dr."},
+                                     {"name": "Doc", "honorific": "  "}])
+    def test_honorific_needs_a_name_exits_1(self, tmp_path, doc):
+        # The realizer writes an honorific only before a name; "the
+        # doctor" would drop it without a word.
+        code, out, err = _run_one(
+            tmp_path, "generate",
+            'schema s\nnode a emit subject="doc" verb=see complement="@sam"\n',
+            {"entities": {"doc": doc, **_SAM}, "records": {}})
+        assert (code, out) == (1, "")
+        assert err == (f"parse: {tmp_path / 'd.json'}: entities[doc]: an "
+                       f"honorific needs a name and may not be blank\n")
 
     def test_batch_failure_names_the_data_file(self, corpus, tmp_path,
                                                monkeypatch):

@@ -234,6 +234,14 @@ class TestValidate:
         problems = ir.validate(plan)
         assert len([p for p in problems if "name/head" in p]) == 2
 
+    def test_honorific_needs_a_name_and_no_blank(self):
+        plan = ir.DocumentPlan(root=None, entities={
+            "doc": ir.Entity(id="doc", head="doctor", honorific="Dr."),
+            "sam": dataclasses.replace(SAM, honorific=" "),
+            "ann": ir.Entity(id="ann", name="Ann", honorific="Dr.")})
+        assert ir.validate(plan) == [f"entities[doc]: {ir.HONORIFIC_RULE}",
+                                     f"entities[sam]: {ir.HONORIFIC_RULE}"]
+
     def test_random_plans_validate_clean(self, rng):
         for _ in range(30):
             plan = random_document_plan(rng)
@@ -376,6 +384,16 @@ class TestSerialization:
                            "sentences": [{"clauses": [clause]}]})
         with pytest.raises(DataError, match=too_deep):
             ir.sentence_plans_from_json(text)
+
+    def test_decoder_meets_the_depth_first_on_a_built_value(self):
+        # Values built in Python reach the decoder's walk at any depth,
+        # past the interpreter's recursion limit.
+        message = {"subject": "sam", "verb": "rest"}
+        for _ in range(10_000):
+            message = {"subject": "sam", "verb": "rest", "condition": message}
+        with pytest.raises(DataError, match=f"^JSON values nest more than "
+                                            f"{ir.MAX_NESTING} levels$"):
+            ir.from_obj(ir.Message, message)
 
     def test_domains_are_the_literal_members(self):
         assert ir.PERSONS == get_args(ir.Person)

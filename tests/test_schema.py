@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -691,8 +692,9 @@ class TestTraverse:
         with pytest.raises(TraversalError) as info:
             schema.traverse(parsed, data)
         assert "32" in str(info.value)
-        with pytest.raises(TraversalError) as info:
-            schema.traverse(parsed, data, max_visits=5)
+        with mock.patch.object(schema, "MAX_VISITS", 5), \
+                pytest.raises(TraversalError) as info:
+            schema.traverse(parsed, data)
         assert "5" in str(info.value)
 
     def test_false_arc_removal_is_invisible(self, corpus):
@@ -862,14 +864,15 @@ class TestTraversalOracle:
         parsed = schema.parse_schema(source)
         data = schema.load_data(data_text)
 
-        def outcome(traverse):
+        def outcome(traverse, *args):
             try:
-                return traverse(parsed, data, max_visits)
+                return traverse(parsed, data, *args)
             except NlgenError as exc:
                 return type(exc)
 
-        assert outcome(schema.traverse) == \
-            outcome(oracle.reference_traverse)
+        with mock.patch.object(schema, "MAX_VISITS", max_visits):
+            indexed = outcome(schema.traverse)
+        assert indexed == outcome(oracle.reference_traverse, max_visits)
 
 
 class TestInstantiate:
