@@ -9,7 +9,8 @@ Subcommands mirror the pipeline stages:
 
 plan/sentplan/realize read and write the canonical JSON serializations,
 so their composition is byte-identical to generate.  "-" reads a stage
-input from stdin.  generate takes exactly one of --data and --batch.
+input from stdin, for one input flag at most.  generate takes exactly one
+of --data and --batch.
 Generated text is the only stdout content.  Every failure, a bad argument
 included, leaves through main() as a single "stage: message" line on
 stderr and that stage's exit code (1 parse, 2 traverse, 3 sentplan,
@@ -32,6 +33,8 @@ from .lexicon import Lexicon, default_lexicon, load_lexicon
 # The exit code of each stage; a failure's stage decides its code.
 STAGE_CODES = {"parse": 1, "traverse": 2, "sentplan": 3, "realize": 4,
                "io": 5, "usage": 6}
+# The flags that name an input file, any one of which may be "-".
+_INPUT_FLAGS = ("schema", "data", "plan", "sentences", "lexicon")
 # The longest failure line written whole, and how much of a longer one
 # is kept: its head, which names the stage and the file, and its tail.
 _MAX_LINE, _HEAD, _TAIL = 280, 200, 60
@@ -195,6 +198,11 @@ def main(argv: list[str] | None = None) -> int:
     and its stage's exit code; --help alone exits through argparse."""
     try:
         args = build_parser().parse_args(argv)
+        stdin = [f"--{flag}" for flag in _INPUT_FLAGS
+                 if getattr(args, flag, None) == "-"]
+        if len(stdin) > 1:  # the first reader would leave none to the next
+            raise _StageFailure("usage", f"only one of the arguments "
+                                         f"{' '.join(stdin)} may be - (stdin)")
         args.func(args)
     except _StageFailure as failure:
         stage, message = failure.args

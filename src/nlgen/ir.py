@@ -4,8 +4,8 @@ The document planner produces a DocumentPlan (a labeled tree whose leaves
 carry Messages), the sentence planner turns it into SentencePlans (clause
 structure with reference modes and discourse markers), and the realizer
 renders those to text.  Both plan kinds serialize to a canonical JSON form
-that round-trips losslessly; that serialization is the contract between
-the stage-level CLI commands.
+that leaves out every field at its default and round-trips losslessly;
+that serialization is the contract between the stage-level CLI commands.
 
 validate() and validate_sentences() hold the plan invariants.  The check
 that sentence planning never changes what a document says is test code:
@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import json
+import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import DataError
@@ -439,13 +441,14 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Canonical JSON serialization
 #
-# One rule for every plan type: a dataclass is an object holding each of
-# its fields under the field's name, a tuple is a list, a dict is an
-# object.  The one exception is a reference, which names its entity by
-# id: a sentence-plans file holds each entity once, in its own table.
+# One rule for every plan type: a dataclass is an object holding, under
+# their names, those of its fields that differ from their defaults; a
+# tuple is a list, a dict is an object; a reference names its entity by
+# id, as a sentence-plans file holds each entity once, in its own table.
 # Output is compact with sorted keys.  The decoder is built once per type
-# from the type hints and rejects unknown and missing fields, wrong JSON
-# types and values outside a Literal domain, naming the path.
+# from the type hints.  It fills absent fields from the same defaults and
+# rejects unknown and missing fields, wrong JSON types and values outside
+# a Literal domain, naming the path.
 
 
 @dataclass(frozen=True)
@@ -457,13 +460,27 @@ class _SentencesFile:
     entities: dict = field(default_factory=dict)
 
 
+@functools.cache
+def _defaults(cls) -> tuple:
+    """(name, value) for each field of dataclass ``cls`` with a default;
+    pairs, not a dict, as the encoder walks them fastest."""
+    return tuple((f.name, f.default_factory() if f.default is MISSING
+                  else f.default) for f in dataclasses.fields(cls)
+                 if f.default is not MISSING
+                 or f.default_factory is not MISSING)
+
+
 def _encode(value):
     # json.dumps calls this for every object it cannot encode natively.
     # No plan dataclass has slots, so vars() holds exactly its fields; for
-    # anything else vars() raises the TypeError json.dumps expects.
+    # any other value vars() or _defaults raises the TypeError it expects.
+    obj = vars(value).copy()
+    for name, default in _defaults(type(value)):
+        if obj[name] == default:
+            del obj[name]
     if type(value) is ReferenceSpec:
-        return {"entity": value.entity.id, "mode": value.mode}
-    return vars(value)
+        obj["entity"] = value.entity.id
+    return obj
 
 
 def to_json(value) -> str:
@@ -572,14 +589,18 @@ def _dataclass_decoder(cls):
     if hasattr(cls, "__post_init__") or hasattr(cls, "__slots__"):
         raise TypeError(f"{cls.__name__} must be decoded through __init__")
     items: dict = {}  # filled after registering, so recursive types resolve
-    defaults: dict = {}
-    factories: dict = {}
+    factories = {f.name: f.default_factory for f in dataclasses.fields(cls)
+                 if f.default_factory is not MISSING}
+    defaults = {name: default for name, default in _defaults(cls)
+                if name not in factories}
     new = object.__new__
 
     def decode(value):
         if type(value) is not dict:
             _expect(value, dict)
-        fields = defaults.copy()
+        obj = new(cls)
+        fields = obj.__dict__
+        fields.update(defaults)
         for name, v in value.items():
             item = items.get(name)
             if item is None:
@@ -595,8 +616,6 @@ def _dataclass_decoder(cls):
                     if name not in factories:
                         raise _Invalid(f"missing field {name!r}")
                     fields[name] = factories[name]()
-        obj = new(cls)
-        obj.__dict__.update(fields)
         return obj
 
     _decoders[cls] = decode
@@ -606,10 +625,6 @@ def _dataclass_decoder(cls):
             items[f.name] = _entity_by_id  # written as its id
         else:
             items[f.name] = _decoder(hints[f.name])
-        if f.default is not dataclasses.MISSING:
-            defaults[f.name] = f.default
-        elif f.default_factory is not dataclasses.MISSING:
-            factories[f.name] = f.default_factory
     return decode
 
 
@@ -630,6 +645,10 @@ def from_obj(tp, value, where: str = ""):
 
 # Built once: json.loads builds a decoder per call when given parse_int.
 _JSON = json.JSONDecoder(parse_int=parse_int)
+# json reads an unpaired \u escape of a UTF-16 surrogate as a character
+# that no UTF-8 text can hold, so such a file is refused.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_LONE_SURROGATE = "a \\u escape may not name a lone surrogate"
 
 
 def _parse(text: str, what: str):
@@ -637,9 +656,13 @@ def _parse(text: str, what: str):
         if text.startswith("\ufeff"):  # refused as json.loads refuses it
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _JSON.decode(text)
+        value = _JSON.decode(text)
+        if _SURROGATE_ESCAPE.search(text):  # a valid pair reads as one
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except ValueError as exc:
-        raise DataError(f"malformed {what}: {exc}") from None
+        problem = _LONE_SURROGATE if type(exc) is UnicodeEncodeError else exc
+        raise DataError(f"malformed {what}: {problem}") from None
     except RecursionError:
         raise DataError(f"malformed {what}: {_TOO_DEEP}") from None
 

@@ -258,8 +258,19 @@ class TestOneExit:
          "argument --batch: not allowed with argument --data"),
         (["generate", "--schema", "s"],
          "one of the arguments --data --batch is required"),
+        # stdin holds one input: the first reader would leave the next none.
+        (["generate", "--schema", "-", "--data", "-"],
+         "only one of the arguments --schema --data may be - (stdin)"),
+        (["plan", "--schema", "-", "--data", "-"],
+         "only one of the arguments --schema --data may be - (stdin)"),
+        (["generate", "--schema", "-", "--batch", "b", "--lexicon", "-"],
+         "only one of the arguments --schema --lexicon may be - (stdin)"),
+        (["realize", "--sentences", "-", "--lexicon", "-"],
+         "only one of the arguments --sentences --lexicon may be - (stdin)"),
     ], ids=["unknown-flag", "missing-schema", "bad-profile", "no-command",
-            "unknown-command", "data-and-batch", "neither-data-nor-batch"])
+            "unknown-command", "data-and-batch", "neither-data-nor-batch",
+            "generate-two-stdin", "plan-two-stdin", "batch-two-stdin",
+            "realize-two-stdin"])
     def test_usage_error_exits_6(self, args, detail):
         code, out, err = run_cli(args)
         assert (code, out) == (6, "")
@@ -471,7 +482,7 @@ class TestNoLostOrBlankWords:
         code, out, err = _run_one(tmp_path, "plan", src, data)
         assert (code, err) == (0, "")
         (leaf,) = json.loads(out)["root"]["children"]
-        assert leaf["message"]["adverb"] is None
+        assert "adverb" not in leaf["message"]  # None, the default
         code, out, err = _run_one(tmp_path, "generate", src, data)
         assert (code, out, err) == (0, "Sam rests.\n", "")
 
@@ -760,7 +771,7 @@ class TestNestingBound:
         assert code == 0
         obj = json.loads(plan_json)
         deepest = obj["root"]
-        while deepest["children"][-1]["label"] is not None:
+        while "label" in deepest["children"][-1]:
             deepest = deepest["children"][-1]
         deepest["children"] = [{"label": "elaboration", "message": None,
                                 "children": deepest["children"]}]
@@ -844,6 +855,7 @@ _GENERATE = "generate --schema {0}/s.schema --data {0}/d.json"
 _SENTPLAN = "sentplan --plan {0}/p.json"
 _REALIZE = "realize --sentences {0}/f.json"
 _CLAUSE_OBJ = '{"subject_ref": {"entity": "sam"}, "verb": "rest"'
+_BATCH = "generate --schema {0}/s.schema --batch {0}"
 
 
 class TestBoundedFailureLines:
@@ -910,6 +922,16 @@ class TestBoundedFailureLines:
         (_GENERATE + " --lexicon {0}/l.txt", "l.txt",
          "[verbs]\n" + "go\tfourth\tsingular\tpresent\tgoes\n" * _MANY,
          "parse"),
+        # A \u escape of half a surrogate pair, which no UTF-8 text holds.
+        (_GENERATE, "d.json", _SAM_ONLY.replace("Sam", "Sam\\ud800") % "",
+         "parse"),
+        (_BATCH, "d.json", _SAM_ONLY % '"x": "ho\\udc80me"', "parse"),
+        (_SENTPLAN, "p.json",
+         _SAM_TABLE + '"root": {"message": {"subject": "sam", "verb": "rest", '
+         '"adverb": "\\uDBFF"}}}', "sentplan"),
+        (_REALIZE, "f.json",
+         _SAM_TABLE + '"sentences": [{"clauses": [' + _CLAUSE_OBJ
+         + ', "discourse_markers": ["\\ude00\\ud83d"]}]}]}', "realize"),
     ], ids=["schema-token", "schema-number", "schema-float", "schema-points",
             "schema-field-twice", "data-token",
             "data-number", "lexicon-token", "plan-token", "plan-number",
@@ -917,7 +939,9 @@ class TestBoundedFailureLines:
             "schema-complement-words", "data-records-deep",
             "data-entity-deep", "plan-deep", "sentences-conditions-deep",
             "schema-guard-deep", "data-entities-bad", "plan-messages-bad",
-            "sentences-bad", "lexicon-rows-bad"])
+            "sentences-bad", "lexicon-rows-bad", "data-lone-surrogate",
+            "batch-lone-surrogate", "plan-lone-surrogate",
+            "sentences-lone-surrogate"])
     def test_one_short_line(self, tmp_path, command, name, text, stage):
         (tmp_path / "s.schema").write_text(_REST, encoding="utf-8")
         (tmp_path / "d.json").write_text(_SAM_ONLY % "", encoding="utf-8")
@@ -938,6 +962,9 @@ class TestBoundedFailureLines:
             assert (rule in err) == (rule == broken), rule
         for echo in ("1" * 8, "1.1.1.1", "set_int_max_str_digits"):
             assert echo not in err
+        # A lone surrogate is named by its rule, and never written out.
+        assert ("lone surrogate" in err) == ("\\u" in text)
+        assert "\\ud" not in err.lower()
 
 
 def _sentence_plan_obj(doc) -> dict:
@@ -1224,6 +1251,15 @@ class TestBadDataFiles:
         assert (code, out) == (5, "")
         assert err.startswith("io: cannot read -: 'utf-8' codec")
         assert err.count("\n") == 1
+
+    def test_surrogate_pair_escape_is_one_character(self, tmp_path):
+        # json.dumps writes the emoji as the escaped pair "\ud83d\ude00".
+        data = {"entities": {"sam": {"name": "Sam \U0001F600"}},
+                "records": {}}
+        assert "\\ud83d\\ude00" in json.dumps(data)
+        direct, piped = _staged(
+            tmp_path, 'schema s\nnode a emit subject="sam" verb=rest\n', data)
+        assert direct == piped == "Sam \U0001F600 rests.\n"
 
     def test_oversized_integer_exits_1(self, tmp_path):
         # Past ir.MAX_DIGITS digits the decoder refuses an integer before

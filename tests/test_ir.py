@@ -5,7 +5,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
-from nlgen import ir
+from nlgen import ir, plan_sentences
 from nlgen.errors import DataError
 
 import oracle
@@ -267,8 +267,6 @@ class TestSerialization:
                 ir.document_plan_to_json(plan)) == plan
 
     def test_sentence_plans_round_trip(self, rng):
-        from nlgen import plan_sentences
-
         for _ in range(10):
             plan = random_document_plan(rng)
             for profile in ("fluent", "plain"):
@@ -305,28 +303,37 @@ class TestSerialization:
         text = ir.document_plan_to_json(ir.DocumentPlan(root=None))
         assert ir.document_plan_from_json(text).root is None
 
-    def test_canonical_form_names_every_field(self):
+    def test_canonical_form_leaves_out_defaults(self):
+        # A leaf has no label and no children, a message no modal, adverb
+        # or condition, a phrase no determiner or preposition, and none
+        # of them is written; a required field is written even as null.
         text = ir.document_plan_to_json(sam_pair_plan())
-        assert text.endswith("}\n") and "\n" not in text[:-1]
-        assert ", " not in text and '": ' not in text
-        payload = json.loads(text)
-        assert list(payload) == ["entities", "root"]
-        assert payload["root"]["message"] is None
-        first = payload["root"]["children"][0]
-        assert (first["label"], first["children"]) == (None, [])
-        assert text == json.dumps(payload, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
+        assert text == (
+            '{"entities":{"sam":{"gender":"masculine","id":"sam",'
+            '"name":"Sam"}},"root":{"children":['
+            '{"message":{"complements":[{"head":"pressure",'
+            '"premodifiers":["high","blood"]}],"subject":"sam",'
+            '"verb":"have"}},'
+            '{"message":{"complements":[{"head":"sugar",'
+            '"premodifiers":["low","blood"]}],"subject":"sam",'
+            '"verb":"have"}}],"label":"sequence"}}\n')
+        assert ir.document_plan_to_json(ir.DocumentPlan(root=None)) == \
+            '{"root":null}\n'
 
     def test_sentence_plans_are_wrapped_and_keyed_by_field(self):
-        ref = ir.ReferenceSpec(entity=SAM)
         plans = [ir.SentencePlan(clauses=(
-            ir.ClauseSpec(subject_ref=ref, verb="rest"),))]
+            ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=SAM),
+                          verb="rest"),
+            ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=SAM,
+                                                       mode="pronoun"),
+                          verb="rest")))]
         payload = json.loads(ir.sentence_plans_to_json(plans))
         assert list(payload) == ["entities", "sentences"]
-        assert payload["entities"] == {"sam": dataclasses.asdict(SAM)}
-        (clause,) = payload["sentences"][0]["clauses"]
-        assert clause["subject_ref"] == {"entity": "sam",
-                                         "mode": "full-name"}
+        assert payload["entities"] == {"sam": {
+            "gender": "masculine", "id": "sam", "name": "Sam"}}
+        first, second = payload["sentences"][0]["clauses"]
+        assert first["subject_ref"] == {"entity": "sam"}
+        assert second["subject_ref"] == {"entity": "sam", "mode": "pronoun"}
 
     def test_sentence_plans_carry_no_terminal_and_word_markers(self):
         ref = ir.ReferenceSpec(entity=SAM)
@@ -335,7 +342,7 @@ class TestSerialization:
                           discourse_markers=("also",)),))]
         text = ir.sentence_plans_to_json(plans)
         (sentence,) = json.loads(text)["sentences"]
-        assert list(sentence) == ["clauses", "new_paragraph"]
+        assert list(sentence) == ["clauses"]
         assert '"discourse_markers":["also"]' in text
         assert ir.sentence_plans_from_json(text) == plans
 
@@ -366,6 +373,22 @@ class TestSerialization:
     def test_integer_at_the_size_rule_decodes(self):
         text = "-" + "9" * ir.MAX_DIGITS
         assert ir._parse(f"[{text}]", "file") == [1 - ir.INT_BOUND]
+
+    @pytest.mark.parametrize("escapes", [r"\ud800", r"\uDC80", r"x\udbffy",
+                                         r"\ude00\ud83d", r"\ud83d\\ude00"])
+    def test_lone_surrogate_escape_is_refused(self, escapes):
+        with pytest.raises(DataError, match=r"^malformed data file: a \\u "
+                                            r"escape may not name a lone "
+                                            r"surrogate$"):
+            ir._parse(f'{{"k": ["{escapes}"]}}', "data file")
+        with pytest.raises(DataError, match="lone surrogate"):
+            ir._parse(f'{{"{escapes}": 1}}', "data file")
+
+    def test_surrogate_pair_escape_is_one_character(self):
+        assert ir._parse(r'["\ud83d\ude00", "\uDBFF\uDFFF"]', "file") == \
+            ["\U0001F600", "\U0010FFFF"]
+        # An escaped backslash before "ud800" is no escape.
+        assert ir._parse(r'["\\ud800"]', "file") == ["\\ud800"]
 
     def test_byte_order_mark_is_refused(self):
         with pytest.raises(DataError, match="^malformed sentence plans: "
@@ -411,17 +434,47 @@ def _references(plans):
                 clause = clause.condition
 
 
+def _plain(value, every_field: bool):
+    """A plan value as JSON data by the codec's rule, from
+    dataclasses.fields alone, sharing no code with ir: each dataclass
+    holds every field, as files once did, or only those that differ from
+    their default; a reference names its entity by id."""
+    if dataclasses.is_dataclass(value):
+        out = {}
+        for f in dataclasses.fields(value):
+            v = getattr(value, f.name)
+            default = f.default if f.default_factory is dataclasses.MISSING \
+                else f.default_factory()
+            if every_field or v != default:
+                out[f.name] = _plain(v, every_field)
+        if isinstance(value, ir.ReferenceSpec):
+            out["entity"] = value.entity.id
+        return out
+    if isinstance(value, dict):
+        return {k: _plain(v, every_field) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v, every_field) for v in value]
+    return value
+
+
+def _text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":")) + "\n"
+
+
+def _sentences_file(plans) -> dict:
+    return {"entities": {ref.entity.id: ref.entity
+                         for ref in _references(plans)},
+            "sentences": plans}
+
+
 def _reference_encoding(plan) -> str:
-    # An encoder that shares no code with ir's: dataclasses.asdict.
-    return json.dumps(dataclasses.asdict(plan), sort_keys=True,
-                      ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _text(_plain(plan, every_field=False))
 
 
 class TestCodecProperties:
     @staticmethod
     def _sentence_plans(rng):
-        from nlgen import plan_sentences
-
         for _ in range(20):
             plan = random_document_plan(rng)
             for profile in ("fluent", "plain"):
@@ -462,6 +515,32 @@ class TestCodecProperties:
                 _reference_encoding(plan)
         assert ir.document_plan_to_json(ir.DocumentPlan(root=None)) == \
             _reference_encoding(ir.DocumentPlan(root=None))
+
+    def test_sentence_plans_match_a_reference_encoder(self, rng):
+        for plans in self._sentence_plans(rng):
+            assert ir.sentence_plans_to_json(plans) == \
+                _reference_encoding(_sentences_file(plans))
+
+    def test_files_with_every_field_still_read(self, rng):
+        # Files written before defaults were left out spell every field
+        # out, as dataclasses.asdict does; each decodes to the value of
+        # the compact file and encodes to the compact text.
+        for _ in range(20):
+            plan = random_document_plan(rng)
+            full = _plain(plan, every_field=True)
+            assert full == json.loads(json.dumps(dataclasses.asdict(plan)))
+            compact = ir.document_plan_to_json(plan)
+            decoded = ir.document_plan_from_json(_text(full))
+            assert decoded == ir.document_plan_from_json(compact) == plan
+            assert ir.document_plan_to_json(decoded) == compact
+            for profile in ("fluent", "plain"):
+                plans = plan_sentences(plan, profile)
+                compact = ir.sentence_plans_to_json(plans)
+                decoded = ir.sentence_plans_from_json(
+                    _text(_plain(_sentences_file(plans), every_field=True)))
+                assert decoded == ir.sentence_plans_from_json(compact) == \
+                    plans
+                assert ir.sentence_plans_to_json(decoded) == compact
 
     def test_defaults_are_filled_and_factories_called(self):
         one = ir.document_plan_from_json('{"root":null}')
@@ -536,8 +615,6 @@ class TestCodecProperties:
 
 class TestValidateSentences:
     def test_plans_from_plan_sentences_are_clean(self, rng):
-        from nlgen import plan_sentences
-
         for _ in range(10):
             plan = random_document_plan(rng)
             for profile in ("fluent", "plain"):
@@ -580,8 +657,6 @@ class TestOracleAgreement:
     def test_sentence_side_equals_document_side(self, rng):
         # Both sides read back from their JSON files, as the
         # plan | sentplan pipe passes them.
-        from nlgen import plan_sentences
-
         for _ in range(30):
             plan = ir.document_plan_from_json(
                 ir.document_plan_to_json(random_document_plan(rng)))

@@ -2,6 +2,8 @@
 it: what only a real process shows, such as what the interpreter itself
 prints when it flushes stdout at exit."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +45,25 @@ def test_stages_joined_by_pipes_give_the_golden(corpus, name, profile):
         stage.stderr.close()
         assert stage.wait(timeout=60) == 0
     assert out.decode("utf-8") == doc.golden(profile)
+
+
+def test_plan_with_every_field_through_pipes_gives_the_golden(corpus,
+                                                              tmp_path):
+    # A plan file as written before fields at their defaults were left
+    # out, with every field spelled out, as dataclasses.asdict does.
+    doc = next(d for d in corpus if d.name == "patient_report")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(dataclasses.asdict(
+        traverse(doc.schema, doc.data))), encoding="utf-8")
+    sentences = _nlgen("sentplan", "--plan", str(plan_file))
+    text = _nlgen("realize", "--sentences", "-", stdin=sentences.stdout)
+    sentences.stdout.close()
+    out, err = text.communicate(timeout=60)
+    assert (text.returncode, err) == (0, b"")
+    assert sentences.stderr.read() == b""
+    sentences.stderr.close()
+    assert sentences.wait(timeout=60) == 0
+    assert out.decode("utf-8") == doc.golden("fluent")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
