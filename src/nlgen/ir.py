@@ -645,10 +645,10 @@ def from_obj(tp, value, where: str = ""):
 
 # Built once: json.loads builds a decoder per call when given parse_int.
 _JSON = json.JSONDecoder(parse_int=parse_int)
-# json reads an unpaired \u escape of a UTF-16 surrogate as a character
-# that no UTF-8 text can hold, so such a file is refused.
+# A lone UTF-16 surrogate is a character no UTF-8 text can hold: a file
+# holding one, raw in the str or as a \u escape json reads, is refused.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-_LONE_SURROGATE = "a \\u escape may not name a lone surrogate"
+_LONE_SURROGATE = "text may not hold a lone surrogate, raw or as a \\u escape"
 
 
 def _parse(text: str, what: str):
@@ -656,6 +656,8 @@ def _parse(text: str, what: str):
         if text.startswith("\ufeff"):  # refused as json.loads refuses it
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        if not text.isascii():
+            text.encode("utf-8")
         value = _JSON.decode(text)
         if _SURROGATE_ESCAPE.search(text):  # a valid pair reads as one
             json.dumps(value, ensure_ascii=False).encode("utf-8")

@@ -35,7 +35,9 @@ operators as deep, and no deeper.
 
 Parsing stores each schema's nodes by id and its arcs by source node,
 both in declaration order, and a template path as the tuple of its
-dotted segments.  Guards are compiled on first use and cached on the
+dotted segments.  A node is what its statement says: an emit node is its
+MessageTemplate, a call node the name of the schema it calls (a str), and
+an end node None.  Guards are compiled on first use and cached on the
 frozen schema objects: each Condition builds one predicate over the data
 records (Condition.test).  Compiling a comparison fixes the operand types
 it accepts, from its operator and its literal.  Every failure during
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
@@ -107,14 +109,6 @@ class MessageTemplate:
 
 
 @dataclass(frozen=True)
-class SchemaNode:
-    id: str
-    kind: str  # "emit" | "call" | "end"
-    template: MessageTemplate | None = None
-    target: str | None = None
-
-
-@dataclass(frozen=True)
 class Arc:
     src: str
     dst: str
@@ -129,9 +123,11 @@ class SchemaDef:
     entry: str
     # Nodes by id, and each node's outgoing arcs by its id, both in
     # declaration order, so that a traversal step costs only the visited
-    # node's own arcs.
-    nodes: dict[str, SchemaNode]
-    arcs: dict[str, tuple[Arc, ...]]
+    # node's own arcs.  A node is what its statement says: an emit node
+    # is its template, a call node the name of the schema it calls, and
+    # an end node None.
+    nodes: dict[str, MessageTemplate | str | None]
+    arcs: dict[str, list[Arc]]
     # All schemas parsed from the same file, shared for call resolution.
     schema_set: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -240,20 +236,31 @@ class _LineParser:
     def take_ident(self) -> str:
         return self.take("ident").value
 
+    def finish(self, after: str) -> None:
+        if not self.done():
+            raise self.error(f"unexpected text after {after}")
+
+    def fields(self) -> Iterator[_Tok]:
+        """The key of each field left in the statement; none comes twice."""
+        seen: set[str] = set()
+        while not self.done():
+            key = self.take("ident")
+            if key.value in seen:
+                raise SchemaParseError(f"duplicate field {key.value!r}",
+                                       self.line, key.col)
+            seen.add(key.value)
+            yield key
+
     def expr(self) -> str | tuple[str, ...]:
         tok = self.peek()
-        if tok is None:
-            raise self.error("expected a quoted literal or path(...)")
-        if tok.kind == "string":
-            self.pos += 1
+        if self.skip("string"):
             return tok.value
-        if tok.kind == "ident" and tok.value == "path":
-            self.pos += 1
-            self.take("(")
-            path = self.take_ident()
-            self.take(")")
-            return tuple(path.split("."))
-        raise self.error("expected a quoted literal or path(...)")
+        if tok is None or tok.value != "path" or not self.skip("ident"):
+            raise self.error("expected a quoted literal or path(...)")
+        self.take("(")
+        path = self.take_ident()
+        self.take(")")
+        return tuple(path.split("."))
 
     def condition(self, level: int = 1) -> Condition:
         """One guard operator, ``level`` operators deep in its guard."""
@@ -294,16 +301,13 @@ class _LineParser:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a literal")
-        if tok.kind == "number":
-            self.pos += 1
+        if self.skip("number"):
             return tok.value
         if numeric_only:
             raise self.error("expected a number")
-        if tok.kind == "string":
-            self.pos += 1
+        if self.skip("string"):
             return tok.value
-        if tok.kind == "ident" and tok.value in ("true", "false"):
-            self.pos += 1
+        if tok.value in ("true", "false") and self.skip("ident"):
             return tok.value == "true"
         raise self.error("expected a string, number, or true/false")
 
@@ -320,23 +324,15 @@ def _parse_emit_fields(p: _LineParser,
     columns: dict[str, int] = {}  # where each field's key was written
     condition_col = 1
     complements: list[str | tuple[str, ...]] = []
-    while not p.done():
-        key_tok = p.take("ident")
+    for key_tok in p.fields():
         key = key_tok.value
-        if key in columns:
-            raise SchemaParseError(f"duplicate field {key!r}", p.line,
-                                   key_tok.col)
         columns[key] = key_tok.col
         p.take("=")
         if key == "subject":
             fields["subject"] = p.expr()
         elif key == "verb":
             tok = p.peek()
-            if tok is not None and tok.kind == "string":
-                p.pos += 1
-                verb = tok.value
-            else:
-                verb = p.take_ident()
+            verb = tok.value if p.skip("string") else p.take_ident()
             if not ir.is_verb_lemma(verb):
                 raise SchemaParseError(
                     f"verb lemma {verb!r} must be one lowercase "
@@ -362,12 +358,10 @@ def _parse_emit_fields(p: _LineParser,
         else:
             raise SchemaParseError(
                 f"unknown emit field {key!r}", p.line, key_tok.col)
-    if "subject" not in fields:
-        raise SchemaParseError(f"node {node_id!r}: emit needs subject=",
-                               p.line, 1)
-    if "verb" not in fields:
-        raise SchemaParseError(f"node {node_id!r}: emit needs verb=",
-                               p.line, 1)
+    for key in ("subject", "verb"):
+        if key not in fields:
+            raise SchemaParseError(f"node {node_id!r}: emit needs {key}=",
+                                   p.line, 1)
     if fields.get("modal") and fields.get("tense", "present") != "present":
         raise SchemaParseError(ir.MODAL_TENSE_RULE, p.line,
                                max(columns["modal"], columns["tense"]))
@@ -380,14 +374,15 @@ class _SchemaBuilder:
         self.name = name
         self.line = line
         self.col = col
-        self.nodes: dict[str, SchemaNode] = {}
-        self.arcs: list[Arc] = []
+        self.nodes: dict[str, MessageTemplate | str | None] = {}
+        self.arcs: dict[str, list[Arc]] = {}
         # Where each statement names another node or schema, so that the
         # cross-statement checks can point at it: a node's line and the
-        # column of its call target or condition node; an arc's line and
-        # the columns of its two endpoints.
+        # column of its call target or condition node; each arc, in
+        # declaration order, with its line and the columns of its two
+        # endpoints.
         self.node_positions: dict[str, tuple[int, int]] = {}
-        self.arc_positions: list[tuple[int, int, int]] = []
+        self.arc_positions: list[tuple[Arc, int, int, int]] = []
 
 
 def _parse_statements(source: str) -> list[_SchemaBuilder]:
@@ -403,8 +398,7 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
         if head.value == "schema":
             name_tok = p.take("ident")
             name = name_tok.value
-            if not p.done():
-                raise p.error("unexpected text after schema name")
+            p.finish("schema name")
             if name in seen_names:
                 raise SchemaParseError(f"duplicate schema {name!r}",
                                        lineno, head.col)
@@ -421,20 +415,15 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
                 raise SchemaParseError(f"duplicate node id {node_id!r}",
                                        lineno, head.col)
             kind = p.take_ident()
-            ref_col = 1
             if kind == "emit":
-                template, ref_col = _parse_emit_fields(p, node_id)
-                node = SchemaNode(node_id, "emit", template=template)
+                node, ref_col = _parse_emit_fields(p, node_id)
             elif kind == "call":
                 target = p.take("ident")
-                if not p.done():
-                    raise p.error("unexpected text after call target")
-                node = SchemaNode(node_id, "call", target=target.value)
-                ref_col = target.col
+                p.finish("call target")
+                node, ref_col = target.value, target.col
             elif kind == "end":
-                if not p.done():
-                    raise p.error("unexpected text after end")
-                node = SchemaNode(node_id, "end")
+                p.finish("end")
+                node, ref_col = None, 1
             else:
                 raise SchemaParseError(
                     f"unknown node kind {kind!r} (expected emit, call, "
@@ -447,13 +436,7 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
             dst = p.take("ident")
             guard = None
             rel = "sequence"
-            keys: set[str] = set()
-            while not p.done():
-                kw = p.take("ident")
-                if kw.value in keys:
-                    raise SchemaParseError(f"duplicate field {kw.value!r}",
-                                           lineno, kw.col)
-                keys.add(kw.value)
+            for kw in p.fields():
                 if kw.value == "when":
                     guard = p.condition()
                 elif kw.value == "rel":
@@ -466,8 +449,9 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
                     raise SchemaParseError(
                         f"expected 'when' or 'rel', got {kw.value!r}",
                         lineno, kw.col)
-            current.arcs.append(Arc(src.value, dst.value, guard, rel))
-            current.arc_positions.append((lineno, src.col, dst.col))
+            arc = Arc(src.value, dst.value, guard, rel)
+            current.arcs.setdefault(arc.src, []).append(arc)
+            current.arc_positions.append((arc, lineno, src.col, dst.col))
         else:
             raise SchemaParseError(
                 f"expected 'schema', 'node', or 'arc', got "
@@ -482,13 +466,13 @@ def _check_builder(b: _SchemaBuilder, all_names: set[str]) -> None:
         raise SchemaParseError(f"schema {b.name!r} declares no nodes",
                                b.line, b.col)
     unguarded: set[str] = set()
-    for arc, (line, src_col, dst_col) in zip(b.arcs, b.arc_positions):
+    for arc, line, src_col, dst_col in b.arc_positions:
         for endpoint, col in ((arc.src, src_col), (arc.dst, dst_col)):
             if endpoint not in b.nodes:
                 raise SchemaParseError(
                     f"arc endpoint {endpoint!r} is not a declared node",
                     line, col)
-        if b.nodes[arc.src].kind == "end":
+        if b.nodes[arc.src] is None:
             raise SchemaParseError(
                 f"end node {arc.src!r} has an outgoing arc", line, src_col)
         if arc.guard is None:
@@ -497,26 +481,26 @@ def _check_builder(b: _SchemaBuilder, all_names: set[str]) -> None:
                     f"node {arc.src!r} has more than one unguarded arc",
                     line, src_col)
             unguarded.add(arc.src)
-    for node in b.nodes.values():
-        line, col = b.node_positions[node.id]
-        if node.kind == "call" and node.target not in all_names:
+    for node_id, node in b.nodes.items():
+        line, col = b.node_positions[node_id]
+        if isinstance(node, str) and node not in all_names:
             raise SchemaParseError(
-                f"call target {node.target!r} is not a schema in this "
-                f"file", line, col)
-        if node.kind == "emit" and node.template.condition_node:
-            target = b.nodes.get(node.template.condition_node)
-            if target is None:
+                f"call target {node!r} is not a schema in this file",
+                line, col)
+        if isinstance(node, MessageTemplate) and node.condition_node:
+            name = node.condition_node
+            if name not in b.nodes:
                 raise SchemaParseError(
-                    f"condition node {node.template.condition_node!r} is "
-                    f"not declared in schema {b.name!r}", line, col)
-            if target.kind != "emit":
+                    f"condition node {name!r} is not declared in schema "
+                    f"{b.name!r}", line, col)
+            if not isinstance(b.nodes[name], MessageTemplate):
                 raise SchemaParseError(
-                    f"condition node {target.id!r} must be an emit node",
+                    f"condition node {name!r} must be an emit node",
                     line, col)
-            if target.template.condition_node:
+            if b.nodes[name].condition_node:
                 raise SchemaParseError(
-                    f"condition node {target.id!r} has a condition of its "
-                    f"own; conditions nest one level only", line, col)
+                    f"condition node {name!r} has a condition of its own; "
+                    f"conditions nest one level only", line, col)
 
 
 def parse_schema(source: str) -> SchemaDef:
@@ -527,16 +511,9 @@ def parse_schema(source: str) -> SchemaDef:
     shared: dict[str, SchemaDef] = {}
     for b in builders:
         _check_builder(b, all_names)
-        arcs: dict[str, list[Arc]] = {}
-        for arc in b.arcs:
-            arcs.setdefault(arc.src, []).append(arc)
-        shared[b.name] = SchemaDef(
-            name=b.name,
-            entry=next(iter(b.nodes)),
-            nodes=b.nodes,
-            arcs={src: tuple(group) for src, group in arcs.items()},
-            schema_set=shared,
-        )
+        shared[b.name] = SchemaDef(name=b.name, entry=next(iter(b.nodes)),
+                                   nodes=b.nodes, arcs=b.arcs,
+                                   schema_set=shared)
     return next(iter(shared.values()))
 
 
@@ -724,6 +701,11 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
                                preposition=preposition)
 
 
+# For each type a path value may subclass, the method that gives the
+# value as exactly that type.
+_BASE_VALUE = {str: str.__str__, int: int.__int__, float: float.__float__}
+
+
 def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     """The text of an expression: a path's value must be a string, a
     boolean ("true"/"false"), a finite float or an int of at most
@@ -731,14 +713,22 @@ def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     if type(expr) is str:
         return expr
     value = _lookup(data.records, expr)
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int and -ir.INT_BOUND < value < ir.INT_BOUND \
-            or kind is float and math.isfinite(value):
-        return ir.number_text(value)
+    while True:
+        kind = type(value)
+        if kind is str:
+            return value
+        if kind is bool:
+            return "true" if value else "false"
+        if kind is int and -ir.INT_BOUND < value < ir.INT_BOUND \
+                or kind is float and math.isfinite(value):
+            return ir.number_text(value)
+        # A subclass of str, int or float reads as its base type's value,
+        # as guards read it; its own str() and repr() are never called.
+        base = next((b for b in _BASE_VALUE
+                     if kind is not b and isinstance(value, b)), None)
+        if base is None:
+            break
+        value = _BASE_VALUE[base](value)
     path = ".".join(expr)
     if value is _MISSING:
         raise TraversalError(f"missing data path: {path}")
@@ -791,15 +781,15 @@ def _instantiate(where: str, template: MessageTemplate, data: DataRecordSet,
             f"{where}: template instantiation failed: {exc}") from exc
 
 
-def _instantiate_node(schema: SchemaDef, node: SchemaNode,
+def _instantiate_node(schema: SchemaDef, node_id: str,
+                      template: MessageTemplate,
                       data: DataRecordSet) -> ir.Message:
-    template = node.template
     condition = None
     if template.condition_node:
         condition = _instantiate(
-            f"node {node.id!r}, condition node {template.condition_node!r}",
-            schema.nodes[template.condition_node].template, data)
-    return _instantiate(f"node {node.id!r}", template, data, condition)
+            f"node {node_id!r}, condition node {template.condition_node!r}",
+            schema.nodes[template.condition_node], data)
+    return _instantiate(f"node {node_id!r}", template, data, condition)
 
 
 def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
@@ -832,18 +822,17 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
                     f"at node {node_id!r} in schema {definition.name!r}")
             node = definition.nodes[node_id]
             pieces: list[ir.PlanNode] = []
-            if node.kind == "emit":
-                pieces.append(ir.PlanNode(
-                    message=_instantiate_node(definition, node, data)))
+            if isinstance(node, MessageTemplate):
+                pieces.append(ir.PlanNode(message=_instantiate_node(
+                    definition, node_id, node, data)))
             stack.append((definition, iter(definition.arcs.get(node_id, ())),
                           pieces, [], level, joins))
-            if node.kind != "call":
+            if not isinstance(node, str):
                 return
-            sub = definition.schema_set.get(node.target)
+            sub = definition.schema_set.get(node)
             if sub is None:
                 raise TraversalError(
-                    f"node {node.id!r}: unresolved sub-schema "
-                    f"{node.target!r}")
+                    f"node {node_id!r}: unresolved sub-schema {node!r}")
             definition, node_id = sub, sub.entry
             level, joins = level + 1, "call"
 

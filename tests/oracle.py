@@ -251,26 +251,25 @@ def print_condition(cond):
     return f"{cond.op}({inner})"
 
 
-def _print_node(node):
+def _print_node(node_id, node):
     from nlgen.schema import MessageTemplate
 
-    if node.kind == "end":
-        return f"node {node.id} end"
-    if node.kind == "call":
-        return f"node {node.id} call {node.target}"
-    t = node.template
-    parts = [f"node {node.id} emit", f"subject={_print_expr(t.subject)}",
-             f"verb={t.verb}"]
+    if node is None:
+        return f"node {node_id} end"
+    if isinstance(node, str):
+        return f"node {node_id} call {node}"
+    parts = [f"node {node_id} emit",
+             f"subject={_print_expr(node.subject)}", f"verb={node.verb}"]
     for key in ("modal", "tense", "polarity"):
-        value = getattr(t, key)
+        value = getattr(node, key)
         if value != getattr(MessageTemplate, key):  # the field's default
             parts.append(f"{key}={value}")
-    if t.adverb is not None:
-        parts.append(f"adverb={_print_expr(t.adverb)}")
-    if t.condition_node:
-        parts.append(f"condition={t.condition_node}")
-    if t.complements:
-        exprs = ", ".join(_print_expr(e) for e in t.complements)
+    if node.adverb is not None:
+        parts.append(f"adverb={_print_expr(node.adverb)}")
+    if node.condition_node:
+        parts.append(f"condition={node.condition_node}")
+    if node.complements:
+        exprs = ", ".join(_print_expr(e) for e in node.complements)
         parts.append(f"complement={exprs}")
     return " ".join(parts)
 
@@ -283,7 +282,7 @@ def print_schema(schema):
         if schema.schema_set else [schema]
     for definition in definitions:
         lines = [f"schema {definition.name}"]
-        lines += [_print_node(n) for n in definition.nodes.values()]
+        lines += [_print_node(*item) for item in definition.nodes.items()]
         for arc in all_arcs(definition):
             line = f"arc {arc.src} -> {arc.dst}"
             if arc.guard is not None:
@@ -301,8 +300,8 @@ def all_arcs(definition):
 
 
 def _find_node(definition, node_id):
-    for node in definition.nodes.values():
-        if node.id == node_id:
+    for key, node in definition.nodes.items():
+        if key == node_id:
             return node
     raise KeyError(node_id)
 
@@ -402,18 +401,17 @@ def reference_traverse(definition, data, max_visits=32):
             raise TraversalError(f"visit limit at {node_id!r}")
         node = _find_node(d, node_id)
         pieces = []
-        if node.kind == "emit":
-            template = node.template
+        if isinstance(node, schema.MessageTemplate):
             condition = None
-            if template.condition_node:
+            if node.condition_node:
                 condition = instantiate(
-                    node_id, _find_node(d, template.condition_node).template)
+                    node_id, _find_node(d, node.condition_node))
             pieces.append(ir.PlanNode(
-                message=instantiate(node_id, template, condition)))
-        elif node.kind == "call":
-            sub = d.schema_set.get(node.target)
+                message=instantiate(node_id, node, condition)))
+        elif isinstance(node, str):
+            sub = d.schema_set.get(node)
             if sub is None:
-                raise TraversalError(f"unresolved {node.target!r}")
+                raise TraversalError(f"unresolved {node!r}")
             sub_pieces = visit(sub, sub.entry)
             if len(sub_pieces) == 1:
                 pieces.append(sub_pieces[0])

@@ -5,7 +5,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
-from nlgen import ir, plan_sentences
+from nlgen import ir, plan_sentences, schema
 from nlgen.errors import DataError
 
 import oracle
@@ -377,12 +377,29 @@ class TestSerialization:
     @pytest.mark.parametrize("escapes", [r"\ud800", r"\uDC80", r"x\udbffy",
                                          r"\ude00\ud83d", r"\ud83d\\ude00"])
     def test_lone_surrogate_escape_is_refused(self, escapes):
-        with pytest.raises(DataError, match=r"^malformed data file: a \\u "
-                                            r"escape may not name a lone "
-                                            r"surrogate$"):
+        with pytest.raises(DataError, match=re.escape(
+                f"malformed data file: {ir._LONE_SURROGATE}") + "$"):
             ir._parse(f'{{"k": ["{escapes}"]}}', "data file")
         with pytest.raises(DataError, match="lone surrogate"):
             ir._parse(f'{{"{escapes}": 1}}', "data file")
+
+    @pytest.mark.parametrize("reader, what, text", [
+        (schema.load_data, "data file",
+         '{"entities":{"sam":{"name":"Sam\ud800"}},"records":{}}'),
+        (ir.document_plan_from_json, "document plan",
+         '{"entities":{"sam":{"id":"sam","name":"Sam"}},'
+         '"root":{"message":{"subject":"sam","verb":"rest",'
+         '"adverb":"\udc80"}}}'),
+        (ir.sentence_plans_from_json, "sentence plans",
+         '{"entities":{"\udbff":{"id":"\udbff","name":"Sam"}},'
+         '"sentences":[]}'),
+    ], ids=["data", "document-plan", "sentence-plans"])
+    def test_raw_lone_surrogate_is_refused(self, reader, what, text):
+        # A str handed to the library may hold the character itself,
+        # which no file the CLI reads as UTF-8 can.
+        with pytest.raises(DataError) as info:
+            reader(text)
+        assert str(info.value) == f"malformed {what}: {ir._LONE_SURROGATE}"
 
     def test_surrogate_pair_escape_is_one_character(self):
         assert ir._parse(r'["\ud83d\ude00", "\uDBFF\uDFFF"]', "file") == \

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import re
 from types import MappingProxyType
@@ -22,6 +23,30 @@ import oracle
 
 def get(corpus, name):
     return next(d for d in corpus if d.name == name)
+
+
+# Values only records built by hand hold: subclasses of the JSON scalar
+# types whose own str() and repr() must never reach the text.
+class _Text(str):
+    def __str__(self):
+        return "Text!"
+
+    __repr__ = __str__
+
+
+class _Real(float):
+    def __str__(self):
+        return "Real!"
+
+    __repr__ = __str__
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+class _Mood(str, enum.Enum):
+    ILL = "ill"
 
 
 # Propositions of the patient_report demo, enumerated by hand from the
@@ -285,7 +310,6 @@ class TestParse:
             "arc b -> c\n"
             "arc a -> b rel contrast\n")
         assert list(parsed.nodes) == ["a", "b", "c"]
-        assert parsed.nodes["b"].id == "b"
         # Each node's outgoing arcs, in declaration order; an end node
         # has none.
         assert [(arc.src, arc.dst, arc.rel)
@@ -304,6 +328,32 @@ class TestParse:
         assert dataclasses.replace(
             parsed, arcs={**parsed.arcs, "a": parsed.arcs["a"][::-1]}) \
             != parsed
+
+    def test_node_is_what_its_statement_says(self):
+        parsed = schema.parse_schema(
+            "schema s\n"
+            "node a emit subject=\"sam\" verb=rest\n"
+            "node b call t\n"
+            "node c end\n"
+            "arc b -> c\n"
+            "arc a -> b when exists(r.x)\n"
+            "arc a -> c rel contrast\n"
+            "schema t\n"
+            "node d end\n")
+        # An emit node is its template, a call node its callee's name and
+        # an end node None.
+        assert parsed.nodes == {
+            "a": schema.MessageTemplate(subject="sam", verb="rest"),
+            "b": "t", "c": None}
+        # Arcs are grouped by source as they are parsed, each group in
+        # declaration order.
+        assert parsed.arcs == {
+            "b": [schema.Arc("b", "c")],
+            "a": [schema.Arc("a", "b", schema.Condition("exists", "r.x")),
+                  schema.Arc("a", "c", rel="contrast")]}
+        assert list(parsed.arcs) == ["b", "a"]
+        assert parsed.schema_set["t"].nodes == {"d": None}
+        assert parsed.schema_set["t"].arcs == {}
 
     def test_guard_nesting_bound(self):
         def source(operators):
@@ -325,7 +375,7 @@ class TestParse:
         parsed = schema.parse_schema(
             'schema s\nnode a emit subject="sam" verb=say '
             'complement="a \\"quoted\\" word"\n')
-        template = parsed.nodes["a"].template
+        template = parsed.nodes["a"]
         assert template.complements == ('a "quoted" word',)
 
 
@@ -709,8 +759,7 @@ class TestTraverse:
         assert a.root == b.root
 
     def test_unresolved_subschema_at_traverse_time(self):
-        node = schema.SchemaNode(id="a", kind="call", target="ghost")
-        bad = schema.SchemaDef(name="s", entry="a", nodes={"a": node},
+        bad = schema.SchemaDef(name="s", entry="a", nodes={"a": "ghost"},
                                arcs={})
         data = schema.load_data('{"entities": {}, "records": {}}')
         with pytest.raises(TraversalError):
@@ -878,7 +927,7 @@ class TestTraversalOracle:
 class TestInstantiate:
     def test_paths_resolve_to_message(self, corpus):
         doc = get(corpus, "sam_pair")
-        template = doc.schema.nodes["bp"].template
+        template = doc.schema.nodes["bp"]
         msg = schema.instantiate_template(template, doc.data)
         assert msg == ir.Message(
             subject="sam", verb="have",
@@ -920,6 +969,22 @@ class TestInstantiate:
         assert parse("with @sam") == ir.ComplementPhrase(
             head="@sam", preposition="with")
         assert parse("here") == ir.ComplementPhrase(head="here")
+
+    @pytest.mark.parametrize("value, base_value", [
+        (_Text("ill"), "ill"), (_Real(2.5), 2.5), (_Color.RED, 1),
+        (_Mood.ILL, "ill")], ids=["str", "float", "int-enum", "str-enum"])
+    def test_subclass_value_reads_as_its_base_type(self, value, base_value):
+        parsed = schema.parse_schema(
+            'schema s\nnode a emit subject="sam" verb=see '
+            'complement=path(r.x)\n')
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": {"x": value}})
+        assert nlgen.generate_text(parsed, data) == \
+            f"Sam sees {base_value}."
+        # A guard reads the same value as the same base type.
+        assert schema.eval_condition(
+            schema.Condition(op="eq", path="r.x", value=base_value), data)
 
     @pytest.mark.parametrize("value, kind", [
         ({1, 2}, "set"), ((1, 2), "tuple"), (b"hi", "bytes"),
