@@ -47,6 +47,9 @@ MODALS = get_args(Modal)
 POLARITIES = get_args(Polarity)
 RELATION_LABELS = get_args(RelationLabel)
 CASES = get_args(Case)
+# The types and domains of the Entity fields, as the decoder keeps them.
+_TEXT = (str, type(None))
+_ENTITY_DOMAINS = {"gender": GENDERS, "number": NUMBERS, "person": PERSONS}
 
 # Complement heads that name an entity instead of a common noun carry this
 # prefix, e.g. "@mrs_black".
@@ -284,24 +287,37 @@ def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
 #
 # Every plan that reaches validate() has passed the decoder, which keeps
 # each value inside its Literal domain, or was built by traverse() from a
-# parsed schema.  So validate() checks only what the types cannot say.
+# parsed schema.  So validate() checks only what the types cannot say,
+# and the entity fields, which a table built by hand may hold of any type.
 
 
-def _validate_entities(entities: dict[str, Entity],
-                       problems: list[str]) -> None:
-    """The entity-table rules, shared by both plan files."""
+def _validate_entities(entities: dict[str, Entity]) -> list[str]:
+    """The entity-table rules, shared by both plan files and traverse()."""
+    problems: list[str] = []
     for eid, ent in entities.items():
         where = f"entities[{eid}]"
+        if not (type(ent.name) in _TEXT and type(ent.head) in _TEXT
+                and type(ent.honorific) in _TEXT and ent.gender in GENDERS
+                and ent.number in NUMBERS and ent.person in PERSONS):
+            problems += [f"{where}.{key}: expected a string, got "
+                         f"{json_kind(getattr(ent, key))}"
+                         for key in ("name", "head", "honorific")
+                         if type(getattr(ent, key)) not in _TEXT]
+            problems += [f"{where}.{key}: expected one of {', '.join(domain)}"
+                         for key, domain in _ENTITY_DOMAINS.items()
+                         if getattr(ent, key) not in domain]
+            continue
         if eid != ent.id:
             problems.append(
                 f"{where}: table key does not match entity id {ent.id!r}")
-        given = [text for text in (ent.name, ent.head) if text]
-        if len(given) != 1 or given[0].isspace():
+        text = ent.name or ent.head
+        if not text or ent.name and ent.head or text.isspace():
             problems.append(
                 f"{where}: exactly one of name/head must be given, not blank")
         if ent.honorific is not None and not (ent.name and
                                               ent.honorific.strip()):
             problems.append(f"{where}: {HONORIFIC_RULE}")
+    return problems
 
 
 def _validate_verb(msg: Message | ClauseSpec, where: str,
@@ -356,8 +372,7 @@ def validate(plan: DocumentPlan) -> list[str]:
     MAX_NESTING (empty list means the plan is well-formed).
     document_plan_from_json() runs it on every decoded plan; call it on a
     plan built by hand before planning sentences."""
-    problems: list[str] = []
-    _validate_entities(plan.entities, problems)
+    problems = _validate_entities(plan.entities)
     too_deep = False
 
     def walk(node: PlanNode, where: str, level: int) -> None:
@@ -725,9 +740,7 @@ def sentence_plans_from_json(text: str) -> list[SentencePlan]:
     one Entity for it."""
     file = from_obj(_SentencesFile, _parse(text, "sentence plans"))
     entities = from_obj(dict[str, Entity], file.entities, "entities")
-    problems: list[str] = []
-    _validate_entities(entities, problems)
-    _check(problems)
+    _check(_validate_entities(entities))
     token = _entity_table.set(entities)
     try:
         plans = list(from_obj(tuple[SentencePlan, ...], file.sentences,

@@ -24,6 +24,7 @@ forms below are ever generated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -90,17 +91,12 @@ def load_lexicon(text: str) -> Lexicon:
                    tables["articles"])
 
 
-_default: Lexicon | None = None
-
-
+@functools.cache
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package, loaded once."""
-    global _default
-    if _default is None:
-        text = resources.files("nlgen").joinpath("data/lexicon.txt") \
-            .read_text(encoding="utf-8")
-        _default = load_lexicon(text)
-    return _default
+    text = resources.files("nlgen").joinpath("data/lexicon.txt") \
+        .read_text(encoding="utf-8")
+    return load_lexicon(text)
 
 
 def _consonant_y(word: str) -> bool:

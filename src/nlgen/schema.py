@@ -40,17 +40,19 @@ MessageTemplate, a call node the name of the schema it calls (a str), and
 an end node None.  Guards are compiled on first use and cached on the
 frozen schema objects: each Condition builds one predicate over the data
 records (Condition.test).  Compiling a comparison fixes the operand types
-it accepts, from its operator and its literal.  Every failure during
-traversal is a TraversalError: a missing path or a value of another type
-in a guard is one naming its arc and schema, and in a template one naming
-its node.  Complement text, literal or read from a path, is parsed
-through one bounded cache shared by the whole process
-(COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped
-first), so each distinct text is parsed once; text that does not parse
-is not cached and fails again each time.  Parsing a schema fills neither,
-so a schema that is parsed and not run costs nothing more; checks that
-depend on the data, such as @ references naming an entity, run for every
-complement of every document.
+it accepts, from its operator and its literal.  Guards and templates read
+a path's value, and a guard its literal, one way: a subclass of str, int
+or float as its base type's value, never through the subclass's own
+methods.  Every failure during traversal is a TraversalError: a missing
+path or a value of another type in a guard is one naming its arc and
+schema, and in a template one naming its node.  Complement text, literal
+or read from a path, is parsed through one bounded cache shared by the
+whole process (COMPLEMENT_CACHE_SIZE distinct texts, least recently used
+dropped first), so each distinct text is parsed once; text that does not
+parse is not cached and fails again each time.  Parsing a schema fills
+neither, so a schema that is parsed and not run costs nothing more;
+checks that depend on the data, such as @ references naming an entity,
+run for every complement of every document.
 """
 
 from __future__ import annotations
@@ -533,9 +535,7 @@ def load_data(text: str) -> DataRecordSet:
             if type(obj) is dict:
                 obj.setdefault("id", eid)
     data = ir.from_obj(DataRecordSet, payload)
-    problems: list[str] = []
-    ir._validate_entities(data.entities, problems)
-    ir._check(problems)
+    ir._check(ir._validate_entities(data.entities))
     _check_entity_refs(data.records, data.entities)
     return data
 
@@ -562,11 +562,16 @@ def _check_entity_refs(records: dict,
 
 # What _lookup() gives for a path the records do not hold.
 _MISSING = object()
+# The types of JSON values, which _lookup() gives as they are, and the
+# base-type method that gives a subclass of str, int or float as a value.
+_JSON_TYPES = frozenset({str, int, float, bool, dict, list, type(None)})
+_BASE_VALUE = {str: str.__str__, int: int.__int__, float: float.__float__}
 
 
-def _lookup(records: Mapping[str, Any], segments: tuple[str, ...]) -> Any:
-    """The value at a path, given as its segments, or _MISSING."""
-    value: Any = records
+def _lookup(records: Any, segments: tuple[str, ...]) -> Any:
+    """The value at a path, given as its segments, or _MISSING; a str,
+    int or float subclass reads as its base type's value."""
+    value = records
     for segment in segments:
         # Data files decode to plain dicts; the exact-type test skips the
         # much slower ABC check for them.
@@ -574,11 +579,16 @@ def _lookup(records: Mapping[str, Any], segments: tuple[str, ...]) -> Any:
                 or segment not in value:
             return _MISSING
         value = value[segment]
+    kind = type(value)
+    if kind in _JSON_TYPES:
+        return value
+    for base, as_base in _BASE_VALUE.items():
+        if issubclass(kind, base):
+            return as_base(value)
     return value
 
 
-# The value kinds a literal can be, bool first: a bool is an int too, but
-# never a number here.
+# The value kinds a literal can be; a bool is never a number here.
 _KINDS = ((bool,), (str,), (int, float))
 _NUMBER = _KINDS[2]
 
@@ -589,7 +599,7 @@ def _mismatch(cond: Condition, value: Any) -> TraversalError:
     if cond.op == "eq":
         return TraversalError(
             f"eq({cond.path}, ...): cannot compare {ir.json_kind(value)} "
-            f"with {ir.json_kind(cond.value)}")
+            f"with {ir.json_kind(_lookup(cond.value, ()))}")
     return TraversalError(
         f"{cond.op}({cond.path}, ...): path value is {ir.json_kind(value)}, "
         f"not a number")
@@ -599,11 +609,11 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     """One closure per operator; children are compiled with their parent.
 
     A comparison's operand types are fixed here, from its operator and its
-    literal: eq takes a value of its literal's kind (bool; str; int and
-    float), gt and lt take a number, and bool is never a number.  Each
-    comparison has its own closure, which tests one exact type inline and
-    falls back to isinstance, so subclass values are accepted too; any
-    other value, or a missing path, is a TraversalError."""
+    literal, read once as _lookup() reads values: eq takes a value of its
+    literal's kind (bool; str; int and float), gt and lt take a number,
+    and bool is never a number.  Each comparison has its own closure,
+    which tests the value's exact type; any other value, or a missing
+    path, is a TraversalError."""
     op, path = cond.op, cond.path
     segments = tuple(path.split(".")) if path is not None else ()
     if op == "exists":
@@ -631,31 +641,25 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
                     return True
             return False
     else:
-        literal = cond.value
+        literal = _lookup(cond.value, ())
         kinds = _NUMBER if op != "eq" else next(
-            (kind for kind in _KINDS if isinstance(literal, kind)), ())
-        # The type tested inline; None, which no value has, turns it off.
-        fast = type(literal) if type(literal) in kinds \
-            else kinds[0] if kinds else None
+            (kind for kind in _KINDS if type(literal) in kind), ())
         if op == "eq":
             def test(records):
                 value = _lookup(records, segments)
-                if type(value) is fast or isinstance(value, kinds) \
-                        and type(value) is not bool:
+                if type(value) in kinds:
                     return value == literal
                 raise _mismatch(cond, value)
         elif op == "gt":
             def test(records):
                 value = _lookup(records, segments)
-                if type(value) is fast or isinstance(value, kinds) \
-                        and type(value) is not bool:
+                if type(value) in kinds:
                     return value > literal
                 raise _mismatch(cond, value)
         else:  # lt, and any other op
             def test(records):
                 value = _lookup(records, segments)
-                if type(value) is fast or isinstance(value, kinds) \
-                        and type(value) is not bool:
+                if type(value) in kinds:
                     return value < literal
                 raise _mismatch(cond, value)
     return test
@@ -701,11 +705,6 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
                                preposition=preposition)
 
 
-# For each type a path value may subclass, the method that gives the
-# value as exactly that type.
-_BASE_VALUE = {str: str.__str__, int: int.__int__, float: float.__float__}
-
-
 def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     """The text of an expression: a path's value must be a string, a
     boolean ("true"/"false"), a finite float or an int of at most
@@ -713,22 +712,14 @@ def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     if type(expr) is str:
         return expr
     value = _lookup(data.records, expr)
-    while True:
-        kind = type(value)
-        if kind is str:
-            return value
-        if kind is bool:
-            return "true" if value else "false"
-        if kind is int and -ir.INT_BOUND < value < ir.INT_BOUND \
-                or kind is float and math.isfinite(value):
-            return ir.number_text(value)
-        # A subclass of str, int or float reads as its base type's value,
-        # as guards read it; its own str() and repr() are never called.
-        base = next((b for b in _BASE_VALUE
-                     if kind is not b and isinstance(value, b)), None)
-        if base is None:
-            break
-        value = _BASE_VALUE[base](value)
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int and -ir.INT_BOUND < value < ir.INT_BOUND \
+            or kind is float and math.isfinite(value):
+        return ir.number_text(value)
     path = ".".join(expr)
     if value is _MISSING:
         raise TraversalError(f"missing data path: {path}")
@@ -797,8 +788,10 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
 
     Deterministic: equal schema and data always yield a structurally
     equal plan.  Each `call` and each non-sequence arc nests one level,
-    and nesting past ir.MAX_NESTING is a TraversalError.
+    and nesting past ir.MAX_NESTING is a TraversalError.  An entity table
+    that breaks the plan rules is a DataError.
     """
+    ir._check(ir._validate_entities(data.entities))
     visits: dict[tuple[str, str], int] = {}
     # One frame per node being visited: its schema, its arcs not yet
     # followed, its pieces, its runs of same-label results (a callee's

@@ -306,8 +306,20 @@ def _find_node(definition, node_id):
     raise KeyError(node_id)
 
 
+def _reference_base(value):
+    """A value as guards read it: a bool as it is, and a subclass of str,
+    float or int as its base type's value, never through its own
+    methods."""
+    for base, method in ((bool, None), (str, str.__str__),
+                         (float, float.__float__), (int, int.__int__)):
+        if isinstance(value, base):
+            return value if method is None else method(value)
+    return value
+
+
 def _reference_resolve(records, path):
-    """Walk a dotted path down the records, splitting it on every call."""
+    """Walk a dotted path down the records, splitting it on every call;
+    the value found reads as _reference_base gives it."""
     from collections.abc import Mapping
 
     from nlgen.errors import TraversalError
@@ -317,7 +329,7 @@ def _reference_resolve(records, path):
         if not isinstance(value, Mapping) or segment not in value:
             raise TraversalError(f"missing data path: {path}")
         value = value[segment]
-    return value
+    return _reference_base(value)
 
 
 # Kinds of value as the reference guards name them in failures; values
@@ -349,7 +361,7 @@ def reference_eval_condition(cond, data):
     if cond.op == "or":
         return any(reference_eval_condition(a, data) for a in cond.args)
     value = _reference_resolve(data.records, cond.path)
-    literal = cond.value
+    literal = _reference_base(cond.value)
     if cond.op == "eq":
         if isinstance(value, bool) != isinstance(literal, bool):
             raise TraversalError(

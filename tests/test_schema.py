@@ -41,6 +41,26 @@ class _Real(float):
     __repr__ = __str__
 
 
+def _liar(base):
+    """A subclass of ``base`` whose comparisons all hold and whose text,
+    int and float lie: a guard or template that called its own methods
+    would read something else than its base value."""
+    def holds(self, other):
+        return True
+
+    def lie(self, *args):
+        return "Liar!"
+
+    return type(f"Liar{base.__name__.title()}", (base,), {
+        "__eq__": holds, "__ne__": holds, "__gt__": holds, "__lt__": holds,
+        "__hash__": base.__hash__, "__str__": lie, "__repr__": lie,
+        "__format__": lie, "__int__": lambda self: 99,
+        "__float__": lambda self: 99.0, "strip": lie, "split": lie})
+
+
+_LIARS = {base: _liar(base) for base in (str, int, float)}
+
+
 class _Color(enum.IntEnum):
     RED = 1
 
@@ -622,6 +642,16 @@ _DIRECT_GUARDS = st.recursive(
     max_leaves=6)
 
 
+def _comparison(op, literal):
+    return schema.Condition(op=op, path="r", value=literal)
+
+
+def _between(literal):
+    """gt(r, literal) and lt(r, literal), which no number satisfies."""
+    return schema.Condition(op="and", args=(_comparison("gt", literal),
+                                            _comparison("lt", literal)))
+
+
 class TestCompiledGuards:
     """Guards built directly, as TestEvalCondition builds them, are
     compiled on first use; each must behave as the interpreter in
@@ -671,6 +701,62 @@ class TestCompiledGuards:
                                          data) == \
                         self._outcome(oracle.reference_eval_condition, cond,
                                       data), (op, value, literal)
+
+    @pytest.mark.parametrize("value, guard, expected", [
+        (_LIARS[str]("well"), _comparison("eq", "ill"), False),
+        ("well", _comparison("eq", _LIARS[str]("ill")), False),
+        (_LIARS[str]("ill"), _comparison("eq", _LIARS[str]("ill")), True),
+        (_LIARS[float](5.0), _between(5), False),
+        (5, _between(_LIARS[float](5.0)), False),
+        (5.0, _comparison("lt", _LIARS[float](5.0)), False),
+        (_LIARS[float](6.0), _comparison("gt", _LIARS[float](5.0)), True),
+    ], ids=["str-value", "str-literal", "str-both", "float-value",
+            "float-literal", "float-literal-reflected", "float-both"])
+    def test_subclass_methods_never_decide_a_guard(self, value, guard,
+                                                  expected):
+        # A subclass value, in the records or as a literal built by hand,
+        # is compared as its base value: an __eq__ that always holds, or a
+        # float that is both greater and less than 5, changes nothing.
+        data = schema.DataRecordSet(records={"r": value})
+        assert schema.eval_condition(guard, data) is expected
+
+    def test_a_subclass_mismatch_names_its_base_kind(self):
+        data = schema.DataRecordSet(records={"r": _LIARS[str]("ill")})
+        cond = schema.Condition(op="eq", path="r", value=1)
+        with pytest.raises(TraversalError, match=r"^eq\(r, \.\.\.\): "
+                           r"cannot compare a string with a number$"):
+            schema.eval_condition(cond, data)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(value=st.one_of(st.text(max_size=6), st.integers(),
+                           st.floats()),
+           op=st.sampled_from(["eq", "gt", "lt", "exists"]),
+           literal=st.one_of(_GUARD_LITERALS, st.text(max_size=2),
+                             st.integers(-3, 3), st.floats()),
+           wrap_literal=st.booleans())
+    def test_a_subclass_reads_as_its_base_value(self, value, op, literal,
+                                                wrap_literal):
+        # Guards and templates give the same result, or the same failure,
+        # on a subclass of a JSON scalar as on the scalar itself.
+        hostile_literal = _LIARS[type(literal)](literal) \
+            if wrap_literal and type(literal) in _LIARS else literal
+        sam = {"sam": ir.Entity(id="sam", name="Sam")}
+        plain = schema.DataRecordSet(entities=sam, records={"r": value})
+        hostile = schema.DataRecordSet(
+            entities=sam, records={"r": _LIARS[type(value)](value)})
+        assert self._outcome(
+            schema.eval_condition,
+            schema.Condition(op=op, path="r", value=hostile_literal),
+            hostile) == self._outcome(
+            schema.eval_condition,
+            schema.Condition(op=op, path="r", value=literal), plain)
+        template = schema.MessageTemplate(
+            subject="sam", verb="see", complements=(("r",),),
+            adverb=("r",))
+        assert self._outcome(schema.instantiate_template, template,
+                             hostile) == \
+            self._outcome(schema.instantiate_template, template, plain)
 
     def test_parsing_compiles_nothing(self, corpus):
         # Compiling is left to the first traversal, so that a schema that
@@ -1172,6 +1258,97 @@ class TestLoadData:
         with pytest.raises(DataError) as info:
             schema.load_data(f'{{"entities": {entities}, "records": {{}}}}')
         assert str(info.value).startswith(detail)
+
+
+# Entity tables built by hand, as no data file can give them: blank,
+# missing and non-str text, words outside a domain, and keys that do not
+# match their entity's id.
+_HAND_TEXTS = st.one_of(
+    st.none(), st.sampled_from(["", " ", "\t", "Sam", "Black", "nurse",
+                                "Dr."]),
+    st.integers(), st.floats(allow_nan=False), st.lists(st.just("x"),
+                                                        max_size=1))
+
+
+def _hand_words(domain):
+    return st.one_of(st.sampled_from(domain), st.none(), st.integers(),
+                     st.sampled_from(["male", "fourth", "dual", "",
+                                      domain[0].title()]))
+
+
+_GOOD_ENTITIES = st.sampled_from([
+    dict(name="Sam", gender="masculine"), dict(head="nurse", number="plural"),
+    dict(name="Black", honorific="Mrs.", gender="feminine"),
+    dict(head="speaker", person="first")])
+
+
+def _hand_entity(key):
+    """Two times in three an entity that follows every rule, else one
+    drawn field by field."""
+    good = _GOOD_ENTITIES.map(lambda fields: ir.Entity(id=key, **fields))
+    drawn = st.builds(
+        ir.Entity, id=st.sampled_from([key, "z"]), name=_HAND_TEXTS,
+        head=_HAND_TEXTS, honorific=_HAND_TEXTS,
+        gender=_hand_words(ir.GENDERS), number=_hand_words(ir.NUMBERS),
+        person=_hand_words(ir.PERSONS))
+    return st.sampled_from([good, good, drawn]).flatmap(lambda kind: kind)
+
+
+_HAND_TABLES = st.fixed_dictionaries({"x": _hand_entity("x"),
+                                      "y": _hand_entity("y")})
+# A sentence that opens with its verb has lost its subject.
+_VERB_OPENING = re.compile(r"(?:^|\. )(?:Rest|See)")
+
+
+class TestHandBuiltEntities:
+    """traverse() holds the entity-table rules for a DataRecordSet built
+    by hand, as load_data() holds them for a data file."""
+
+    TWO_NODES = ('schema s\nnode a emit subject="x" verb=rest\n'
+                 'node b emit subject="y" verb=see complement="@x"\n'
+                 'arc a -> b\n')
+
+    @pytest.mark.parametrize("fields, problem", [
+        (dict(name=" "), "exactly one of name/head must be given"),
+        ({}, "exactly one of name/head must be given"),
+        (dict(head="nurse", honorific="Dr."), ir.HONORIFIC_RULE),
+        (dict(name="Sam", gender="male"),
+         ".gender: expected one of masculine, feminine, neuter"),
+        (dict(name="Sam", person="fourth"),
+         ".person: expected one of first, second, third"),
+        (dict(name="Sam", number=None),
+         ".number: expected one of singular, plural"),
+        (dict(name=3), ".name: expected a string, got a number"),
+        (dict(name="Sam", honorific=5),
+         ".honorific: expected a string, got a number"),
+    ])
+    def test_bad_entity_is_a_data_error(self, fields, problem):
+        parsed = schema.parse_schema('schema s\nnode a emit subject="x" '
+                                     'verb=rest\n')
+        entities = {"x": ir.Entity(id="x", **fields)}
+        with pytest.raises(DataError, match=r"^entities\[x\]") as info:
+            nlgen.generate_text(parsed, schema.DataRecordSet(
+                entities=entities))
+        assert problem in str(info.value)
+        assert [problem in p for p in ir.validate(ir.DocumentPlan(
+            root=None, entities=entities))] == [True]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(table=_HAND_TABLES, profile=st.sampled_from(["fluent", "plain"]))
+    def test_text_or_a_refusal(self, table, profile):
+        parsed = schema.parse_schema(self.TWO_NODES)
+        try:
+            text = nlgen.generate_text(
+                parsed, schema.DataRecordSet(entities=table), profile)
+        except NlgenError:
+            pass
+        else:
+            assert not _VERB_OPENING.search(text), text
+        leaf = ir.PlanNode(message=ir.Message(subject="x", verb="rest"))
+        assert isinstance(ir.validate(ir.DocumentPlan(root=leaf,
+                                                      entities=table)),
+                          list)
 
 
 class TestErrorClasses:

@@ -37,3 +37,41 @@ def test_library_imports_only_the_standard_library():
                 assert top in allowed, f"{path.name}:{node.lineno}: {name}"
                 imported.add(top)
     assert {"json", "decimal"} <= imported
+
+
+def test_every_perfbench_instrument_records_calls():
+    # perfbench times layers by replacing the module attributes listed in
+    # its INSTRUMENTS.  A function renamed, inlined or called other than
+    # through its module global would silently drop out of its layer; a
+    # fluent patient_report run through the library, the staged codecs and
+    # the CLI calls every one of them.
+    import importlib.util
+
+    import nlgen
+    from conftest import run_cli
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    demo = ROOT / "src" / "nlgen" / "data" / "demo"
+    schema_path = demo / "patient_report.schema"
+    data_path = demo / "patient_report.json"
+    before = tracing.originals()
+    with tracing.Tracer() as tracer:
+        parsed = nlgen.parse_schema(schema_path.read_text(encoding="utf-8"))
+        data = nlgen.load_data(data_path.read_text(encoding="utf-8"))
+        text = nlgen.generate_text(parsed, data, "fluent")
+        plan = nlgen.document_plan_from_json(nlgen.document_plan_to_json(
+            nlgen.traverse(parsed, data)))
+        plans = nlgen.sentence_plans_from_json(nlgen.sentence_plans_to_json(
+            nlgen.plan_sentences(plan, "fluent")))
+        assert nlgen.realize_document(plans) == text
+        code, out, _ = run_cli(["generate", "--schema", str(schema_path),
+                                "--data", str(data_path)])
+        assert (code, out) == (0, text + "\n")
+    assert tracing.originals() == before
+    called = {name for (_, name), stat in tracer.stats.items() if stat[0]}
+    names = [instrument[0] for instrument in tracing.INSTRUMENTS]
+    assert len(names) == 22
+    assert [name for name in names if name not in called] == []
