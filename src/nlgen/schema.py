@@ -34,20 +34,21 @@ than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
 operators as deep, and no deeper.
 
 Parsing stores each schema's nodes by id and its arcs by source node,
-both in declaration order, and a template path as the tuple of its
-dotted segments.  A node is what its statement says: an emit node is its
+both in declaration order, and a template path as the tuple of its dotted
+segments.  A node is what its statement says: an emit node is its
 MessageTemplate, a call node the name of the schema it calls (a str), and
 an end node None.  Guards are compiled on first use and cached on the
 frozen schema objects: each Condition builds one predicate over the data
-records (Condition.test).  Compiling a comparison fixes the operand types
-it accepts, from its operator and its literal.  Guards and templates read
-a path's value, and a guard its literal, one way: a subclass of str, int
-or float as its base type's value, never through the subclass's own
-methods.  Every failure during traversal is a TraversalError: a missing
-path or a value of another type in a guard is one naming its arc and
-schema, and in a template one naming its node.  Complement text, literal
-or read from a path, is parsed through one bounded cache shared by the
-whole process (COMPLEMENT_CACHE_SIZE distinct texts, least recently used
+records (Condition.test).  Compiling refuses a guard the parser could not
+have built, and fixes a comparison's operand types from its operator and
+literal.  Guards and templates read a path's value, and their literals,
+one way: a subclass of str, int or float as its base type's value, never
+through the subclass's own methods; a template literal must then be a
+str.  Every failure during traversal is a TraversalError: a missing path
+or a value of another type in a guard is one naming its arc and schema,
+and in a template one naming its node.  Complement text, literal or read
+from a path, is parsed through one bounded cache shared by the whole
+process (COMPLEMENT_CACHE_SIZE distinct texts, least recently used
 dropped first), so each distinct text is parsed once; text that does not
 parse is not cached and fails again each time.  Parsing a schema fills
 neither, so a schema that is parsed and not run costs nothing more;
@@ -84,7 +85,7 @@ MAX_VISITS = 32
 
 @dataclass(frozen=True)
 class Condition:
-    op: str  # exists | eq | gt | lt | and | or | not
+    op: str  # one of _OPERATORS
     path: str | None = None
     value: Any = None
     args: tuple["Condition", ...] = ()
@@ -144,39 +145,36 @@ class DataRecordSet:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# Blanks and a comment give no token; a symbol's kind is its own text.
+# Blanks and a comment give no token, and a symbol's kind is its own
+# text; a character that starts no token is matched alone as "bad".
 _TOKEN = re.compile(r"""
       [ \t]+ | \#.*
     | (?P<string> "(?:[^"\\]|\\.)*" )
     | (?P<symbol> -> | [=(),] )
     | (?P<number> -?\d[\d.]* )
     | (?P<ident> \w[\w.]* )
+    | (?P<bad> [\s\S] )
 """, re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 
 
 class _Tok(NamedTuple):
-    kind: str  # ident | number | string | a symbol's text
+    kind: str  # ident | number | string | end | a symbol's text
     value: Any
     col: int
 
 
 def _tokenize_line(text: str, line: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        col = pos + 1
-        kind = match.lastgroup if match else "bad"
+    for match in _TOKEN.finditer(text):
+        kind, lit, col = match.lastgroup, match[0], match.start() + 1
         # \w also matches numerals that are not digits, such as "²".
-        if kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+        if kind == "ident" and not (lit[0].isalpha() or lit[0] == "_"):
             kind = "bad"
         if kind == "bad":
-            problem = "unterminated string" if text[pos] == '"' \
-                else f"unexpected character {text[pos]!r}"
+            problem = "unterminated string" if lit[0] == '"' \
+                else f"unexpected character {lit[0]!r}"
             raise SchemaParseError(f"lexical error: {problem}", line, col)
-        pos = match.end()
-        lit = match[0]
         if kind == "string":
             toks.append(_Tok(kind, _ESCAPE.sub(r"\1", lit[1:-1]), col))
         elif kind == "number":
@@ -204,28 +202,27 @@ def _tokenize_line(text: str, line: int) -> list[_Tok]:
 # Parser
 
 class _LineParser:
-    """Recursive-descent parser over one statement's tokens."""
+    """Recursive-descent parser over one statement's tokens, which it
+    ends with a token of kind "end" just past the last one."""
 
-    def __init__(self, toks: list[_Tok], line: int):
-        self.toks = toks
+    def __init__(self, toks: list[_Tok], line: int, text: str):
+        end_col = _TOKEN.match(text, toks[-1].col - 1).end() + 1
+        self.toks = toks + [_Tok("end", None, end_col)]
         self.line = line
         self.pos = 0
 
     def done(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.toks[self.pos].kind == "end"
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if not self.done() else None
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
 
     def error(self, message: str) -> SchemaParseError:
-        col = self.toks[self.pos].col if not self.done() \
-            else (self.toks[-1].col + 1 if self.toks else 1)
-        return SchemaParseError(message, self.line, col)
+        return SchemaParseError(message, self.line, self.peek().col)
 
     def skip(self, kind: str) -> bool:
         """Take the next token if it is of ``kind``."""
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if self.peek().kind != kind:
             return False
         self.pos += 1
         return True
@@ -257,7 +254,7 @@ class _LineParser:
         tok = self.peek()
         if self.skip("string"):
             return tok.value
-        if tok is None or tok.value != "path" or not self.skip("ident"):
+        if tok.value != "path" or not self.skip("ident"):
             raise self.error("expected a quoted literal or path(...)")
         self.take("(")
         path = self.take_ident()
@@ -268,7 +265,7 @@ class _LineParser:
         """One guard operator, ``level`` operators deep in its guard."""
         op_tok = self.take("ident")
         op = op_tok.value
-        if op not in ("exists", "eq", "gt", "lt", "and", "or", "not"):
+        if op not in _OPERATORS:
             raise SchemaParseError(f"unknown condition operator {op!r}",
                                    self.line, op_tok.col)
         if level > ir.MAX_NESTING:
@@ -301,7 +298,7 @@ class _LineParser:
 
     def _literal(self, numeric_only: bool = False) -> Any:
         tok = self.peek()
-        if tok is None:
+        if tok.kind == "end":
             raise self.error("expected a literal")
         if self.skip("number"):
             return tok.value
@@ -387,26 +384,24 @@ class _SchemaBuilder:
         self.arc_positions: list[tuple[Arc, int, int, int]] = []
 
 
-def _parse_statements(source: str) -> list[_SchemaBuilder]:
-    builders: list[_SchemaBuilder] = []
+def _parse_statements(source: str) -> dict[str, _SchemaBuilder]:
+    builders: dict[str, _SchemaBuilder] = {}
     current: _SchemaBuilder | None = None
-    seen_names: set[str] = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
         toks = _tokenize_line(raw, lineno)
         if not toks:
             continue
-        p = _LineParser(toks, lineno)
+        p = _LineParser(toks, lineno, raw)
         head = p.take("ident")
         if head.value == "schema":
             name_tok = p.take("ident")
             name = name_tok.value
             p.finish("schema name")
-            if name in seen_names:
+            if name in builders:
                 raise SchemaParseError(f"duplicate schema {name!r}",
                                        lineno, head.col)
-            seen_names.add(name)
-            current = _SchemaBuilder(name, lineno, name_tok.col)
-            builders.append(current)
+            current = builders[name] = _SchemaBuilder(name, lineno,
+                                                       name_tok.col)
             continue
         if current is None:
             raise SchemaParseError("expected schema header", lineno,
@@ -463,7 +458,7 @@ def _parse_statements(source: str) -> list[_SchemaBuilder]:
     return builders
 
 
-def _check_builder(b: _SchemaBuilder, all_names: set[str]) -> None:
+def _check_builder(b: _SchemaBuilder, builders: dict) -> None:
     if not b.nodes:
         raise SchemaParseError(f"schema {b.name!r} declares no nodes",
                                b.line, b.col)
@@ -485,7 +480,7 @@ def _check_builder(b: _SchemaBuilder, all_names: set[str]) -> None:
             unguarded.add(arc.src)
     for node_id, node in b.nodes.items():
         line, col = b.node_positions[node_id]
-        if isinstance(node, str) and node not in all_names:
+        if isinstance(node, str) and node not in builders:
             raise SchemaParseError(
                 f"call target {node!r} is not a schema in this file",
                 line, col)
@@ -509,10 +504,9 @@ def parse_schema(source: str) -> SchemaDef:
     """Parse schema text; returns the first (entry) schema with the whole
     file's schema set attached for call resolution."""
     builders = _parse_statements(source)
-    all_names = {b.name for b in builders}
     shared: dict[str, SchemaDef] = {}
-    for b in builders:
-        _check_builder(b, all_names)
+    for b in builders.values():
+        _check_builder(b, builders)
         shared[b.name] = SchemaDef(name=b.name, entry=next(iter(b.nodes)),
                                    nodes=b.nodes, arcs=b.arcs,
                                    schema_set=shared)
@@ -588,9 +582,11 @@ def _lookup(records: Any, segments: tuple[str, ...]) -> Any:
     return value
 
 
-# The value kinds a literal can be; a bool is never a number here.
-_KINDS = ((bool,), (str,), (int, float))
-_NUMBER = _KINDS[2]
+# The guard operators, the first four reading a path, and the value types
+# each literal type compares with; a bool is never a number here.
+_OPERATORS = ("exists", "eq", "gt", "lt", "and", "or", "not")
+_NUMBER = (int, float)
+_KINDS = {bool: (bool,), str: (str,), int: _NUMBER, float: _NUMBER}
 
 
 def _mismatch(cond: Condition, value: Any) -> TraversalError:
@@ -608,14 +604,26 @@ def _mismatch(cond: Condition, value: Any) -> TraversalError:
 def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     """One closure per operator; children are compiled with their parent.
 
-    A comparison's operand types are fixed here, from its operator and its
-    literal, read once as _lookup() reads values: eq takes a value of its
-    literal's kind (bool; str; int and float), gt and lt take a number,
-    and bool is never a number.  Each comparison has its own closure,
-    which tests the value's exact type; any other value, or a missing
-    path, is a TraversalError."""
-    op, path = cond.op, cond.path
-    segments = tuple(path.split(".")) if path is not None else ()
+    Compiling checks what the parser guarantees: a known operator, one
+    argument for not, a str path for exists/eq/gt/lt, and a literal, read
+    once as _lookup() reads values, that is a bool, str or number for eq
+    and a number (never a bool) for gt and lt.  eq takes a value of its
+    literal's kind and gt and lt a number, tested by exact type; any other
+    guard, value or a missing path is a TraversalError."""
+    op, path = cond.op, _lookup(cond.path, ())
+    literal = _lookup(cond.value, ())
+    kinds = _KINDS.get(type(literal), ()) if op == "eq" else _NUMBER
+    if op not in _OPERATORS:
+        raise TraversalError(f"unknown condition operator {op!r}")
+    if op == "not" and len(cond.args) != 1:
+        raise TraversalError("not(...) takes exactly one guard")
+    if op in _OPERATORS[:4] and type(path) is not str:
+        raise TraversalError(f"{op}(...) needs a path")
+    if op in _OPERATORS[1:4] and type(literal) not in kinds:
+        raise TraversalError(
+            f"{op}({path}, ...): literal is {ir.json_kind(literal)}, not "
+            + ("a boolean, string or number" if op == "eq" else "a number"))
+    segments = tuple(path.split(".")) if type(path) is str else ()
     if op == "exists":
         def test(records):
             return _lookup(records, segments) is not _MISSING
@@ -640,28 +648,24 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
                 if arg_test(records):
                     return True
             return False
-    else:
-        literal = _lookup(cond.value, ())
-        kinds = _NUMBER if op != "eq" else next(
-            (kind for kind in _KINDS if type(literal) in kind), ())
-        if op == "eq":
-            def test(records):
-                value = _lookup(records, segments)
-                if type(value) in kinds:
-                    return value == literal
-                raise _mismatch(cond, value)
-        elif op == "gt":
-            def test(records):
-                value = _lookup(records, segments)
-                if type(value) in kinds:
-                    return value > literal
-                raise _mismatch(cond, value)
-        else:  # lt, and any other op
-            def test(records):
-                value = _lookup(records, segments)
-                if type(value) in kinds:
-                    return value < literal
-                raise _mismatch(cond, value)
+    elif op == "eq":
+        def test(records):
+            value = _lookup(records, segments)
+            if type(value) in kinds:
+                return value == literal
+            raise _mismatch(cond, value)
+    elif op == "gt":
+        def test(records):
+            value = _lookup(records, segments)
+            if type(value) in kinds:
+                return value > literal
+            raise _mismatch(cond, value)
+    else:  # lt
+        def test(records):
+            value = _lookup(records, segments)
+            if type(value) in kinds:
+                return value < literal
+            raise _mismatch(cond, value)
     return test
 
 
@@ -710,6 +714,10 @@ def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     boolean ("true"/"false"), a finite float or an int of at most
     ir.MAX_DIGITS digits."""
     if type(expr) is str:
+        return expr
+    if type(expr) is not tuple:  # a literal built by hand
+        if type(expr := _lookup(expr, ())) is not str:
+            raise TraversalError(f"literal is {ir.json_kind(expr)}, not text")
         return expr
     value = _lookup(data.records, expr)
     kind = type(value)
@@ -763,24 +771,20 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
     )
 
 
-def _instantiate(where: str, template: MessageTemplate, data: DataRecordSet,
-                 condition: ir.Message | None = None) -> ir.Message:
+def _instantiate_node(schema: SchemaDef, node_id: str,
+                      template: MessageTemplate,
+                      data: DataRecordSet) -> ir.Message:
+    condition, where = None, f"node {node_id!r}"
     try:
+        if template.condition_node:
+            where += f", condition node {template.condition_node!r}"
+            condition = instantiate_template(
+                schema.nodes[template.condition_node], data)
+            where = f"node {node_id!r}"
         return instantiate_template(template, data, condition)
     except TraversalError as exc:
         raise TraversalError(
             f"{where}: template instantiation failed: {exc}") from exc
-
-
-def _instantiate_node(schema: SchemaDef, node_id: str,
-                      template: MessageTemplate,
-                      data: DataRecordSet) -> ir.Message:
-    condition = None
-    if template.condition_node:
-        condition = _instantiate(
-            f"node {node_id!r}, condition node {template.condition_node!r}",
-            schema.nodes[template.condition_node], data)
-    return _instantiate(f"node {node_id!r}", template, data, condition)
 
 
 def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:

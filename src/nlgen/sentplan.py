@@ -116,11 +116,10 @@ def _with_clauses(sp: ir.SentencePlan,
 def _normalize_phrase(phrase: ir.ComplementPhrase) -> tuple:
     head = phrase.head if ir.entity_ref(phrase.head) else phrase.head.lower()
     return (
-        phrase.kind,
         phrase.determiner or "none",
         tuple(sorted(p.lower() for p in phrase.premodifiers)),
         head,
-        phrase.preposition or "none",
+        phrase.preposition or None,
     )
 
 

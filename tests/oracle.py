@@ -343,9 +343,44 @@ def _reference_kind(value):
     return _REFERENCE_KINDS.get(type(value), type(value).__name__)
 
 
+def _reference_check_guard(cond):
+    """Refuse a guard, built by hand, that the parser could not have
+    built; the first fault found, the guard before its arguments, names
+    the rule it breaks."""
+    from nlgen.errors import TraversalError
+
+    op = cond.op
+    if op not in ("exists", "eq", "gt", "lt", "and", "or", "not"):
+        raise TraversalError(f"unknown condition operator {op!r}")
+    if op == "not" and len(cond.args) != 1:
+        raise TraversalError("not(...) takes exactly one guard")
+    if op in ("and", "or", "not"):
+        for arg in cond.args:
+            _reference_check_guard(arg)
+        return
+    path = _reference_base(cond.path)
+    if not isinstance(path, str):
+        raise TraversalError(f"{op}(...) needs a path")
+    literal = _reference_base(cond.value)
+    if op == "eq" and not isinstance(literal, (bool, str, int, float)):
+        raise TraversalError(f"eq({path}, ...): literal is "
+                             f"{_reference_kind(literal)}, not a boolean, "
+                             f"string or number")
+    if op in ("gt", "lt") and (isinstance(literal, bool)
+                               or not isinstance(literal, (int, float))):
+        raise TraversalError(f"{op}({path}, ...): literal is "
+                             f"{_reference_kind(literal)}, not a number")
+
+
 def reference_eval_condition(cond, data):
     """Guards by interpretation, as the library evaluated them before it
-    compiled them: every call walks the operator and its type rules."""
+    compiled them: the whole guard is checked first, as compiling checks
+    it, and then every call walks the operator and its type rules."""
+    _reference_check_guard(cond)
+    return _reference_interpret(cond, data)
+
+
+def _reference_interpret(cond, data):
     from nlgen.errors import TraversalError
 
     if cond.op == "exists":
@@ -355,11 +390,11 @@ def reference_eval_condition(cond, data):
         except TraversalError:
             return False
     if cond.op == "not":
-        return not reference_eval_condition(cond.args[0], data)
+        return not _reference_interpret(cond.args[0], data)
     if cond.op == "and":
-        return all(reference_eval_condition(a, data) for a in cond.args)
+        return all(_reference_interpret(a, data) for a in cond.args)
     if cond.op == "or":
-        return any(reference_eval_condition(a, data) for a in cond.args)
+        return any(_reference_interpret(a, data) for a in cond.args)
     value = _reference_resolve(data.records, cond.path)
     literal = _reference_base(cond.value)
     if cond.op == "eq":

@@ -215,6 +215,14 @@ class TestParse:
         ("arc a -> b when and(exists(r.x))\n",
          "line 4, column 17: and(...) needs at least two arguments"),
         ("arc a -> b when eq(r.x,\n", "line 4, column 24: expected a literal"),
+        # At the end of a line the column is just past its last token,
+        # however long, and a comment after that token changes nothing.
+        ("arc a -> b when\n", "line 4, column 16: expected 'ident'"),
+        ("arc a -> b when # gt(r.x, 1)\n",
+         "line 4, column 16: expected 'ident'"),
+        ("arc a ->\n", "line 4, column 9: expected 'ident'"),
+        ("node cc\n", "line 4, column 8: expected 'ident'"),
+        ("arc a -> b when gt(r.xyz\n", "line 4, column 25: expected ','"),
         ('arc a -> b when gt(r.x, "a")\n',
          "line 4, column 25: expected a number"),
         ("arc a -> b when eq(r.x, foo)\n",
@@ -720,6 +728,27 @@ class TestCompiledGuards:
         data = schema.DataRecordSet(records={"r": value})
         assert schema.eval_condition(guard, data) is expected
 
+    @pytest.mark.parametrize("guard, message", [
+        (schema.Condition("foo", "r", 5), "unknown condition operator 'foo'"),
+        (schema.Condition("not"), "not(...) takes exactly one guard"),
+        (schema.Condition("exists"), "exists(...) needs a path"),
+        (schema.Condition("gt", "r", "x"),
+         "gt(r, ...): literal is a string, not a number"),
+        (schema.Condition("eq", "r", [1]),
+         "eq(r, ...): literal is an array, not a boolean, string or number"),
+    ], ids=["unknown-op", "not-without-argument", "exists-without-path",
+            "gt-string", "eq-array"])
+    def test_a_guard_the_parser_could_not_build_is_refused(self, guard,
+                                                           message):
+        # Compiling checks what the parser guarantees before any path is
+        # read, so no such guard is true, or fails, by accident.
+        data = schema.DataRecordSet(records={"r": 1})
+        for evaluate in (schema.eval_condition,
+                         oracle.reference_eval_condition):
+            with pytest.raises(TraversalError,
+                               match=f"^{re.escape(message)}$"):
+                evaluate(guard, data)
+
     def test_a_subclass_mismatch_names_its_base_kind(self):
         data = schema.DataRecordSet(records={"r": _LIARS[str]("ill")})
         cond = schema.Condition(op="eq", path="r", value=1)
@@ -1071,6 +1100,24 @@ class TestInstantiate:
         # A guard reads the same value as the same base type.
         assert schema.eval_condition(
             schema.Condition(op="eq", path="r.x", value=base_value), data)
+
+    def test_a_hand_built_literal_reads_as_its_base_value(self):
+        # A str subclass is a literal, never a path of its characters.
+        class Text(str):
+            pass
+
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"s": {"a": {"m": "x"}}})
+        template = schema.MessageTemplate(subject=Text("sam"), verb="rest",
+                                          complements=(Text("s"),))
+        message = schema.instantiate_template(template, data)
+        assert type(message.subject) is str and message.subject == "sam"
+        assert message.complements == (ir.ComplementPhrase(head="s"),)
+        with pytest.raises(TraversalError,
+                           match="^literal is a number, not text$"):
+            schema.instantiate_template(
+                schema.MessageTemplate(subject=5, verb="rest"), data)
 
     @pytest.mark.parametrize("value, kind", [
         ({1, 2}, "set"), ((1, 2), "tuple"), (b"hi", "bytes"),

@@ -148,6 +148,30 @@ class TestDiscourseMarkers:
                                             prep="to"))), "plain")
         assert sentplan.insert_discourse_markers(plans)[0] is plans[0]
 
+    def test_phrase_key_tells_apart_what_the_kind_key_did(self):
+        # The key once began with ComplementPhrase.kind and wrote a
+        # missing preposition as "none"; written out here, that key and
+        # today's call the same pairs of phrases equal.
+        def kind_key(phrase):
+            ref = phrase.head.startswith("@") and phrase.head[1:]
+            return (phrase.kind, phrase.determiner or "none",
+                    tuple(sorted(p.lower() for p in phrase.premodifiers)),
+                    phrase.head if ref else phrase.head.lower(),
+                    phrase.preposition or "none")
+
+        phrases = [
+            ir.ComplementPhrase(head=head, determiner=det,
+                                premodifiers=mods, preposition=prep)
+            for head in ("@x", "X", "x")
+            for det in (None, "a", "the")
+            for mods in ((), ("big", "Red"), ("red", "big"))
+            for prep in (None, "", "none", "to")]
+        for one in phrases:
+            for other in phrases:
+                assert (kind_key(one) == kind_key(other)) == \
+                    (sentplan._normalize_phrase(one)
+                     == sentplan._normalize_phrase(other)), (one, other)
+
     def test_idempotent(self):
         once = sentplan.insert_discourse_markers(self.fixture_plans())
         twice = sentplan.insert_discourse_markers(once)
