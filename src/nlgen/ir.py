@@ -98,8 +98,8 @@ HONORIFIC_RULE = "an honorific needs a name and may not be blank"
 
 def is_verb_lemma(verb: str) -> bool:
     """A verb lemma is one lowercase alphabetic word ("have", not "Has",
-    "go.to" or "go home")."""
-    return verb.isalpha() and verb.islower()
+    "go.to", "go home" or a value that is not a str)."""
+    return isinstance(verb, str) and verb.isalpha() and verb.islower()
 
 
 def number_text(value: int | float) -> str:

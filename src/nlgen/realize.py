@@ -19,10 +19,16 @@ writes the text.  Keeping point absorption a token-level rewrite makes it
 locally testable instead of string surgery.  Beyond a sentence's first
 capital, orthography changes no word, so names such as "An Nguyen" pass
 through as written.
+
+Word tokens are interned: word() returns one shared Token per text from a
+cache bounded at WORD_CACHE_SIZE distinct words, least recently used
+dropped first, as schema.COMPLEMENT_CACHE_SIZE bounds parsed complement
+texts.  A Token is immutable, so every caller may share it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import ir
@@ -30,6 +36,7 @@ from .lexicon import Lexicon, default_lexicon, pluralize, pronoun, verb_form
 
 COMMA = ","
 PERIOD = "."
+WORD_CACHE_SIZE = 4096  # distinct words kept as shared tokens by word()
 
 
 class Token(NamedTuple):
@@ -37,6 +44,7 @@ class Token(NamedTuple):
     text: str  # word text, punctuation mark, or "sentence"/"paragraph"
 
 
+@lru_cache(maxsize=WORD_CACHE_SIZE)
 def word(text: str) -> Token:
     return Token("word", text)
 

@@ -110,6 +110,19 @@ class MessageTemplate:
     adverb: str | tuple[str, ...] | None = None
     condition_node: str | None = None
 
+    @cached_property
+    def problems(self) -> list[str]:
+        """The parser's rules this template breaks, found on first use."""
+        problems = [f"unknown {key} {value!r}" for key, domain
+                    in _DOMAIN_FIELDS.items()
+                    if (value := getattr(self, key)) not in domain]
+        ir._validate_verb(self, f"verb {self.verb!r}", problems)
+        if not all(isinstance(segment, str) and segment for path in (
+                self.subject, self.adverb, *self.complements)
+                if type(path) is tuple for segment in path):
+            problems.append("a path segment must be a non-empty string")
+        return problems
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -311,8 +324,8 @@ class _LineParser:
         raise self.error("expected a string, number, or true/false")
 
 
-# Emit fields that take one word of an ir domain.
-_DOMAIN_FIELDS = {"modal": ir.MODALS, "tense": ir.TENSES,
+# Emit fields that take one word of an ir domain, or no modal.
+_DOMAIN_FIELDS = {"modal": (None, *ir.MODALS), "tense": ir.TENSES,
                   "polarity": ir.POLARITIES}
 
 
@@ -604,12 +617,13 @@ def _mismatch(cond: Condition, value: Any) -> TraversalError:
 def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     """One closure per operator; children are compiled with their parent.
 
-    Compiling checks what the parser guarantees: a known operator, one
-    argument for not, a str path for exists/eq/gt/lt, and a literal, read
-    once as _lookup() reads values, that is a bool, str or number for eq
-    and a number (never a bool) for gt and lt.  eq takes a value of its
-    literal's kind and gt and lt a number, tested by exact type; any other
-    guard, value or a missing path is a TraversalError."""
+    Compiling checks what the parser guarantees: a known operator, guards
+    as arguments, one for not and at least one for and/or, a str path for
+    exists/eq/gt/lt, and a literal, read once as _lookup() reads values,
+    that is a bool, str or number for eq and a number (never a bool) for
+    gt and lt.  eq takes a value of its literal's kind and gt and lt a
+    number, tested by exact type; any other guard, value or a missing path
+    is a TraversalError."""
     op, path = cond.op, _lookup(cond.path, ())
     literal = _lookup(cond.value, ())
     kinds = _KINDS.get(type(literal), ()) if op == "eq" else _NUMBER
@@ -617,6 +631,10 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
         raise TraversalError(f"unknown condition operator {op!r}")
     if op == "not" and len(cond.args) != 1:
         raise TraversalError("not(...) takes exactly one guard")
+    if op in _OPERATORS[4:6] and not cond.args:
+        raise TraversalError(f"{op}(...) needs at least one guard")
+    if not all(isinstance(arg, Condition) for arg in cond.args):
+        raise TraversalError(f"{op}(...) takes only guards")
     if op in _OPERATORS[:4] and type(path) is not str:
         raise TraversalError(f"{op}(...) needs a path")
     if op in _OPERATORS[1:4] and type(literal) not in kinds:
@@ -745,6 +763,8 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
     """Fill a message template against the data records.  The subject
     and every @ complement head must name an entity of the data; a blank
     adverb is no adverb."""
+    if template.problems:
+        raise TraversalError(template.problems[0])
     subject = _resolve_expr(template.subject, data)
     if subject.startswith(ir.ENTITY_MARKER):
         subject = subject[len(ir.ENTITY_MARKER):]

@@ -31,6 +31,12 @@ intended entity.
 Paragraphs: each relation child of the plan root opens its own paragraph;
 a run of bare leaf children forms one paragraph.  Aggregation never
 crosses a paragraph break and never reorders messages.
+
+Plans share their immutable parts: within one plan_sentences() call there
+is one full-name reference per entity, one reference per entity and mode
+that pronominalize chooses, and one resolved complement per phrase and
+reference.  The memo that shares them is made per call and dropped when
+the call returns, so nothing is kept between documents.
 """
 
 from __future__ import annotations
@@ -44,31 +50,48 @@ PROFILES = ("fluent", "plain")
 AGGREGATION_CAP = 3  # max coordination units in one group
 
 
-def _resolve_unit(complements, entities) -> tuple[ir.ResolvedComplement, ...]:
+# One memo dict per planning call shares the references and complements it
+# makes, keyed by entity id (one table per call) or by id()s of objects that
+# the call's input or the memo keeps alive, so no id() is reused meanwhile.
+def _full_name(entity_id: str, entities, memo: dict) -> ir.ReferenceSpec:
+    ref = memo.get(entity_id)
+    if ref is None:
+        ref = memo[entity_id] = ir.ReferenceSpec(
+            entity=ir.lookup_entity(entities, entity_id))
+    return ref
+
+
+def _resolve_unit(complements, entities, memo: dict | None = None
+                  ) -> tuple[ir.ResolvedComplement, ...]:
+    memo = {} if memo is None else memo
     unit = []
     for phrase in complements:
-        ref_id = ir.entity_ref(phrase.head)
-        ref = None if ref_id is None else \
-            ir.ReferenceSpec(entity=ir.lookup_entity(entities, ref_id))
-        unit.append(ir.ResolvedComplement(phrase=phrase, ref=ref))
+        rc = memo.get(id(phrase))
+        if rc is None:
+            ref_id = ir.entity_ref(phrase.head)
+            rc = memo[id(phrase)] = ir.ResolvedComplement(
+                phrase=phrase, ref=None if ref_id is None
+                else _full_name(ref_id, entities, memo))
+        unit.append(rc)
     return tuple(unit)
 
 
 def _build_clause(msg: ir.Message, entities,
-                  group: Sequence[ir.Message] = ()) -> ir.ClauseSpec:
+                  group: Sequence[ir.Message] = (),
+                  memo: dict | None = None) -> ir.ClauseSpec:
     """Clause for ``msg``, with one coordination unit per message of
     ``group`` (default: ``msg`` alone)."""
+    memo = {} if memo is None else memo
     condition = None
     if msg.condition is not None:
-        condition = _build_clause(msg.condition, entities)
+        condition = _build_clause(msg.condition, entities, (), memo)
     return ir.ClauseSpec(
-        subject_ref=ir.ReferenceSpec(
-            entity=ir.lookup_entity(entities, msg.subject)),
+        subject_ref=_full_name(msg.subject, entities, memo),
         verb=msg.verb,
         tense=msg.tense,
         modal=msg.modal,
         polarity=msg.polarity,
-        complements=tuple(_resolve_unit(m.complements, entities)
+        complements=tuple(_resolve_unit(m.complements, entities, memo)
                           for m in group or (msg,)),
         discourse_markers=(msg.adverb,) if msg.adverb else (),
         condition=condition,
@@ -89,8 +112,8 @@ def _joins(group: list[ir.Message], msg: ir.Message) -> bool:
                              first.modal, first.polarity, first.adverb)
 
 
-def aggregate(messages: list[ir.Message],
-              entities: dict[str, ir.Entity]) -> list[ir.ClauseSpec]:
+def aggregate(messages: list[ir.Message], entities: dict[str, ir.Entity],
+              memo: dict | None = None) -> list[ir.ClauseSpec]:
     """Merge adjacent messages sharing subject, verb, tense, modal, and
     polarity into one coordinated clause, greedily left to right, at most
     AGGREGATION_CAP units per group.  Condition-bearing messages and messages
@@ -101,7 +124,7 @@ def aggregate(messages: list[ir.Message],
             groups[-1].append(msg)
         else:
             groups.append([msg])
-    return [_build_clause(group[0], entities, group) for group in groups]
+    return [_build_clause(g[0], entities, g, memo) for g in groups]
 
 
 def _with_clauses(sp: ir.SentencePlan,
@@ -169,7 +192,8 @@ def _only_meaning(ent: ir.Entity, window: list[ir.Entity]) -> bool:
 
 
 def pronominalize(plans: list[ir.SentencePlan],
-                  entities: dict[str, ir.Entity]) -> list[ir.SentencePlan]:
+                  entities: dict[str, ir.Entity],
+                  memo: dict | None = None) -> list[ir.SentencePlan]:
     """Rewrite reference modes using a one-sentence recency window.
 
     A third-person mention becomes a pronoun when its entity was already
@@ -181,6 +205,7 @@ def pronominalize(plans: list[ir.SentencePlan],
     never pronominalized.  A sentence whose reference modes all stay as
     they are is returned as given.
     """
+    memo = {} if memo is None else memo
     prev_sentence: list[ir.Entity] = []
     current: list[ir.Entity] = []
 
@@ -198,7 +223,10 @@ def pronominalize(plans: list[ir.SentencePlan],
         current.append(ent)
         if mode == ref.mode:
             return ref
-        return ir.ReferenceSpec(entity=ref.entity, mode=mode)
+        key = (id(ref.entity), mode)
+        if key not in memo:
+            memo[key] = ir.ReferenceSpec(ref.entity, mode)
+        return memo[key]
 
     def rewrite(clause: ir.ClauseSpec) -> ir.ClauseSpec:
         # Surface order: the condition clause, the subject, the complements.
@@ -215,7 +243,10 @@ def pronominalize(plans: list[ir.SentencePlan],
                 if rc.ref is not None:
                     ref = refer(rc.ref, clause.subject_ref.entity.id)
                     if ref is not rc.ref:
-                        rc = ir.ResolvedComplement(phrase=rc.phrase, ref=ref)
+                        key = (id(rc.phrase), id(ref))
+                        if key not in memo:
+                            memo[key] = ir.ResolvedComplement(rc.phrase, ref)
+                        rc = memo[key]
                         changed = True
                 new_unit.append(rc)
             units.append(tuple(new_unit))
@@ -267,11 +298,13 @@ def plan_sentences(plan: ir.DocumentPlan,
         raise ValueError(f"unknown profile {profile!r}; "
                          f"expected one of {PROFILES}")
     sentences: list[ir.SentencePlan] = []
+    memo: dict = {}
     for pi, messages in enumerate(_paragraph_leaf_groups(plan)):
         if profile == "plain":
-            clauses = [_build_clause(m, plan.entities) for m in messages]
+            clauses = [_build_clause(m, plan.entities, (), memo)
+                       for m in messages]
         else:
-            clauses = aggregate(messages, plan.entities)
+            clauses = aggregate(messages, plan.entities, memo)
         for ci, clause in enumerate(clauses):
             sentences.append(ir.SentencePlan(
                 clauses=(clause,),
@@ -279,5 +312,5 @@ def plan_sentences(plan: ir.DocumentPlan,
             ))
     if profile == "fluent":
         sentences = insert_discourse_markers(sentences)
-        sentences = pronominalize(sentences, plan.entities)
+        sentences = pronominalize(sentences, plan.entities, memo)
     return sentences

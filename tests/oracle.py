@@ -348,12 +348,17 @@ def _reference_check_guard(cond):
     built; the first fault found, the guard before its arguments, names
     the rule it breaks."""
     from nlgen.errors import TraversalError
+    from nlgen.schema import Condition
 
     op = cond.op
     if op not in ("exists", "eq", "gt", "lt", "and", "or", "not"):
         raise TraversalError(f"unknown condition operator {op!r}")
     if op == "not" and len(cond.args) != 1:
         raise TraversalError("not(...) takes exactly one guard")
+    if op in ("and", "or") and not cond.args:
+        raise TraversalError(f"{op}(...) needs at least one guard")
+    if not all(isinstance(arg, Condition) for arg in cond.args):
+        raise TraversalError(f"{op}(...) takes only guards")
     if op in ("and", "or", "not"):
         for arg in cond.args:
             _reference_check_guard(arg)

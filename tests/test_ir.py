@@ -177,7 +177,7 @@ class TestValidate:
 
     def test_verb_lemma_is_one_lowercase_word(self):
         assert ir.is_verb_lemma("have")
-        for bad in ("", "Has", "go.to", "go home", "9", "re-check"):
+        for bad in ("", "Has", "go.to", "go home", "9", "re-check", 5, None):
             assert not ir.is_verb_lemma(bad), bad
             msg = ir.Message(subject="sam", verb=bad)
             plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlgen
-from nlgen import ir, realize
+from nlgen import ir, realize, schema
 from nlgen.lexicon import default_lexicon
 from nlgen.realize import boundary, punct, word
 
@@ -260,6 +260,51 @@ class TestRealizeDocument:
 
     def test_empty_document(self):
         assert realize.realize_document([]) == ""
+
+
+class TestSharedValues:
+    """Each distinct word is one token, shared by every caller; what a
+    planning call shares lives only as long as the call."""
+
+    def test_a_word_is_one_token(self):
+        assert realize.word("x") is realize.word("x")
+        assert realize.word("x") == realize.Token("word", "x")
+
+    def test_goldens_with_cold_and_warm_caches(self, corpus):
+        def staged(doc, profile):
+            plan = ir.document_plan_from_json(ir.document_plan_to_json(
+                schema.traverse(doc.schema, doc.data)))
+            plans = ir.sentence_plans_from_json(ir.sentence_plans_to_json(
+                nlgen.plan_sentences(plan, profile)))
+            return realize.realize_document(plans)
+
+        for doc in corpus:
+            for profile in ("fluent", "plain"):
+                realize.word.cache_clear()
+                schema._parse_complement_text.cache_clear()
+                golden = doc.golden(profile).removesuffix("\n")
+                for _ in range(2):  # cold caches, then warm ones
+                    assert nlgen.generate_text(doc.schema, doc.data,
+                                               profile) == golden
+                    assert staged(doc, profile) == golden
+
+    def test_documents_back_to_back_reuse_an_entity_id(self):
+        # Each document's entities are new objects, and may reuse the
+        # memory, and so the id(), of the last document's.
+        parsed = nlgen.parse_schema(
+            'schema s\nnode a emit subject="p" verb=rest\n'
+            'node b emit subject="p" verb=see complement="@q"\n'
+            'node c emit subject="q" verb=see complement="@p"\n'
+            'arc a -> b\narc b -> c\n')
+        for name, gender, he, him in [("Sam", "masculine", "He", "him"),
+                                      ("Ann", "feminine", "She", "her")] * 3:
+            data = nlgen.load_data(json.dumps({"entities": {
+                "p": {"name": name, "gender": gender},
+                "q": {"head": "dog"}}, "records": {}}))
+            assert nlgen.generate_text(parsed, data) == \
+                f"{name} rests. {he} sees the dog. It sees {him}."
+            assert nlgen.generate_text(parsed, data, "plain") == \
+                f"{name} rests. {name} sees the dog. The dog sees {name}."
 
 
 class TestOrthography:

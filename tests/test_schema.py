@@ -736,8 +736,17 @@ class TestCompiledGuards:
          "gt(r, ...): literal is a string, not a number"),
         (schema.Condition("eq", "r", [1]),
          "eq(r, ...): literal is an array, not a boolean, string or number"),
+        (schema.Condition("not", args=("x",)), "not(...) takes only guards"),
+        (schema.Condition("or", args=(_comparison("gt", 0), None)),
+         "or(...) takes only guards"),
+        (schema.Condition("and"), "and(...) needs at least one guard"),
+        (schema.Condition("or"), "or(...) needs at least one guard"),
+        (schema.Condition("not", args=(schema.Condition("and"),)),
+         "and(...) needs at least one guard"),
     ], ids=["unknown-op", "not-without-argument", "exists-without-path",
-            "gt-string", "eq-array"])
+            "gt-string", "eq-array", "not-of-a-string", "or-of-none",
+            "and-without-arguments", "or-without-arguments",
+            "nested-and-without-arguments"])
     def test_a_guard_the_parser_could_not_build_is_refused(self, guard,
                                                            message):
         # Compiling checks what the parser guarantees before any path is
@@ -748,6 +757,14 @@ class TestCompiledGuards:
             with pytest.raises(TraversalError,
                                match=f"^{re.escape(message)}$"):
                 evaluate(guard, data)
+
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_one_argument_and_or_is_that_guard(self, op):
+        data = schema.DataRecordSet(records={"r": 1})
+        for literal, expected in ((0, True), (5, False)):
+            guard = schema.Condition(op, args=(_comparison("gt", literal),))
+            assert schema.eval_condition(guard, data) is expected
+            assert oracle.reference_eval_condition(guard, data) is expected
 
     def test_a_subclass_mismatch_names_its_base_kind(self):
         data = schema.DataRecordSet(records={"r": _LIARS[str]("ill")})
@@ -1069,6 +1086,41 @@ class TestInstantiate:
         with pytest.raises(TraversalError,
                            match="^missing data path: patient.missing$"):
             schema.instantiate_template(template, data)
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"verb": "Rest"},
+         "verb 'Rest': verb lemma must be one lowercase alphabetic word"),
+        ({"verb": "go home"},
+         "verb 'go home': verb lemma must be one lowercase alphabetic word"),
+        ({"verb": 5},
+         "verb 5: verb lemma must be one lowercase alphabetic word"),
+        ({"modal": "maybe"}, "unknown modal 'maybe'"),
+        ({"modal": "can", "tense": "past"},
+         f"verb 'rest': {ir.MODAL_TENSE_RULE}"),
+        ({"polarity": "sideways"}, "unknown polarity 'sideways'"),
+        ({"tense": "later"}, "unknown tense 'later'"),
+        ({"subject": ("q", 1)}, "a path segment must be a non-empty string"),
+        ({"complements": (("r", ""),)},
+         "a path segment must be a non-empty string"),
+    ], ids=["capital-verb", "two-word-verb", "int-verb", "unknown-modal",
+            "modal-past", "unknown-polarity", "unknown-tense", "int-segment",
+            "empty-segment"])
+    def test_a_template_built_by_hand_is_checked(self, fields, problem):
+        # The parser refuses each of these; a template built by hand
+        # is checked once, on first use, by the same rules.
+        template = schema.MessageTemplate(**{"subject": "sam", "verb": "rest",
+                                             **fields})
+        one_node = schema.SchemaDef(name="s", entry="a",
+                                    nodes={"a": template}, arcs={})
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": 1})
+        for _ in range(2):  # the second use reads the cached check
+            with pytest.raises(TraversalError, match=re.escape(
+                    f"node 'a': template instantiation failed: {problem}")):
+                nlgen.generate_text(one_node, data)
+        assert schema.MessageTemplate(subject="sam", verb="rest",
+                                      modal="can").problems == []
 
     def test_complement_text_parsing(self):
         parse = schema._parse_complement_text

@@ -435,6 +435,40 @@ def with_merge_runs(plan, rng):
     return dataclasses.replace(plan, root=rewrite(plan.root))
 
 
+class TestSharedReferences:
+    """One plan_sentences() call makes each reference and resolved
+    complement once."""
+
+    def test_one_reference_per_entity_and_mode(self):
+        at_sam = np(head="@sam", prep="with")
+        plan = plan_of(message("sam", "rest"), message("sam", "sleep"),
+                       message("mrs_black", "eat", at_sam),
+                       message("mrs_black", "sit", at_sam))
+        fluent = sentplan.plan_sentences(plan, "fluent")
+        assert render(fluent) == "Sam rests. He sleeps. Mrs. Black eats " \
+            "with him. She sits with him."
+        he = fluent[1].clauses[0].subject_ref
+        first, second = (sp.clauses[0].complements[0][0]
+                         for sp in fluent[2:])
+        assert he.mode == "pronoun" and first.ref is he
+        assert first is second
+        plain = sentplan.plan_sentences(plan, "plain")
+        sam = plain[0].clauses[0].subject_ref
+        assert sam.mode == "full-name" and plain[1].clauses[0].subject_ref \
+            is sam
+        first, second = (sp.clauses[0].complements[0][0]
+                         for sp in plain[2:])
+        assert first is second and first.ref is sam
+
+    def test_each_call_makes_its_own(self):
+        plan = plan_of(message("sam", "rest"))
+        first, second = (sentplan.plan_sentences(plan, "plain")
+                         for _ in range(2))
+        assert first == second
+        assert first[0].clauses[0].subject_ref is not \
+            second[0].clauses[0].subject_ref
+
+
 class TestReferencePasses:
     """The passes against the copy-and-replace references in oracle.py."""
 
