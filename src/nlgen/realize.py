@@ -20,10 +20,8 @@ locally testable instead of string surgery.  Beyond a sentence's first
 capital, orthography changes no word, so names such as "An Nguyen" pass
 through as written.
 
-Word tokens are interned: word() returns one shared Token per text from a
-cache bounded at WORD_CACHE_SIZE distinct words, least recently used
-dropped first, as schema.COMPLEMENT_CACHE_SIZE bounds parsed complement
-texts.  A Token is immutable, so every caller may share it.
+word() interns its immutable Tokens: one per text, for up to WORD_CACHE_SIZE
+distinct words, the least recently used dropped first.
 """
 
 from __future__ import annotations

@@ -113,9 +113,8 @@ class MessageTemplate:
     @cached_property
     def problems(self) -> list[str]:
         """The parser's rules this template breaks, found on first use."""
-        problems = [f"unknown {key} {value!r}" for key, domain
-                    in _DOMAIN_FIELDS.items()
-                    if (value := getattr(self, key)) not in domain]
+        problems = [f"unknown {k} {v!r}" for k, d in _DOMAIN_FIELDS.items()
+                    if (v := getattr(self, k)) not in d]
         ir._validate_verb(self, f"verb {self.verb!r}", problems)
         if not all(isinstance(segment, str) and segment for path in (
                 self.subject, self.adverb, *self.complements)
@@ -618,12 +617,11 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
     """One closure per operator; children are compiled with their parent.
 
     Compiling checks what the parser guarantees: a known operator, guards
-    as arguments, one for not and at least one for and/or, a str path for
-    exists/eq/gt/lt, and a literal, read once as _lookup() reads values,
-    that is a bool, str or number for eq and a number (never a bool) for
-    gt and lt.  eq takes a value of its literal's kind and gt and lt a
-    number, tested by exact type; any other guard, value or a missing path
-    is a TraversalError."""
+    as arguments, one for not and some for and/or, a str path for
+    exists/eq/gt/lt, and a literal, read as _lookup() reads values, that
+    is a bool, str or number for eq and a number (never a bool) for gt and
+    lt.  eq takes a value of its literal's kind and gt and lt a number, by
+    exact type; any other guard, value or missing path is a TraversalError."""
     op, path = cond.op, _lookup(cond.path, ())
     literal = _lookup(cond.value, ())
     kinds = _KINDS.get(type(literal), ()) if op == "eq" else _NUMBER

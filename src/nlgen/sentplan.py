@@ -32,11 +32,8 @@ Paragraphs: each relation child of the plan root opens its own paragraph;
 a run of bare leaf children forms one paragraph.  Aggregation never
 crosses a paragraph break and never reorders messages.
 
-Plans share their immutable parts: within one plan_sentences() call there
-is one full-name reference per entity, one reference per entity and mode
-that pronominalize chooses, and one resolved complement per phrase and
-reference.  The memo that shares them is made per call and dropped when
-the call returns, so nothing is kept between documents.
+One plan_sentences() call makes each reference and resolved complement
+once and shares it; the memos that share them live only for the call.
 """
 
 from __future__ import annotations
@@ -50,12 +47,10 @@ PROFILES = ("fluent", "plain")
 AGGREGATION_CAP = 3  # max coordination units in one group
 
 
-# One memo dict per planning call shares the references and complements it
-# makes, keyed by entity id (one table per call) or by id()s of objects that
-# the call's input or the memo keeps alive, so no id() is reused meanwhile.
+# Each call's memo is keyed by entity ids or by id()s of objects that the
+# call's input or the memo keeps alive, so no id() is reused while it lives.
 def _full_name(entity_id: str, entities, memo: dict) -> ir.ReferenceSpec:
-    ref = memo.get(entity_id)
-    if ref is None:
+    if (ref := memo.get(entity_id)) is None:
         ref = memo[entity_id] = ir.ReferenceSpec(
             entity=ir.lookup_entity(entities, entity_id))
     return ref
@@ -66,8 +61,7 @@ def _resolve_unit(complements, entities, memo: dict | None = None
     memo = {} if memo is None else memo
     unit = []
     for phrase in complements:
-        rc = memo.get(id(phrase))
-        if rc is None:
+        if (rc := memo.get(id(phrase))) is None:
             ref_id = ir.entity_ref(phrase.head)
             rc = memo[id(phrase)] = ir.ResolvedComplement(
                 phrase=phrase, ref=None if ref_id is None
@@ -192,8 +186,7 @@ def _only_meaning(ent: ir.Entity, window: list[ir.Entity]) -> bool:
 
 
 def pronominalize(plans: list[ir.SentencePlan],
-                  entities: dict[str, ir.Entity],
-                  memo: dict | None = None) -> list[ir.SentencePlan]:
+                  entities: dict[str, ir.Entity]) -> list[ir.SentencePlan]:
     """Rewrite reference modes using a one-sentence recency window.
 
     A third-person mention becomes a pronoun when its entity was already
@@ -205,7 +198,7 @@ def pronominalize(plans: list[ir.SentencePlan],
     never pronominalized.  A sentence whose reference modes all stay as
     they are is returned as given.
     """
-    memo = {} if memo is None else memo
+    memo: dict = {}  # keyed as the note above _full_name says
     prev_sentence: list[ir.Entity] = []
     current: list[ir.Entity] = []
 
@@ -223,8 +216,7 @@ def pronominalize(plans: list[ir.SentencePlan],
         current.append(ent)
         if mode == ref.mode:
             return ref
-        key = (id(ref.entity), mode)
-        if key not in memo:
+        if (key := (id(ref.entity), mode)) not in memo:
             memo[key] = ir.ReferenceSpec(ref.entity, mode)
         return memo[key]
 
@@ -243,8 +235,7 @@ def pronominalize(plans: list[ir.SentencePlan],
                 if rc.ref is not None:
                     ref = refer(rc.ref, clause.subject_ref.entity.id)
                     if ref is not rc.ref:
-                        key = (id(rc.phrase), id(ref))
-                        if key not in memo:
+                        if (key := (id(rc.phrase), id(ref))) not in memo:
                             memo[key] = ir.ResolvedComplement(rc.phrase, ref)
                         rc = memo[key]
                         changed = True
@@ -312,5 +303,5 @@ def plan_sentences(plan: ir.DocumentPlan,
             ))
     if profile == "fluent":
         sentences = insert_discourse_markers(sentences)
-        sentences = pronominalize(sentences, plan.entities, memo)
+        sentences = pronominalize(sentences, plan.entities)
     return sentences
