@@ -19,6 +19,7 @@ import contextvars
 import dataclasses
 import functools
 import json
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field
@@ -58,8 +59,8 @@ ENTITY_MARKER = "@"
 # How deep a document plan's relation nodes may nest below its root.
 # traverse counts one level per `call` and per non-sequence arc and stops
 # past it, and validate() refuses a deeper decoded plan, so every stage
-# walks trees that fit the interpreter's stack: to_json spends about
-# three interpreter frames per plan level and overflows near 330 levels.
+# walks trees that fit the interpreter's stack: the encoder spends two
+# interpreter frames per plan level and overflows near 495 levels.
 MAX_NESTING = 100
 # The problem named for plan JSON too deep for the decoders to walk (a
 # few hundred levels, by Python version); no valid file comes near it.
@@ -460,10 +461,13 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
 # their names, those of its fields that differ from their defaults; a
 # tuple is a list, a dict is an object; a reference names its entity by
 # id, as a sentence-plans file holds each entity once, in its own table.
-# Output is compact with sorted keys.  The decoder is built once per type
-# from the type hints.  It fills absent fields from the same defaults and
-# rejects unknown and missing fields, wrong JSON types and values outside
-# a Literal domain, naming the path.
+# Output is compact with sorted keys, escaped as by json.dumps without
+# ensure_ascii.  Encoder and decoder are built once per type from the type
+# hints.  One encoding writes each value sentence planning shares (_SHARED)
+# once: a phrase is known by its words, as decoding makes one object per
+# use, and the others by id.  The decoder fills absent fields from the
+# same defaults and rejects unknown and missing fields, wrong JSON types
+# and values outside a Literal domain, naming the path.
 
 
 @dataclass(frozen=True)
@@ -476,32 +480,85 @@ class _SentencesFile:
 
 
 @functools.cache
-def _defaults(cls) -> tuple:
-    """(name, value) for each field of dataclass ``cls`` with a default;
-    pairs, not a dict, as the encoder walks them fastest."""
-    return tuple((f.name, f.default_factory() if f.default is MISSING
-                  else f.default) for f in dataclasses.fields(cls)
-                 if f.default is not MISSING
-                 or f.default_factory is not MISSING)
+def _defaults(cls) -> dict:
+    """Each defaulted field of dataclass ``cls``: its default, by name
+    (one shared dict)."""
+    return {f.name: f.default_factory() if f.default is MISSING
+            else f.default for f in dataclasses.fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING}
 
 
-def _encode(value):
-    # json.dumps calls this for every object it cannot encode natively.
-    # No plan dataclass has slots, so vars() holds exactly its fields; for
-    # any other value vars() or _defaults raises the TypeError it expects.
-    obj = vars(value).copy()
-    for name, default in _defaults(type(value)):
-        if obj[name] == default:
-            del obj[name]
-    if type(value) is ReferenceSpec:
-        obj["entity"] = value.entity.id
-    return obj
+_SHARED = (ComplementPhrase, ReferenceSpec, ResolvedComplement)
+_quote = json.encoder.encode_basestring
+_encoders: dict = {}
 
 
-def to_json(value) -> str:
-    """Canonical JSON text for a plan value (the one encoder)."""
-    return json.dumps(value, default=_encode, sort_keys=True,
-                      ensure_ascii=False, separators=(",", ":")) + "\n"
+def _encoder(tp):
+    """(value, memo of shared values' text) to JSON text, per type."""
+    return _encoders.get(tp) or _build_encoder(tp)
+
+
+def _build_encoder(tp):
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_encoder(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal or tp is str:
+        def encode(value, memo):
+            return _quote(value)
+    elif type(None) in args:  # the dataclass encoder writes None
+        (encode,) = [_encoder(a) for a in args if a is not type(None)]
+    elif origin is tuple:
+        item = _encoder(args[0])
+
+        def encode(value, memo):
+            text = ""
+            for v in value:
+                text += "," + item(v, memo)
+            return "[" + text[1:] + "]"
+    elif origin is dict:
+        item = _encoder(args[1])
+
+        def encode(value, memo):
+            return "{" + ",".join([_quote(k) + ":" + item(value[k], memo)
+                                   for k in sorted(value)]) + "}"
+    else:  # bool, the one other field type
+        def encode(value, memo):
+            return json.dumps(value)
+    _encoders[tp] = encode
+    return encode
+
+
+def _dataclass_encoder(cls):
+    # (name, ',"name":', default or an object no value equals, encoder)
+    # per field in key order, filled after registering for recursive types.
+    items: list = []
+
+    def encode(value, memo):
+        fields = value.__dict__  # plan types have no slots (see decoder)
+        text = ""
+        for name, key, default, item in items:
+            if (v := fields[name]) != default:
+                text += key + ("null" if v is None else item(v, memo))
+        return "{" + text[1:] + "}"
+
+    if cls in _SHARED:
+        key = id if cls is not ComplementPhrase else operator.attrgetter(
+            *[f.name for f in dataclasses.fields(cls)])
+        write = encode
+
+        def encode(value, memo):
+            k = key(value)
+            return memo.get(k) or memo.setdefault(k, write(value, memo))
+
+    _encoders[cls] = encode
+    hints, defaults = get_type_hints(cls), _defaults(cls)
+    for name in sorted(f.name for f in dataclasses.fields(cls)):
+        item = _encoder(hints[name])
+        if cls is ReferenceSpec and name == "entity":  # written as its id
+            item = lambda entity, memo: _quote(entity.id)
+        items.append((name, "," + _quote(name) + ":",
+                      defaults.get(name, object()), item))
+    return encode
 
 
 class _Invalid(Exception):
@@ -537,10 +594,7 @@ _decoders: dict = {}
 
 def _decoder(tp):
     """The converter from JSON values to ``tp``, built once per type."""
-    decode = _decoders.get(tp)
-    if decode is None:
-        decode = _build_decoder(tp)
-    return decode
+    return _decoders.get(tp) or _build_decoder(tp)
 
 
 def _build_decoder(tp):
@@ -606,7 +660,7 @@ def _dataclass_decoder(cls):
     items: dict = {}  # filled after registering, so recursive types resolve
     factories = {f.name: f.default_factory for f in dataclasses.fields(cls)
                  if f.default_factory is not MISSING}
-    defaults = {name: default for name, default in _defaults(cls)
+    defaults = {name: default for name, default in _defaults(cls).items()
                 if name not in factories}
     new = object.__new__
 
@@ -698,7 +752,7 @@ def _check(problems: list[str]) -> None:
 
 
 def document_plan_to_json(plan: DocumentPlan) -> str:
-    return to_json(plan)
+    return _encoder(DocumentPlan)(plan, {}) + "\n"
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
@@ -730,7 +784,8 @@ def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
         if known is not ref.entity and known != ref.entity:
             raise DataError(f"entity {known.id!r} is referenced with two "
                             f"different feature sets")
-    return to_json({"entities": entities, "sentences": plans})
+    return (f'{{"entities":{_encoder(dict[str, Entity])(entities, {})},'
+            f'"sentences":{_encoder(tuple[SentencePlan, ...])(plans, {})}}}\n')
 
 
 def sentence_plans_from_json(text: str) -> list[SentencePlan]:

@@ -116,7 +116,9 @@ class MessageTemplate:
         problems = [f"unknown {k} {v!r}" for k, d in _DOMAIN_FIELDS.items()
                     if (v := getattr(self, k)) not in d]
         ir._validate_verb(self, f"verb {self.verb!r}", problems)
-        if not all(isinstance(segment, str) and segment for path in (
+        if type(self.complements) is not tuple:
+            problems.append("complements must be a tuple")
+        elif not all(isinstance(segment, str) and segment for path in (
                 self.subject, self.adverb, *self.complements)
                 if type(path) is tuple for segment in path):
             problems.append("a path segment must be a non-empty string")
@@ -796,8 +798,10 @@ def _instantiate_node(schema: SchemaDef, node_id: str,
     try:
         if template.condition_node:
             where += f", condition node {template.condition_node!r}"
-            condition = instantiate_template(
-                schema.nodes[template.condition_node], data)
+            node = schema.nodes.get(template.condition_node)
+            if not isinstance(node, MessageTemplate) or node.condition_node:
+                raise TraversalError("not an emit node with no condition")
+            condition = instantiate_template(node, data)
             where = f"node {node_id!r}"
         return instantiate_template(template, data, condition)
     except TraversalError as exc:

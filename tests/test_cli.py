@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nlgen import cli, ir, plan_sentences, schema, sentplan, traverse
 
 import oracle
-from conftest import fake_stdin, run_cli
+from conftest import GOLDEN_DIR, fake_stdin, run_cli
 
 
 def get(corpus, name):
@@ -303,6 +303,21 @@ class TestOneExit:
 
 
 class TestPlan:
+    def test_stage_files_byte_exact(self, corpus):
+        """Each demo document's plan file, and its sentence-plans file
+        under each profile, byte for byte against tests/golden."""
+        for doc in corpus:
+            plan_file = GOLDEN_DIR / f"{doc.name}.plan.json"
+            assert run_cli(["plan", "--schema", str(doc.schema_path),
+                            "--data", str(doc.data_path)]) == \
+                (0, plan_file.read_text(encoding="utf-8"), ""), doc.name
+            for profile in sentplan.PROFILES:
+                golden = GOLDEN_DIR / f"{doc.name}.{profile}.sentences.json"
+                assert run_cli(["sentplan", "--plan", str(plan_file),
+                                "--profile", profile]) == \
+                    (0, golden.read_text(encoding="utf-8"), ""), \
+                    (doc.name, profile)
+
     def test_plan_is_validate_clean(self, corpus):
         doc = get(corpus, "patient_report")
         code, out, err = run_cli([

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import json
 import re
 from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlgen import ir, plan_sentences, schema
 from nlgen.errors import DataError
@@ -149,7 +152,8 @@ class TestValidate:
                  "prepositional-phrase"),
                 (ir.ComplementPhrase(head="@sam"), "entity-reference")):
             assert shape.kind == kind
-        assert "kind" not in json.loads(ir.to_json(phrase(head="store")))
+        assert "kind" not in json.loads(
+            ir._encoder(ir.ComplementPhrase)(phrase(head="store"), {}))
 
     def test_entity_reference_rejects_premodifiers(self):
         bad = ir.ComplementPhrase(head="@sam", premodifiers=("tall",))
@@ -489,6 +493,12 @@ def _reference_encoding(plan) -> str:
     return _text(_plain(plan, every_field=False))
 
 
+# Characters json.dumps escapes or writes raw: a quote, a backslash, every
+# control character, U+2028, non-ASCII text and an astral character.
+_AWKWARD = ['"', "\\", *map(chr, range(32)), "\u2028", "é", "\U0001F600"]
+_EVERY_AWKWARD = "".join(_AWKWARD)
+
+
 class TestCodecProperties:
     @staticmethod
     def _sentence_plans(rng):
@@ -537,6 +547,77 @@ class TestCodecProperties:
         for plans in self._sentence_plans(rng):
             assert ir.sentence_plans_to_json(plans) == \
                 _reference_encoding(_sentences_file(plans))
+
+    @settings(max_examples=50, deadline=None)
+    @given(words=st.lists(st.text(st.sampled_from([*_AWKWARD, "a", " "]),
+                                  max_size=6), min_size=6, max_size=6))
+    @example(words=[_EVERY_AWKWARD] * 6)
+    def test_text_is_escaped_as_json_dumps_escapes_it(self, words):
+        eid, name, head, premodifier, preposition, adverb = words
+        entity = ir.Entity(id=eid, name=name, honorific=premodifier)
+        word = ir.ComplementPhrase(head=head, premodifiers=(premodifier,),
+                                   preposition=preposition)
+        message = ir.Message(subject=eid, verb="rest", complements=(word,),
+                             adverb=adverb)
+        plan = ir.DocumentPlan(
+            root=seq(leaf(message), leaf(message)),
+            entities={eid: entity, name: ir.Entity(id=name, head=head)})
+        assert ir.document_plan_to_json(plan) == _reference_encoding(plan)
+        ref = ir.ReferenceSpec(entity=entity)
+        clause = ir.ClauseSpec(
+            subject_ref=ref, verb="rest", discourse_markers=(adverb,),
+            complements=((ir.ResolvedComplement(phrase=word),
+                          ir.ResolvedComplement(phrase=phrase(head="@" + eid),
+                                                ref=ref)),))
+        plans = [ir.SentencePlan(clauses=(clause, clause))]
+        assert ir.sentence_plans_to_json(plans) == \
+            _reference_encoding(_sentences_file(plans))
+
+    def test_a_shared_value_is_written_as_its_copies_are(self):
+        for mode in get_args(ir.ReferenceMode):
+            ref = ir.ReferenceSpec(entity=SAM, mode=mode)
+            complement = ir.ResolvedComplement(
+                phrase=phrase(head="@sam", prep="with"),
+                ref=ir.ReferenceSpec(entity=SAM))
+
+            def plans(make):
+                return [ir.SentencePlan(clauses=tuple(
+                    ir.ClauseSpec(subject_ref=make(ref), verb="see",
+                                  complements=((make(complement),),
+                                               (make(complement),)))
+                    for _ in range(5)))]
+
+            shared, copies = plans(lambda value: value), plans(copy.deepcopy)
+            first, second = copies[0].clauses[:2]
+            assert first.subject_ref is not second.subject_ref
+            assert first.complements[0][0] is not second.complements[0][0]
+            text = ir.sentence_plans_to_json(shared)
+            assert shared == copies
+            assert text == ir.sentence_plans_to_json(copies) == \
+                _reference_encoding(_sentences_file(copies))
+            assert ir.sentence_plans_from_json(text) == shared
+            written = _reference_encoding(ref).removesuffix("\n")
+            assert text.count(f'"subject_ref":{written}') == 5
+        word = phrase("high", head="pressure")
+        words = [word] * 3 + [copy.deepcopy(word) for _ in range(3)]
+        plan = ir.DocumentPlan(
+            root=seq(*[leaf(ir.Message(subject="sam", verb="have",
+                                       complements=(w,))) for w in words]),
+            entities={"sam": SAM})
+        assert ir.document_plan_to_json(plan) == _reference_encoding(plan)
+
+    def test_a_plan_at_the_nesting_bound_is_encoded(self):
+        # The deepest plan validate() accepts, built by hand: relation
+        # nodes down to level MAX_NESTING, then a leaf.
+        node = leaf(ir.Message(subject="sam", verb="rest"))
+        for _ in range(ir.MAX_NESTING + 1):
+            node = seq(node, label="elaboration")
+        plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
+        assert ir.validate(plan) == []
+        assert ir.validate(dataclasses.replace(plan, root=seq(node))) != []
+        text = ir.document_plan_to_json(plan)
+        assert text == _reference_encoding(plan)
+        assert ir.document_plan_from_json(text) == plan
 
     def test_files_with_every_field_still_read(self, rng):
         # Files written before defaults were left out spell every field

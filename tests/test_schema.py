@@ -1102,9 +1102,11 @@ class TestInstantiate:
         ({"subject": ("q", 1)}, "a path segment must be a non-empty string"),
         ({"complements": (("r", ""),)},
          "a path segment must be a non-empty string"),
+        ({"complements": "ab"}, "complements must be a tuple"),
+        ({"complements": 5}, "complements must be a tuple"),
     ], ids=["capital-verb", "two-word-verb", "int-verb", "unknown-modal",
             "modal-past", "unknown-polarity", "unknown-tense", "int-segment",
-            "empty-segment"])
+            "empty-segment", "str-complements", "int-complements"])
     def test_a_template_built_by_hand_is_checked(self, fields, problem):
         # The parser refuses each of these; a template built by hand
         # is checked once, on first use, by the same rules.
@@ -1121,6 +1123,24 @@ class TestInstantiate:
                 nlgen.generate_text(one_node, data)
         assert schema.MessageTemplate(subject="sam", verb="rest",
                                       modal="can").problems == []
+
+    @pytest.mark.parametrize("nodes", [
+        {}, {"zz": None}, {"zz": "s"},
+        {"zz": schema.MessageTemplate(subject="sam", verb="rest",
+                                      condition_node="a")},
+    ], ids=["missing", "end-node", "call-node", "conditional-node"])
+    def test_a_hand_built_condition_node_is_checked(self, nodes):
+        # The parser refuses each of these schemas.
+        template = schema.MessageTemplate(subject="sam", verb="see",
+                                          condition_node="zz")
+        one_node = schema.SchemaDef(name="s", entry="a", arcs={},
+                                    nodes={"a": template, **nodes})
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")})
+        with pytest.raises(TraversalError, match=re.escape(
+                "node 'a', condition node 'zz': template instantiation "
+                "failed: not an emit node with no condition")):
+            nlgen.generate_text(one_node, data)
 
     def test_complement_text_parsing(self):
         parse = schema._parse_complement_text
