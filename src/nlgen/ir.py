@@ -294,9 +294,15 @@ def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
 
 def _validate_entities(entities: dict[str, Entity]) -> list[str]:
     """The entity-table rules, shared by both plan files and traverse()."""
+    if not isinstance(entities, dict):
+        return [f"entities: expected a dict, got {json_kind(entities)}"]
     problems: list[str] = []
     for eid, ent in entities.items():
         where = f"entities[{eid}]"
+        if not isinstance(ent, Entity):
+            problems.append(f"{where}: expected an Entity, got "
+                            f"{json_kind(ent)}")
+            continue
         if not (type(ent.name) in _TEXT and type(ent.head) in _TEXT
                 and type(ent.honorific) in _TEXT and ent.gender in GENDERS
                 and ent.number in NUMBERS and ent.person in PERSONS):

@@ -37,23 +37,19 @@ Parsing stores each schema's nodes by id and its arcs by source node,
 both in declaration order, and a template path as the tuple of its dotted
 segments.  A node is what its statement says: an emit node is its
 MessageTemplate, a call node the name of the schema it calls (a str), and
-an end node None.  Guards are compiled on first use and cached on the
-frozen schema objects: each Condition builds one predicate over the data
-records (Condition.test).  Compiling refuses a guard the parser could not
-have built, and fixes a comparison's operand types from its operator and
-literal.  Guards and templates read a path's value, and their literals,
-one way: a subclass of str, int or float as its base type's value, never
-through the subclass's own methods; a template literal must then be a
-str.  Every failure during traversal is a TraversalError: a missing path
-or a value of another type in a guard is one naming its arc and schema,
-and in a template one naming its node.  Complement text, literal or read
-from a path, is parsed through one bounded cache shared by the whole
-process (COMPLEMENT_CACHE_SIZE distinct texts, least recently used
-dropped first), so each distinct text is parsed once; text that does not
-parse is not cached and fails again each time.  Parsing a schema fills
-neither, so a schema that is parsed and not run costs nothing more;
-checks that depend on the data, such as @ references naming an entity,
-run for every complement of every document.
+an end node None.  One check states every schema rule, for parsed and
+hand-built schemas alike, and each SchemaDef keeps its result:
+parse_schema() reports the first problem in file order at its line and
+column, and traverse() the first problem of each schema it enters as a
+TraversalError.  Guards are compiled, and check themselves, on first use
+(Condition.test).  Guards and templates read a path's value, and their
+literals, one way: a subclass of str, int or float as its base type's
+value, never through its own methods.  Every other failure during
+traversal is a TraversalError naming its arc or node and schema.
+Complement text is parsed through one bounded cache shared by the process
+(COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped first);
+text that does not parse is not cached.  Parsing fills no cache, and the
+checks that depend on the data run for every document.
 """
 
 from __future__ import annotations
@@ -97,6 +93,11 @@ class Condition:
         return _compile_condition(self)
 
 
+# Emit fields that take one word of an ir domain, or no modal.
+_DOMAIN_FIELDS = {"modal": (None, *ir.MODALS), "tense": ir.TENSES,
+                  "polarity": ir.POLARITIES}
+
+
 @dataclass(frozen=True)
 class MessageTemplate:
     # An expression: a literal is its text, a path the tuple of its
@@ -110,19 +111,28 @@ class MessageTemplate:
     adverb: str | tuple[str, ...] | None = None
     condition_node: str | None = None
 
-    @cached_property
-    def problems(self) -> list[str]:
-        """The parser's rules this template breaks, found on first use."""
-        problems = [f"unknown {k} {v!r}" for k, d in _DOMAIN_FIELDS.items()
-                    if (v := getattr(self, k)) not in d]
-        ir._validate_verb(self, f"verb {self.verb!r}", problems)
-        if type(self.complements) is not tuple:
-            problems.append("complements must be a tuple")
-        elif not all(isinstance(segment, str) and segment for path in (
-                self.subject, self.adverb, *self.complements)
-                if type(path) is tuple for segment in path):
-            problems.append("a path segment must be a non-empty string")
-        return problems
+    def _find_problems(self) -> tuple[tuple[str, str], ...]:
+        """Each template rule this template breaks, as its field (the
+        modal rule's names two) and detail."""
+        found = [(k, f"unknown {k} {v!r}") for k, d in _DOMAIN_FIELDS.items()
+                 if (v := getattr(self, k)) not in d]
+        if not ir.is_verb_lemma(self.verb):
+            found.append(("verb", f"verb lemma {self.verb!r} must be one "
+                                  f"lowercase alphabetic word"))
+        if self.modal and self.tense != "present":
+            found.append(("modal tense", ir.MODAL_TENSE_RULE))
+        exprs = [("subject", self.subject), ("adverb", self.adverb)]
+        if type(self.complements) is tuple:
+            exprs += [("complements", expr) for expr in self.complements]
+        else:
+            found.append(("complements", "complements must be a tuple"))
+        found += [(k, "a path segment must be a non-empty string")
+                  for k, path in exprs if type(path) is tuple
+                  and not all(isinstance(s, str) and s for s in path)]
+        return tuple(found)
+
+    # Found on first use; a clean template holds the shared empty tuple.
+    problems = cached_property(_find_problems)
 
 
 @dataclass(frozen=True)
@@ -148,12 +158,90 @@ class SchemaDef:
     # All schemas parsed from the same file, shared for call resolution.
     schema_set: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @cached_property
+    def _problems(self) -> tuple[tuple[str, Any, str], ...]:
+        """What _schema_problems() finds, once per object."""
+        return tuple(_schema_problems(self))
+
 
 @dataclass(frozen=True)
 class DataRecordSet:
     # records stays raw JSON: schema paths read into it as they find it.
     entities: dict[str, ir.Entity] = field(default_factory=dict)
     records: dict = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# Schema rules
+
+
+def _schema_problems(schema: SchemaDef) -> Iterator[tuple[str, Any, str]]:
+    """Every schema rule, stated once for parsed and hand-built schemas:
+    each problem as its detail, what it is about (None for the schema, a
+    node id or an Arc) and its field.  A template's own rules are its
+    problems, and a guard's are checked as it is compiled."""
+    nodes = schema.nodes
+    if not nodes:
+        yield "no nodes are declared", None, "nodes"
+    elif schema.entry not in nodes:
+        yield f"entry {schema.entry!r} is not a declared node", None, "entry"
+    for node_id, node in nodes.items():
+        if isinstance(node, MessageTemplate):
+            yield from ((detail, node_id, name)
+                        for name, detail in node._find_problems())
+            name = node.condition_node
+            if name and name not in nodes:
+                rule = "is not a declared node"
+            elif name and not isinstance(nodes[name], MessageTemplate):
+                rule = "must be an emit node"
+            elif name and nodes[name].condition_node:
+                rule = ("has a condition of its own; conditions nest one "
+                        "level only")
+            else:
+                continue
+            yield f"condition node {name!r} {rule}", node_id, "condition_node"
+        elif isinstance(node, str):
+            if not isinstance(schema.schema_set.get(node), SchemaDef):
+                yield (f"call target {node!r} is not a declared schema",
+                       node_id, "call")
+        elif node is not None:
+            yield (f"a node is a MessageTemplate, a schema name or None, "
+                   f"not {ir.json_kind(node)}", node_id, "node")
+    for key, arcs in schema.arcs.items():
+        if type(arcs) is not list \
+                or not all(isinstance(arc, Arc) for arc in arcs):
+            yield "arcs must be a list of Arc", key, "arcs"
+            continue
+        first_unguarded = next((a for a in arcs if a.guard is None), None)
+        for arc in arcs:
+            if arc.src != key:
+                yield (f"arc source {arc.src!r} is not its key {key!r}", arc,
+                       "src")
+            ends = [end for end in ("src", "dst")
+                    if getattr(arc, end) not in nodes]
+            for end in ends:
+                yield (f"arc endpoint {getattr(arc, end)!r} is not a declared "
+                       f"node", arc, end)
+            if not ends and nodes[arc.src] is None:
+                yield f"end node {arc.src!r} has an outgoing arc", arc, "src"
+            if arc.rel not in ir.RELATION_LABELS:
+                yield f"unknown relation label {arc.rel!r}", arc, "rel"
+            if arc.guard is None and arc is not first_unguarded:
+                yield (f"node {arc.src!r} has more than one unguarded arc",
+                       arc, "src")
+            if not isinstance(arc.guard, (Condition, type(None))):
+                yield (f"guard is {ir.json_kind(arc.guard)}, not a "
+                       f"Condition", arc, "guard")
+
+
+def _schema_error(schema: SchemaDef) -> TraversalError:
+    """The schema's first problem, naming the schema and its subject."""
+    detail, subject, _ = schema._problems[0]
+    if isinstance(subject, Arc):
+        detail = f"arc {subject.src!r} -> {subject.dst!r}: {detail}"
+    elif subject is not None:
+        detail = f"node {subject!r}: {detail}"
+    return TraversalError(f"schema {schema.name!r}: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,46 +413,29 @@ class _LineParser:
         raise self.error("expected a string, number, or true/false")
 
 
-# Emit fields that take one word of an ir domain, or no modal.
-_DOMAIN_FIELDS = {"modal": (None, *ir.MODALS), "tense": ir.TENSES,
-                  "polarity": ir.POLARITIES}
-
-
-def _parse_emit_fields(p: _LineParser,
-                       node_id: str) -> tuple[MessageTemplate, int]:
-    """The template, and the column of its condition node name (or 1)."""
+def _parse_emit_fields(p: _LineParser, node_id: str,
+                       columns: dict[str, int]) -> MessageTemplate:
+    """The template; ``columns`` gets where each field was written, by its
+    template name: its key, but the value of a verb or condition node."""
     fields: dict[str, Any] = {}
-    columns: dict[str, int] = {}  # where each field's key was written
-    condition_col = 1
     complements: list[str | tuple[str, ...]] = []
     for key_tok in p.fields():
         key = key_tok.value
-        columns[key] = key_tok.col
         p.take("=")
-        if key == "subject":
-            fields["subject"] = p.expr()
+        columns[key] = key_tok.col
+        if key in ("subject", "adverb"):
+            fields[key] = p.expr()
         elif key == "verb":
             tok = p.peek()
-            verb = tok.value if p.skip("string") else p.take_ident()
-            if not ir.is_verb_lemma(verb):
-                raise SchemaParseError(
-                    f"verb lemma {verb!r} must be one lowercase "
-                    f"alphabetic word",
-                    p.line, tok.col)
-            fields["verb"] = verb
+            columns[key] = tok.col
+            fields[key] = tok.value if p.skip("string") else p.take_ident()
         elif key in _DOMAIN_FIELDS:
-            value = p.take_ident()
-            if value not in _DOMAIN_FIELDS[key]:
-                raise SchemaParseError(f"unknown {key} {value!r}",
-                                       p.line, key_tok.col)
-            fields[key] = value
-        elif key == "adverb":
-            fields["adverb"] = p.expr()
+            fields[key] = p.take_ident()
         elif key == "condition":
-            name_tok = p.take("ident")
-            fields["condition_node"] = name_tok.value
-            condition_col = name_tok.col
+            columns["condition_node"] = p.peek().col
+            fields["condition_node"] = p.take_ident()
         elif key == "complement":
+            columns["complements"] = key_tok.col
             complements.append(p.expr())
             while p.skip(","):
                 complements.append(p.expr())
@@ -375,32 +446,16 @@ def _parse_emit_fields(p: _LineParser,
         if key not in fields:
             raise SchemaParseError(f"node {node_id!r}: emit needs {key}=",
                                    p.line, 1)
-    if fields.get("modal") and fields.get("tense", "present") != "present":
-        raise SchemaParseError(ir.MODAL_TENSE_RULE, p.line,
-                               max(columns["modal"], columns["tense"]))
-    return MessageTemplate(complements=tuple(complements), **fields), \
-        condition_col
+    return MessageTemplate(complements=tuple(complements), **fields)
 
 
-class _SchemaBuilder:
-    def __init__(self, name: str, line: int, col: int):
-        self.name = name
-        self.line = line
-        self.col = col
-        self.nodes: dict[str, MessageTemplate | str | None] = {}
-        self.arcs: dict[str, list[Arc]] = {}
-        # Where each statement names another node or schema, so that the
-        # cross-statement checks can point at it: a node's line and the
-        # column of its call target or condition node; each arc, in
-        # declaration order, with its line and the columns of its two
-        # endpoints.
-        self.node_positions: dict[str, tuple[int, int]] = {}
-        self.arc_positions: list[tuple[Arc, int, int, int]] = []
-
-
-def _parse_statements(source: str) -> dict[str, _SchemaBuilder]:
-    builders: dict[str, _SchemaBuilder] = {}
-    current: _SchemaBuilder | None = None
+def _parse_statements(source: str, positions: dict) -> dict[str, SchemaDef]:
+    """Each schema of the file, its entry left blank; ``positions`` gets
+    where each statement was written, by its schema's name and what a
+    problem may be about (None for the header, a node id, or the id() of
+    an Arc, which its schema keeps): the line and each field's column."""
+    schemas: dict[str, SchemaDef] = {}
+    current: SchemaDef | None = None
     for lineno, raw in enumerate(source.splitlines(), start=1):
         toks = _tokenize_line(raw, lineno)
         if not toks:
@@ -411,15 +466,16 @@ def _parse_statements(source: str) -> dict[str, _SchemaBuilder]:
             name_tok = p.take("ident")
             name = name_tok.value
             p.finish("schema name")
-            if name in builders:
+            if name in schemas:
                 raise SchemaParseError(f"duplicate schema {name!r}",
                                        lineno, head.col)
-            current = builders[name] = _SchemaBuilder(name, lineno,
-                                                       name_tok.col)
+            current = schemas[name] = SchemaDef(name, "", {}, {})
+            positions[name, None] = (lineno, {"nodes": name_tok.col})
             continue
         if current is None:
             raise SchemaParseError("expected schema header", lineno,
                                    head.col)
+        columns: dict[str, int] = {}
         if head.value == "node":
             node_id = p.take_ident()
             if node_id in current.nodes:
@@ -427,103 +483,68 @@ def _parse_statements(source: str) -> dict[str, _SchemaBuilder]:
                                        lineno, head.col)
             kind = p.take_ident()
             if kind == "emit":
-                node, ref_col = _parse_emit_fields(p, node_id)
+                node = _parse_emit_fields(p, node_id, columns)
             elif kind == "call":
-                target = p.take("ident")
+                columns["call"] = p.peek().col
+                node = p.take_ident()
                 p.finish("call target")
-                node, ref_col = target.value, target.col
             elif kind == "end":
                 p.finish("end")
-                node, ref_col = None, 1
+                node = None
             else:
                 raise SchemaParseError(
                     f"unknown node kind {kind!r} (expected emit, call, "
                     f"or end)", lineno, head.col)
             current.nodes[node_id] = node
-            current.node_positions[node_id] = (lineno, ref_col)
+            positions[current.name, node_id] = (lineno, columns)
         elif head.value == "arc":
             src = p.take("ident")
             p.take("->")
             dst = p.take("ident")
+            columns.update(src=src.col, dst=dst.col)
             guard = None
             rel = "sequence"
             for kw in p.fields():
                 if kw.value == "when":
                     guard = p.condition()
                 elif kw.value == "rel":
+                    columns["rel"] = kw.col
                     rel = p.take_ident()
-                    if rel not in ir.RELATION_LABELS:
-                        raise SchemaParseError(
-                            f"unknown relation label {rel!r}",
-                            lineno, kw.col)
                 else:
                     raise SchemaParseError(
                         f"expected 'when' or 'rel', got {kw.value!r}",
                         lineno, kw.col)
             arc = Arc(src.value, dst.value, guard, rel)
             current.arcs.setdefault(arc.src, []).append(arc)
-            current.arc_positions.append((arc, lineno, src.col, dst.col))
+            positions[current.name, id(arc)] = (lineno, columns)
         else:
             raise SchemaParseError(
                 f"expected 'schema', 'node', or 'arc', got "
                 f"{head.value!r}", lineno, head.col)
-    if not builders:
+    if not schemas:
         raise SchemaParseError("expected schema header", 1, 1)
-    return builders
-
-
-def _check_builder(b: _SchemaBuilder, builders: dict) -> None:
-    if not b.nodes:
-        raise SchemaParseError(f"schema {b.name!r} declares no nodes",
-                               b.line, b.col)
-    unguarded: set[str] = set()
-    for arc, line, src_col, dst_col in b.arc_positions:
-        for endpoint, col in ((arc.src, src_col), (arc.dst, dst_col)):
-            if endpoint not in b.nodes:
-                raise SchemaParseError(
-                    f"arc endpoint {endpoint!r} is not a declared node",
-                    line, col)
-        if b.nodes[arc.src] is None:
-            raise SchemaParseError(
-                f"end node {arc.src!r} has an outgoing arc", line, src_col)
-        if arc.guard is None:
-            if arc.src in unguarded:
-                raise SchemaParseError(
-                    f"node {arc.src!r} has more than one unguarded arc",
-                    line, src_col)
-            unguarded.add(arc.src)
-    for node_id, node in b.nodes.items():
-        line, col = b.node_positions[node_id]
-        if isinstance(node, str) and node not in builders:
-            raise SchemaParseError(
-                f"call target {node!r} is not a schema in this file",
-                line, col)
-        if isinstance(node, MessageTemplate) and node.condition_node:
-            name = node.condition_node
-            if name not in b.nodes:
-                raise SchemaParseError(
-                    f"condition node {name!r} is not declared in schema "
-                    f"{b.name!r}", line, col)
-            if not isinstance(b.nodes[name], MessageTemplate):
-                raise SchemaParseError(
-                    f"condition node {name!r} must be an emit node",
-                    line, col)
-            if b.nodes[name].condition_node:
-                raise SchemaParseError(
-                    f"condition node {name!r} has a condition of its own; "
-                    f"conditions nest one level only", line, col)
+    return schemas
 
 
 def parse_schema(source: str) -> SchemaDef:
     """Parse schema text; returns the first (entry) schema with the whole
-    file's schema set attached for call resolution."""
-    builders = _parse_statements(source)
+    file's schema set attached for call resolution.  The schema check's
+    first problem in file order is a SchemaParseError where its field was
+    written (the later of two fields)."""
+    positions: dict = {}
     shared: dict[str, SchemaDef] = {}
-    for b in builders.values():
-        _check_builder(b, builders)
-        shared[b.name] = SchemaDef(name=b.name, entry=next(iter(b.nodes)),
-                                   nodes=b.nodes, arcs=b.arcs,
-                                   schema_set=shared)
+    for name, b in _parse_statements(source, positions).items():
+        shared[name] = SchemaDef(name, next(iter(b.nodes), ""), b.nodes,
+                                 b.arcs, shared)
+    found = []
+    for name, definition in shared.items():
+        for detail, subject, names in definition._problems:
+            line, columns = positions[
+                name, id(subject) if isinstance(subject, Arc) else subject]
+            found.append((line, max(map(columns.get, names.split())), detail))
+    if found:
+        line, col, detail = min(found, key=lambda problem: problem[:2])
+        raise SchemaParseError(detail, line, col)
     return next(iter(shared.values()))
 
 
@@ -764,7 +785,7 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
     and every @ complement head must name an entity of the data; a blank
     adverb is no adverb."""
     if template.problems:
-        raise TraversalError(template.problems[0])
+        raise TraversalError(template.problems[0][1])
     subject = _resolve_expr(template.subject, data)
     if subject.startswith(ir.ENTITY_MARKER):
         subject = subject[len(ir.ENTITY_MARKER):]
@@ -798,10 +819,8 @@ def _instantiate_node(schema: SchemaDef, node_id: str,
     try:
         if template.condition_node:
             where += f", condition node {template.condition_node!r}"
-            node = schema.nodes.get(template.condition_node)
-            if not isinstance(node, MessageTemplate) or node.condition_node:
-                raise TraversalError("not an emit node with no condition")
-            condition = instantiate_template(node, data)
+            condition = instantiate_template(
+                schema.nodes[template.condition_node], data)
             where = f"node {node_id!r}"
         return instantiate_template(template, data, condition)
     except TraversalError as exc:
@@ -814,9 +833,12 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
 
     Deterministic: equal schema and data always yield a structurally
     equal plan.  Each `call` and each non-sequence arc nests one level,
-    and nesting past ir.MAX_NESTING is a TraversalError.  An entity table
-    that breaks the plan rules is a DataError.
+    and nesting past ir.MAX_NESTING is a TraversalError, as is a problem
+    of the schema check in the schema or a schema it calls.  An entity
+    table that breaks the plan rules is a DataError.
     """
+    if schema._problems:
+        raise _schema_error(schema)
     ir._check(ir._validate_entities(data.entities))
     visits: dict[tuple[str, str], int] = {}
     # One frame per node being visited: its schema, its arcs not yet
@@ -848,11 +870,10 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
                           pieces, [], level, joins))
             if not isinstance(node, str):
                 return
-            sub = definition.schema_set.get(node)
-            if sub is None:
-                raise TraversalError(
-                    f"node {node_id!r}: unresolved sub-schema {node!r}")
-            definition, node_id = sub, sub.entry
+            definition = definition.schema_set[node]
+            if definition._problems:
+                raise _schema_error(definition)
+            node_id = definition.entry
             level, joins = level + 1, "call"
 
     enter(schema, schema.entry, 0, "sequence")

@@ -179,7 +179,7 @@ class TestParse:
                 "node z end\n")
 
     @pytest.mark.parametrize("extra, position, detail", [
-        ("schema t\n", "line 5, column 8", "schema 't' declares no nodes"),
+        ("schema t\n", "line 5, column 8", "no nodes are declared"),
         ("arc a -> b\narc b -> ghost\n", "line 6, column 10",
          "arc endpoint 'ghost' is not a declared node"),
         ("arc ghost -> a\n", "line 5, column 5",
@@ -189,10 +189,10 @@ class TestParse:
         ("arc a -> b\narc a -> z when exists(r.x)\narc a -> z\n",
          "line 7, column 5", "node 'a' has more than one unguarded arc"),
         ("node c call t\n", "line 5, column 13",
-         "call target 't' is not a schema in this file"),
+         "call target 't' is not a declared schema"),
         ('node c emit subject="sam" verb=rest condition=ghost\n',
          "line 5, column 47",
-         "condition node 'ghost' is not declared in schema 's'"),
+         "condition node 'ghost' is not a declared node"),
         ('node c emit subject="sam" verb=rest condition=z\n',
          "line 5, column 47", "condition node 'z' must be an emit node"),
         ('node c emit subject="sam" verb=rest condition=b\n',
@@ -890,13 +890,6 @@ class TestTraverse:
         assert oracle.expand_document_plan(a) == oracle.expand_document_plan(b)
         assert a.root == b.root
 
-    def test_unresolved_subschema_at_traverse_time(self):
-        bad = schema.SchemaDef(name="s", entry="a", nodes={"a": "ghost"},
-                               arcs={})
-        data = schema.load_data('{"entities": {}, "records": {}}')
-        with pytest.raises(TraversalError):
-            schema.traverse(bad, data)
-
     def test_instantiation_failure_names_node_and_path(self):
         src = ("schema s\n"
                "node a emit subject=path(patient.missing) verb=rest\n")
@@ -1056,6 +1049,152 @@ class TestTraversalOracle:
         assert indexed == outcome(oracle.reference_traverse, max_visits)
 
 
+_SAM = schema.MessageTemplate(subject="sam", verb="rest")
+
+
+def _hand_built(nodes, arcs=(), entry="a", **schema_set):
+    """A schema "s" built by hand: its nodes, its arcs grouped under their
+    sources as given, and the schemas it may call."""
+    grouped = {}
+    for arc in arcs:
+        grouped.setdefault(arc.src, []).append(arc)
+    return schema.SchemaDef(name="s", entry=entry, nodes=nodes, arcs=grouped,
+                            schema_set=schema_set)
+
+
+def _rebuilt(schemas):
+    """New SchemaDefs for ``schemas``, sharing one new schema set."""
+    shared = {}
+    shared.update({name: dataclasses.replace(definition, schema_set=shared)
+                   for name, definition in schemas.items()})
+    return shared
+
+
+# How a schema is broken by hand; each break but the first two always
+# breaks a rule.
+_BREAKS = ["drop-node", "retarget-arc", "int-node", "str-guard",
+           "unknown-rel", "bare-arcs", "undeclared-entry"]
+
+
+def _break(definition, how, draw):
+    """A copy of ``definition`` broken one way, or None if it has no arc
+    to break."""
+    nodes = dict(definition.nodes)
+    arcs = {key: list(group) for key, group in definition.arcs.items()}
+    entry, ids = definition.entry, list(nodes)
+    placed = [(key, i) for key, group in arcs.items()
+              for i in range(len(group))]
+    if how == "drop-node":
+        del nodes[draw(st.sampled_from(ids))]
+    elif how == "int-node":
+        nodes[draw(st.sampled_from(ids))] = 3
+    elif how == "undeclared-entry":
+        entry = "ghost"
+    elif not placed:
+        return None
+    elif how == "bare-arcs":
+        key = draw(st.sampled_from(sorted(arcs)))
+        arcs[key] = arcs[key][0]
+    else:
+        key, i = draw(st.sampled_from(placed))
+        change = {"retarget-arc": {"dst": draw(st.sampled_from(
+                      ids + ["ghost"]))},
+                  "str-guard": {"guard": "exists(r.x)"},
+                  "unknown-rel": {"rel": "foo"}}[how]
+        arcs[key][i] = dataclasses.replace(arcs[key][i], **change)
+    return dataclasses.replace(definition, entry=entry, nodes=nodes,
+                               arcs=arcs)
+
+
+class TestSchemaCheck:
+    """One check holds every schema rule for a schema built by hand, as
+    parse_schema() holds them for schema text."""
+
+    @pytest.mark.parametrize("definition, message", [
+        (_hand_built({"a": _SAM}, [schema.Arc("a", "x")]),
+         "arc 'a' -> 'x': arc endpoint 'x' is not a declared node"),
+        (_hand_built({"a": _SAM}, entry="x"),
+         "entry 'x' is not a declared node"),
+        (_hand_built({}), "no nodes are declared"),
+        (dataclasses.replace(_hand_built({"a": _SAM, "b": None}),
+                             arcs={"a": schema.Arc("a", "b")}),
+         "node 'a': arcs must be a list of Arc"),
+        (_hand_built({"a": _SAM, "b": None},
+                     [schema.Arc("a", "b", "exists(r.x)")]),
+         "arc 'a' -> 'b': guard is a string, not a Condition"),
+        (_hand_built({"a": _SAM, "b": None},
+                     [schema.Arc("a", "b", rel="foo")]),
+         "arc 'a' -> 'b': unknown relation label 'foo'"),
+        (_hand_built({"a": _SAM, "n": 3}),
+         "node 'n': a node is a MessageTemplate, a schema name or None, not "
+         "a number"),
+        (_hand_built({"a": _SAM, "z": None}, [schema.Arc("z", "a")]),
+         "arc 'z' -> 'a': end node 'z' has an outgoing arc"),
+        (_hand_built({"a": _SAM, "b": _SAM, "c": None},
+                     [schema.Arc("a", "b"), schema.Arc("a", "c")]),
+         "arc 'a' -> 'c': node 'a' has more than one unguarded arc"),
+        (dataclasses.replace(_hand_built({"a": _SAM, "b": _SAM}),
+                             arcs={"a": [schema.Arc("b", "a")]}),
+         "arc 'b' -> 'a': arc source 'b' is not its key 'a'"),
+        (_hand_built({"a": "ghost"}),
+         "node 'a': call target 'ghost' is not a declared schema"),
+    ], ids=["arc-target", "entry", "no-nodes", "bare-arc", "str-guard",
+            "unknown-rel", "int-node", "end-node-arc", "two-unguarded",
+            "src-not-key", "call-target"])
+    def test_a_hand_built_schema_is_checked(self, definition, message):
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": {"x": 1}})
+        for _ in range(2):  # the second use reads the cached check
+            with pytest.raises(TraversalError) as info:
+                nlgen.generate_text(definition, data)
+            assert str(info.value) == f"schema 's': {message}"
+
+    def test_a_called_schema_is_checked_when_entered(self):
+        callee = schema.SchemaDef(name="t", entry="d", nodes={"d": 3},
+                                  arcs={})
+        caller = _hand_built({"a": "t"}, t=callee)
+        data = schema.DataRecordSet()
+        with pytest.raises(TraversalError, match=re.escape(
+                "schema 't': node 'd': a node is a MessageTemplate, a "
+                "schema name or None, not a number")):
+            schema.traverse(caller, data)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(case=st.one_of(st.integers(0, 4), _random_schema_case()),
+           how=st.sampled_from([None, *_BREAKS]), draw=st.data())
+    def test_a_broken_schema_is_refused_and_a_plan_reads_back(
+            self, corpus, case, how, draw):
+        if type(case) is int:  # a demo document
+            parsed, data = corpus[case].schema, corpus[case].data
+        else:
+            parsed = schema.parse_schema(case[0])
+            data = schema.load_data(case[1])
+        name = draw.draw(st.sampled_from(sorted(parsed.schema_set)))
+        broken = parsed.schema_set[name]
+        if how is not None:
+            broken = _break(broken, how, draw.draw)
+            if broken is None:
+                return
+        root = _rebuilt({**parsed.schema_set, name: broken})[parsed.name]
+        # The check reads the root before anything else.
+        refused = how in _BREAKS[2:] and name == parsed.name
+        try:
+            nlgen.generate_text(root, data)
+        except NlgenError as exc:
+            assert not refused or type(exc) is TraversalError \
+                and str(exc).startswith(f"schema {name!r}: ")
+        else:
+            assert not refused
+        try:
+            plan = schema.traverse(root, data)
+        except NlgenError:
+            return
+        assert ir.document_plan_from_json(ir.document_plan_to_json(plan)) \
+            == plan
+
+
 class TestInstantiate:
     def test_paths_resolve_to_message(self, corpus):
         doc = get(corpus, "sam_pair")
@@ -1089,14 +1228,12 @@ class TestInstantiate:
 
     @pytest.mark.parametrize("fields, problem", [
         ({"verb": "Rest"},
-         "verb 'Rest': verb lemma must be one lowercase alphabetic word"),
+         "verb lemma 'Rest' must be one lowercase alphabetic word"),
         ({"verb": "go home"},
-         "verb 'go home': verb lemma must be one lowercase alphabetic word"),
-        ({"verb": 5},
-         "verb 5: verb lemma must be one lowercase alphabetic word"),
+         "verb lemma 'go home' must be one lowercase alphabetic word"),
+        ({"verb": 5}, "verb lemma 5 must be one lowercase alphabetic word"),
         ({"modal": "maybe"}, "unknown modal 'maybe'"),
-        ({"modal": "can", "tense": "past"},
-         f"verb 'rest': {ir.MODAL_TENSE_RULE}"),
+        ({"modal": "can", "tense": "past"}, ir.MODAL_TENSE_RULE),
         ({"polarity": "sideways"}, "unknown polarity 'sideways'"),
         ({"tense": "later"}, "unknown tense 'later'"),
         ({"subject": ("q", 1)}, "a path segment must be a non-empty string"),
@@ -1108,8 +1245,8 @@ class TestInstantiate:
             "modal-past", "unknown-polarity", "unknown-tense", "int-segment",
             "empty-segment", "str-complements", "int-complements"])
     def test_a_template_built_by_hand_is_checked(self, fields, problem):
-        # The parser refuses each of these; a template built by hand
-        # is checked once, on first use, by the same rules.
+        # The parser refuses each of these; in a schema built by hand a
+        # template is checked by the same rules, once per schema object.
         template = schema.MessageTemplate(**{"subject": "sam", "verb": "rest",
                                              **fields})
         one_node = schema.SchemaDef(name="s", entry="a",
@@ -1119,28 +1256,33 @@ class TestInstantiate:
             records={"r": 1})
         for _ in range(2):  # the second use reads the cached check
             with pytest.raises(TraversalError, match=re.escape(
-                    f"node 'a': template instantiation failed: {problem}")):
+                    f"schema 's': node 'a': {problem}")):
                 nlgen.generate_text(one_node, data)
+        # instantiate_template() takes a bare template, and checks it.
+        with pytest.raises(TraversalError, match=f"^{re.escape(problem)}$"):
+            schema.instantiate_template(template, data)
         assert schema.MessageTemplate(subject="sam", verb="rest",
-                                      modal="can").problems == []
+                                      modal="can").problems == ()
 
-    @pytest.mark.parametrize("nodes", [
-        {}, {"zz": None}, {"zz": "s"},
-        {"zz": schema.MessageTemplate(subject="sam", verb="rest",
-                                      condition_node="a")},
+    @pytest.mark.parametrize("nodes, rule", [
+        ({}, "is not a declared node"), ({"zz": None}, "must be an emit node"),
+        ({"zz": "s"}, "must be an emit node"),
+        ({"zz": schema.MessageTemplate(subject="sam", verb="rest",
+                                       condition_node="a")},
+         "has a condition of its own; conditions nest one level only"),
     ], ids=["missing", "end-node", "call-node", "conditional-node"])
-    def test_a_hand_built_condition_node_is_checked(self, nodes):
-        # The parser refuses each of these schemas.
+    def test_a_hand_built_condition_node_is_checked(self, nodes, rule):
+        # The parser refuses each of these schemas, by the same rule.
         template = schema.MessageTemplate(subject="sam", verb="see",
                                           condition_node="zz")
         one_node = schema.SchemaDef(name="s", entry="a", arcs={},
                                     nodes={"a": template, **nodes})
         data = schema.DataRecordSet(
             entities={"sam": ir.Entity(id="sam", name="Sam")})
-        with pytest.raises(TraversalError, match=re.escape(
-                "node 'a', condition node 'zz': template instantiation "
-                "failed: not an emit node with no condition")):
+        with pytest.raises(TraversalError) as info:
             nlgen.generate_text(one_node, data)
+        assert str(info.value) == \
+            f"schema 's': node 'a': condition node 'zz' {rule}"
 
     def test_complement_text_parsing(self):
         parse = schema._parse_complement_text
@@ -1451,6 +1593,20 @@ class TestHandBuiltEntities:
         assert problem in str(info.value)
         assert [problem in p for p in ir.validate(ir.DocumentPlan(
             root=None, entities=entities))] == [True]
+
+    @pytest.mark.parametrize("entities, message", [
+        ({"sam": {"name": "Sam"}},
+         "entities[sam]: expected an Entity, got an object"),
+        (None, "entities: expected a dict, got null"),
+    ], ids=["dict-entity", "no-table"])
+    def test_a_table_not_of_entities_is_a_data_error(self, entities,
+                                                      message):
+        parsed = schema.parse_schema('schema s\nnode a emit subject="x" '
+                                     'verb=rest\n')
+        with pytest.raises(DataError) as info:
+            nlgen.generate_text(parsed, schema.DataRecordSet(
+                entities=entities))
+        assert str(info.value) == message
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
