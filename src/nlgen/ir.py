@@ -19,7 +19,6 @@ import contextvars
 import dataclasses
 import functools
 import json
-import operator
 import re
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field
@@ -380,6 +379,8 @@ def validate(plan: DocumentPlan) -> list[str]:
     document_plan_from_json() runs it on every decoded plan; call it on a
     plan built by hand before planning sentences."""
     problems = _validate_entities(plan.entities)
+    if not isinstance(plan.entities, dict):
+        return problems
     too_deep = False
 
     def walk(node: PlanNode, where: str, level: int) -> None:
@@ -467,13 +468,15 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
 # their names, those of its fields that differ from their defaults; a
 # tuple is a list, a dict is an object; a reference names its entity by
 # id, as a sentence-plans file holds each entity once, in its own table.
+# A file writes each distinct value of a type that sentence planning
+# shares (_SHARED) in full at its first use, and each later use as its
+# number: the count of distinct values of its type written before it.
 # Output is compact with sorted keys, escaped as by json.dumps without
 # ensure_ascii.  Encoder and decoder are built once per type from the type
-# hints.  One encoding writes each value sentence planning shares (_SHARED)
-# once: a phrase is known by its words, as decoding makes one object per
-# use, and the others by id.  The decoder fills absent fields from the
-# same defaults and rejects unknown and missing fields, wrong JSON types
-# and values outside a Literal domain, naming the path.
+# hints.  The decoder turns a number back into the object it decoded for
+# it, fills absent fields from the same defaults and rejects unknown and
+# missing fields, wrong JSON types and values outside a Literal domain,
+# naming the path.
 
 
 @dataclass(frozen=True)
@@ -500,7 +503,7 @@ _encoders: dict = {}
 
 
 def _encoder(tp):
-    """(value, memo of shared values' text) to JSON text, per type."""
+    """(value, memo of shared values' numbers) to JSON text, per type."""
     return _encoders.get(tp) or _build_encoder(tp)
 
 
@@ -548,13 +551,25 @@ def _dataclass_encoder(cls):
         return "{" + text[1:] + "}"
 
     if cls in _SHARED:
-        key = id if cls is not ComplementPhrase else operator.attrgetter(
-            *[f.name for f in dataclasses.fields(cls)])
         write = encode
 
+        # memo: the number text of each value written, by id, and under
+        # each _SHARED type the same by value.  A phrase or a reference is
+        # known by its text, which for a reference is its entity's id and
+        # mode (a file holds one entity per id), and a resolved complement
+        # by its parts' numbers; writing a value written before gives no
+        # part a new number.
         def encode(value, memo):
-            k = key(value)
-            return memo.get(k) or memo.setdefault(k, write(value, memo))
+            if (n := memo.get(id(value))) is None:
+                text = write(value, memo)
+                key = text if cls is not ResolvedComplement else (
+                    memo[id(value.phrase)], value.ref and memo[id(value.ref)])
+                by_key = memo.get(cls) or memo.setdefault(cls, {})
+                if (n := by_key.get(key)) is None:
+                    memo[id(value)] = by_key[key] = str(len(by_key))
+                    return text
+                memo[id(value)] = n
+            return n
 
     _encoders[cls] = encode
     hints, defaults = get_type_hints(cls), _defaults(cls)
@@ -582,14 +597,16 @@ def _expect(value, kind: type):
     return value
 
 
-# The entity table of the sentence-plans file being decoded: set only
-# while sentence_plans_from_json decodes that file's sentences.
-_entity_table: contextvars.ContextVar[dict[str, Entity]] = \
-    contextvars.ContextVar("_entity_table", default={})
+# What the file being decoded has declared so far: its entity table, under
+# Entity, and under each _SHARED type the objects decoded in full, in file
+# order, which later uses name by number.  Each *_from_json call sets it
+# for its file; a bare from_obj call has an empty table and keeps nothing.
+_declared: contextvars.ContextVar[dict] = \
+    contextvars.ContextVar("_declared", default={Entity: {}})
 
 
 def _entity_by_id(value) -> Entity:
-    entity = _entity_table.get().get(_expect(value, str))
+    entity = _declared.get()[Entity].get(_expect(value, str))
     if entity is None:
         raise _Invalid(f"unknown entity {value!r}")
     return entity
@@ -668,10 +685,16 @@ def _dataclass_decoder(cls):
                  if f.default_factory is not MISSING}
     defaults = {name: default for name, default in _defaults(cls).items()
                 if name not in factories}
-    new = object.__new__
+    new, shared = object.__new__, cls in _SHARED
 
     def decode(value):
         if type(value) is not dict:
+            if shared and type(value) is int:  # an earlier value's number
+                seen = _declared.get().get(cls, ())
+                if 0 <= value < len(seen):
+                    return seen[value]
+                raise _Invalid(f"number {value} names none of the "
+                               f"{len(seen)} earlier {cls.__name__} values")
             _expect(value, dict)
         obj = new(cls)
         fields = obj.__dict__
@@ -691,6 +714,8 @@ def _dataclass_decoder(cls):
                     if name not in factories:
                         raise _Invalid(f"missing field {name!r}")
                     fields[name] = factories[name]()
+        if shared and (seen := _declared.get().get(cls)) is not None:
+            seen.append(obj)
         return obj
 
     _decoders[cls] = decode
@@ -757,13 +782,23 @@ def _check(problems: list[str]) -> None:
         raise DataError(summarize(problems))
 
 
+def _from_file(tp, value, where: str = "", entities: dict | None = None):
+    """from_obj, keeping what the file declares while it decodes."""
+    token = _declared.set({Entity: entities or {}, ComplementPhrase: [],
+                           ReferenceSpec: [], ResolvedComplement: []})
+    try:
+        return from_obj(tp, value, where)
+    finally:
+        _declared.reset(token)
+
+
 def document_plan_to_json(plan: DocumentPlan) -> str:
     return _encoder(DocumentPlan)(plan, {}) + "\n"
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
     """Decode a document plan and check it with validate()."""
-    plan = from_obj(DocumentPlan, _parse(text, "document plan"))
+    plan = _from_file(DocumentPlan, _parse(text, "document plan"))
     _check(validate(plan))
     return plan
 
@@ -802,11 +837,7 @@ def sentence_plans_from_json(text: str) -> list[SentencePlan]:
     file = from_obj(_SentencesFile, _parse(text, "sentence plans"))
     entities = from_obj(dict[str, Entity], file.entities, "entities")
     _check(_validate_entities(entities))
-    token = _entity_table.set(entities)
-    try:
-        plans = list(from_obj(tuple[SentencePlan, ...], file.sentences,
-                              "sentences"))
-    finally:
-        _entity_table.reset(token)
+    plans = list(_from_file(tuple[SentencePlan, ...], file.sentences,
+                            "sentences", entities))
     _check(validate_sentences(plans))
     return plans

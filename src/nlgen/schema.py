@@ -180,6 +180,11 @@ def _schema_problems(schema: SchemaDef) -> Iterator[tuple[str, Any, str]]:
     each problem as its detail, what it is about (None for the schema, a
     node id or an Arc) and its field.  A template's own rules are its
     problems, and a guard's are checked as it is compiled."""
+    for name in ("nodes", "arcs"):
+        if not isinstance(value := getattr(schema, name), dict):
+            yield f"{name}: expected a dict, got {ir.json_kind(value)}", \
+                None, name
+            return
     nodes = schema.nodes
     if not nodes:
         yield "no nodes are declared", None, "nodes"
@@ -201,7 +206,10 @@ def _schema_problems(schema: SchemaDef) -> Iterator[tuple[str, Any, str]]:
                 continue
             yield f"condition node {name!r} {rule}", node_id, "condition_node"
         elif isinstance(node, str):
-            if not isinstance(schema.schema_set.get(node), SchemaDef):
+            if not isinstance(schema.schema_set, dict):
+                yield (f"schema_set: expected a dict, got "
+                       f"{ir.json_kind(schema.schema_set)}", node_id, "call")
+            elif not isinstance(schema.schema_set.get(node), SchemaDef):
                 yield (f"call target {node!r} is not a declared schema",
                        node_id, "call")
         elif node is not None:

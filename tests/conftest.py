@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import random
 from dataclasses import dataclass
@@ -65,6 +66,27 @@ def run_cli(args: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+# The types one plan file writes once and then refers back to by number.
+SHARED_TYPES = (ir.ComplementPhrase, ir.ReferenceSpec, ir.ResolvedComplement)
+
+
+def shared_objects(value) -> list:
+    """Every ComplementPhrase, ReferenceSpec and ResolvedComplement in a
+    plan value, once per use."""
+    found, stack = [], [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, SHARED_TYPES):
+            found.append(v)
+        if dataclasses.is_dataclass(v):
+            stack += [getattr(v, f.name) for f in dataclasses.fields(v)]
+        elif isinstance(v, (tuple, list)):
+            stack += v
+        elif isinstance(v, dict):
+            stack += v.values()
+    return found
 
 
 def fake_stdin(data: bytes) -> io.TextIOWrapper:

@@ -1011,8 +1011,10 @@ class TestBadSentencePlans:
          "sentences[0].clauses[0]: missing field 'verb'"),
         (_CLAUSE + ("subject_ref",), [],
          "subject_ref: expected an object, got an array"),
-        (("sentences", 0, "clauses"), [],
-         "sentences[0]: sentence has no clauses"),
+        # The last sentence: emptying an earlier one would leave numbers
+        # in later sentences naming values it declared.
+        (("sentences", 2, "clauses"), [],
+         "sentences[2]: sentence has no clauses"),
         (_CLAUSE + ("discourse_markers",), [""],
          "sentences[0].clauses[0]: blank discourse marker"),
         (_CLAUSE + ("condition",), {

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import random
 import re
 from typing import get_args, get_type_hints
 
@@ -12,7 +13,8 @@ from nlgen import ir, plan_sentences, schema
 from nlgen.errors import DataError
 
 import oracle
-from conftest import random_document_plan
+from conftest import (SHARED_TYPES, random_document_plan, run_cli,
+                      shared_objects)
 
 
 SAM = ir.Entity(id="sam", name="Sam", gender="masculine",
@@ -455,26 +457,36 @@ def _references(plans):
                 clause = clause.condition
 
 
-def _plain(value, every_field: bool):
+def _plain(value, every_field: bool, numbers: dict | None = None):
     """A plan value as JSON data by the codec's rule, from
     dataclasses.fields alone, sharing no code with ir: each dataclass
     holds every field, as files once did, or only those that differ from
-    their default; a reference names its entity by id."""
+    their default; a reference names its entity by id.  Given ``numbers``
+    (filled in text order), a value of a shared type equal to one written
+    before is written as its number; without it, in full, as files once
+    were."""
     if dataclasses.is_dataclass(value):
+        if numbers is not None and isinstance(value, SHARED_TYPES):
+            of_type = numbers.setdefault(type(value), {})
+            if value in of_type:
+                return of_type[value]
         out = {}
-        for f in dataclasses.fields(value):
+        for f in sorted(dataclasses.fields(value), key=lambda f: f.name):
             v = getattr(value, f.name)
             default = f.default if f.default_factory is dataclasses.MISSING \
                 else f.default_factory()
             if every_field or v != default:
-                out[f.name] = _plain(v, every_field)
+                out[f.name] = _plain(v, every_field, numbers)
         if isinstance(value, ir.ReferenceSpec):
             out["entity"] = value.entity.id
+        if numbers is not None and isinstance(value, SHARED_TYPES):
+            of_type[value] = len(of_type)
         return out
     if isinstance(value, dict):
-        return {k: _plain(v, every_field) for k, v in value.items()}
+        return {k: _plain(value[k], every_field, numbers)
+                for k in sorted(value)}
     if isinstance(value, (tuple, list)):
-        return [_plain(v, every_field) for v in value]
+        return [_plain(v, every_field, numbers) for v in value]
     return value
 
 
@@ -490,6 +502,12 @@ def _sentences_file(plans) -> dict:
 
 
 def _reference_encoding(plan) -> str:
+    return _text(_plain(plan, every_field=False, numbers={}))
+
+
+def _inline_encoding(plan) -> str:
+    """The text files were written as before back-references: every use
+    of a shared value in full."""
     return _text(_plain(plan, every_field=False))
 
 
@@ -596,8 +614,15 @@ class TestCodecProperties:
             assert text == ir.sentence_plans_to_json(copies) == \
                 _reference_encoding(_sentences_file(copies))
             assert ir.sentence_plans_from_json(text) == shared
+            # The complement's reference comes first in the text, as
+            # number 0; a different subject reference is number 1, written
+            # in full at its first use.
             written = _reference_encoding(ref).removesuffix("\n")
-            assert text.count(f'"subject_ref":{written}') == 5
+            if ref == complement.ref:
+                assert text.count('"subject_ref":0') == 5
+            else:
+                assert text.count(f'"subject_ref":{written}') == 1
+                assert text.count('"subject_ref":1') == 4
         word = phrase("high", head="pressure")
         words = [word] * 3 + [copy.deepcopy(word) for _ in range(3)]
         plan = ir.DocumentPlan(
@@ -605,6 +630,95 @@ class TestCodecProperties:
                                        complements=(w,))) for w in words]),
             entities={"sam": SAM})
         assert ir.document_plan_to_json(plan) == _reference_encoding(plan)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_shared_value_is_written_once(self, seed):
+        plan = random_document_plan(random.Random(seed))
+        files = [(plan, ir.document_plan_to_json, ir.document_plan_from_json,
+                  _inline_encoding(plan))]
+        for profile in ("fluent", "plain"):
+            plans = plan_sentences(plan, profile)
+            files.append((plans, ir.sentence_plans_to_json,
+                          ir.sentence_plans_from_json,
+                          _inline_encoding(_sentences_file(plans))))
+        for value, to_json, from_json, inline in files:
+            text = to_json(value)
+            decoded = from_json(text)
+            assert decoded == value and to_json(decoded) == text
+            # A file written before decodes to the same plan, one object
+            # per use, and that writes the same text as shared objects.
+            unshared = from_json(inline)
+            assert unshared == value and to_json(unshared) == text
+            assert to_json(copy.deepcopy(value)) == text
+            values = shared_objects(decoded)
+            assert len({id(v) for v in values}) == len(set(values))
+
+    # (file, where the bad value goes, the value, the message)
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), 5,
+         "sentences[1].clauses[0].subject_ref: number 5 names none of the "
+         "1 earlier ReferenceSpec values"),
+        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), -1,
+         "sentences[1].clauses[0].subject_ref: number -1 names none of the "
+         "1 earlier ReferenceSpec values"),
+        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), True,
+         "sentences[1].clauses[0].subject_ref: expected an object, got a "
+         "boolean"),
+        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), 1.0,
+         "sentences[1].clauses[0].subject_ref: expected an object, got a "
+         "number"),
+        ("plan", ("root", "children", 0, "message", "complements", 0), 0,
+         "root.children[0].message.complements[0]: number 0 names none of "
+         "the 0 earlier ComplementPhrase values"),
+        # Outside a file no value comes before, so none can be named.
+        ("bare", ("phrase",), 0,
+         "phrase: number 0 names none of the 0 earlier ComplementPhrase "
+         "values"),
+    ], ids=["past-the-end", "negative", "boolean", "fraction", "none-before",
+            "bare-from-obj"])
+    def test_a_bad_number_is_refused(self, kind, path, value, message):
+        plan = sam_pair_plan()
+        if kind == "plan":
+            obj = json.loads(ir.document_plan_to_json(plan))
+            decode = ir.document_plan_from_json
+        elif kind == "sentences":
+            obj = json.loads(ir.sentence_plans_to_json(
+                plan_sentences(plan, "plain")))
+            decode = ir.sentence_plans_from_json
+        else:
+            obj = {"phrase": {"head": "store"}}
+
+            def decode(text):
+                return ir.from_obj(ir.ResolvedComplement, json.loads(text))
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            decode(json.dumps(obj))
+
+    @pytest.mark.parametrize("stage, option, code, old, new, message", [
+        ("sentplan", "--plan", 3,
+         '{"head":"sugar","premodifiers":["low","blood"]}', "3",
+         "root.children[1].message.complements[0]: number 3 names none of "
+         "the 1 earlier ComplementPhrase values"),
+        ("realize", "--sentences", 4, '"subject_ref":0', '"subject_ref":4',
+         "sentences[1].clauses[0].subject_ref: number 4 names none of the "
+         "1 earlier ReferenceSpec values"),
+    ], ids=["sentplan", "realize"])
+    def test_a_bad_number_is_one_stage_line(self, tmp_path, stage, option,
+                                            code, old, new, message):
+        plan = sam_pair_plan()
+        text = ir.document_plan_to_json(plan) if stage == "sentplan" \
+            else ir.sentence_plans_to_json(plan_sentences(plan, "plain"))
+        assert old in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert run_cli([stage, option, str(path)]) == \
+            (code, "", f"{stage}: {path}: {message}\n")
 
     def test_a_plan_at_the_nesting_bound_is_encoded(self):
         # The deepest plan validate() accepts, built by hand: relation

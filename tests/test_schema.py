@@ -1138,9 +1138,16 @@ class TestSchemaCheck:
          "arc 'b' -> 'a': arc source 'b' is not its key 'a'"),
         (_hand_built({"a": "ghost"}),
          "node 'a': call target 'ghost' is not a declared schema"),
+        (schema.SchemaDef("s", "a", [_SAM], {}),
+         "nodes: expected a dict, got an array"),
+        (schema.SchemaDef("s", "a", {"a": _SAM}, None),
+         "arcs: expected a dict, got null"),
+        (schema.SchemaDef("s", "a", {"a": "t"}, {}, None),
+         "node 'a': schema_set: expected a dict, got null"),
     ], ids=["arc-target", "entry", "no-nodes", "bare-arc", "str-guard",
             "unknown-rel", "int-node", "end-node-arc", "two-unguarded",
-            "src-not-key", "call-target"])
+            "src-not-key", "call-target", "nodes-not-dict", "arcs-not-dict",
+            "schema-set-not-dict"])
     def test_a_hand_built_schema_is_checked(self, definition, message):
         data = schema.DataRecordSet(
             entities={"sam": ir.Entity(id="sam", name="Sam")},
@@ -1607,6 +1614,13 @@ class TestHandBuiltEntities:
             nlgen.generate_text(parsed, schema.DataRecordSet(
                 entities=entities))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("entities", [None, []], ids=["null", "list"])
+    def test_validate_stops_at_a_table_not_a_dict(self, entities):
+        plan = ir.DocumentPlan(root=ir.PlanNode(message=ir.Message(
+            subject="sam", verb="rest")), entities=entities)
+        assert nlgen.validate(plan) == [
+            f"entities: expected a dict, got {ir.json_kind(entities)}"]
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from nlgen import ir, realize, schema, sentplan
 from nlgen.errors import DataError
 
 import oracle
-from conftest import random_document_plan
+from conftest import random_document_plan, shared_objects
 
 SAM = ir.Entity(id="sam", name="Sam", gender="masculine",
                 number="singular")
@@ -459,6 +460,25 @@ class TestSharedReferences:
         first, second = (sp.clauses[0].complements[0][0]
                          for sp in plain[2:])
         assert first is second and first.ref is sam
+
+    def test_the_staged_path_shares_what_the_direct_path_shares(self,
+                                                                corpus):
+        def objects(value):  # distinct objects of each shared type
+            unique = {id(v): v for v in shared_objects(value)}.values()
+            return Counter(type(v).__name__ for v in unique)
+
+        for doc in corpus:
+            plan = schema.traverse(doc.schema, doc.data)
+            decoded = ir.document_plan_from_json(
+                ir.document_plan_to_json(plan))
+            for profile in sentplan.PROFILES:
+                direct = sentplan.plan_sentences(plan, profile)
+                for plans in (direct, sentplan.plan_sentences(decoded,
+                                                              profile)):
+                    again = ir.sentence_plans_from_json(
+                        ir.sentence_plans_to_json(plans))
+                    assert objects(plans) == objects(again) == \
+                        objects(direct), (doc.name, profile)
 
     def test_each_call_makes_its_own(self):
         plan = plan_of(message("sam", "rest"))
