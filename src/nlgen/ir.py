@@ -269,16 +269,13 @@ def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
 def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
     """All leaf nodes of a document plan in document order."""
     leaves: list[PlanNode] = []
-
-    def walk(node: PlanNode) -> None:
+    stack = [] if plan.root is None else [plan.root]
+    while stack:
+        node = stack.pop()
         if node.message is not None:
             leaves.append(node)
         else:
-            for child in node.children:
-                walk(child)
-
-    if plan.root is not None:
-        walk(plan.root)
+            stack += reversed(node.children)
     return leaves
 
 
@@ -289,6 +286,19 @@ def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
 # each value inside its Literal domain, or was built by traverse() from a
 # parsed schema.  So validate() checks only what the types cannot say,
 # and the entity fields, which a table built by hand may hold of any type.
+#
+# The checks keep a path as links and format it only when a rule fails.
+# They check each distinct complement object once per call, by id (the
+# plan keeps it alive), and name its problems at each of its uses.
+
+
+def _path(at) -> str:
+    """A path kept as links (parent, name) or (parent, name, index), as text:
+    (("root", ".children", 3), ".message") is "root.children[3].message"."""
+    if type(at) is str:
+        return at
+    text = _path(at[0]) + at[1]
+    return text if len(at) == 2 else f"{text}[{at[2]}]"
 
 
 def _validate_entities(entities: dict[str, Entity]) -> list[str]:
@@ -326,50 +336,83 @@ def _validate_entities(entities: dict[str, Entity]) -> list[str]:
     return problems
 
 
-def _validate_verb(msg: Message | ClauseSpec, where: str,
-                   problems: list[str]) -> None:
+def _validate_verb(msg: Message | ClauseSpec, at, problems: list[str]) -> None:
     if not is_verb_lemma(msg.verb):
-        problems.append(
-            f"{where}: verb lemma must be one lowercase alphabetic word")
+        problems.append(f"{_path(at)}: verb lemma must be one lowercase "
+                        f"alphabetic word")
     if msg.modal and msg.tense != "present":
-        problems.append(f"{where}: {MODAL_TENSE_RULE}")
+        problems.append(f"{_path(at)}: {MODAL_TENSE_RULE}")
 
 
-def _validate_phrase(phrase: ComplementPhrase, where: str,
-                     problems: list[str]) -> str | None:
-    """Check the words of a complement; returns the entity id of its @
-    head, or None."""
+def _phrase_problems(phrase: ComplementPhrase) -> list[str]:
+    """The problems of a complement's words, without a path."""
+    problems = []
     if not (phrase.head.strip() and all(map(str.strip, phrase.premodifiers))) \
             or (phrase.preposition or "").isspace():
-        problems.append(f"{where}: blank word in complement")
-    ref = entity_ref(phrase.head)
-    if ref is not None and (phrase.determiner or phrase.premodifiers):
-        problems.append(f"{where}: {ENTITY_HEAD_RULE}")
-    return ref
+        problems.append("blank word in complement")
+    if phrase.head.startswith(ENTITY_MARKER) and (phrase.determiner
+                                                  or phrase.premodifiers):
+        problems.append(ENTITY_HEAD_RULE)
+    return problems
 
 
-def _validate_message(msg: Message, plan: DocumentPlan, where: str,
-                      problems: list[str], nested: bool = False) -> None:
-    _validate_verb(msg, where, problems)
-    if msg.subject not in plan.entities:
-        problems.append(
-            f"{where}: referential integrity: unknown subject entity "
-            f"{msg.subject!r}")
+def _validate_message(msg: Message, at, entities: dict[str, Entity],
+                      checked: dict, problems: list[str],
+                      nested: bool = False) -> None:
+    _validate_verb(msg, at, problems)
+    if msg.subject not in entities:
+        problems.append(f"{_path(at)}: referential integrity: unknown "
+                        f"subject entity {msg.subject!r}")
     if msg.adverb is not None and msg.adverb.isspace():
-        problems.append(f"{where}: blank adverb")
+        problems.append(f"{_path(at)}: blank adverb")
     for i, phrase in enumerate(msg.complements):
-        at = f"{where}.complements[{i}]"
-        ref = _validate_phrase(phrase, at, problems)
-        if ref is not None and ref not in plan.entities:
-            problems.append(
-                f"{at}: referential integrity: unknown entity {ref!r}")
+        if (found := checked.get(id(phrase))) is None:
+            found = checked[id(phrase)] = _phrase_problems(phrase)
+            ref = entity_ref(phrase.head)
+            if ref is not None and ref not in entities:
+                found.append(f"referential integrity: unknown entity {ref!r}")
+        if found:
+            problems += [f"{_path(at)}.complements[{i}]: {p}" for p in found]
     if msg.condition is not None:
         if nested:
             problems.append(
-                f"{where}: conditions may not nest below one level")
+                f"{_path(at)}: conditions may not nest below one level")
         else:
-            _validate_message(msg.condition, plan, f"{where}.condition",
-                              problems, nested=True)
+            _validate_message(msg.condition, (at, ".condition"), entities,
+                              checked, problems, nested=True)
+
+
+def _validate_node(node: PlanNode, at, level: int,
+                   entities: dict[str, Entity], checked: dict,
+                   problems: list[str], too_deep: bool) -> bool:
+    """Check the subtree at ``node``, whose path is ``at``; returns whether
+    a branch past MAX_NESTING has been named, as ``too_deep`` is on entry."""
+    if node.message is not None:
+        _validate_message(node.message, (at, ".message"), entities, checked,
+                          problems)
+        if node.children:
+            problems.append(f"{_path(at)}: leaf node has children")
+        if node.label is not None:
+            problems.append(f"{_path(at)}: leaf node has a label")
+        return too_deep
+    if level > MAX_NESTING:
+        # Named once, at the first branch past the bound.  The full path
+        # repeats ".children[i]"; its first segments and the level say
+        # where the plan went deep.
+        if not too_deep:
+            head = ".".join(_path(at).split(".")[:3])
+            problems.append(f"{head}... (level {level}): relation nodes "
+                            f"nest more than {MAX_NESTING} levels below "
+                            f"the root")
+        return True
+    if node.label is None:
+        problems.append(f"{_path(at)}: relation node has no label")
+    if not node.children:
+        problems.append(f"{_path(at)}: relation node has no children")
+    for i, child in enumerate(node.children):
+        too_deep = _validate_node(child, (at, ".children", i), level + 1,
+                                  entities, checked, problems, too_deep)
+    return too_deep
 
 
 def validate(plan: DocumentPlan) -> list[str]:
@@ -379,68 +422,42 @@ def validate(plan: DocumentPlan) -> list[str]:
     document_plan_from_json() runs it on every decoded plan; call it on a
     plan built by hand before planning sentences."""
     problems = _validate_entities(plan.entities)
-    if not isinstance(plan.entities, dict):
-        return problems
-    too_deep = False
-
-    def walk(node: PlanNode, where: str, level: int) -> None:
-        nonlocal too_deep
-        if node.message is not None:
-            _validate_message(node.message, plan, f"{where}.message",
-                              problems)
-            if node.children:
-                problems.append(f"{where}: leaf node has children")
-            if node.label is not None:
-                problems.append(f"{where}: leaf node has a label")
-            return
-        if level > MAX_NESTING:
-            # Named once, at the first branch past the bound.  The full
-            # path repeats ".children[i]"; its first segments and the
-            # level say where the plan went deep.
-            if not too_deep:
-                head = ".".join(where.split(".")[:3])
-                problems.append(f"{head}... (level {level}): relation "
-                                f"nodes nest more than {MAX_NESTING} "
-                                f"levels below the root")
-            too_deep = True
-            return
-        if node.label is None:
-            problems.append(f"{where}: relation node has no label")
-        if not node.children:
-            problems.append(f"{where}: relation node has no children")
-        for i, child in enumerate(node.children):
-            walk(child, f"{where}.children[{i}]", level + 1)
-
-    if plan.root is not None:
-        walk(plan.root, "root", 0)
+    if isinstance(plan.entities, dict) and plan.root is not None:
+        _validate_node(plan.root, "root", 0, plan.entities, {}, problems,
+                       False)
     return problems
 
 
-def _validate_clause(clause: ClauseSpec, where: str, problems: list[str],
-                     nested: bool = False) -> None:
-    _validate_verb(clause, where, problems)
+def _validate_clause(clause: ClauseSpec, at, checked: dict,
+                     problems: list[str], nested: bool = False) -> None:
+    _validate_verb(clause, at, problems)
     if not all(w.strip() for w in clause.discourse_markers):
-        problems.append(f"{where}: blank discourse marker")
+        problems.append(f"{_path(at)}: blank discourse marker")
     units = clause.complements
     if len(units) > 1 and not all(units):
-        problems.append(f"{where}: empty unit in a coordination group")
+        problems.append(f"{_path(at)}: empty unit in a coordination group")
     for i, unit in enumerate(units):
         for j, rc in enumerate(unit):
-            at = f"{where}.complements[{i}][{j}]"
-            ref = _validate_phrase(rc.phrase, f"{at}.phrase", problems)
-            if rc.ref is None:
-                if ref is not None:
-                    problems.append(f"{at}: @{ref} head has no ref")
-                continue
-            if rc.ref.entity.id != ref:
-                problems.append(f"{at}.ref: entity {rc.ref.entity.id!r} is "
-                                f"not the one its head names")
+            # found: (where below the complement, problem) pairs
+            if (found := checked.get(id(rc))) is None:
+                found = checked[id(rc)] = [
+                    (".phrase", p) for p in _phrase_problems(rc.phrase)]
+                ref = entity_ref(rc.phrase.head)
+                if rc.ref is None:
+                    if ref is not None:
+                        found.append(("", f"@{ref} head has no ref"))
+                elif rc.ref.entity.id != ref:
+                    found.append((".ref", f"entity {rc.ref.entity.id!r} is "
+                                          f"not the one its head names"))
+            if found:
+                where = f"{_path(at)}.complements[{i}][{j}]"
+                problems += [where + below + ": " + p for below, p in found]
     if clause.condition is not None:
         if nested:
             problems.append(
-                f"{where}: conditions may not nest below one level")
+                f"{_path(at)}: conditions may not nest below one level")
         else:
-            _validate_clause(clause.condition, f"{where}.condition",
+            _validate_clause(clause.condition, (at, ".condition"), checked,
                              problems, nested=True)
 
 
@@ -452,12 +469,13 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
     Plans made by plan_sentences() from a valid document plan always
     pass, so only decoding calls it."""
     problems: list[str] = []
+    checked: dict = {}
     for i, sp in enumerate(plans):
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")
         for j, clause in enumerate(sp.clauses):
-            _validate_clause(clause, f"sentences[{i}].clauses[{j}]",
-                             problems)
+            _validate_clause(clause, (("sentences", "", i), ".clauses", j),
+                             checked, problems)
     return problems
 
 

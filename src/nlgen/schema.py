@@ -823,17 +823,17 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
 def _instantiate_node(schema: SchemaDef, node_id: str,
                       template: MessageTemplate,
                       data: DataRecordSet) -> ir.Message:
-    condition, where = None, f"node {node_id!r}"
+    condition = None
     try:
         if template.condition_node:
-            where += f", condition node {template.condition_node!r}"
             condition = instantiate_template(
                 schema.nodes[template.condition_node], data)
-            where = f"node {node_id!r}"
         return instantiate_template(template, data, condition)
     except TraversalError as exc:
-        raise TraversalError(
-            f"{where}: template instantiation failed: {exc}") from exc
+        at = f", condition node {template.condition_node!r}" \
+            if template.condition_node and condition is None else ""
+        raise TraversalError(f"node {node_id!r}{at}: template "
+                             f"instantiation failed: {exc}") from exc
 
 
 def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:

@@ -185,6 +185,36 @@ def _only_meaning(ent: ir.Entity, window: list[ir.Entity]) -> bool:
         for o in window)
 
 
+def _rewrite(clause: ir.ClauseSpec, refer, memo: dict) -> ir.ClauseSpec:
+    """``clause`` with references as ``refer`` gives them, in surface order."""
+    condition = clause.condition
+    if condition is not None:
+        condition = _rewrite(condition, refer, memo)
+    subject_ref = refer(clause.subject_ref, None)
+    changed = subject_ref is not clause.subject_ref \
+        or condition is not clause.condition
+    units = []
+    for unit in clause.complements:
+        new_unit = []
+        for rc in unit:
+            if rc.ref is not None:
+                ref = refer(rc.ref, clause.subject_ref.entity.id)
+                if ref is not rc.ref:
+                    if (key := (id(rc.phrase), id(ref))) not in memo:
+                        memo[key] = ir.ResolvedComplement(rc.phrase, ref)
+                    rc = memo[key]
+                    changed = True
+            new_unit.append(rc)
+        units.append(tuple(new_unit))
+    if not changed:
+        return clause
+    return ir.ClauseSpec(
+        subject_ref=subject_ref, verb=clause.verb, tense=clause.tense,
+        modal=clause.modal, polarity=clause.polarity,
+        complements=tuple(units),
+        discourse_markers=clause.discourse_markers, condition=condition)
+
+
 def pronominalize(plans: list[ir.SentencePlan],
                   entities: dict[str, ir.Entity]) -> list[ir.SentencePlan]:
     """Rewrite reference modes using a one-sentence recency window.
@@ -220,39 +250,11 @@ def pronominalize(plans: list[ir.SentencePlan],
             memo[key] = ir.ReferenceSpec(ref.entity, mode)
         return memo[key]
 
-    def rewrite(clause: ir.ClauseSpec) -> ir.ClauseSpec:
-        # Surface order: the condition clause, the subject, the complements.
-        condition = clause.condition
-        if condition is not None:
-            condition = rewrite(condition)
-        subject_ref = refer(clause.subject_ref, None)
-        changed = subject_ref is not clause.subject_ref \
-            or condition is not clause.condition
-        units = []
-        for unit in clause.complements:
-            new_unit = []
-            for rc in unit:
-                if rc.ref is not None:
-                    ref = refer(rc.ref, clause.subject_ref.entity.id)
-                    if ref is not rc.ref:
-                        if (key := (id(rc.phrase), id(ref))) not in memo:
-                            memo[key] = ir.ResolvedComplement(rc.phrase, ref)
-                        rc = memo[key]
-                        changed = True
-                new_unit.append(rc)
-            units.append(tuple(new_unit))
-        if not changed:
-            return clause
-        return ir.ClauseSpec(
-            subject_ref=subject_ref, verb=clause.verb, tense=clause.tense,
-            modal=clause.modal, polarity=clause.polarity,
-            complements=tuple(units),
-            discourse_markers=clause.discourse_markers, condition=condition)
-
     out: list[ir.SentencePlan] = []
     for sp in plans:
         current = []
-        out.append(_with_clauses(sp, [rewrite(c) for c in sp.clauses]))
+        out.append(_with_clauses(
+            sp, [_rewrite(c, refer, memo) for c in sp.clauses]))
         prev_sentence = current
     return out
 

@@ -896,3 +896,132 @@ def reference_orthography(stream):
     stream = _reference_collapse_punct(stream)
     stream = _reference_capitalize(stream)
     return _reference_assemble(stream)
+
+
+# ---------------------------------------------------------------------------
+# Reference plan checks: validate() and validate_sentences() as they were
+# written first, formatting every path as they walk; the library's checks
+# must return the same problems in the same order.
+
+
+def _reference_check_verb(msg, where, problems):
+    from nlgen import ir
+
+    if not ir.is_verb_lemma(msg.verb):
+        problems.append(
+            f"{where}: verb lemma must be one lowercase alphabetic word")
+    if msg.modal and msg.tense != "present":
+        problems.append(f"{where}: {ir.MODAL_TENSE_RULE}")
+
+
+def _reference_check_phrase(phrase, where, problems):
+    from nlgen import ir
+
+    if not (phrase.head.strip() and all(map(str.strip, phrase.premodifiers))) \
+            or (phrase.preposition or "").isspace():
+        problems.append(f"{where}: blank word in complement")
+    ref = ir.entity_ref(phrase.head)
+    if ref is not None and (phrase.determiner or phrase.premodifiers):
+        problems.append(f"{where}: {ir.ENTITY_HEAD_RULE}")
+    return ref
+
+
+def _reference_check_message(msg, plan, where, problems, nested=False):
+    _reference_check_verb(msg, where, problems)
+    if msg.subject not in plan.entities:
+        problems.append(
+            f"{where}: referential integrity: unknown subject entity "
+            f"{msg.subject!r}")
+    if msg.adverb is not None and msg.adverb.isspace():
+        problems.append(f"{where}: blank adverb")
+    for i, phrase in enumerate(msg.complements):
+        at = f"{where}.complements[{i}]"
+        ref = _reference_check_phrase(phrase, at, problems)
+        if ref is not None and ref not in plan.entities:
+            problems.append(
+                f"{at}: referential integrity: unknown entity {ref!r}")
+    if msg.condition is not None:
+        if nested:
+            problems.append(
+                f"{where}: conditions may not nest below one level")
+        else:
+            _reference_check_message(msg.condition, plan,
+                                     f"{where}.condition", problems,
+                                     nested=True)
+
+
+def reference_validate(plan):
+    from nlgen import ir
+
+    problems = ir._validate_entities(plan.entities)
+    if not isinstance(plan.entities, dict):
+        return problems
+    too_deep = False
+
+    def walk(node, where, level):
+        nonlocal too_deep
+        if node.message is not None:
+            _reference_check_message(node.message, plan, f"{where}.message",
+                                     problems)
+            if node.children:
+                problems.append(f"{where}: leaf node has children")
+            if node.label is not None:
+                problems.append(f"{where}: leaf node has a label")
+            return
+        if level > ir.MAX_NESTING:
+            if not too_deep:
+                head = ".".join(where.split(".")[:3])
+                problems.append(f"{head}... (level {level}): relation "
+                                f"nodes nest more than {ir.MAX_NESTING} "
+                                f"levels below the root")
+            too_deep = True
+            return
+        if node.label is None:
+            problems.append(f"{where}: relation node has no label")
+        if not node.children:
+            problems.append(f"{where}: relation node has no children")
+        for i, child in enumerate(node.children):
+            walk(child, f"{where}.children[{i}]", level + 1)
+
+    if plan.root is not None:
+        walk(plan.root, "root", 0)
+    return problems
+
+
+def _reference_check_clause(clause, where, problems, nested=False):
+    _reference_check_verb(clause, where, problems)
+    if not all(w.strip() for w in clause.discourse_markers):
+        problems.append(f"{where}: blank discourse marker")
+    units = clause.complements
+    if len(units) > 1 and not all(units):
+        problems.append(f"{where}: empty unit in a coordination group")
+    for i, unit in enumerate(units):
+        for j, rc in enumerate(unit):
+            at = f"{where}.complements[{i}][{j}]"
+            ref = _reference_check_phrase(rc.phrase, f"{at}.phrase",
+                                          problems)
+            if rc.ref is None:
+                if ref is not None:
+                    problems.append(f"{at}: @{ref} head has no ref")
+                continue
+            if rc.ref.entity.id != ref:
+                problems.append(f"{at}.ref: entity {rc.ref.entity.id!r} is "
+                                f"not the one its head names")
+    if clause.condition is not None:
+        if nested:
+            problems.append(
+                f"{where}: conditions may not nest below one level")
+        else:
+            _reference_check_clause(clause.condition, f"{where}.condition",
+                                    problems, nested=True)
+
+
+def reference_validate_sentences(plans):
+    problems = []
+    for i, sp in enumerate(plans):
+        if not sp.clauses:
+            problems.append(f"sentences[{i}]: sentence has no clauses")
+        for j, clause in enumerate(sp.clauses):
+            _reference_check_clause(clause, f"sentences[{i}].clauses[{j}]",
+                                    problems)
+    return problems

@@ -138,6 +138,19 @@ class TestGenerate:
         assert "node 'a', condition node 'b'" in err
         assert "missing data path: r.missing" in err
 
+    def test_main_template_failure_names_its_node_alone(self, tmp_path):
+        src = ("schema s\n"
+               "node a emit subject=\"sam\" verb=go "
+               "complement=path(r.missing) condition=b\n"
+               "node b emit subject=\"sam\" verb=have "
+               "complement=\"a cold\"\n")
+        code, out, err = self._generate(tmp_path, src, {"r": {}})
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert ": node 'a': template instantiation failed: " in err
+        assert "condition node" not in err
+        assert "missing data path: r.missing" in err
+
     @pytest.mark.parametrize("records, problem", [
         ({}, "missing data path: r.x"),
         ({"r": {"x": "hi"}},

@@ -865,6 +865,278 @@ class TestValidateSentences:
             ir.sentence_plans_from_json(text)
 
 
+# ---------------------------------------------------------------------------
+# Faulty plans for comparing the checks with the references in oracle.py.
+# Each fault takes a plan (or sentence plans) and an rng that places it.
+
+_BAD_PHRASES = (
+    ir.ComplementPhrase(head=" "),
+    ir.ComplementPhrase(head="report", premodifiers=("", "new")),
+    ir.ComplementPhrase(head="store", preposition=" "),
+    ir.ComplementPhrase(head="@sam", determiner="the"),
+    ir.ComplementPhrase(head="@sam", preposition="with",
+                        premodifiers=("tall",)),
+    ir.ComplementPhrase(head="@nobody"),
+    ir.ComplementPhrase(head="@ ", premodifiers=(" ",)),
+)
+
+
+def _swap(node, old, new):
+    """The tree at ``node`` with the node ``old`` (by identity) made
+    ``new``."""
+    if node is old:
+        return new
+    if not node.children:
+        return node
+    return dataclasses.replace(node, children=tuple(
+        _swap(child, old, new) for child in node.children))
+
+
+def _edit_leaf(plan, rng, edit):
+    leaves = ir.plan_leaves(plan)
+    if not leaves:  # an empty relation node took the last one
+        return plan
+    target = rng.choice(leaves)
+    return dataclasses.replace(
+        plan, root=_swap(plan.root, target, edit(target)))
+
+
+def _edit_message(plan, rng, edit):
+    return _edit_leaf(plan, rng, lambda node: dataclasses.replace(
+        node, message=edit(node.message)))
+
+
+def _add_phrase(plan, rng, bad):
+    def edit(msg):
+        complements = list(msg.complements)
+        complements.insert(rng.randint(0, len(complements)), bad)
+        return dataclasses.replace(msg, complements=tuple(complements))
+    return _edit_message(plan, rng, edit)
+
+
+def _nest_conditions(msg):
+    inner = dataclasses.replace(msg, condition=None)
+    return dataclasses.replace(msg, condition=dataclasses.replace(
+        inner, condition=dataclasses.replace(inner, condition=inner)))
+
+
+def _misshape(plan, rng):
+    return _edit_leaf(plan, rng, lambda node: rng.choice([
+        dataclasses.replace(node, children=(leaf(node.message),)),
+        dataclasses.replace(node, label="contrast"),
+        ir.PlanNode(children=(node,)),
+        ir.PlanNode(label=rng.choice([None, "contrast"])),
+    ]))
+
+
+def _too_deep(plan, rng):
+    # One or two top-level branches wrapped in about MAX_NESTING relation
+    # nodes: some reach just below the bound, some just past it.
+    children = list(plan.root.children)
+    for i in rng.sample(range(len(children)),
+                        rng.randint(1, min(2, len(children)))):
+        for _ in range(ir.MAX_NESTING - 1 + rng.randint(0, 3)):
+            children[i] = seq(children[i], label="elaboration")
+    return dataclasses.replace(plan, root=dataclasses.replace(
+        plan.root, children=tuple(children)))
+
+
+def _shared_bad_phrase(plan, rng):
+    bad = rng.choice(_BAD_PHRASES)
+    bad = ir.ComplementPhrase(bad.head, bad.determiner, bad.premodifiers,
+                              bad.preposition)  # one new object
+    for _ in range(3):
+        plan = _add_phrase(plan, rng, bad)
+    return plan
+
+
+_PLAN_FAULTS = {
+    "blank word": lambda plan, rng: _add_phrase(
+        plan, rng, rng.choice(_BAD_PHRASES[:3])),
+    "blank adverb": lambda plan, rng: _edit_message(
+        plan, rng, lambda msg: dataclasses.replace(msg, adverb=" ")),
+    "bad verb": lambda plan, rng: _edit_message(
+        plan, rng, lambda msg: dataclasses.replace(
+            msg, verb=rng.choice(["Rest", "go home", ""]))),
+    "modal tense": lambda plan, rng: _edit_message(
+        plan, rng, lambda msg: dataclasses.replace(
+            msg, modal="can", tense="past")),
+    "unknown entity": lambda plan, rng: rng.choice([
+        lambda: _edit_message(plan, rng, lambda msg: dataclasses.replace(
+            msg, subject="nobody")),
+        lambda: _add_phrase(plan, rng, ir.ComplementPhrase(head="@nobody")),
+    ])(),
+    "@-head": lambda plan, rng: _add_phrase(
+        plan, rng, rng.choice(_BAD_PHRASES[3:])),
+    "nested conditions": lambda plan, rng: _edit_message(
+        plan, rng, _nest_conditions),
+    "node shape": _misshape,
+    "too deep": _too_deep,
+    "shared bad phrase": _shared_bad_phrase,
+}
+
+
+def _edit_clause(plans, rng, edit):
+    """``plans`` with one clause, drawn by rng, made ``edit(clause)``."""
+    full = [i for i, sp in enumerate(plans) if sp.clauses]
+    if not full:
+        return plans
+    i = rng.choice(full)
+    clauses = list(plans[i].clauses)
+    j = rng.randrange(len(clauses))
+    clauses[j] = edit(clauses[j])
+    return plans[:i] + [dataclasses.replace(
+        plans[i], clauses=tuple(clauses))] + plans[i + 1:]
+
+
+def _add_complement(plans, rng, rc):
+    def edit(clause):
+        units = list(clause.complements) or [()]
+        i = rng.randrange(len(units))
+        units[i] += (rc,)
+        return dataclasses.replace(clause, complements=tuple(units))
+    return _edit_clause(plans, rng, edit)
+
+
+def _some_entity(plans, rng):
+    refs = list(_references(plans))  # none once every clause is gone
+    return rng.choice(refs).entity if refs else SAM
+
+
+def _wrong_ref(plans, rng):
+    # A head that names one entity, or none, with another's reference.
+    ent = _some_entity(plans, rng)
+    head = rng.choice(["@nobody", "@" + ent.id + "x", ent.id])
+    return _add_complement(plans, rng, ir.ResolvedComplement(
+        ir.ComplementPhrase(head=head), ir.ReferenceSpec(ent)))
+
+
+def _bad_complement(plans, rng):
+    ent = _some_entity(plans, rng)
+    return rng.choice([
+        ir.ResolvedComplement(rng.choice(_BAD_PHRASES[:3])),
+        ir.ResolvedComplement(ir.ComplementPhrase(
+            head="@" + ent.id, determiner="the"), ir.ReferenceSpec(ent)),
+        ir.ResolvedComplement(ir.ComplementPhrase(head="@" + ent.id)),
+        ir.ResolvedComplement(ir.ComplementPhrase(head="@nobody"),
+                              ir.ReferenceSpec(ent, "pronoun")),
+    ])
+
+
+def _shared_bad_complement(plans, rng):
+    bad = _bad_complement(plans, rng)
+    bad = ir.ResolvedComplement(bad.phrase, bad.ref)  # one new object
+    for _ in range(3):
+        plans = _add_complement(plans, rng, bad)
+    return plans
+
+
+def _no_clauses(plans, rng):
+    i = rng.randrange(len(plans))
+    return plans[:i] + [dataclasses.replace(plans[i], clauses=())] + \
+        plans[i + 1:]
+
+
+def _nest_clauses(clause):
+    inner = dataclasses.replace(clause, condition=None)
+    return dataclasses.replace(clause, condition=dataclasses.replace(
+        inner, condition=dataclasses.replace(inner, condition=inner)))
+
+
+_SENTENCE_FAULTS = {
+    "blank word": lambda plans, rng: _add_complement(
+        plans, rng, ir.ResolvedComplement(rng.choice(_BAD_PHRASES[:3]))),
+    "blank marker": lambda plans, rng: _edit_clause(
+        plans, rng, lambda clause: dataclasses.replace(
+            clause, discourse_markers=clause.discourse_markers + (" ",))),
+    "bad verb": lambda plans, rng: _edit_clause(
+        plans, rng, lambda clause: dataclasses.replace(
+            clause, verb="Rest", modal=rng.choice([None, "can"]),
+            tense="past")),
+    "unknown entity": _wrong_ref,
+    "@-head": lambda plans, rng: _add_complement(
+        plans, rng, _bad_complement(plans, rng)),
+    "nested conditions": lambda plans, rng: _edit_clause(
+        plans, rng, _nest_clauses),
+    "clause shape": lambda plans, rng: rng.choice([
+        lambda: _no_clauses(plans, rng),
+        lambda: _edit_clause(plans, rng, lambda clause: dataclasses.replace(
+            clause, complements=clause.complements + ((),))),
+    ])(),
+    "shared bad complement": _shared_bad_complement,
+}
+
+
+def _decoded_plan(plan):
+    """``plan`` read back from its file, not checked."""
+    return ir._from_file(ir.DocumentPlan,
+                         json.loads(ir.document_plan_to_json(plan)))
+
+
+def _decoded_sentences(plans):
+    """``plans`` read back from their file, not checked."""
+    payload = json.loads(ir.sentence_plans_to_json(plans))
+    entities = ir.from_obj(dict[str, ir.Entity], payload["entities"])
+    return list(ir._from_file(tuple[ir.SentencePlan, ...],
+                              payload["sentences"], "sentences", entities))
+
+
+class TestChecksMatchReference:
+    # validate() and validate_sentences() format a path only for a value
+    # that fails and check each complement object once per call; the
+    # references in oracle.py format every path and check every use.
+    # Both must name the same problems in the same order, on plans built
+    # by hand and on plans read back from their files, where one object
+    # stands for every use of a value.
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           faults=st.lists(st.sampled_from(sorted(_PLAN_FAULTS)),
+                           max_size=4, unique=True))
+    def test_validate(self, seed, faults):
+        rng = random.Random(seed)
+        plan = random_document_plan(rng)
+        for fault in faults:
+            plan = _PLAN_FAULTS[fault](plan, rng)
+        expected = oracle.reference_validate(plan)
+        assert bool(expected) == bool(faults) or "too deep" in faults
+        assert ir.validate(plan) == expected
+        decoded = _decoded_plan(plan)
+        assert decoded == plan
+        assert ir.validate(decoded) == oracle.reference_validate(decoded) \
+            == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           profile=st.sampled_from(["fluent", "plain"]),
+           faults=st.lists(st.sampled_from(sorted(_SENTENCE_FAULTS)),
+                           max_size=4, unique=True))
+    def test_validate_sentences(self, seed, profile, faults):
+        rng = random.Random(seed)
+        plans = plan_sentences(random_document_plan(rng), profile)
+        for fault in faults:
+            plans = _SENTENCE_FAULTS[fault](plans, rng)
+        expected = oracle.reference_validate_sentences(plans)
+        assert bool(expected) == bool(faults)
+        assert ir.validate_sentences(plans) == expected
+        decoded = _decoded_sentences(plans)
+        assert decoded == plans
+        assert ir.validate_sentences(decoded) == \
+            oracle.reference_validate_sentences(decoded) == expected
+
+    def test_a_shared_bad_phrase_is_named_at_each_use(self):
+        bad = ir.ComplementPhrase(head="@sam", determiner="the")
+        msg = ir.Message(subject="sam", verb="see", complements=(bad, bad))
+        plan = ir.DocumentPlan(root=seq(leaf(msg), leaf(msg)),
+                               entities={"sam": SAM})
+        rule = ir.ENTITY_HEAD_RULE
+        assert ir.validate(plan) == oracle.reference_validate(plan) == [
+            f"root.children[{i}].message.complements[{j}]: {rule}"
+            for i in (0, 1) for j in (0, 1)]
+
+
 class TestOracleAgreement:
     def test_sentence_side_equals_document_side(self, rng):
         # Both sides read back from their JSON files, as the

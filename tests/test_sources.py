@@ -75,3 +75,23 @@ def test_every_perfbench_instrument_records_calls():
     names = [instrument[0] for instrument in tracing.INSTRUMENTS]
     assert len(names) == 22
     assert [name for name in names if name not in called] == []
+
+
+def test_no_nested_function_refers_to_its_own_name():
+    # A nested function that calls itself holds itself through its closure
+    # cell, so every call of the function around it leaves a reference
+    # cycle that only the cyclic collector frees (tests/test_cycles.py
+    # checks the same at run time).  Such a walk is a module-level
+    # function or a loop over an explicit stack.
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path in sorted((ROOT / "src" / "nlgen").rglob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, functions) and \
+                        any(isinstance(node, ast.Name) and
+                            node.id == inner.name for node in ast.walk(inner)):
+                    found.append(f"{path.name}:{inner.lineno}: {inner.name}")
+    assert found == []
