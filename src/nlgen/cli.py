@@ -22,6 +22,7 @@ bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -151,6 +152,7 @@ def cmd_realize(args) -> None:
                         plans, lex))
 
 
+@functools.cache  # one per process: a parser's parts refer to each other
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nlgen",

@@ -24,14 +24,14 @@ instantiated message becomes the "If ..." antecedent.
 
 Traversal walks depth-first from the entry node, instantiating emit
 templates and following every arc whose guard is true, in declaration
-order.  Arcs labeled sequence splice their results into the surrounding
-flow; elaboration and contrast arcs group consecutive same-labeled
-results under one relation node, and `call` results form a subtree.  A
-per-node visit budget, MAX_VISITS (32), turns runaway cycles into errors.
-Traversal keeps its own stack, so a sequence chain may be any length;
-each `call` and each non-sequence arc nests one level, and nesting deeper
-than ir.MAX_NESTING (100) levels is a TraversalError.  Guards may nest
-operators as deep, and no deeper.
+order, in time linear in the nodes it visits.  Arcs labeled sequence
+splice their results into the surrounding flow; elaboration and contrast
+arcs group consecutive same-labeled results under one relation node, and
+`call` results form a subtree.  A per-node visit budget, MAX_VISITS (32),
+turns runaway cycles into errors.  Traversal keeps its own stack, so a
+sequence chain may be any length; each `call` and each non-sequence arc
+nests one level, and nesting deeper than ir.MAX_NESTING (100) levels is a
+TraversalError.  Guards may nest operators as deep, and no deeper.
 
 Parsing stores each schema's nodes by id and its arcs by source node,
 both in declaration order, and a template path as the tuple of its dotted
@@ -48,16 +48,19 @@ value, never through its own methods.  Every other failure during
 traversal is a TraversalError naming its arc or node and schema.
 Complement text is parsed through one bounded cache shared by the process
 (COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped first);
-text that does not parse is not cached.  Parsing fills no cache, and the
-checks that depend on the data run for every document.
+text that does not parse is not cached.  Parsing fills no cache.  A
+template of literals keeps the message its first use builds, one object
+for equal messages, as it keeps its problems (so change a template by
+dataclasses.replace); the checks that depend on the data run per document.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
 
@@ -133,6 +136,11 @@ class MessageTemplate:
 
     # Found on first use; a clean template holds the shared empty tuple.
     problems = cached_property(_find_problems)
+
+    # A template of literals' message, kept from its first use (False for a
+    # path or a failing literal); a field, so keeping it adds no dict key.
+    constant: ir.Message | bool | None = field(
+        default_factory=lambda: None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -610,12 +618,15 @@ def _lookup(records: Any, segments: tuple[str, ...]) -> Any:
     int or float subclass reads as its base type's value."""
     value = records
     for segment in segments:
-        # Data files decode to plain dicts; the exact-type test skips the
-        # much slower ABC check for them.
-        if not (type(value) is dict or isinstance(value, Mapping)) \
-                or segment not in value:
+        # Data files decode to plain dicts, read with one probe; the
+        # exact-type test skips the much slower ABC check for them.
+        if type(value) is dict:
+            if (value := value.get(segment, _MISSING)) is _MISSING:
+                return _MISSING
+        elif isinstance(value, Mapping) and segment in value:
+            value = value[segment]
+        else:
             return _MISSING
-        value = value[segment]
     kind = type(value)
     if kind in _JSON_TYPES:
         return value
@@ -729,6 +740,8 @@ def eval_condition(cond: Condition, data: DataRecordSet) -> bool:
 # Distinct complement texts kept parsed; a document repeats a few texts
 # many times, so the cache stays far below this bound in practice.
 COMPLEMENT_CACHE_SIZE = 4096
+# Each distinct message of a template of literals while a template keeps it.
+_CONSTANTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=COMPLEMENT_CACHE_SIZE)
@@ -760,9 +773,7 @@ def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
     """The text of an expression: a path's value must be a string, a
     boolean ("true"/"false"), a finite float or an int of at most
     ir.MAX_DIGITS digits."""
-    if type(expr) is str:
-        return expr
-    if type(expr) is not tuple:  # a literal built by hand
+    if type(expr) is not tuple:  # a literal
         if type(expr := _lookup(expr, ())) is not str:
             raise TraversalError(f"literal is {ir.json_kind(expr)}, not text")
         return expr
@@ -787,134 +798,151 @@ def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
                          f"{ir.json_kind(value)}, not a string or number")
 
 
-def instantiate_template(template: MessageTemplate, data: DataRecordSet,
-                         condition: ir.Message | None = None) -> ir.Message:
-    """Fill a message template against the data records.  The subject
-    and every @ complement head must name an entity of the data; a blank
-    adverb is no adverb."""
-    if template.problems:
-        raise TraversalError(template.problems[0][1])
-    subject = _resolve_expr(template.subject, data)
+def _fill(template: MessageTemplate, data: DataRecordSet | None,
+          condition: ir.Message | None = None) -> ir.Message:
+    """The template's message; its subject and @ heads must be entities
+    of the data, if given.  A literal or text path value is read in place."""
+    expr = template.subject
+    subject = expr if type(expr) is str else value if type(expr) is tuple \
+        and type(value := _lookup(data.records, expr)) is str \
+        else _resolve_expr(expr, data)
     if subject.startswith(ir.ENTITY_MARKER):
         subject = subject[len(ir.ENTITY_MARKER):]
-    if subject not in data.entities:
+    if data is not None and subject not in data.entities:
         raise TraversalError(f"unknown entity {subject!r}")
-    complements = tuple([_parse_complement_text(_resolve_expr(expr, data))
-                         for expr in template.complements])
+    complements = tuple([_parse_complement_text(
+        expr if type(expr) is str else value if type(expr) is tuple
+        and type(value := _lookup(data.records, expr)) is str
+        else _resolve_expr(expr, data)) for expr in template.complements])
     for phrase in complements:
         ref = ir.entity_ref(phrase.head)
-        if ref is not None and ref not in data.entities:
+        if ref is not None and data is not None and ref not in data.entities:
             raise TraversalError(f"unknown entity {ref!r}")
     adverb = None
-    if template.adverb is not None:
-        adverb = _resolve_expr(template.adverb, data).strip() or None
-    return ir.Message(
-        subject=subject,
-        verb=template.verb,
-        complements=complements,
-        tense=template.tense,
-        modal=template.modal,
-        polarity=template.polarity,
-        adverb=adverb,
-        condition=condition,
-    )
+    if (expr := template.adverb) is not None:
+        adverb = (expr if type(expr) is str else value if type(expr) is tuple
+                  and type(value := _lookup(data.records, expr)) is str
+                  else _resolve_expr(expr, data)).strip() or None
+    message = ir.Message(subject, template.verb, complements, template.tense,
+                         template.modal, template.polarity, adverb, condition)
+    return message if data else _CONSTANTS.setdefault(message, message)
 
 
-def _instantiate_node(schema: SchemaDef, node_id: str,
-                      template: MessageTemplate,
-                      data: DataRecordSet) -> ir.Message:
-    condition = None
-    try:
-        if template.condition_node:
-            condition = instantiate_template(
-                schema.nodes[template.condition_node], data)
-        return instantiate_template(template, data, condition)
-    except TraversalError as exc:
-        at = f", condition node {template.condition_node!r}" \
-            if template.condition_node and condition is None else ""
-        raise TraversalError(f"node {node_id!r}{at}: template "
-                             f"instantiation failed: {exc}") from exc
+def instantiate_template(template: MessageTemplate, data: DataRecordSet,
+                         condition: ir.Message | None = None) -> ir.Message:
+    """Fill a message template against the data records.  The subject and
+    every @ complement head must name an entity of the data; a blank adverb
+    is no adverb.  A template of literals gives its kept message."""
+    if template.problems:
+        raise TraversalError(template.problems[0][1])
+    if (message := template.constant) is None:
+        exprs = (template.subject, template.adverb, *template.complements)
+        try:
+            message = tuple not in map(type, exprs) and _fill(template, None)
+        except TraversalError:
+            message = False
+        object.__setattr__(template, "constant", message)
+    if message and message.subject in (entities := data.entities):
+        for phrase in message.complements:
+            ref = ir.entity_ref(phrase.head)
+            if ref is not None and ref not in entities:
+                break
+        else:
+            return replace(message, condition=condition) if condition \
+                else message
+    return _fill(template, data, condition)
+
+
+def _close_run(out: list[ir.PlanNode], rel: str, start: int) -> None:
+    """Fold a finished run, out[start:], into a relation node if due."""
+    if rel != "sequence" and len(out) - start > (rel == "call"):
+        out[start:] = [ir.PlanNode(label="sequence" if rel == "call" else rel,
+                                   children=tuple(out[start:]))]
 
 
 def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
     """Interpret a schema over the data records, producing a document plan.
 
     Deterministic: equal schema and data always yield a structurally
-    equal plan.  Each `call` and each non-sequence arc nests one level,
-    and nesting past ir.MAX_NESTING is a TraversalError, as is a problem
-    of the schema check in the schema or a schema it calls.  An entity
-    table that breaks the plan rules is a DataError.
+    equal plan, in time linear in the nodes visited.  Each `call` and
+    each non-sequence arc nests one level, and nesting past
+    ir.MAX_NESTING is a TraversalError, as is a problem of the schema
+    check in the schema or a schema it calls.  An entity table that
+    breaks the plan rules is a DataError.
     """
     if schema._problems:
         raise _schema_error(schema)
     ir._check(ir._validate_entities(data.entities))
     visits: dict[tuple[str, str], int] = {}
-    # One frame per node being visited: its schema, its arcs not yet
-    # followed, its pieces, its runs of same-label results (a callee's
-    # pieces are a run labeled "call"), its level, and the label of the
-    # run its pieces join in its parent's frame.
-    stack: list[tuple] = []
-
-    def enter(definition: SchemaDef, node_id: str, level: int,
-              joins: str) -> None:
-        while True:  # a call node's frame is topped by its callee's entry
-            key = (definition.name, node_id)
-            visits[key] = visits.get(key, 0) + 1
-            if visits[key] > MAX_VISITS:
-                raise TraversalError(
-                    f"visit limit ({MAX_VISITS}) exceeded at node "
-                    f"{node_id!r} in schema {definition.name!r}; probable "
-                    f"schema cycle")
-            if level > ir.MAX_NESTING:
-                raise TraversalError(
-                    f"schema nesting deeper than {ir.MAX_NESTING} levels "
-                    f"at node {node_id!r} in schema {definition.name!r}")
-            node = definition.nodes[node_id]
-            pieces: list[ir.PlanNode] = []
-            if isinstance(node, MessageTemplate):
-                pieces.append(ir.PlanNode(message=_instantiate_node(
-                    definition, node_id, node, data)))
-            stack.append((definition, iter(definition.arcs.get(node_id, ())),
-                          pieces, [], level, joins))
-            if not isinstance(node, str):
-                return
+    # Pieces go into one list in document order.  A frame is kept per node
+    # with arcs left: its schema, arcs, next arc's index, level, and the
+    # label and start in out of its open run (a callee's is labeled "call").
+    out: list[ir.PlanNode] = []
+    stack: list[list] = []
+    definition, node_id, level = schema, schema.entry, 0
+    while True:
+        key = (definition.name, node_id)
+        visits[key] = count = visits.get(key, 0) + 1
+        if count > MAX_VISITS:
+            raise TraversalError(
+                f"visit limit ({MAX_VISITS}) exceeded at node {node_id!r} "
+                f"in schema {definition.name!r}; probable schema cycle")
+        if level > ir.MAX_NESTING:
+            raise TraversalError(
+                f"schema nesting deeper than {ir.MAX_NESTING} levels at "
+                f"node {node_id!r} in schema {definition.name!r}")
+        node = definition.nodes[node_id]
+        if isinstance(node, MessageTemplate):
+            condition = None
+            try:
+                if node.condition_node:
+                    condition = instantiate_template(
+                        definition.nodes[node.condition_node], data)
+                out.append(ir.PlanNode(message=instantiate_template(
+                    node, data, condition)))
+            except TraversalError as exc:
+                at = f", condition node {node.condition_node!r}" \
+                    if node.condition_node and condition is None else ""
+                raise TraversalError(f"node {node_id!r}{at}: template "
+                                     f"instantiation failed: {exc}") from exc
+        arcs = definition.arcs.get(node_id, ())
+        if isinstance(node, str):
+            stack.append([definition, arcs, 0, level, "call", len(out)])
             definition = definition.schema_set[node]
             if definition._problems:
                 raise _schema_error(definition)
-            node_id = definition.entry
-            level, joins = level + 1, "call"
-
-    enter(schema, schema.entry, 0, "sequence")
-    while True:
-        definition, arcs, pieces, runs, level, joins = stack[-1]
-        # Arcs in declaration order; every true guard is taken.
-        for arc in arcs:
-            try:
-                taken = arc.guard is None or eval_condition(arc.guard, data)
-            except TraversalError as exc:
-                raise TraversalError(
-                    f"arc {arc.src!r} -> {arc.dst!r} in schema "
-                    f"{definition.name!r}: guard failed: {exc}") from exc
-            if taken:
-                enter(definition, arc.dst, level + (arc.rel != "sequence"),
-                      arc.rel)
+            node_id, level = definition.entry, level + 1
+            continue
+        if arcs:
+            stack.append([definition, arcs, 0, level, "sequence", len(out)])
+        while stack:  # the innermost frame's next arc whose guard is true
+            frame = stack[-1]
+            definition, arcs, i, level, rel, start = frame
+            for i in range(i, len(arcs)):
+                arc = arcs[i]
+                try:
+                    if arc.guard is not None \
+                            and not eval_condition(arc.guard, data):
+                        continue
+                except TraversalError as exc:
+                    raise TraversalError(
+                        f"arc {arc.src!r} -> {arc.dst!r} in schema "
+                        f"{definition.name!r}: guard failed: {exc}") from exc
+                if arc.rel != rel:
+                    _close_run(out, rel, start)
+                    frame[4:] = arc.rel, len(out)
+                if arc.rel == "sequence" and i + 1 == len(arcs):
+                    stack.pop()  # so a chain keeps no frame per node
+                else:
+                    frame[2] = i + 1
+                node_id, level = arc.dst, level + (arc.rel != "sequence")
                 break
-        else:
-            stack.pop()
-            for rel, combined in runs:
-                if rel == "sequence" or rel == "call" and len(combined) == 1:
-                    pieces.extend(combined)
-                elif combined:
-                    pieces.append(ir.PlanNode(
-                        label="sequence" if rel == "call" else rel,
-                        children=tuple(combined)))
-            if not stack:
-                break
-            runs = stack[-1][3]
-            if runs and runs[-1][0] == joins:
-                runs[-1][1].extend(pieces)
             else:
-                runs.append((joins, pieces))
-    root = ir.PlanNode(label="sequence", children=tuple(pieces)) \
-        if pieces else None
+                stack.pop()
+                _close_run(out, rel, start)
+                continue
+            break
+        else:
+            break
+    root = ir.PlanNode(label="sequence", children=tuple(out)) if out else None
     return ir.DocumentPlan(root=root, entities=dict(data.entities))

@@ -12,6 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
+from nlgen import ir, schema as lib
+from nlgen.errors import TraversalError
+
 
 def _norm_phrase(phrase):
     head = phrase.head
@@ -1025,3 +1028,149 @@ def reference_validate_sentences(plans):
             _reference_check_clause(clause, f"sentences[{i}].clauses[{j}]",
                                     problems)
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Traversal as it was before it appended plan pieces in place and kept a
+# constant template's message: each frame's pieces were copied into its
+# parent's run when the frame ended, and every message was built anew.
+# The library's traverse() and instantiate_template() must give equal
+# plans and equal errors.  What the copies share with the library they
+# read from nlgen.schema ("lib"), so a patched MAX_VISITS holds for both.
+
+
+def previous_instantiate_template(template: lib.MessageTemplate,
+                                  data: lib.DataRecordSet,
+                                  condition: ir.Message | None = None
+                                  ) -> ir.Message:
+    """Fill a message template against the data records.  The subject
+    and every @ complement head must name an entity of the data; a blank
+    adverb is no adverb."""
+    if template.problems:
+        raise TraversalError(template.problems[0][1])
+    subject = lib._resolve_expr(template.subject, data)
+    if subject.startswith(ir.ENTITY_MARKER):
+        subject = subject[len(ir.ENTITY_MARKER):]
+    if subject not in data.entities:
+        raise TraversalError(f"unknown entity {subject!r}")
+    complements = tuple([lib._parse_complement_text(
+        lib._resolve_expr(expr, data)) for expr in template.complements])
+    for phrase in complements:
+        ref = ir.entity_ref(phrase.head)
+        if ref is not None and ref not in data.entities:
+            raise TraversalError(f"unknown entity {ref!r}")
+    adverb = None
+    if template.adverb is not None:
+        adverb = lib._resolve_expr(template.adverb, data).strip() or None
+    return ir.Message(
+        subject=subject,
+        verb=template.verb,
+        complements=complements,
+        tense=template.tense,
+        modal=template.modal,
+        polarity=template.polarity,
+        adverb=adverb,
+        condition=condition,
+    )
+
+
+def _previous_instantiate_node(schema: lib.SchemaDef, node_id: str,
+                               template: lib.MessageTemplate,
+                               data: lib.DataRecordSet) -> ir.Message:
+    condition = None
+    try:
+        if template.condition_node:
+            condition = previous_instantiate_template(
+                schema.nodes[template.condition_node], data)
+        return previous_instantiate_template(template, data, condition)
+    except TraversalError as exc:
+        at = f", condition node {template.condition_node!r}" \
+            if template.condition_node and condition is None else ""
+        raise TraversalError(f"node {node_id!r}{at}: template "
+                             f"instantiation failed: {exc}") from exc
+
+
+def previous_traverse(schema: lib.SchemaDef,
+                      data: lib.DataRecordSet) -> ir.DocumentPlan:
+    """Interpret a schema over the data records, producing a document plan.
+
+    Deterministic: equal schema and data always yield a structurally
+    equal plan.  Each `call` and each non-sequence arc nests one level,
+    and nesting past ir.MAX_NESTING is a TraversalError, as is a problem
+    of the schema check in the schema or a schema it calls.  An entity
+    table that breaks the plan rules is a DataError.
+    """
+    if schema._problems:
+        raise lib._schema_error(schema)
+    ir._check(ir._validate_entities(data.entities))
+    visits: dict[tuple[str, str], int] = {}
+    # One frame per node being visited: its schema, its arcs not yet
+    # followed, its pieces, its runs of same-label results (a callee's
+    # pieces are a run labeled "call"), its level, and the label of the
+    # run its pieces join in its parent's frame.
+    stack: list[tuple] = []
+
+    def enter(definition: lib.SchemaDef, node_id: str, level: int,
+              joins: str) -> None:
+        while True:  # a call node's frame is topped by its callee's entry
+            key = (definition.name, node_id)
+            visits[key] = visits.get(key, 0) + 1
+            if visits[key] > lib.MAX_VISITS:
+                raise TraversalError(
+                    f"visit limit ({lib.MAX_VISITS}) exceeded at node "
+                    f"{node_id!r} in schema {definition.name!r}; probable "
+                    f"schema cycle")
+            if level > ir.MAX_NESTING:
+                raise TraversalError(
+                    f"schema nesting deeper than {ir.MAX_NESTING} levels "
+                    f"at node {node_id!r} in schema {definition.name!r}")
+            node = definition.nodes[node_id]
+            pieces: list[ir.PlanNode] = []
+            if isinstance(node, lib.MessageTemplate):
+                pieces.append(ir.PlanNode(message=_previous_instantiate_node(
+                    definition, node_id, node, data)))
+            stack.append((definition, iter(definition.arcs.get(node_id, ())),
+                          pieces, [], level, joins))
+            if not isinstance(node, str):
+                return
+            definition = definition.schema_set[node]
+            if definition._problems:
+                raise lib._schema_error(definition)
+            node_id = definition.entry
+            level, joins = level + 1, "call"
+
+    enter(schema, schema.entry, 0, "sequence")
+    while True:
+        definition, arcs, pieces, runs, level, joins = stack[-1]
+        # Arcs in declaration order; every true guard is taken.
+        for arc in arcs:
+            try:
+                taken = arc.guard is None or lib.eval_condition(arc.guard,
+                                                                data)
+            except TraversalError as exc:
+                raise TraversalError(
+                    f"arc {arc.src!r} -> {arc.dst!r} in schema "
+                    f"{definition.name!r}: guard failed: {exc}") from exc
+            if taken:
+                enter(definition, arc.dst, level + (arc.rel != "sequence"),
+                      arc.rel)
+                break
+        else:
+            stack.pop()
+            for rel, combined in runs:
+                if rel == "sequence" or rel == "call" and len(combined) == 1:
+                    pieces.extend(combined)
+                elif combined:
+                    pieces.append(ir.PlanNode(
+                        label="sequence" if rel == "call" else rel,
+                        children=tuple(combined)))
+            if not stack:
+                break
+            runs = stack[-1][3]
+            if runs and runs[-1][0] == joins:
+                runs[-1][1].extend(pieces)
+            else:
+                runs.append((joins, pieces))
+    root = ir.PlanNode(label="sequence", children=tuple(pieces)) \
+        if pieces else None
+    return ir.DocumentPlan(root=root, entities=dict(data.entities))

@@ -1,7 +1,9 @@
 import dataclasses
 import enum
 import json
+import random
 import re
+import time
 from types import MappingProxyType
 from unittest import mock
 
@@ -929,6 +931,30 @@ class TestTraverse:
                 f"'e{ir.MAX_NESTING + 1}' in schema 's'")):
             traverse_chain(ir.MAX_NESTING + 1)
 
+    def test_a_long_chain_traverses_in_linear_time(self):
+        # Each node of a sequence chain appends its message in place and
+        # keeps no frame once it follows its last arc.  Copying each
+        # finished frame's pieces into its parent's, as traversal did
+        # before, took about 25 times as long at this length.
+        n = 100_000
+        guard = schema.Condition(op="gt", path="r.x", value=1)
+        templates = [schema.MessageTemplate(subject="sam", verb="rest"),
+                     schema.MessageTemplate(subject=("r", "who"), verb="go")]
+        definition = schema.SchemaDef(
+            name="s", entry="n0",
+            nodes={f"n{i}": templates[i % 2] for i in range(n)},
+            arcs={f"n{i}": [schema.Arc(f"n{i}", f"n{i + 1}", guard)]
+                  for i in range(n - 1)})
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": {"x": 2, "who": "sam"}})
+        start = time.perf_counter()
+        plan = schema.traverse(definition, data)
+        assert time.perf_counter() - start < 20
+        assert len(plan.root.children) == n
+        assert all(leaf.message.verb == ("rest", "go")[i % 2]
+                   for i, leaf in enumerate(plan.root.children))
+
     def test_elaboration_arcs_group_into_one_relation(self):
         src = ("schema s\n"
                "node a emit subject=\"sam\" verb=rest\n"
@@ -1047,6 +1073,148 @@ class TestTraversalOracle:
         with mock.patch.object(schema, "MAX_VISITS", max_visits):
             indexed = outcome(schema.traverse)
         assert indexed == outcome(oracle.reference_traverse, max_visits)
+
+
+def _outcome(call, *args):
+    """What a call returns, or the class and text of the error it raises."""
+    try:
+        return call(*args)
+    except NlgenError as exc:
+        return type(exc), str(exc)
+
+
+def _random_chain(rng):
+    """A schema file whose entry schema is one chain of 500 to 3,000 nodes
+    (emit nodes, now and then an end node, and up to 20 call nodes into
+    three short schemas), with labeled side arcs and chain arcs, guards
+    that hold, and one guard in ten chains that is false, or fails, part
+    of the way along."""
+    length = rng.randint(500, 3000)
+    labeled = rng.choice([0.0, 0.01, 0.08])
+    calls = set(rng.sample(range(1, length), rng.randint(0, 20)))
+    stop, fail = (rng.randrange(length) if rng.random() < 0.1 else None
+                  for _ in range(2))
+    nodes, arcs = [], []
+    for i in range(length):
+        if i in calls:
+            nodes.append(f"node c{i} call sub{rng.randrange(3)}")
+        elif i > 0 and rng.random() < 0.0005:
+            nodes.append(f"node c{i} end")
+            continue
+        else:
+            subject = rng.choice(['"sam"', "path(r.who)"])
+            nodes.append(f"node c{i} emit subject={subject} verb=rest"
+                         + rng.choice(["", ' complement="a fever"',
+                                       " complement=path(r.what)"]))
+        out = []
+        if i + 1 < length:
+            guard = ("exists(r.gone)" if i == stop else "gt(r.what, 1)"
+                     if i == fail else rng.choice(["gt(r.x, 1)", ""]))
+            rel = rng.choice(ir.RELATION_LABELS[1:]) \
+                if rng.random() < labeled else "sequence"
+            out.append(f"arc c{i} -> c{i + 1}"
+                       + (f" when {guard}" if guard else "") + f" rel {rel}")
+        if rng.random() < 0.05:
+            nodes.append(f'node s{i} emit subject="sam" verb=go')
+            out.append(f"arc c{i} -> s{i} when exists(r.x) "
+                       f"rel {rng.choice(ir.RELATION_LABELS)}")
+        rng.shuffle(out)
+        arcs += out
+    lines = ["schema main", *nodes, *arcs]
+    for k in range(3):
+        size = rng.randint(1, 3)
+        lines.append(f"schema sub{k}")
+        lines += [f'node e{j} emit subject="sam" verb=see' for j in
+                  range(size)]
+        lines += [f"arc e{j} -> e{j + 1} rel {rng.choice(ir.RELATION_LABELS)}"
+                  for j in range(size - 1)]
+    return "\n".join(lines) + "\n"
+
+
+class TestTraversalMatchesPrevious:
+    """traverse() and instantiate_template() give what the versions kept
+    in tests/oracle.py give, which copied each finished frame's pieces
+    into its parent and built every message anew: equal plans (==), and
+    errors of the same class and text, on a first traversal, which builds
+    each constant message, and on a second, which reuses it."""
+
+    _DATA = schema.load_data(json.dumps({
+        "entities": {"sam": {"name": "Sam"}},
+        "records": {"r": {"who": "sam", "what": "a rash", "x": 2}}}))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(case=_random_schema_case())
+    def test_random_schemas(self, case):
+        source, data_text, max_visits = case
+        parsed = schema.parse_schema(source)
+        data = schema.load_data(data_text)
+        with mock.patch.object(schema, "MAX_VISITS", max_visits):
+            first = _outcome(schema.traverse, parsed, data)
+            assert first == _outcome(oracle.previous_traverse, parsed, data)
+            assert _outcome(schema.traverse, parsed, data) == first
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_long_chains(self, seed):
+        parsed = schema.parse_schema(_random_chain(random.Random(seed)))
+        first = _outcome(schema.traverse, parsed, self._DATA)
+        assert first == _outcome(oracle.previous_traverse, parsed,
+                                 self._DATA)
+        assert _outcome(schema.traverse, parsed, self._DATA) == first
+
+    # Literals (some that fail: blank text, an @ head after a determiner,
+    # an entity some data lacks), paths, and literals built by hand.
+    _SUBJECTS = ["sam", "@sam", "x", "", _Text("sam"), 5, ("r", "who"),
+                 ("r", "n"), ("r", "gone")]
+    _COMPLEMENTS = ["to the store", "", "the @x", "@sam", "@x", " with @x",
+                    _Text("a rash"), 3, ("r", "what"), ("r", "n"),
+                    ("r", "gone")]
+    _ADVERBS = [None, "just", " ", _Text("now"), 2.5, ("r", "who"),
+                ("r", "gone")]
+    _TABLES = [
+        schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": {"who": "sam", "what": "a rash", "n": 7}}),
+        schema.DataRecordSet(
+            entities={e: ir.Entity(id=e, name=e.title())
+                      for e in ("sam", "x")},
+            records={"r": {"who": "x", "what": "with @x", "n": 7.5}}),
+        schema.DataRecordSet(entities={}, records={})]
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(subject=st.sampled_from(_SUBJECTS),
+           complements=st.lists(st.sampled_from(_COMPLEMENTS), max_size=3),
+           adverb=st.sampled_from(_ADVERBS),
+           condition=st.sampled_from([None, ir.Message("sam", "rest")]),
+           tables=st.lists(st.sampled_from(range(3)), min_size=1,
+                           max_size=4))
+    def test_random_templates(self, subject, complements, adverb, condition,
+                              tables):
+        template = schema.MessageTemplate(
+            subject=subject, verb="see", complements=tuple(complements),
+            adverb=adverb)
+        for i in tables:
+            assert _outcome(schema.instantiate_template, template,
+                            self._TABLES[i], condition) == \
+                _outcome(oracle.previous_instantiate_template, template,
+                         self._TABLES[i], condition)
+
+    @pytest.mark.parametrize("seed, end", [
+        (0, None), (7, "guard failed"), (9, "nesting deeper")])
+    def test_chains_reach_every_end(self, seed, end):
+        # The chain generator gives plans, guards that fail part of the
+        # way along and chains that nest too deep.
+        parsed = schema.parse_schema(_random_chain(random.Random(seed)))
+        outcome = _outcome(schema.traverse, parsed, self._DATA)
+        if end is None:
+            assert len(ir.plan_leaves(outcome)) > 500
+        else:
+            assert end in outcome[1]
+        assert outcome == _outcome(oracle.previous_traverse, parsed,
+                                   self._DATA)
 
 
 _SAM = schema.MessageTemplate(subject="sam", verb="rest")
@@ -1223,6 +1391,56 @@ class TestInstantiate:
         a = schema.instantiate_template(template, data({}))
         b = schema.instantiate_template(template, data({"r": {"x": 1}}))
         assert a == b
+
+    def test_a_constant_template_keeps_one_message(self):
+        # A template of literals builds its message once and gives that
+        # object to every document that names its entities; the entity
+        # checks still read each document's data, the subject's first.
+        template = schema.MessageTemplate(
+            subject="sam", verb="see", complements=("@x", "a fever"),
+            adverb="just")
+        both = {e: ir.Entity(id=e, name=e.title()) for e in ("sam", "x")}
+        tables = [schema.DataRecordSet(entities=both),
+                  schema.DataRecordSet(entities=dict(both),
+                                       records={"r": {"x": 1}})]
+        messages = [schema.instantiate_template(template, data)
+                    for data in tables * 2]
+        assert all(message is template.constant for message in messages)
+        # An equal template, or one with the @ subject, shares it.
+        for twin in (dataclasses.replace(template),
+                     dataclasses.replace(template, subject="@sam")):
+            assert schema.instantiate_template(twin, tables[1]) is \
+                template.constant
+        assert messages[0] == oracle.previous_instantiate_template(
+            template, tables[0])
+        condition = ir.Message("x", "rest")
+        assert schema.instantiate_template(template, tables[0], condition) \
+            == dataclasses.replace(template.constant, condition=condition)
+        for entities, missing in (({"sam": both["sam"]}, "x"),
+                                  ({"x": both["x"]}, "sam"), ({}, "sam")):
+            for _ in range(3):
+                with pytest.raises(TraversalError,
+                                   match=f"^unknown entity '{missing}'$"):
+                    schema.instantiate_template(
+                        template, schema.DataRecordSet(entities=entities))
+        assert schema.instantiate_template(template, tables[1]) is \
+            template.constant
+        # A literal that fails builds no message, and the subject check
+        # still fails first.
+        blank = dataclasses.replace(template, complements=("",))
+        for entities, error in ((both, "empty complement text"),
+                                ({}, "unknown entity 'sam'")):
+            with pytest.raises(TraversalError, match=f"^{error}$"):
+                schema.instantiate_template(
+                    blank, schema.DataRecordSet(entities=entities))
+        assert blank.constant is False
+        # A template with a path builds none either, and a template made
+        # from another by dataclasses.replace has not built its own yet.
+        path = dataclasses.replace(template, subject=("r", "x"))
+        assert path.constant is None
+        assert schema.instantiate_template(path, schema.DataRecordSet(
+            entities=both, records={"r": {"x": "sam"}})) == template.constant
+        assert path.constant is False
 
     def test_missing_path_names_it(self):
         template = schema.MessageTemplate(

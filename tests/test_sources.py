@@ -48,6 +48,7 @@ def test_every_perfbench_instrument_records_calls():
     import importlib.util
 
     import nlgen
+    import oracle
     from conftest import run_cli
 
     spec = importlib.util.spec_from_file_location(
@@ -75,6 +76,27 @@ def test_every_perfbench_instrument_records_calls():
     names = [instrument[0] for instrument in tracing.INSTRUMENTS]
     assert len(names) == 22
     assert [name for name in names if name not in called] == []
+    # A template of literals keeps its message, and each emit node visited
+    # still calls instantiate_template once: visit_note's two, both all
+    # literals, on each of three traversals.
+    note = nlgen.parse_schema((demo / "visit_note.schema").read_text(
+        encoding="utf-8"))
+    note_data = nlgen.load_data((demo / "visit_note.json").read_text(
+        encoding="utf-8"))
+    with tracing.Tracer() as tracer:
+        for _ in range(3):
+            plan = nlgen.traverse(note, note_data)
+            assert len(nlgen.ir.plan_leaves(plan)) == 2
+    assert tracer.stats["", "schema.instantiate_template"][0] == 6
+    assert tracer.stats["", "schema.traverse"][0] == 3
+    # Each arc tried still calls eval_condition once, as the previous
+    # traversal, kept in tests/oracle.py, did.
+    counts = []
+    for traverse in (nlgen.traverse, oracle.previous_traverse):
+        with tracing.Tracer() as tracer:
+            traverse(parsed, data)
+        counts.append(tracer.stats["", "schema.eval_condition"][0])
+    assert counts[0] == counts[1] > 0
 
 
 def test_no_nested_function_refers_to_its_own_name():
