@@ -15,9 +15,7 @@ tuples, and the two sets must be equal.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
-import functools
 import json
 import re
 from collections.abc import Sequence
@@ -490,11 +488,13 @@ def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
 # shares (_SHARED) in full at its first use, and each later use as its
 # number: the count of distinct values of its type written before it.
 # Output is compact with sorted keys, escaped as by json.dumps without
-# ensure_ascii.  Encoder and decoder are built once per type from the type
-# hints.  The decoder turns a number back into the object it decoded for
-# it, fills absent fields from the same defaults and rejects unknown and
-# missing fields, wrong JSON types and values outside a Literal domain,
-# naming the path.
+# ensure_ascii.  _codec() builds each type's encoder and decoder together,
+# once, from the type hints, and each is passed its file's state: the
+# encoder the numbers of the shared values written, the decoder what the
+# file has declared.  The decoder turns a number back into the object it
+# decoded for it, fills absent fields from the same defaults and rejects
+# unknown and missing fields, wrong JSON types and values outside a
+# Literal domain, naming the path.
 
 
 @dataclass(frozen=True)
@@ -506,69 +506,174 @@ class _SentencesFile:
     entities: dict = field(default_factory=dict)
 
 
-@functools.cache
-def _defaults(cls) -> dict:
-    """Each defaulted field of dataclass ``cls``: its default, by name
-    (one shared dict)."""
-    return {f.name: f.default_factory() if f.default is MISSING
-            else f.default for f in dataclasses.fields(cls)
-            if f.default is not MISSING or f.default_factory is not MISSING}
-
-
 _SHARED = (ComplementPhrase, ReferenceSpec, ResolvedComplement)
 _quote = json.encoder.encode_basestring
-_encoders: dict = {}
+_codecs: dict = {}
 
 
-def _encoder(tp):
-    """(value, memo of shared values' numbers) to JSON text, per type."""
-    return _encoders.get(tp) or _build_encoder(tp)
+class _Invalid(Exception):
+    """A decoding failure; ``path`` collects segments innermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list[str] = []
 
 
-def _build_encoder(tp):
+def _expect(value, kind: type):
+    if type(value) is not kind:
+        raise _Invalid(f"expected {_JSON_KINDS[kind]}, got "
+                       f"{json_kind(value)}")
+    return value
+
+
+# A reference is written as its entity's id, and read back as the entity
+# the file's table holds under it.
+def _entity_id(entity: Entity, memo) -> str:
+    return _quote(entity.id)
+
+
+def _entity_by_id(value, file) -> Entity:
+    entity = file[Entity].get(_expect(value, str))
+    if entity is None:
+        raise _Invalid(f"unknown entity {value!r}")
+    return entity
+
+
+def _codec(tp):
+    """(encode, decode) for ``tp``, built once per type from its hints:
+    encode(value, memo) is JSON text, memo holding the numbers of the
+    shared values written, and decode(value, file) a parsed JSON value as
+    ``tp``, file holding what the file has declared (see from_obj)."""
+    if (codec := _codecs.get(tp)) is not None:
+        return codec
     if dataclasses.is_dataclass(tp):
-        return _dataclass_encoder(tp)
+        return _dataclass_codec(tp)
     origin, args = get_origin(tp), get_args(tp)
-    if origin is Literal or tp is str:
-        def encode(value, memo):
-            return _quote(value)
+    if origin is Literal:
+        domain = frozenset(args)
+        encode = _codec(str)[0]
+
+        def decode(value, file):
+            if type(value) is str and value in domain:
+                return value
+            raise _Invalid(f"unknown value {value!r}; expected one of "
+                           f"{', '.join(args)}")
     elif type(None) in args:  # the dataclass encoder writes None
-        (encode,) = [_encoder(a) for a in args if a is not type(None)]
+        (inner,) = [a for a in args if a is not type(None)]
+        encode, item = _codec(inner)
+
+        def decode(value, file):
+            return None if value is None else item(value, file)
     elif origin is tuple:
-        item = _encoder(args[0])
+        write, item = _codec(args[0])
 
         def encode(value, memo):
             text = ""
             for v in value:
-                text += "," + item(v, memo)
+                text += "," + write(v, memo)
             return "[" + text[1:] + "]"
+
+        def decode(value, file):
+            out: list = []
+            try:
+                for v in _expect(value, list):
+                    out.append(item(v, file))
+            except _Invalid as exc:
+                exc.path.append(f"[{len(out)}]")
+                raise
+            return tuple(out)
     elif origin is dict:
-        item = _encoder(args[1])
+        write, item = _codec(args[1])
 
         def encode(value, memo):
-            return "{" + ",".join([_quote(k) + ":" + item(value[k], memo)
+            return "{" + ",".join([_quote(k) + ":" + write(value[k], memo)
                                    for k in sorted(value)]) + "}"
-    else:  # bool, the one other field type
+
+        def decode(value, file):
+            out: dict = {}
+            for key, v in _expect(value, dict).items():
+                try:
+                    out[key] = item(v, file)
+                except _Invalid as exc:
+                    exc.path.append(f"[{key}]")
+                    raise
+            return out
+    elif tp in _JSON_KINDS:  # str, bool, and the parts a file keeps raw
+        dump = _quote if tp is str else json.dumps
+
         def encode(value, memo):
-            return json.dumps(value)
-    _encoders[tp] = encode
-    return encode
+            return dump(value)
+
+        def decode(value, file):
+            if type(value) is tp:
+                return value
+            return _expect(value, tp)
+    else:
+        raise TypeError(f"no JSON codec for {tp!r}")
+    _codecs[tp] = encode, decode
+    return encode, decode
 
 
-def _dataclass_encoder(cls):
-    # (name, ',"name":', default or an object no value equals, encoder)
-    # per field in key order, filled after registering for recursive types.
-    items: list = []
+def _dataclass_codec(cls):
+    # A decoded object is made with object.__new__ and given its fields
+    # directly, and the encoder reads them from its __dict__: the frozen
+    # __init__ would only set each one again through object.__setattr__.
+    # That skips no logic while the class has no __post_init__ and no
+    # __slots__, so both are refused here.
+    if hasattr(cls, "__post_init__") or hasattr(cls, "__slots__"):
+        raise TypeError(f"{cls.__name__} must be decoded through __init__")
+    # Filled after registering, so that recursive types resolve: per field
+    # in key order (name, ',"name":', default or an object no value
+    # equals, encoder), and each field's decoder by name.
+    writes: list = []
+    reads: dict = {}
+    declared = dataclasses.fields(cls)
+    factories = {f.name: f.default_factory for f in declared
+                 if f.default_factory is not MISSING}
+    defaults = {f.name: f.default for f in declared
+                if f.default is not MISSING}
+    new, shared = object.__new__, cls in _SHARED
 
     def encode(value, memo):
-        fields = value.__dict__  # plan types have no slots (see decoder)
+        fields = value.__dict__
         text = ""
-        for name, key, default, item in items:
+        for name, key, default, item in writes:
             if (v := fields[name]) != default:
                 text += key + ("null" if v is None else item(v, memo))
         return "{" + text[1:] + "}"
 
-    if cls in _SHARED:
+    def decode(value, file):
+        if type(value) is not dict:
+            if shared and type(value) is int:  # an earlier value's number
+                seen = file[cls]
+                if 0 <= value < len(seen):
+                    return seen[value]
+                raise _Invalid(f"number {value} names none of the "
+                               f"{len(seen)} earlier {cls.__name__} values")
+            _expect(value, dict)
+        obj = new(cls)
+        fields = obj.__dict__
+        fields.update(defaults)
+        for name, v in value.items():
+            item = reads.get(name)
+            if item is None:
+                raise _Invalid(f"unknown field {name!r}")
+            try:
+                fields[name] = item(v, file)
+            except _Invalid as exc:
+                exc.path.append(f".{name}")
+                raise
+        if len(fields) < len(reads):
+            for name in reads:
+                if name not in fields:
+                    if name not in factories:
+                        raise _Invalid(f"missing field {name!r}")
+                    fields[name] = factories[name]()
+        if shared:
+            file[cls].append(obj)
+        return obj
+
+    if shared:
         write = encode
 
         # memo: the number text of each value written, by id, and under
@@ -589,170 +694,33 @@ def _dataclass_encoder(cls):
                 memo[id(value)] = n
             return n
 
-    _encoders[cls] = encode
-    hints, defaults = get_type_hints(cls), _defaults(cls)
-    for name in sorted(f.name for f in dataclasses.fields(cls)):
-        item = _encoder(hints[name])
-        if cls is ReferenceSpec and name == "entity":  # written as its id
-            item = lambda entity, memo: _quote(entity.id)
-        items.append((name, "," + _quote(name) + ":",
-                      defaults.get(name, object()), item))
-    return encode
-
-
-class _Invalid(Exception):
-    """A decoding failure; ``path`` collects segments innermost first."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.path: list[str] = []
-
-
-def _expect(value, kind: type):
-    if type(value) is not kind:
-        raise _Invalid(f"expected {_JSON_KINDS[kind]}, got "
-                       f"{json_kind(value)}")
-    return value
-
-
-# What the file being decoded has declared so far: its entity table, under
-# Entity, and under each _SHARED type the objects decoded in full, in file
-# order, which later uses name by number.  Each *_from_json call sets it
-# for its file; a bare from_obj call has an empty table and keeps nothing.
-_declared: contextvars.ContextVar[dict] = \
-    contextvars.ContextVar("_declared", default={Entity: {}})
-
-
-def _entity_by_id(value) -> Entity:
-    entity = _declared.get()[Entity].get(_expect(value, str))
-    if entity is None:
-        raise _Invalid(f"unknown entity {value!r}")
-    return entity
-
-
-_decoders: dict = {}
-
-
-def _decoder(tp):
-    """The converter from JSON values to ``tp``, built once per type."""
-    return _decoders.get(tp) or _build_decoder(tp)
-
-
-def _build_decoder(tp):
-    if dataclasses.is_dataclass(tp):
-        return _dataclass_decoder(tp)
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Literal:
-        domain = frozenset(args)
-
-        def decode(value):
-            if type(value) is str and value in domain:
-                return value
-            raise _Invalid(f"unknown value {value!r}; expected one of "
-                           f"{', '.join(args)}")
-    elif type(None) in args:
-        (inner,) = [a for a in args if a is not type(None)]
-        item = _decoder(inner)
-
-        def decode(value):
-            return None if value is None else item(value)
-    elif origin is tuple:
-        item = _decoder(args[0])
-
-        def decode(value):
-            out: list = []
-            try:
-                for v in _expect(value, list):
-                    out.append(item(v))
-            except _Invalid as exc:
-                exc.path.append(f"[{len(out)}]")
-                raise
-            return tuple(out)
-    elif origin is dict:
-        item = _decoder(args[1])
-
-        def decode(value):
-            out: dict = {}
-            for key, v in _expect(value, dict).items():
-                try:
-                    out[key] = item(v)
-                except _Invalid as exc:
-                    exc.path.append(f"[{key}]")
-                    raise
-            return out
-    elif tp in _JSON_KINDS:
-        def decode(value):
-            if type(value) is tp:
-                return value
-            return _expect(value, tp)
-    else:
-        raise TypeError(f"no JSON decoder for {tp!r}")
-    _decoders[tp] = decode
-    return decode
-
-
-def _dataclass_decoder(cls):
-    # A decoded object is made with object.__new__ and given its fields
-    # directly: the frozen __init__ would only set each one again through
-    # object.__setattr__.  That skips no logic while the class has no
-    # __post_init__ and no __slots__, so both are refused here.
-    if hasattr(cls, "__post_init__") or hasattr(cls, "__slots__"):
-        raise TypeError(f"{cls.__name__} must be decoded through __init__")
-    items: dict = {}  # filled after registering, so recursive types resolve
-    factories = {f.name: f.default_factory for f in dataclasses.fields(cls)
-                 if f.default_factory is not MISSING}
-    defaults = {name: default for name, default in _defaults(cls).items()
-                if name not in factories}
-    new, shared = object.__new__, cls in _SHARED
-
-    def decode(value):
-        if type(value) is not dict:
-            if shared and type(value) is int:  # an earlier value's number
-                seen = _declared.get().get(cls, ())
-                if 0 <= value < len(seen):
-                    return seen[value]
-                raise _Invalid(f"number {value} names none of the "
-                               f"{len(seen)} earlier {cls.__name__} values")
-            _expect(value, dict)
-        obj = new(cls)
-        fields = obj.__dict__
-        fields.update(defaults)
-        for name, v in value.items():
-            item = items.get(name)
-            if item is None:
-                raise _Invalid(f"unknown field {name!r}")
-            try:
-                fields[name] = item(v)
-            except _Invalid as exc:
-                exc.path.append(f".{name}")
-                raise
-        if len(fields) < len(items):
-            for name in items:
-                if name not in fields:
-                    if name not in factories:
-                        raise _Invalid(f"missing field {name!r}")
-                    fields[name] = factories[name]()
-        if shared and (seen := _declared.get().get(cls)) is not None:
-            seen.append(obj)
-        return obj
-
-    _decoders[cls] = decode
+    _codecs[cls] = encode, decode
     hints = get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        if cls is ReferenceSpec and f.name == "entity":
-            items[f.name] = _entity_by_id  # written as its id
-        else:
-            items[f.name] = _decoder(hints[f.name])
-    return decode
+    for f in declared:
+        reference = cls is ReferenceSpec and f.name == "entity"
+        item, reads[f.name] = (_entity_id, _entity_by_id) if reference \
+            else _codec(hints[f.name])
+        default = factories[f.name]() if f.name in factories \
+            else defaults.get(f.name, object())
+        writes.append((f.name, "," + _quote(f.name) + ":", default, item))
+    writes.sort()  # by name, which no two fields share
+    return encode, decode
 
 
-def from_obj(tp, value, where: str = ""):
-    """Decode a parsed JSON value into ``tp`` (the one decoder).
+def from_obj(tp, value, where: str = "", entities: dict | None = None):
+    """Decode a parsed JSON value into ``tp`` (the one decoder), as one
+    file whose entity table is ``entities``: a number in it names a value
+    decoded before it in ``value``.
 
     Raises DataError naming the offending path, prefixed by ``where``.
     """
+    # What the file has declared so far: its entity table, under Entity,
+    # and under each _SHARED type the objects decoded in full, in file
+    # order, which later uses name by number.
+    file = {Entity: entities or {}, ComplementPhrase: [], ReferenceSpec: [],
+            ResolvedComplement: []}
     try:
-        return _decoder(tp)(value)
+        return _codec(tp)[1](value, file)
     except _Invalid as exc:
         problem, path = str(exc), where + "".join(reversed(exc.path))
     except RecursionError:
@@ -800,23 +768,13 @@ def _check(problems: list[str]) -> None:
         raise DataError(summarize(problems))
 
 
-def _from_file(tp, value, where: str = "", entities: dict | None = None):
-    """from_obj, keeping what the file declares while it decodes."""
-    token = _declared.set({Entity: entities or {}, ComplementPhrase: [],
-                           ReferenceSpec: [], ResolvedComplement: []})
-    try:
-        return from_obj(tp, value, where)
-    finally:
-        _declared.reset(token)
-
-
 def document_plan_to_json(plan: DocumentPlan) -> str:
-    return _encoder(DocumentPlan)(plan, {}) + "\n"
+    return _codec(DocumentPlan)[0](plan, {}) + "\n"
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
     """Decode a document plan and check it with validate()."""
-    plan = _from_file(DocumentPlan, _parse(text, "document plan"))
+    plan = from_obj(DocumentPlan, _parse(text, "document plan"))
     _check(validate(plan))
     return plan
 
@@ -843,8 +801,8 @@ def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
         if known is not ref.entity and known != ref.entity:
             raise DataError(f"entity {known.id!r} is referenced with two "
                             f"different feature sets")
-    return (f'{{"entities":{_encoder(dict[str, Entity])(entities, {})},'
-            f'"sentences":{_encoder(tuple[SentencePlan, ...])(plans, {})}}}\n')
+    return (f'{{"entities":{_codec(dict[str, Entity])[0](entities, {})},'
+            f'"sentences":{_codec(tuple[SentencePlan, ...])[0](plans, {})}}}\n')
 
 
 def sentence_plans_from_json(text: str) -> list[SentencePlan]:
@@ -855,7 +813,7 @@ def sentence_plans_from_json(text: str) -> list[SentencePlan]:
     file = from_obj(_SentencesFile, _parse(text, "sentence plans"))
     entities = from_obj(dict[str, Entity], file.entities, "entities")
     _check(_validate_entities(entities))
-    plans = list(_from_file(tuple[SentencePlan, ...], file.sentences,
-                            "sentences", entities))
+    plans = list(from_obj(tuple[SentencePlan, ...], file.sentences,
+                          "sentences", entities))
     _check(validate_sentences(plans))
     return plans

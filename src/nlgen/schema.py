@@ -31,7 +31,8 @@ arcs group consecutive same-labeled results under one relation node, and
 turns runaway cycles into errors.  Traversal keeps its own stack, so a
 sequence chain may be any length; each `call` and each non-sequence arc
 nests one level, and nesting deeper than ir.MAX_NESTING (100) levels is a
-TraversalError.  Guards may nest operators as deep, and no deeper.
+TraversalError.  Guards, parsed or built by hand, may nest operators as
+deep, and no deeper.
 
 Parsing stores each schema's nodes by id and its arcs by source node,
 both in declaration order, and a template path as the tuple of its dotted
@@ -42,9 +43,10 @@ hand-built schemas alike, and each SchemaDef keeps its result:
 parse_schema() reports the first problem in file order at its line and
 column, and traverse() the first problem of each schema it enters as a
 TraversalError.  Guards are compiled, and check themselves, on first use
-(Condition.test).  Guards and templates read a path's value, and their
-literals, one way: a subclass of str, int or float as its base type's
-value, never through its own methods.  Every other failure during
+(Condition.test), into closures that keep no Condition.  Guards and
+templates read a path's value, and their literals, one way: a subclass
+of str, int or float as its base type's value, never through its own
+methods.  Every other failure during
 traversal is a TraversalError naming its arc or node and schema.
 Complement text is parsed through one bounded cache shared by the process
 (COMPLEMENT_CACHE_SIZE distinct texts, least recently used dropped first);
@@ -93,7 +95,7 @@ class Condition:
     def test(self) -> Callable[[Any], bool]:
         """This guard as a predicate over data records, built on first
         use; eval_condition() calls it."""
-        return _compile_condition(self)
+        return _compile_condition(self, 1, {})
 
 
 # Emit fields that take one word of an ir domain, or no modal.
@@ -643,32 +645,42 @@ _NUMBER = (int, float)
 _KINDS = {bool: (bool,), str: (str,), int: _NUMBER, float: _NUMBER}
 
 
-def _mismatch(cond: Condition, value: Any) -> TraversalError:
+def _mismatch(op: str, path: str, literal: Any, value: Any) -> TraversalError:
     if value is _MISSING:
-        return TraversalError(f"missing data path: {cond.path}")
-    if cond.op == "eq":
+        return TraversalError(f"missing data path: {path}")
+    if op == "eq":
         return TraversalError(
-            f"eq({cond.path}, ...): cannot compare {ir.json_kind(value)} "
-            f"with {ir.json_kind(_lookup(cond.value, ()))}")
+            f"eq({path}, ...): cannot compare {ir.json_kind(value)} "
+            f"with {ir.json_kind(literal)}")
     return TraversalError(
-        f"{cond.op}({cond.path}, ...): path value is {ir.json_kind(value)}, "
+        f"{op}({path}, ...): path value is {ir.json_kind(value)}, "
         f"not a number")
 
 
-def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
-    """One closure per operator; children are compiled with their parent.
+def _compile_condition(cond: Condition, level: int,
+                       compiled: dict) -> Callable[[Any], bool]:
+    """One closure per operator, ``level`` operators deep in its guard;
+    children are compiled with their parent, one level deeper, and kept
+    in ``compiled`` by (id, level): a guard built by hand may share an
+    argument, which is then compiled once per level, not once per use.
 
-    Compiling checks what the parser guarantees: a known operator, guards
-    as arguments, one for not and some for and/or, a str path for
-    exists/eq/gt/lt, and a literal, read as _lookup() reads values, that
-    is a bool, str or number for eq and a number (never a bool) for gt and
-    lt.  eq takes a value of its literal's kind and gt and lt a number, by
-    exact type; any other guard, value or missing path is a TraversalError."""
+    Compiling checks what the parser guarantees: a known operator at most
+    ir.MAX_NESTING levels deep, guards as arguments, one for not and some
+    for and/or, a str path for exists/eq/gt/lt, and a literal, read as
+    _lookup() reads values, that is a bool, str or number for eq and a
+    number (never a bool) for gt and lt.  eq takes a value of its
+    literal's kind and gt and lt a number, by exact type; any other guard,
+    value or missing path is a TraversalError.  The closures keep the
+    operator, path and literal, not the Condition, which caches them: so
+    a guard is no reference cycle."""
     op, path = cond.op, _lookup(cond.path, ())
     literal = _lookup(cond.value, ())
     kinds = _KINDS.get(type(literal), ()) if op == "eq" else _NUMBER
     if op not in _OPERATORS:
         raise TraversalError(f"unknown condition operator {op!r}")
+    if level > ir.MAX_NESTING:
+        raise TraversalError(f"guard nests deeper than {ir.MAX_NESTING} "
+                             f"levels")
     if op == "not" and len(cond.args) != 1:
         raise TraversalError("not(...) takes exactly one guard")
     if op in _OPERATORS[4:6] and not cond.args:
@@ -682,25 +694,24 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
             f"{op}({path}, ...): literal is {ir.json_kind(literal)}, not "
             + ("a boolean, string or number" if op == "eq" else "a number"))
     segments = tuple(path.split(".")) if type(path) is str else ()
+    tests = tuple(compiled.get((id(arg), level + 1))
+                  or _compile_condition(arg, level + 1, compiled)
+                  for arg in cond.args)
     if op == "exists":
         def test(records):
             return _lookup(records, segments) is not _MISSING
     elif op == "not":
-        inner = cond.args[0].test
+        (inner,) = tests
 
         def test(records):
             return not inner(records)
     elif op == "and":
-        tests = tuple(arg.test for arg in cond.args)
-
         def test(records):
             for arg_test in tests:
                 if not arg_test(records):
                     return False
             return True
     elif op == "or":
-        tests = tuple(arg.test for arg in cond.args)
-
         def test(records):
             for arg_test in tests:
                 if arg_test(records):
@@ -711,19 +722,20 @@ def _compile_condition(cond: Condition) -> Callable[[Any], bool]:
             value = _lookup(records, segments)
             if type(value) in kinds:
                 return value == literal
-            raise _mismatch(cond, value)
+            raise _mismatch(op, path, literal, value)
     elif op == "gt":
         def test(records):
             value = _lookup(records, segments)
             if type(value) in kinds:
                 return value > literal
-            raise _mismatch(cond, value)
+            raise _mismatch(op, path, literal, value)
     else:  # lt
         def test(records):
             value = _lookup(records, segments)
             if type(value) in kinds:
                 return value < literal
-            raise _mismatch(cond, value)
+            raise _mismatch(op, path, literal, value)
+    compiled[id(cond), level] = test
     return test
 
 

@@ -346,16 +346,19 @@ def _reference_kind(value):
     return _REFERENCE_KINDS.get(type(value), type(value).__name__)
 
 
-def _reference_check_guard(cond):
+def _reference_check_guard(cond, level=1):
     """Refuse a guard, built by hand, that the parser could not have
     built; the first fault found, the guard before its arguments, names
-    the rule it breaks."""
+    the rule it breaks.  ``cond`` is ``level`` operators deep."""
     from nlgen.errors import TraversalError
+    from nlgen.ir import MAX_NESTING
     from nlgen.schema import Condition
 
     op = cond.op
     if op not in ("exists", "eq", "gt", "lt", "and", "or", "not"):
         raise TraversalError(f"unknown condition operator {op!r}")
+    if level > MAX_NESTING:
+        raise TraversalError(f"guard nests deeper than {MAX_NESTING} levels")
     if op == "not" and len(cond.args) != 1:
         raise TraversalError("not(...) takes exactly one guard")
     if op in ("and", "or") and not cond.args:
@@ -364,7 +367,7 @@ def _reference_check_guard(cond):
         raise TraversalError(f"{op}(...) takes only guards")
     if op in ("and", "or", "not"):
         for arg in cond.args:
-            _reference_check_guard(arg)
+            _reference_check_guard(arg, level + 1)
         return
     path = _reference_base(cond.path)
     if not isinstance(path, str):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlgen
-from nlgen import ir
+from nlgen import ir, schema
 
 from conftest import random_document_plan, run_cli
 
@@ -67,6 +67,21 @@ def test_validate_leaves_no_cycle(corpus):
         for plan in (plan, decoded):
             assert cyclic_garbage(lambda: nlgen.validate(plan)) == 0, \
                 doc.name
+
+
+def test_compiled_guard_leaves_no_cycle():
+    # A compiled guard keeps its operator, path and literal, not the
+    # Condition that caches it, so a guard built by hand and dropped after
+    # use is freed at once.
+    data = schema.DataRecordSet(records={"r": {"x": 2}})
+
+    def run():
+        guard = schema.Condition("and", args=(
+            schema.Condition("gt", "r.x", 1),
+            schema.Condition("not", args=(schema.Condition("eq", "r.x", 3),))))
+        assert schema.eval_condition(guard, data)
+
+    assert cyclic_garbage(run) == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

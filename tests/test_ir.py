@@ -155,7 +155,7 @@ class TestValidate:
                 (ir.ComplementPhrase(head="@sam"), "entity-reference")):
             assert shape.kind == kind
         assert "kind" not in json.loads(
-            ir._encoder(ir.ComplementPhrase)(phrase(head="store"), {}))
+            ir._codec(ir.ComplementPhrase)[0](phrase(head="store"), {}))
 
     def test_entity_reference_rejects_premodifiers(self):
         bad = ir.ComplementPhrase(head="@sam", premodifiers=("tall",))
@@ -631,6 +631,36 @@ class TestCodecProperties:
             entities={"sam": SAM})
         assert ir.document_plan_to_json(plan) == _reference_encoding(plan)
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_a_lone_value_round_trips(self, seed):
+        # from_obj reads a lone value as a file of its own, so a value
+        # encoded alone reads back alone, back-references and all; a
+        # reference finds its entity in the table passed in.
+        plan = random_document_plan(random.Random(seed))
+        lone = {tp: [] for tp in (ir.Message, ir.PlanNode, ir.ClauseSpec,
+                                  ir.SentencePlan, *SHARED_TYPES)}
+        stack = [plan, *(plan_sentences(plan, profile)
+                         for profile in ("fluent", "plain"))]
+        while stack:
+            value = stack.pop()
+            if type(value) in lone:
+                lone[type(value)].append(value)
+            if dataclasses.is_dataclass(value):
+                stack += [getattr(value, f.name)
+                          for f in dataclasses.fields(value)]
+            elif isinstance(value, (tuple, list)):
+                stack += value
+        assert all(lone[tp] for tp in (ir.Message, ir.PlanNode, ir.ClauseSpec,
+                                       ir.SentencePlan, ir.ReferenceSpec))
+        for tp, values in lone.items():
+            encode = ir._codec(tp)[0]
+            for value in values:
+                text = encode(value, {})
+                assert ir.from_obj(tp, json.loads(text),
+                                   entities=plan.entities) == value, text
+
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1069,16 +1099,16 @@ _SENTENCE_FAULTS = {
 
 def _decoded_plan(plan):
     """``plan`` read back from its file, not checked."""
-    return ir._from_file(ir.DocumentPlan,
-                         json.loads(ir.document_plan_to_json(plan)))
+    return ir.from_obj(ir.DocumentPlan,
+                       json.loads(ir.document_plan_to_json(plan)))
 
 
 def _decoded_sentences(plans):
     """``plans`` read back from their file, not checked."""
     payload = json.loads(ir.sentence_plans_to_json(plans))
     entities = ir.from_obj(dict[str, ir.Entity], payload["entities"])
-    return list(ir._from_file(tuple[ir.SentencePlan, ...],
-                              payload["sentences"], "sentences", entities))
+    return list(ir.from_obj(tuple[ir.SentencePlan, ...],
+                            payload["sentences"], "sentences", entities))
 
 
 class TestChecksMatchReference:

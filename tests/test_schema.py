@@ -774,6 +774,18 @@ class TestCompiledGuards:
         with pytest.raises(TraversalError, match=r"^eq\(r, \.\.\.\): "
                            r"cannot compare a string with a number$"):
             schema.eval_condition(cond, data)
+        # A subclass path is named by its base value: the message never
+        # calls the subclass's own __format__ or __str__.
+        data = schema.DataRecordSet(records={"r": {"x": "s"}})
+        for op, path, message in (
+                ("eq", "r.y", "missing data path: r.y"),
+                ("gt", "r.x", "gt(r.x, ...): path value is a string, not a "
+                              "number"),
+                ("lt", "r.y", "missing data path: r.y")):
+            guard = schema.Condition(op, _LIARS[str](path), 1)
+            with pytest.raises(TraversalError,
+                               match=f"^{re.escape(message)}$"):
+                schema.eval_condition(guard, data)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -805,6 +817,71 @@ class TestCompiledGuards:
         assert self._outcome(schema.instantiate_template, template,
                              hostile) == \
             self._outcome(schema.instantiate_template, template, plain)
+
+    @staticmethod
+    def _nested(levels):
+        """A guard ``levels`` operators deep: not, and and or in turn
+        around exists(r), each with an argument of its own beside it."""
+        guard = schema.Condition("exists", "r")
+        for level in range(levels - 1):
+            op = ("not", "and", "or")[level % 3]
+            side = schema.Condition("exists", "r" if op == "and" else "q")
+            guard = schema.Condition(op, args=(guard,) if op == "not"
+                                     else (side, guard))
+        return guard
+
+    def test_a_hand_built_guard_nests_at_most_the_bound(self):
+        # As deep as the parser allows, and no deeper: compiling counts
+        # the levels and refuses the guard before it walks past the bound.
+        data = schema.DataRecordSet(records={"r": 1})
+        message = f"^guard nests deeper than {ir.MAX_NESTING} levels$"
+        for levels in (1, 2, 3, ir.MAX_NESTING - 1, ir.MAX_NESTING):
+            guard = self._nested(levels)
+            assert schema.eval_condition(guard, data) is \
+                oracle.reference_eval_condition(guard, data), levels
+        for levels in (ir.MAX_NESTING + 1, 2_000):
+            for evaluate in (schema.eval_condition,
+                             oracle.reference_eval_condition):
+                with pytest.raises(TraversalError, match=message):
+                    evaluate(self._nested(levels), data)
+
+    def test_a_shared_argument_compiles_once_per_level(self):
+        # Built by hand, a guard may use one argument twice at each of 60
+        # levels: 2**60 uses, compiled in 61 calls.
+        guard = schema.Condition("exists", "r")
+        for _ in range(60):
+            guard = schema.Condition("or", args=(guard, guard))
+        calls = []
+        compile_one = schema._compile_condition
+
+        def counted(*args):
+            calls.append(args)
+            return compile_one(*args)
+
+        with mock.patch.object(schema, "_compile_condition", counted):
+            assert schema.eval_condition(
+                guard, schema.DataRecordSet(records={"r": 1}))
+        assert len(calls) == 61
+
+    @pytest.mark.parametrize("levels", [ir.MAX_NESTING - 3, ir.MAX_NESTING,
+                                        ir.MAX_NESTING + 1, 2_000])
+    def test_a_deep_hand_built_guard_is_a_traverse_error(self, levels):
+        guard = self._nested(levels)
+        definition = _hand_built({"a": _SAM, "b": _SAM},
+                                 [schema.Arc("a", "b", guard)])
+        data = schema.DataRecordSet(
+            entities={"sam": ir.Entity(id="sam", name="Sam")},
+            records={"r": 1})
+        if levels <= ir.MAX_NESTING:
+            holds = oracle.reference_eval_condition(guard, data)
+            assert nlgen.generate_text(definition, data) == \
+                ("Sam rests. It rests." if holds else "Sam rests.")
+            return
+        for run in (schema.traverse, nlgen.generate_text):
+            with pytest.raises(TraversalError, match=(
+                    f"^arc 'a' -> 'b' in schema 's': guard failed: guard "
+                    f"nests deeper than {ir.MAX_NESTING} levels$")):
+                run(definition, data)
 
     def test_parsing_compiles_nothing(self, corpus):
         # Compiling is left to the first traversal, so that a schema that

@@ -19,11 +19,9 @@ def test_no_invalid_escapes_in_string_literals():
             compile(path.read_bytes(), str(path), "exec")
 
 
-def test_library_imports_only_the_standard_library():
-    # nlgen is a stdlib-only library: every import in it, one inside a
-    # function too, names a standard module or nlgen itself.
-    allowed = sys.stdlib_module_names | {"nlgen"}
-    imported = set()
+def _library_imports():
+    """(where, top-level module) for every import in nlgen, one inside a
+    function too, but a relative one within nlgen."""
     for path in sorted((ROOT / "src" / "nlgen").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
             if isinstance(node, ast.Import):
@@ -33,10 +31,30 @@ def test_library_imports_only_the_standard_library():
             else:  # not an import, or a relative one within nlgen
                 continue
             for name in names:
-                top = name.partition(".")[0]
-                assert top in allowed, f"{path.name}:{node.lineno}: {name}"
-                imported.add(top)
+                yield f"{path.name}:{node.lineno}: {name}", \
+                    name.partition(".")[0]
+
+
+def test_library_imports_only_the_standard_library():
+    # nlgen is a stdlib-only library: every import in it names a standard
+    # module or nlgen itself.
+    allowed = sys.stdlib_module_names | {"nlgen"}
+    imported = set()
+    for where, top in _library_imports():
+        assert top in allowed, where
+        imported.add(top)
     assert {"json", "decimal"} <= imported
+
+
+def test_library_keeps_no_ambient_state():
+    # Per-call state, such as what a plan file has declared so far, is
+    # passed to the code that reads it, never kept where another call
+    # could see it: nlgen imports nothing for context variables, threads,
+    # processes or event loops.
+    ambient = {"contextvars", "threading", "multiprocessing", "concurrent",
+               "asyncio"}
+    assert [where for where, top in _library_imports()
+            if top in ambient] == []
 
 
 def test_every_perfbench_instrument_records_calls():
