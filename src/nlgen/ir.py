@@ -1,7 +1,7 @@
 """Intermediate representations shared by the pipeline stages.
 
 The document planner produces a DocumentPlan (a labeled tree whose leaves
-carry Messages), the sentence planner turns it into SentencePlans (clause
+are Messages), the sentence planner turns it into SentencePlans (clause
 structure with reference modes and discourse markers), and the realizer
 renders those to text.  Both plan kinds serialize to a canonical JSON form
 that leaves out every field at its default and round-trips losslessly;
@@ -20,7 +20,7 @@ import json
 import re
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import DataError
 
@@ -185,12 +185,11 @@ class Message:
 
 @dataclass(frozen=True)
 class PlanNode:
-    """DocumentPlan tree node: a leaf, which holds a Message, or a labeled
-    relation over its children."""
+    """DocumentPlan relation node: a label over its children, each a
+    PlanNode or a Message, which is a leaf of the tree by itself."""
 
-    message: Message | None = None
-    label: RelationLabel | None = None
-    children: tuple[PlanNode, ...] = ()
+    label: RelationLabel
+    children: tuple[PlanNode | Message, ...]
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ class DocumentPlan:
     ``root`` is None for an empty document.
     """
 
-    root: PlanNode | None
+    root: PlanNode | Message | None
     entities: dict[str, Entity] = field(default_factory=dict)
 
 
@@ -264,13 +263,13 @@ def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
     return entity
 
 
-def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
-    """All leaf nodes of a document plan in document order."""
-    leaves: list[PlanNode] = []
+def plan_leaves(plan: DocumentPlan) -> list[Message]:
+    """The messages of a document plan, its leaves, in document order."""
+    leaves: list[Message] = []
     stack = [] if plan.root is None else [plan.root]
     while stack:
         node = stack.pop()
-        if node.message is not None:
+        if type(node) is Message:
             leaves.append(node)
         else:
             stack += reversed(node.children)
@@ -292,7 +291,7 @@ def plan_leaves(plan: DocumentPlan) -> list[PlanNode]:
 
 def _path(at) -> str:
     """A path kept as links (parent, name) or (parent, name, index), as text:
-    (("root", ".children", 3), ".message") is "root.children[3].message"."""
+    (("sentences", "", 1), ".clauses", 0) is "sentences[1].clauses[0]"."""
     if type(at) is str:
         return at
     text = _path(at[0]) + at[1]
@@ -380,18 +379,17 @@ def _validate_message(msg: Message, at, entities: dict[str, Entity],
                               checked, problems, nested=True)
 
 
-def _validate_node(node: PlanNode, at, level: int,
+def _validate_node(node: PlanNode | Message, at, level: int,
                    entities: dict[str, Entity], checked: dict,
-                   problems: list[str], too_deep: bool) -> bool:
+                   problems: list[str], too_deep: bool = False) -> bool:
     """Check the subtree at ``node``, whose path is ``at``; returns whether
     a branch past MAX_NESTING has been named, as ``too_deep`` is on entry."""
-    if node.message is not None:
-        _validate_message(node.message, (at, ".message"), entities, checked,
-                          problems)
-        if node.children:
-            problems.append(f"{_path(at)}: leaf node has children")
-        if node.label is not None:
-            problems.append(f"{_path(at)}: leaf node has a label")
+    if type(node) is Message:
+        _validate_message(node, at, entities, checked, problems)
+        return too_deep
+    if type(node) is not PlanNode:
+        problems.append(f"{_path(at)}: expected a PlanNode or a Message, "
+                        f"got {json_kind(node)}")
         return too_deep
     if level > MAX_NESTING:
         # Named once, at the first branch past the bound.  The full path
@@ -421,8 +419,7 @@ def validate(plan: DocumentPlan) -> list[str]:
     plan built by hand before planning sentences."""
     problems = _validate_entities(plan.entities)
     if isinstance(plan.entities, dict) and plan.root is not None:
-        _validate_node(plan.root, "root", 0, plan.entities, {}, problems,
-                       False)
+        _validate_node(plan.root, "root", 0, plan.entities, {}, problems)
     return problems
 
 
@@ -559,11 +556,22 @@ def _codec(tp):
             raise _Invalid(f"unknown value {value!r}; expected one of "
                            f"{', '.join(args)}")
     elif type(None) in args:  # the dataclass encoder writes None
-        (inner,) = [a for a in args if a is not type(None)]
-        encode, item = _codec(inner)
+        inner = tuple(a for a in args if a is not type(None))
+        encode, item = _codec(inner[0] if len(inner) == 1 else Union[inner])
 
         def decode(value, file):
             return None if value is None else item(value, file)
+    elif PlanNode in args:  # a plan child: an object holding "children" is
+        # a relation node, and any other object a message; both have
+        # required fields, so the keys name the class.
+        (node, read_node), (msg, read_msg) = _codec(PlanNode), _codec(Message)
+
+        def encode(value, memo):
+            return (node if type(value) is PlanNode else msg)(value, memo)
+
+        def decode(value, file):
+            is_node = type(value) is dict and "children" in value
+            return (read_node if is_node else read_msg)(value, file)
     elif origin is tuple:
         write, item = _codec(args[0])
 

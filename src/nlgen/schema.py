@@ -865,7 +865,7 @@ def instantiate_template(template: MessageTemplate, data: DataRecordSet,
     return _fill(template, data, condition)
 
 
-def _close_run(out: list[ir.PlanNode], rel: str, start: int) -> None:
+def _close_run(out: list, rel: str, start: int) -> None:
     """Fold a finished run, out[start:], into a relation node if due."""
     if rel != "sequence" and len(out) - start > (rel == "call"):
         out[start:] = [ir.PlanNode(label="sequence" if rel == "call" else rel,
@@ -889,7 +889,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
     # Pieces go into one list in document order.  A frame is kept per node
     # with arcs left: its schema, arcs, next arc's index, level, and the
     # label and start in out of its open run (a callee's is labeled "call").
-    out: list[ir.PlanNode] = []
+    out: list[ir.PlanNode | ir.Message] = []
     stack: list[list] = []
     definition, node_id, level = schema, schema.entry, 0
     while True:
@@ -910,8 +910,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
                 if node.condition_node:
                     condition = instantiate_template(
                         definition.nodes[node.condition_node], data)
-                out.append(ir.PlanNode(message=instantiate_template(
-                    node, data, condition)))
+                out.append(instantiate_template(node, data, condition))
             except TraversalError as exc:
                 at = f", condition node {node.condition_node!r}" \
                     if node.condition_node and condition is None else ""

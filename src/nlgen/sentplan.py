@@ -29,7 +29,8 @@ block — so a pronoun's nearest feature-matching antecedent is always the
 intended entity.
 
 Paragraphs: each relation child of the plan root opens its own paragraph;
-a run of bare leaf children forms one paragraph.  Aggregation never
+a run of messages among the root's children forms one paragraph, and a
+root that is a message is one paragraph.  Aggregation never
 crosses a paragraph break and never reorders messages.
 
 One plan_sentences() call makes each reference and resolved complement
@@ -39,6 +40,7 @@ once and shares it; the memos that share them live only for the call.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import groupby
 
 from . import ir
 
@@ -261,22 +263,15 @@ def pronominalize(plans: list[ir.SentencePlan],
 
 def _paragraph_leaf_groups(plan: ir.DocumentPlan) -> list[list[ir.Message]]:
     """Split the plan into paragraphs: one per relation child of the root,
-    with runs of bare leaf children sharing a paragraph."""
-    if plan.root is None:
-        return []
-    if plan.root.message is not None:
-        return [[plan.root.message]]
+    with runs of messages among its children sharing a paragraph."""
+    root = plan.root
+    if type(root) is not ir.PlanNode:  # None, or one message
+        return [] if root is None else [[root]]
     groups: list[list[ir.Message]] = []
-    after_leaf = False  # whether groups[-1] is a run of bare leaves
-    for child in plan.root.children:
-        if child.message is None:  # a valid relation node has leaves
-            groups.append([leaf.message for leaf in
-                           ir.plan_leaves(ir.DocumentPlan(root=child))])
-        elif after_leaf:
-            groups[-1].append(child.message)
-        else:
-            groups.append([child.message])
-        after_leaf = child.message is not None
+    for is_leaf, run in groupby(root.children,
+                                lambda child: type(child) is ir.Message):
+        groups += [list(run)] if is_leaf else [
+            ir.plan_leaves(ir.DocumentPlan(root=node)) for node in run]
     return groups
 
 
@@ -300,9 +295,7 @@ def plan_sentences(plan: ir.DocumentPlan,
             clauses = aggregate(messages, plan.entities, memo)
         for ci, clause in enumerate(clauses):
             sentences.append(ir.SentencePlan(
-                clauses=(clause,),
-                new_paragraph=(pi > 0 and ci == 0),
-            ))
+                (clause,), new_paragraph=pi > 0 and ci == 0))
     if profile == "fluent":
         sentences = insert_discourse_markers(sentences)
         sentences = pronominalize(sentences, plan.entities)

@@ -167,15 +167,13 @@ def random_document_plan(rng: random.Random) -> ir.DocumentPlan:
                 rng.sample(_ENTITY_POOL, rng.randint(3, len(_ENTITY_POOL)))}
     ids = sorted(entities)
 
-    def leaf():
-        return ir.PlanNode(message=random_message(rng, ids))
-
     children = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.5:
-            children.append(leaf())
+            children.append(random_message(rng, ids))
         else:
-            sub = tuple(leaf() for _ in range(rng.randint(1, 3)))
+            sub = tuple(random_message(rng, ids)
+                        for _ in range(rng.randint(1, 3)))
             children.append(ir.PlanNode(
                 label=rng.choice(list(ir.RELATION_LABELS)),
                 children=sub))

@@ -65,10 +65,20 @@ def expand_document_plan(plan):
     nodes = [plan.root] if plan.root is not None else []
     while nodes:
         node = nodes.pop()
-        if node.message is not None:
-            out.add(_message_expansion(node.message))
-        nodes.extend(node.children)
+        if isinstance(node, ir.Message):
+            out.add(_message_expansion(node))
+        else:
+            nodes.extend(node.children)
     return out
+
+
+def expand_leaves(node):
+    """The messages below a plan node, in document order, by recursion."""
+    if isinstance(node, ir.Message):
+        yield node
+    else:
+        for child in node.children:
+            yield from expand_leaves(child)
 
 
 def expand_sentence_plans(plans):
@@ -464,8 +474,7 @@ def reference_traverse(definition, data, max_visits=32):
             if node.condition_node:
                 condition = instantiate(
                     node_id, _find_node(d, node.condition_node))
-            pieces.append(ir.PlanNode(
-                message=instantiate(node_id, node, condition)))
+            pieces.append(instantiate(node_id, node, condition))
         elif isinstance(node, str):
             sub = d.schema_set.get(node)
             if sub is None:
@@ -661,24 +670,21 @@ def reference_pronominalize(plans, entities):
 
 def reference_paragraphs(plan):
     """Split the plan into paragraphs: one per relation child of the root,
-    with runs of bare leaf children sharing a paragraph."""
-    from nlgen import ir
-
+    with runs of messages among its children sharing a paragraph."""
     if plan.root is None:
         return []
-    if plan.root.message is not None:
-        return [[plan.root.message]]
+    if isinstance(plan.root, ir.Message):
+        return [[plan.root]]
     groups = []
     run = []
     for child in plan.root.children:
-        if child.message is not None:
-            run.append(child.message)
+        if isinstance(child, ir.Message):
+            run.append(child)
             continue
         if run:
             groups.append(run)
             run = []
-        messages = [leaf.message for leaf in
-                    ir.plan_leaves(ir.DocumentPlan(root=child))]
+        messages = list(expand_leaves(child))
         if messages:
             groups.append(messages)
     if run:
@@ -966,13 +972,12 @@ def reference_validate(plan):
 
     def walk(node, where, level):
         nonlocal too_deep
-        if node.message is not None:
-            _reference_check_message(node.message, plan, f"{where}.message",
-                                     problems)
-            if node.children:
-                problems.append(f"{where}: leaf node has children")
-            if node.label is not None:
-                problems.append(f"{where}: leaf node has a label")
+        if type(node) is ir.Message:
+            _reference_check_message(node, plan, where, problems)
+            return
+        if type(node) is not ir.PlanNode:
+            problems.append(f"{where}: expected a PlanNode or a Message, "
+                            f"got {ir.json_kind(node)}")
             return
         if level > ir.MAX_NESTING:
             if not too_deep:
@@ -1128,10 +1133,10 @@ def previous_traverse(schema: lib.SchemaDef,
                     f"schema nesting deeper than {ir.MAX_NESTING} levels "
                     f"at node {node_id!r} in schema {definition.name!r}")
             node = definition.nodes[node_id]
-            pieces: list[ir.PlanNode] = []
+            pieces: list = []
             if isinstance(node, lib.MessageTemplate):
-                pieces.append(ir.PlanNode(message=_previous_instantiate_node(
-                    definition, node_id, node, data)))
+                pieces.append(_previous_instantiate_node(
+                    definition, node_id, node, data))
             stack.append((definition, iter(definition.arcs.get(node_id, ())),
                           pieces, [], level, joins))
             if not isinstance(node, str):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nlgen import cli, ir, plan_sentences, schema, sentplan, traverse
 
 import oracle
-from conftest import GOLDEN_DIR, fake_stdin, run_cli
+from conftest import DATA_DIR, GOLDEN_DIR, fake_stdin, run_cli
 
 
 def get(corpus, name):
@@ -456,15 +456,15 @@ class TestCheckedWhereTheyEnter:
         assert (code, out) == (3, "")
         assert err.startswith("sentplan: ")
         assert err.count("\n") == 1
-        assert "root.children[0].message: referential integrity: " \
+        assert "root.children[0]: referential integrity: " \
                "unknown subject entity 'sam'" in err
 
     @pytest.mark.parametrize("change, detail", [
         (lambda obj: obj["root"].update(kind="relation"),
          "root: unknown field 'kind'"),
-        (lambda obj: obj["root"]["children"][0]["message"]["complements"][0]
+        (lambda obj: obj["root"]["children"][0]["complements"][0]
          .update(kind="noun-phrase"),
-         "root.children[0].message.complements[0]: unknown field 'kind'"),
+         "root.children[0].complements[0]: unknown field 'kind'"),
     ])
     def test_plan_json_with_kind_exits_3(self, tmp_path, corpus, change,
                                          detail):
@@ -475,22 +475,23 @@ class TestCheckedWhereTheyEnter:
         assert detail in err
 
     def test_labeled_leaf_exits_3(self, tmp_path, corpus):
+        # A leaf is a message, which has no label field.
         code, out, err = self._sentplan(
             tmp_path, corpus,
             lambda obj: obj["root"]["children"][0].update(label="contrast"))
         assert (code, out) == (3, "")
         assert err.startswith("sentplan: ")
         assert err.count("\n") == 1
-        assert "root.children[0]: leaf node has a label" in err
+        assert "root.children[0]: unknown field 'label'" in err
 
     def test_modal_with_past_tense_exits_3(self, tmp_path, corpus):
         code, out, err = self._sentplan(
             tmp_path, corpus, lambda obj: obj["root"]["children"][0]
-            ["message"].update(modal="can", tense="past"))
+            .update(modal="can", tense="past"))
         assert (code, out) == (3, "")
         assert err.startswith("sentplan: ")
         assert err.count("\n") == 1
-        assert "root.children[0].message: a modal takes present tense" in err
+        assert "root.children[0]: a modal takes present tense" in err
 
     def test_plan_json_with_record_keys_exits_3(self, tmp_path, corpus):
         code, out, err = self._sentplan(
@@ -510,7 +511,7 @@ class TestNoLostOrBlankWords:
         code, out, err = _run_one(tmp_path, "plan", src, data)
         assert (code, err) == (0, "")
         (leaf,) = json.loads(out)["root"]["children"]
-        assert "adverb" not in leaf["message"]  # None, the default
+        assert "adverb" not in leaf  # None, the default
         code, out, err = _run_one(tmp_path, "generate", src, data)
         assert (code, out, err) == (0, "Sam rests.\n", "")
 
@@ -801,7 +802,7 @@ class TestNestingBound:
         deepest = obj["root"]
         while "label" in deepest["children"][-1]:
             deepest = deepest["children"][-1]
-        deepest["children"] = [{"label": "elaboration", "message": None,
+        deepest["children"] = [{"label": "elaboration",
                                 "children": deepest["children"]}]
         plan_file = tmp_path / "deeper.json"
         plan_file.write_text(json.dumps(obj), encoding="utf-8")
@@ -823,7 +824,7 @@ class TestNestingBound:
     def test_many_deep_branches_give_one_short_line(self, tmp_path):
         # 20 branches, each 102 levels deep: the bound is named once, at
         # the first branch past it.
-        branch = {"message": {"subject": "sam", "verb": "rest"}}
+        branch = {"subject": "sam", "verb": "rest"}
         for _ in range(102):
             branch = {"label": "elaboration", "children": [branch]}
         obj = {"entities": {"sam": {"id": "sam", "name": "Sam"}},
@@ -846,7 +847,7 @@ class TestNestingBound:
         # Past a few hundred levels the JSON decoders, not validate, meet
         # the depth first; the line still names the bound.
         if command == "sentplan":
-            leaf = '{"message": {"subject": "sam", "verb": "rest"}}'
+            leaf = '{"subject": "sam", "verb": "rest"}'
             text = ('{"entities": {"sam": {"id": "sam", "name": "Sam"}}, '
                     '"root": ' + '{"label": "elaboration", "children": ['
                     * depth + leaf + "]}" * depth + "}")
@@ -926,7 +927,7 @@ class TestBoundedFailureLines:
         (_SENTPLAN, "p.json",
          _SAM_TABLE + '"root": '
          + '{"label": "elaboration", "children": [' * _MANY
-         + '{"message": {"subject": "sam", "verb": "rest"}}'
+         + '{"subject": "sam", "verb": "rest"}'
          + "]}" * _MANY + "}", "sentplan"),
         (_REALIZE, "f.json",
          _SAM_TABLE + '"sentences": [{"clauses": ['
@@ -942,7 +943,7 @@ class TestBoundedFailureLines:
          + "}}", "parse"),
         (_SENTPLAN, "p.json",
          _SAM_TABLE + '"root": {"label": "sequence", "children": ['
-         + ", ".join(['{"message": {"subject": "sam", "verb": "Go"}}']
+         + ", ".join(['{"subject": "sam", "verb": "Go"}']
                      * _MANY) + "]}}", "sentplan"),
         (_REALIZE, "f.json",
          '{"sentences": [' + ", ".join(['{"clauses": []}'] * _MANY) + "]}",
@@ -955,8 +956,8 @@ class TestBoundedFailureLines:
          "parse"),
         (_BATCH, "d.json", _SAM_ONLY % '"x": "ho\\udc80me"', "parse"),
         (_SENTPLAN, "p.json",
-         _SAM_TABLE + '"root": {"message": {"subject": "sam", "verb": "rest", '
-         '"adverb": "\\uDBFF"}}}', "sentplan"),
+         _SAM_TABLE + '"root": {"subject": "sam", "verb": "rest", '
+         '"adverb": "\\uDBFF"}}', "sentplan"),
         (_REALIZE, "f.json",
          _SAM_TABLE + '"sentences": [{"clauses": [' + _CLAUSE_OBJ
          + ', "discourse_markers": ["\\ude00\\ud83d"]}]}]}', "realize"),
@@ -1117,7 +1118,7 @@ class TestBadSentencePlans:
 
 
 class TestBadDocumentPlans:
-    _LEAF = {"message": {"subject": "sam", "verb": "rest"}}
+    _LEAF = {"subject": "sam", "verb": "rest"}
 
     @staticmethod
     def _sentplan(root, sam=_SAM["sam"]) -> tuple[int, str, str]:
@@ -1127,10 +1128,11 @@ class TestBadDocumentPlans:
             return run_cli(["sentplan", "--plan", "-"])
 
     @pytest.mark.parametrize("root, detail", [
-        ({**_LEAF, "children": [_LEAF]}, "root: leaf node has children"),
-        ({"message": {"subject": "sam", "verb": "see",
-                      "complements": [{"head": "@ghost"}]}},
-         "root.message.complements[0]: referential integrity: unknown "
+        # An object with children is a relation node, which has no subject.
+        ({**_LEAF, "children": [_LEAF]}, "root: unknown field 'subject'"),
+        ({"subject": "sam", "verb": "see",
+          "complements": [{"head": "@ghost"}]},
+         "root.complements[0]: referential integrity: unknown "
          "entity 'ghost'"),
     ])
     def test_invalid_plan_exits_3(self, root, detail):
@@ -1151,14 +1153,22 @@ class TestBadDocumentPlans:
         plans = ir.sentence_plans_from_json(out)
         assert [c.verb for sp in plans for c in sp.clauses] == ["rest"]
 
+    def test_a_plan_file_with_wrapped_leaves_exits_3(self):
+        # Plan files once wrapped each leaf as {"message": ...}.  A leaf is
+        # its message now, so such a file is refused at its first leaf.
+        old = DATA_DIR / "sam_pair.wrapped.plan.json"
+        assert '{"message":' in old.read_text(encoding="utf-8")
+        assert run_cli(["sentplan", "--plan", str(old)]) == (
+            3, "", f"sentplan: {old}: root.children[0]: unknown field "
+                   f"'message'\n")
+
     def test_null_root_is_no_sentences(self):
         code, out, err = self._sentplan(None)
         assert (code, err) == (0, "")
         assert out == '{"entities":{},"sentences":[]}\n'
 
     def test_many_problems_name_three_and_a_count(self):
-        leaf = {"message": {"subject": "sam", "verb": "rest",
-                            "adverb": " "}}
+        leaf = {"subject": "sam", "verb": "rest", "adverb": " "}
         obj = {"entities": {"sam": {"id": "sam", "name": "Sam"}},
                "root": {"label": "sequence", "children": [leaf] * 20}}
         with mock.patch("sys.stdin",
@@ -1166,9 +1176,9 @@ class TestBadDocumentPlans:
             code, out, err = run_cli(["sentplan", "--plan", "-"])
         assert (code, out) == (3, "")
         assert err == ("sentplan: <stdin>: "
-                       "root.children[0].message: blank adverb; "
-                       "root.children[1].message: blank adverb; "
-                       "root.children[2].message: blank adverb; "
+                       "root.children[0]: blank adverb; "
+                       "root.children[1]: blank adverb; "
+                       "root.children[2]: blank adverb; "
                        "and 17 more\n")
 
     @settings(max_examples=150, deadline=None, derandomize=True,

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import random
 import re
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
@@ -27,10 +28,6 @@ def phrase(*premods, head, det=None, prep=None):
                                preposition=prep)
 
 
-def leaf(msg):
-    return ir.PlanNode(message=msg)
-
-
 def seq(*children, label="sequence"):
     return ir.PlanNode(label=label, children=tuple(children))
 
@@ -40,7 +37,7 @@ def sam_pair_plan():
                     complements=(phrase("high", "blood", head="pressure"),))
     sugar = ir.Message(subject="sam", verb="have",
                        complements=(phrase("low", "blood", head="sugar"),))
-    return ir.DocumentPlan(root=seq(leaf(bp), leaf(sugar)),
+    return ir.DocumentPlan(root=seq(bp, sugar),
                            entities={"sam": SAM})
 
 
@@ -83,8 +80,8 @@ class TestPropositionSet:
         b = ir.Message(subject="sam", verb="have",
                        complements=(phrase("blood", "high",
                                            head="pressure"),))
-        pa = ir.DocumentPlan(root=leaf(a), entities={"sam": SAM})
-        pb = ir.DocumentPlan(root=leaf(b), entities={"sam": SAM})
+        pa = ir.DocumentPlan(root=a, entities={"sam": SAM})
+        pb = ir.DocumentPlan(root=b, entities={"sam": SAM})
         assert oracle.expand_document_plan(pa) == \
             oracle.expand_document_plan(pb)
 
@@ -96,7 +93,7 @@ class TestPropositionSet:
                          complements=(phrase(head="store", det="the",
                                              prep="to"),),
                          condition=trigger)
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+        plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
         (row,) = oracle.expand_document_plan(plan)
         assert row[4] == "should"
         assert row[6] == ("sam", "go",
@@ -108,7 +105,7 @@ class TestPropositionSet:
 class TestValidate:
     def test_well_formed_leaf_plan(self):
         msg = ir.Message(subject="sam", verb="rest")
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+        plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
         assert ir.validate(plan) == []
 
     def test_empty_plan_is_clean(self):
@@ -125,7 +122,7 @@ class TestValidate:
 
     def test_relation_without_children(self):
         plan = ir.DocumentPlan(
-            root=seq(seq(), leaf(ir.Message(subject="sam", verb="rest"))),
+            root=seq(seq(), ir.Message(subject="sam", verb="rest")),
             entities={"sam": SAM})
         problems = ir.validate(plan)
         assert any("root.children[0]" in p and "no children" in p
@@ -140,7 +137,7 @@ class TestValidate:
         inner = ir.Message(subject="sam", verb="rest")
         mid = ir.Message(subject="sam", verb="rest", condition=inner)
         outer = ir.Message(subject="sam", verb="rest", condition=mid)
-        plan = ir.DocumentPlan(root=leaf(outer), entities={"sam": SAM})
+        plan = ir.DocumentPlan(root=outer, entities={"sam": SAM})
         assert any("nest" in p for p in ir.validate(plan))
 
     def test_phrase_kind_is_derived(self):
@@ -160,12 +157,12 @@ class TestValidate:
     def test_entity_reference_rejects_premodifiers(self):
         bad = ir.ComplementPhrase(head="@sam", premodifiers=("tall",))
         msg = ir.Message(subject="sam", verb="see", complements=(bad,))
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+        plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
         assert any("premodifiers" in p for p in ir.validate(plan))
 
     def test_uppercase_verb_rejected(self):
         msg = ir.Message(subject="sam", verb="Rest")
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+        plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
         assert any("lowercase" in p for p in ir.validate(plan))
 
     def test_entity_head_takes_no_determiner_or_premodifiers(self):
@@ -176,9 +173,9 @@ class TestValidate:
                 ir.ComplementPhrase(head="@sam", preposition="with",
                                     determiner="a")):
             msg = ir.Message(subject="sam", verb="see", complements=(bad,))
-            plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+            plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
             assert ir.validate(plan) == [
-                "root.message.complements[0]: an @entity head takes no "
+                "root.complements[0]: an @entity head takes no "
                 "determiner or premodifiers"]
 
     def test_verb_lemma_is_one_lowercase_word(self):
@@ -186,7 +183,7 @@ class TestValidate:
         for bad in ("", "Has", "go.to", "go home", "9", "re-check", 5, None):
             assert not ir.is_verb_lemma(bad), bad
             msg = ir.Message(subject="sam", verb=bad)
-            plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+            plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
             assert any("verb lemma" in p for p in ir.validate(plan))
 
     def test_modal_takes_present_tense(self):
@@ -195,12 +192,12 @@ class TestValidate:
                                  tense=tense)
             msg = ir.Message(subject="sam", verb="rest", modal="must",
                              tense=tense, condition=trigger)
-            plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+            plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
             assert ir.validate(plan) == [
-                "root.message: a modal takes present tense",
-                "root.message.condition: a modal takes present tense"]
+                "root: a modal takes present tense",
+                "root.condition: a modal takes present tense"]
         ok = ir.Message(subject="sam", verb="rest", modal="can")
-        assert ir.validate(ir.DocumentPlan(root=leaf(ok),
+        assert ir.validate(ir.DocumentPlan(root=ok,
                                            entities={"sam": SAM})) == []
 
     def test_blank_text_rejected(self):
@@ -208,29 +205,39 @@ class TestValidate:
                          complements=(phrase(" ", head="report"),
                                       phrase(head=""),
                                       phrase(head="store", prep=" ")))
-        plan = ir.DocumentPlan(root=leaf(msg), entities={"sam": SAM})
+        plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
         assert ir.validate(plan) == [
-            "root.message: blank adverb",
-            "root.message.complements[0]: blank word in complement",
-            "root.message.complements[1]: blank word in complement",
-            "root.message.complements[2]: blank word in complement"]
+            "root: blank adverb",
+            "root.complements[0]: blank word in complement",
+            "root.complements[1]: blank word in complement",
+            "root.complements[2]: blank word in complement"]
         blank = ir.Entity(id="x", head=" ")
         named = ir.Entity(id="y", name=" ", head="thing")
         plan = ir.DocumentPlan(root=None, entities={"x": blank, "y": named})
         assert len([p for p in ir.validate(plan) if "name/head" in p]) == 2
 
     def test_relation_node_needs_a_label(self):
-        node = ir.PlanNode(children=(
-            leaf(ir.Message(subject="sam", verb="rest")),))
+        node = ir.PlanNode(label=None, children=(
+            ir.Message(subject="sam", verb="rest"),))
         plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
         assert ir.validate(plan) == ["root: relation node has no label"]
 
-    def test_leaf_node_has_no_label(self):
-        node = ir.PlanNode(message=ir.Message(subject="sam", verb="rest"),
-                           label="contrast")
-        plan = ir.DocumentPlan(root=seq(node), entities={"sam": SAM})
-        assert ir.validate(plan) == [
-            "root.children[0]: leaf node has a label"]
+    @pytest.mark.parametrize("root, problem", [
+        (seq(1), "root.children[0]: expected a PlanNode or a Message, got "
+                 "a number"),
+        (seq(None), "root.children[0]: expected a PlanNode or a Message, "
+                    "got null"),
+        (1, "root: expected a PlanNode or a Message, got a number"),
+        (seq(seq(ir.Message(subject="sam", verb="rest"), "rest")),
+         "root.children[0].children[1]: expected a PlanNode or a Message, "
+         "got a string"),
+    ], ids=["number-child", "null-child", "number-root", "text-grandchild"])
+    def test_a_node_of_another_type_is_one_problem(self, root, problem):
+        # Each tree node is a PlanNode or a Message; validate names any
+        # other value where it stands, and raises nothing.
+        plan = ir.DocumentPlan(root=root, entities={"sam": SAM})
+        assert ir.validate(plan) == oracle.reference_validate(plan) == \
+            [problem]
 
     def test_entity_needs_exactly_one_of_name_head(self):
         both = ir.Entity(id="x", name="X", head="thing")
@@ -290,13 +297,13 @@ class TestSerialization:
         text = ir.document_plan_to_json(
             dataclasses.replace(sam_pair_plan(), entities={}))
         with pytest.raises(DataError,
-                           match=r"^root\.children\[0\]\.message: "
+                           match=r"^root\.children\[0\]: "
                                  r"referential integrity"):
             ir.document_plan_from_json(text)
 
     def test_messages_carry_no_source_key(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
-        payload["root"]["children"][0]["message"]["source_key"] = ""
+        payload["root"]["children"][0]["source_key"] = ""
         with pytest.raises(DataError,
                            match="unknown field 'source_key'"):
             ir.document_plan_from_json(json.dumps(payload))
@@ -305,24 +312,54 @@ class TestSerialization:
         with pytest.raises(DataError):
             ir.sentence_plans_from_json("{\"sentences\": [{}]}")
 
+    def test_a_message_root_round_trips(self):
+        # A plan of one message has that message as its root, with no
+        # relation node above it.
+        msg = ir.Message(subject="sam", verb="rest", modal="should")
+        plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
+        text = ir.document_plan_to_json(plan)
+        assert json.loads(text)["root"] == {"modal": "should",
+                                            "subject": "sam", "verb": "rest"}
+        assert ir.document_plan_from_json(text) == plan
+        assert ir.from_obj(ir.DocumentPlan, json.loads(text)) == plan
+        for profile in ("fluent", "plain"):
+            plans = plan_sentences(plan, profile)
+            assert [sp.new_paragraph for sp in plans] == [False]
+            assert ir.sentence_plans_from_json(
+                ir.sentence_plans_to_json(plans)) == plans
+
+    def test_readme_plans_read_back_byte_for_byte(self):
+        # Each document plan the README shows decodes, and encodes to the
+        # very text shown, so the examples cannot go stale.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        shown = re.findall(r'^```\n(\{"entities".*"root".*\n)```$', readme,
+                           re.M)
+        assert len(shown) == 2
+        for text in shown:
+            plan = ir.document_plan_from_json(text)
+            assert ir.document_plan_to_json(plan) == text
+            assert [type(child) for child in plan.root.children] == \
+                [ir.Message, ir.Message]
+
     def test_empty_plan_serializes(self):
         text = ir.document_plan_to_json(ir.DocumentPlan(root=None))
         assert ir.document_plan_from_json(text).root is None
 
     def test_canonical_form_leaves_out_defaults(self):
-        # A leaf has no label and no children, a message no modal, adverb
-        # or condition, a phrase no determiner or preposition, and none
-        # of them is written; a required field is written even as null.
+        # A message has no modal, adverb or condition, a phrase no
+        # determiner or preposition, and none of them is written; a
+        # required field is written even as null.
         text = ir.document_plan_to_json(sam_pair_plan())
         assert text == (
             '{"entities":{"sam":{"gender":"masculine","id":"sam",'
             '"name":"Sam"}},"root":{"children":['
-            '{"message":{"complements":[{"head":"pressure",'
+            '{"complements":[{"head":"pressure",'
             '"premodifiers":["high","blood"]}],"subject":"sam",'
-            '"verb":"have"}},'
-            '{"message":{"complements":[{"head":"sugar",'
+            '"verb":"have"},'
+            '{"complements":[{"head":"sugar",'
             '"premodifiers":["low","blood"]}],"subject":"sam",'
-            '"verb":"have"}}],"label":"sequence"}}\n')
+            '"verb":"have"}],"label":"sequence"}}\n')
         assert ir.document_plan_to_json(ir.DocumentPlan(root=None)) == \
             '{"root":null}\n'
 
@@ -354,9 +391,9 @@ class TestSerialization:
 
     def test_decode_error_names_the_path(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
-        payload["root"]["children"][1]["message"]["tense"] = "pluperfect"
+        payload["root"]["children"][1]["tense"] = "pluperfect"
         with pytest.raises(DataError,
-                           match=r"^root\.children\[1\]\.message\.tense: "
+                           match=r"^root\.children\[1\]\.tense: "
                                  r"unknown value 'pluperfect'"):
             ir.document_plan_from_json(json.dumps(payload))
 
@@ -394,8 +431,8 @@ class TestSerialization:
          '{"entities":{"sam":{"name":"Sam\ud800"}},"records":{}}'),
         (ir.document_plan_from_json, "document plan",
          '{"entities":{"sam":{"id":"sam","name":"Sam"}},'
-         '"root":{"message":{"subject":"sam","verb":"rest",'
-         '"adverb":"\udc80"}}}'),
+         '"root":{"subject":"sam","verb":"rest",'
+         '"adverb":"\udc80"}}'),
         (ir.sentence_plans_from_json, "sentence plans",
          '{"entities":{"\udbff":{"id":"\udbff","name":"Sam"}},'
          '"sentences":[]}'),
@@ -578,7 +615,7 @@ class TestCodecProperties:
         message = ir.Message(subject=eid, verb="rest", complements=(word,),
                              adverb=adverb)
         plan = ir.DocumentPlan(
-            root=seq(leaf(message), leaf(message)),
+            root=seq(message, message),
             entities={eid: entity, name: ir.Entity(id=name, head=head)})
         assert ir.document_plan_to_json(plan) == _reference_encoding(plan)
         ref = ir.ReferenceSpec(entity=entity)
@@ -626,8 +663,8 @@ class TestCodecProperties:
         word = phrase("high", head="pressure")
         words = [word] * 3 + [copy.deepcopy(word) for _ in range(3)]
         plan = ir.DocumentPlan(
-            root=seq(*[leaf(ir.Message(subject="sam", verb="have",
-                                       complements=(w,))) for w in words]),
+            root=seq(*[ir.Message(subject="sam", verb="have",
+                                  complements=(w,)) for w in words]),
             entities={"sam": SAM})
         assert ir.document_plan_to_json(plan) == _reference_encoding(plan)
 
@@ -660,6 +697,10 @@ class TestCodecProperties:
                 text = encode(value, {})
                 assert ir.from_obj(tp, json.loads(text),
                                    entities=plan.entities) == value, text
+                if tp in (ir.PlanNode, ir.Message):  # as a plan child
+                    child = ir.PlanNode | ir.Message
+                    assert ir._codec(child)[0](value, {}) == text
+                    assert ir.from_obj(child, json.loads(text)) == value
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
@@ -699,8 +740,8 @@ class TestCodecProperties:
         ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), 1.0,
          "sentences[1].clauses[0].subject_ref: expected an object, got a "
          "number"),
-        ("plan", ("root", "children", 0, "message", "complements", 0), 0,
-         "root.children[0].message.complements[0]: number 0 names none of "
+        ("plan", ("root", "children", 0, "complements", 0), 0,
+         "root.children[0].complements[0]: number 0 names none of "
          "the 0 earlier ComplementPhrase values"),
         # Outside a file no value comes before, so none can be named.
         ("bare", ("phrase",), 0,
@@ -733,7 +774,7 @@ class TestCodecProperties:
     @pytest.mark.parametrize("stage, option, code, old, new, message", [
         ("sentplan", "--plan", 3,
          '{"head":"sugar","premodifiers":["low","blood"]}', "3",
-         "root.children[1].message.complements[0]: number 3 names none of "
+         "root.children[1].complements[0]: number 3 names none of "
          "the 1 earlier ComplementPhrase values"),
         ("realize", "--sentences", 4, '"subject_ref":0', '"subject_ref":4',
          "sentences[1].clauses[0].subject_ref: number 4 names none of the "
@@ -753,7 +794,7 @@ class TestCodecProperties:
     def test_a_plan_at_the_nesting_bound_is_encoded(self):
         # The deepest plan validate() accepts, built by hand: relation
         # nodes down to level MAX_NESTING, then a leaf.
-        node = leaf(ir.Message(subject="sam", verb="rest"))
+        node = ir.Message(subject="sam", verb="rest")
         for _ in range(ir.MAX_NESTING + 1):
             node = seq(node, label="elaboration")
         plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
@@ -916,24 +957,19 @@ def _swap(node, old, new):
     ``new``."""
     if node is old:
         return new
-    if not node.children:
+    if type(node) is not ir.PlanNode:
         return node
     return dataclasses.replace(node, children=tuple(
         _swap(child, old, new) for child in node.children))
 
 
-def _edit_leaf(plan, rng, edit):
+def _edit_message(plan, rng, edit):
     leaves = ir.plan_leaves(plan)
     if not leaves:  # an empty relation node took the last one
         return plan
     target = rng.choice(leaves)
     return dataclasses.replace(
         plan, root=_swap(plan.root, target, edit(target)))
-
-
-def _edit_message(plan, rng, edit):
-    return _edit_leaf(plan, rng, lambda node: dataclasses.replace(
-        node, message=edit(node.message)))
 
 
 def _add_phrase(plan, rng, bad):
@@ -951,12 +987,11 @@ def _nest_conditions(msg):
 
 
 def _misshape(plan, rng):
-    return _edit_leaf(plan, rng, lambda node: rng.choice([
-        dataclasses.replace(node, children=(leaf(node.message),)),
-        dataclasses.replace(node, label="contrast"),
-        ir.PlanNode(children=(node,)),
-        ir.PlanNode(label=rng.choice([None, "contrast"])),
-    ]))
+    # A relation node without children, in place of a message or beside
+    # it: the one wrong shape a plan file can hold.
+    empty = ir.PlanNode(label=rng.choice(ir.RELATION_LABELS), children=())
+    return _edit_message(plan, rng, lambda msg: rng.choice([
+        empty, seq(msg, empty, label=empty.label)]))
 
 
 def _too_deep(plan, rng):
@@ -1159,11 +1194,11 @@ class TestChecksMatchReference:
     def test_a_shared_bad_phrase_is_named_at_each_use(self):
         bad = ir.ComplementPhrase(head="@sam", determiner="the")
         msg = ir.Message(subject="sam", verb="see", complements=(bad, bad))
-        plan = ir.DocumentPlan(root=seq(leaf(msg), leaf(msg)),
+        plan = ir.DocumentPlan(root=seq(msg, msg),
                                entities={"sam": SAM})
         rule = ir.ENTITY_HEAD_RULE
         assert ir.validate(plan) == oracle.reference_validate(plan) == [
-            f"root.children[{i}].message.complements[{j}]: {rule}"
+            f"root.children[{i}].complements[{j}]: {rule}"
             for i in (0, 1) for j in (0, 1)]
 
 

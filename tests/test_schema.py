@@ -999,7 +999,7 @@ class TestTraverse:
         plan = traverse_chain(ir.MAX_NESTING)
         assert ir.validate(plan) == []
         node, levels = plan.root, 0
-        while node.children[-1].label is not None:
+        while type(node.children[-1]) is ir.PlanNode:
             node, levels = node.children[-1], levels + 1
         assert levels == ir.MAX_NESTING
         assert len(ir.plan_leaves(plan)) == 2 * (ir.MAX_NESTING + 1)
@@ -1029,8 +1029,62 @@ class TestTraverse:
         plan = schema.traverse(definition, data)
         assert time.perf_counter() - start < 20
         assert len(plan.root.children) == n
-        assert all(leaf.message.verb == ("rest", "go")[i % 2]
+        assert all(leaf.verb == ("rest", "go")[i % 2]
                    for i, leaf in enumerate(plan.root.children))
+
+    @staticmethod
+    def _tree_nodes(plan):
+        """The relation nodes and the messages of ``plan``'s tree."""
+        nodes, messages, stack = [], [], [plan.root]
+        while stack:
+            node = stack.pop()
+            if type(node) is ir.PlanNode:
+                nodes.append(node)
+                stack += node.children
+            else:
+                messages.append(node)
+        return nodes, messages
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_a_chain_is_one_relation_node_over_its_messages(self, n):
+        # A leaf is its message: no node wraps it.
+        lines = ["schema s"]
+        lines += [f'node n{i} emit subject="sam" verb=v{chr(97 + i % 26)} '
+                  f'complement="item {i}"' for i in range(n)]
+        lines += [f"arc n{i} -> n{i + 1}" for i in range(n - 1)]
+        plan = schema.traverse(
+            schema.parse_schema("\n".join(lines) + "\n"),
+            schema.load_data('{"entities": {"sam": {"name": "Sam"}}}'))
+        nodes, messages = self._tree_nodes(plan)
+        assert nodes == [plan.root] and plan.root.label == "sequence"
+        assert len(messages) == n
+        assert ir.plan_leaves(plan) == list(plan.root.children)
+        assert [m.complements[0].head for m in ir.plan_leaves(plan)] == \
+            [str(i) for i in range(n)]  # "item <i>": the number is the head
+
+    def test_each_relation_run_is_one_relation_node(self):
+        # Arcs from one node in runs of labels: elaboration, sequence,
+        # contrast.  Each non-sequence run is one node over its messages;
+        # sequence splices them into the root.
+        rels = ["elaboration"] * 2 + ["sequence"] * 2 + ["contrast"] * 3
+        lines = ["schema s", 'node a emit subject="sam" verb=rest']
+        lines += [f'node m{i} emit subject="sam" verb=go '
+                  f'complement="to place {i}"' for i in range(len(rels))]
+        lines += [f"arc a -> m{i} when exists(r.x) rel {rel}"
+                  for i, rel in enumerate(rels)]
+        plan = schema.traverse(
+            schema.parse_schema("\n".join(lines) + "\n"),
+            schema.load_data('{"entities": {"sam": {"name": "Sam"}}, '
+                             '"records": {"r": {"x": 1}}}'))
+        nodes, messages = self._tree_nodes(plan)
+        assert len(nodes) == 3 and len(messages) == len(rels) + 1
+        shape = [child.label if type(child) is ir.PlanNode else child.verb
+                 for child in plan.root.children]
+        assert shape == ["rest", "elaboration", "go", "go", "contrast"]
+        assert [len(plan.root.children[i].children) for i in (1, 4)] == \
+            [2, 3]
+        assert [m.complements[0].head for m in ir.plan_leaves(plan)[1:]] \
+            == [str(i) for i in range(len(rels))]
 
     def test_elaboration_arcs_group_into_one_relation(self):
         src = ("schema s\n"
@@ -1044,9 +1098,9 @@ class TestTraverse:
             '{"entities": {"sam": {"name": "Sam"}},'
             ' "records": {"r": {"x": 1}}}')
         plan = schema.traverse(parsed, data)
-        shapes = [(c.message is not None, c.label)
-                  for c in plan.root.children]
-        assert shapes == [(True, None), (False, "elaboration")]
+        shapes = [type(c).__name__ for c in plan.root.children]
+        assert shapes == ["Message", "PlanNode"]
+        assert plan.root.children[1].label == "elaboration"
         assert len(plan.root.children[1].children) == 2
 
 
@@ -1912,8 +1966,8 @@ class TestHandBuiltEntities:
 
     @pytest.mark.parametrize("entities", [None, []], ids=["null", "list"])
     def test_validate_stops_at_a_table_not_a_dict(self, entities):
-        plan = ir.DocumentPlan(root=ir.PlanNode(message=ir.Message(
-            subject="sam", verb="rest")), entities=entities)
+        plan = ir.DocumentPlan(root=ir.Message(subject="sam", verb="rest"),
+                               entities=entities)
         assert nlgen.validate(plan) == [
             f"entities: expected a dict, got {ir.json_kind(entities)}"]
 
@@ -1929,7 +1983,7 @@ class TestHandBuiltEntities:
             pass
         else:
             assert not _VERB_OPENING.search(text), text
-        leaf = ir.PlanNode(message=ir.Message(subject="x", verb="rest"))
+        leaf = ir.Message(subject="x", verb="rest")
         assert isinstance(ir.validate(ir.DocumentPlan(root=leaf,
                                                       entities=table)),
                           list)

@@ -35,9 +35,7 @@ def message(subject, verb, *comps, **kw):
 
 
 def plan_of(*messages, entities=None):
-    root = ir.PlanNode(
-        label="sequence",
-        children=tuple(ir.PlanNode(message=m) for m in messages))
+    root = ir.PlanNode(label="sequence", children=messages)
     return ir.DocumentPlan(root=root, entities=dict(entities or ENTITIES))
 
 
@@ -103,7 +101,7 @@ class TestAggregate:
     def test_subject_verb_multiset_preserved(self, rng):
         for _ in range(20):
             plan = random_document_plan(rng)
-            messages = [leaf.message for leaf in ir.plan_leaves(plan)]
+            messages = ir.plan_leaves(plan)
             clauses = sentplan.aggregate(messages, plan.entities)
             plans = [ir.SentencePlan(clauses=(c,)) for c in clauses]
             assert oracle.subject_verb_multiset(plans) == \
@@ -353,14 +351,11 @@ class TestPlanSentences:
                     sentplan.plan_sentences(plan, profile)) == want
 
     def test_paragraphs_follow_root_relation_children(self):
-        sub = ir.PlanNode(
-            label="elaboration",
-            children=(ir.PlanNode(message=message("sam", "rest")),))
+        sub = ir.PlanNode(label="elaboration",
+                          children=(message("sam", "rest"),))
         root = ir.PlanNode(
             label="sequence",
-            children=(ir.PlanNode(message=message("sam", "rest")),
-                      ir.PlanNode(message=message("sam", "rest")),
-                      sub))
+            children=(message("sam", "rest"), message("sam", "rest"), sub))
         plan = ir.DocumentPlan(root=root, entities=ENTITIES)
         plans = sentplan.plan_sentences(plan, "plain")
         assert [sp.new_paragraph for sp in plans] == [False, False, True]
@@ -421,17 +416,17 @@ def with_merge_runs(plan, rng):
 
     def rewrite(node):
         nonlocal prev
-        if node.message is None:
+        if type(node) is ir.PlanNode:
             return dataclasses.replace(
                 node, children=tuple(rewrite(c) for c in node.children))
-        msg = node.message
+        msg = node
         if prev is not None and rng.random() < 0.7:
             msg = dataclasses.replace(
                 msg, subject=prev.subject, verb=prev.verb, tense=prev.tense,
                 modal=prev.modal, polarity=prev.polarity,
                 adverb=prev.adverb, condition=None)
         prev = msg
-        return dataclasses.replace(node, message=msg)
+        return msg
 
     return dataclasses.replace(plan, root=rewrite(plan.root))
 
