@@ -22,6 +22,7 @@ from .ir import (
     sentence_plans_from_json,
     sentence_plans_to_json,
     validate,
+    validate_sentences,
 )
 from .lexicon import (
     Lexicon,

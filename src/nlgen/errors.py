@@ -19,8 +19,9 @@ class SchemaParseError(NlgenError):
 class DataError(NlgenError):
     """Malformed input other than schema text: a data, lexicon,
     document-plan or sentence-plans file, or a plan built by hand that
-    breaks a rule the codec or validate() checks, such as naming an
-    entity its table does not hold."""
+    breaks a rule the codec or the plan checks hold, such as a field
+    holding a value of another type or naming an entity its table does
+    not hold."""
 
 
 class TraversalError(NlgenError):

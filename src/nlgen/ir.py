@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
@@ -45,9 +44,6 @@ MODALS = get_args(Modal)
 POLARITIES = get_args(Polarity)
 RELATION_LABELS = get_args(RelationLabel)
 CASES = get_args(Case)
-# The types and domains of the Entity fields, as the decoder keeps them.
-_TEXT = (str, type(None))
-_ENTITY_DOMAINS = {"gender": GENDERS, "number": NUMBERS, "person": PERSONS}
 
 # Complement heads that name an entity instead of a common noun carry this
 # prefix, e.g. "@mrs_black".
@@ -279,47 +275,96 @@ def plan_leaves(plan: DocumentPlan) -> list[Message]:
 # ---------------------------------------------------------------------------
 # Validation
 #
-# Every plan that reaches validate() has passed the decoder, which keeps
-# each value inside its Literal domain, or was built by traverse() from a
-# parsed schema.  So validate() checks only what the types cannot say,
-# and the entity fields, which a table built by hand may hold of any type.
-#
-# The checks keep a path as links and format it only when a rule fails.
-# They check each distinct complement object once per call, by id (the
-# plan keeps it alive), and name its problems at each of its uses.
+# Each field's type is stated once, by its hint, which _row() reads into
+# a row: the decoder refuses a file's value by it, and _misfits() a value
+# of a plan built by hand, in the same words; the rules run only on a plan
+# whose values fit.  The checks keep a path as links and format it only
+# when a check fails.  Each distinct plan object is checked against its
+# rows once per call; the rules check each distinct complement once, by
+# id (the plan keeps it alive), and name its problems at each use.
+# _ROWS holds each hint's row, _FIELD_ROWS each plan class's fields, last
+# first, as (name, "." + name, default or an object no value is, quick,
+# row).
+_ROWS: dict = {}
+_FIELD_ROWS: dict = {}
+
+
+def _row(tp) -> tuple:
+    """The row of hint ``tp``: (its Literal domain or (); a container's
+    item row or None; quick: by each type a value may have, None if it
+    fits, True if its parts are checked, else the set of values that fit;
+    what a message says it expects).  A class's codec builds its rows."""
+    if (row := _ROWS.get(tp)) is None:
+        origin, args = get_origin(tp), get_args(tp)
+        if origin is Literal:
+            row = args, None, {str: frozenset(args)}, ""
+        elif origin in (tuple, list, dict):
+            row = (), _row(args[1 if origin is dict else 0]), \
+                {origin: True}, f"a {origin.__name__}"
+        elif args:  # a union, of at most one Literal
+            rows = [_row(a) for a in args]
+            row = (sum((r[0] for r in rows), ()), None,
+                   {t: ok for r in rows for t, ok in r[2].items()},
+                   " or ".join(r[3] for r in rows if r[3] != "null"))
+        elif tp in _JSON_KINDS:
+            row = (), None, {tp: None}, _JSON_KINDS[tp]
+        else:  # a plan class
+            _codec(tp)
+            row = (), None, {tp: True}, \
+                ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
+        _ROWS[tp] = row
+    return row
+
+
+def _mismatch(row, value) -> str:
+    if row[0]:
+        return f"unknown value {value!r}; expected one of {', '.join(row[0])}"
+    return f"expected {row[3]}, got {json_kind(value)}"
 
 
 def _path(at) -> str:
     """A path kept as links (parent, name) or (parent, name, index), as text:
     (("sentences", "", 1), ".clauses", 0) is "sentences[1].clauses[0]"."""
-    if type(at) is str:
-        return at
-    text = _path(at[0]) + at[1]
-    return text if len(at) == 2 else f"{text}[{at[2]}]"
+    parts = []
+    while type(at) is not str:
+        parts.append(at[1] if len(at) == 2 else f"{at[1]}[{at[2]}]")
+        at = at[0]
+    return (at + "".join(reversed(parts))).lstrip(".")
+
+
+def _misfits(value, row, at) -> list[str]:
+    """What of ``value`` at path ``at`` its rows refuse, in document order:
+    itself, a container's items, a plan object's fields, and so on down."""
+    problems: list[str] = []
+    seen = set()  # the plan objects checked
+    stack = [(value, row, at)]  # each a value to look into, or a misfit
+    while stack:
+        value, row, at = stack.pop()
+        if row[2].get(type(value)) is not True:
+            where, problem = _path(at), _mismatch(row, value)
+            problems.append(f"{where}: {problem}" if where else problem)
+        elif (item := row[1]) is not None:
+            parts = value.items() if type(value) is dict else enumerate(value)
+            stack += reversed([(v, item, (at, "", k)) for k, v in parts
+                               if (ok := item[2].get(type(v), ())) is not None
+                               and (ok is True or v not in ok)
+                               and id(v) not in seen])
+        elif id(value) not in seen:
+            seen.add(id(value))
+            fields = value.__dict__
+            stack += [(v, row, (at, key)) for name, key, default, quick, row
+                      in _FIELD_ROWS[type(value)]
+                      if (v := fields[name]) is not default
+                      and (ok := quick.get(type(v), ())) is not None
+                      and (ok is True or v not in ok)]
+    return problems
 
 
 def _validate_entities(entities: dict[str, Entity]) -> list[str]:
-    """The entity-table rules, shared by both plan files and traverse()."""
-    if not isinstance(entities, dict):
-        return [f"entities: expected a dict, got {json_kind(entities)}"]
+    """The entity-table rules, on a table whose values fit their rows."""
     problems: list[str] = []
     for eid, ent in entities.items():
         where = f"entities[{eid}]"
-        if not isinstance(ent, Entity):
-            problems.append(f"{where}: expected an Entity, got "
-                            f"{json_kind(ent)}")
-            continue
-        if not (type(ent.name) in _TEXT and type(ent.head) in _TEXT
-                and type(ent.honorific) in _TEXT and ent.gender in GENDERS
-                and ent.number in NUMBERS and ent.person in PERSONS):
-            problems += [f"{where}.{key}: expected a string, got "
-                         f"{json_kind(getattr(ent, key))}"
-                         for key in ("name", "head", "honorific")
-                         if type(getattr(ent, key)) not in _TEXT]
-            problems += [f"{where}.{key}: expected one of {', '.join(domain)}"
-                         for key, domain in _ENTITY_DOMAINS.items()
-                         if getattr(ent, key) not in domain]
-            continue
         if eid != ent.id:
             problems.append(
                 f"{where}: table key does not match entity id {ent.id!r}")
@@ -387,10 +432,6 @@ def _validate_node(node: PlanNode | Message, at, level: int,
     if type(node) is Message:
         _validate_message(node, at, entities, checked, problems)
         return too_deep
-    if type(node) is not PlanNode:
-        problems.append(f"{_path(at)}: expected a PlanNode or a Message, "
-                        f"got {json_kind(node)}")
-        return too_deep
     if level > MAX_NESTING:
         # Named once, at the first branch past the bound.  The full path
         # repeats ".children[i]"; its first segments and the level say
@@ -401,8 +442,6 @@ def _validate_node(node: PlanNode | Message, at, level: int,
                             f"nest more than {MAX_NESTING} levels below "
                             f"the root")
         return True
-    if node.label is None:
-        problems.append(f"{_path(at)}: relation node has no label")
     if not node.children:
         problems.append(f"{_path(at)}: relation node has no children")
     for i, child in enumerate(node.children):
@@ -412,14 +451,16 @@ def _validate_node(node: PlanNode | Message, at, level: int,
 
 
 def validate(plan: DocumentPlan) -> list[str]:
-    """Check the plan invariants that its types cannot express; returns
-    one description per violation, and one for all branches past
-    MAX_NESTING (empty list means the plan is well-formed).
-    document_plan_from_json() runs it on every decoded plan; call it on a
-    plan built by hand before planning sentences."""
-    problems = _validate_entities(plan.entities)
-    if isinstance(plan.entities, dict) and plan.root is not None:
-        _validate_node(plan.root, "root", 0, plan.entities, {}, problems)
+    """Check that each value of a plan fits its field, then the invariants
+    that types cannot express; returns one description per violation, and
+    one for all branches past MAX_NESTING (empty list means the plan is
+    well-formed), and never raises.  document_plan_from_json() runs it on
+    every decoded plan; call it on a plan built by hand before planning."""
+    problems = _misfits(plan, _row(DocumentPlan), "")
+    if not problems:
+        problems = _validate_entities(plan.entities)
+        if plan.root is not None:
+            _validate_node(plan.root, "root", 0, plan.entities, {}, problems)
     return problems
 
 
@@ -456,13 +497,18 @@ def _validate_clause(clause: ClauseSpec, at, checked: dict,
                              problems, nested=True)
 
 
-def validate_sentences(plans: Sequence[SentencePlan]) -> list[str]:
-    """Check decoded sentence plans with the document-plan rules that
-    apply to them, and for what realization cannot render; returns one
-    description per violation.  The entity rules are not repeated here:
-    the decoder checks them once per entry of the file's entity table.
-    Plans made by plan_sentences() from a valid document plan always
-    pass, so only decoding calls it."""
+def validate_sentences(plans: list[SentencePlan]) -> list[str]:
+    """Check sentence plans built by hand as validate() checks a document
+    plan, with the entity rules on the entities they refer to.  Decoding
+    runs only the rules; validate(), timed by name as a stage, cannot."""
+    problems = _misfits(plans, _row(list[SentencePlan]), "sentences")
+    return problems or _validate_entities(
+        {ref.entity.id: ref.entity for ref in _references(plans)}) + \
+        _sentence_rules(plans)
+
+
+def _sentence_rules(plans: list[SentencePlan]) -> list[str]:
+    """The rules of sentence plans whose values fit their rows."""
     problems: list[str] = []
     checked: dict = {}
     for i, sp in enumerate(plans):
@@ -518,8 +564,7 @@ class _Invalid(Exception):
 
 def _expect(value, kind: type):
     if type(value) is not kind:
-        raise _Invalid(f"expected {_JSON_KINDS[kind]}, got "
-                       f"{json_kind(value)}")
+        raise _Invalid(_mismatch(_row(kind), value))
     return value
 
 
@@ -546,15 +591,17 @@ def _codec(tp):
     if dataclasses.is_dataclass(tp):
         return _dataclass_codec(tp)
     origin, args = get_origin(tp), get_args(tp)
-    if origin is Literal:
-        domain = frozenset(args)
-        encode = _codec(str)[0]
+    if origin is Literal or tp in _JSON_KINDS:  # a scalar, or a raw part
+        row = _row(tp)
+        quick, dump = row[2], _quote if str in row[2] else json.dumps
+
+        def encode(value, memo):
+            return dump(value)
 
         def decode(value, file):
-            if type(value) is str and value in domain:
+            if (ok := quick.get(type(value), ())) is None or value in ok:
                 return value
-            raise _Invalid(f"unknown value {value!r}; expected one of "
-                           f"{', '.join(args)}")
+            raise _Invalid(_mismatch(row, value))
     elif type(None) in args:  # the dataclass encoder writes None
         inner = tuple(a for a in args if a is not type(None))
         encode, item = _codec(inner[0] if len(inner) == 1 else Union[inner])
@@ -606,16 +653,6 @@ def _codec(tp):
                     exc.path.append(f"[{key}]")
                     raise
             return out
-    elif tp in _JSON_KINDS:  # str, bool, and the parts a file keeps raw
-        dump = _quote if tp is str else json.dumps
-
-        def encode(value, memo):
-            return dump(value)
-
-        def decode(value, file):
-            if type(value) is tp:
-                return value
-            return _expect(value, tp)
     else:
         raise TypeError(f"no JSON codec for {tp!r}")
     _codecs[tp] = encode, decode
@@ -704,6 +741,7 @@ def _dataclass_codec(cls):
 
     _codecs[cls] = encode, decode
     hints = get_type_hints(cls)
+    _FIELD_ROWS[cls] = rows = []
     for f in declared:
         reference = cls is ReferenceSpec and f.name == "entity"
         item, reads[f.name] = (_entity_id, _entity_by_id) if reference \
@@ -711,6 +749,8 @@ def _dataclass_codec(cls):
         default = factories[f.name]() if f.name in factories \
             else defaults.get(f.name, object())
         writes.append((f.name, "," + _quote(f.name) + ":", default, item))
+        row = _row(hints[f.name])
+        rows.insert(0, (f.name, "." + f.name, default, row[2], row))
     writes.sort()  # by name, which no two fields share
     return encode, decode
 
@@ -777,7 +817,10 @@ def _check(problems: list[str]) -> None:
 
 
 def document_plan_to_json(plan: DocumentPlan) -> str:
-    return _codec(DocumentPlan)[0](plan, {}) + "\n"
+    try:
+        return _codec(DocumentPlan)[0](plan, {}) + "\n"
+    except (TypeError, AttributeError, KeyError):  # a value of a wrong type
+        raise DataError(summarize(validate(plan))) from None
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
@@ -787,7 +830,7 @@ def document_plan_from_json(text: str) -> DocumentPlan:
     return plan
 
 
-def _references(plans: Sequence[SentencePlan]):
+def _references(plans: list[SentencePlan]):
     """Every reference in sentence plans, in conditions too."""
     for sp in plans:
         for clause in sp.clauses:
@@ -803,25 +846,29 @@ def _references(plans: Sequence[SentencePlan]):
 def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
     """Canonical JSON for sentence plans: ``{"entities": {id: Entity},
     "sentences": [...]}``, each reference naming its entity by id."""
-    entities: dict[str, Entity] = {}
-    for ref in _references(plans):
-        known = entities.setdefault(ref.entity.id, ref.entity)
-        if known is not ref.entity and known != ref.entity:
-            raise DataError(f"entity {known.id!r} is referenced with two "
-                            f"different feature sets")
-    return (f'{{"entities":{_codec(dict[str, Entity])[0](entities, {})},'
-            f'"sentences":{_codec(tuple[SentencePlan, ...])[0](plans, {})}}}\n')
+    try:
+        entities: dict[str, Entity] = {}
+        for ref in _references(plans):
+            known = entities.setdefault(ref.entity.id, ref.entity)
+            if known is not ref.entity and known != ref.entity:
+                raise DataError(f"entity {known.id!r} is referenced with "
+                                f"two different feature sets")
+        return (f'{{"entities":{_codec(dict[str, Entity])[0](entities, {})},'
+                f'"sentences":'
+                f'{_codec(tuple[SentencePlan, ...])[0](plans, {})}}}\n')
+    except (TypeError, AttributeError, KeyError):  # a value of a wrong type
+        raise DataError(summarize(validate_sentences(plans))) from None
 
 
 def sentence_plans_from_json(text: str) -> list[SentencePlan]:
     """Decode sentence plans and check them: the entity table with the
     document-plan entity rules, then the sentences with
-    validate_sentences().  Every reference to an id is given the table's
+    _sentence_rules().  Every reference to an id is given the table's
     one Entity for it."""
     file = from_obj(_SentencesFile, _parse(text, "sentence plans"))
     entities = from_obj(dict[str, Entity], file.entities, "entities")
     _check(_validate_entities(entities))
     plans = list(from_obj(tuple[SentencePlan, ...], file.sentences,
                           "sentences", entities))
-    _check(validate_sentences(plans))
+    _check(_sentence_rules(plans))
     return plans

@@ -180,6 +180,12 @@ class DataRecordSet:
     entities: dict[str, ir.Entity] = field(default_factory=dict)
     records: dict = field(default_factory=dict)
 
+    @cached_property
+    def _entity_problems(self) -> list[str]:
+        """The entity table's types, then its rules, once per object."""
+        return ir._misfits(self.entities, ir._row(dict[str, ir.Entity]),
+                           "entities") or ir._validate_entities(self.entities)
+
 
 # ---------------------------------------------------------------------------
 # Schema rules
@@ -582,7 +588,7 @@ def load_data(text: str) -> DataRecordSet:
             if type(obj) is dict:
                 obj.setdefault("id", eid)
     data = ir.from_obj(DataRecordSet, payload)
-    ir._check(ir._validate_entities(data.entities))
+    ir._check(data._entity_problems)
     _check_entity_refs(data.records, data.entities)
     return data
 
@@ -884,7 +890,7 @@ def traverse(schema: SchemaDef, data: DataRecordSet) -> ir.DocumentPlan:
     """
     if schema._problems:
         raise _schema_error(schema)
-    ir._check(ir._validate_entities(data.entities))
+    ir._check(data._entity_problems)
     visits: dict[tuple[str, str], int] = {}
     # Pieces go into one list in document order.  A frame is kept per node
     # with arcs left: its schema, arcs, next arc's index, level, and the

@@ -913,7 +913,117 @@ def reference_orthography(stream):
 # ---------------------------------------------------------------------------
 # Reference plan checks: validate() and validate_sentences() as they were
 # written first, formatting every path as they walk; the library's checks
-# must return the same problems in the same order.
+# must return the same problems in the same order.  The field types are
+# stated here by hand, not read from the type hints as the library reads
+# them, so that the two checks stay two statements of them.
+
+_TEXT = ((str,), None, "a string", None)
+_OPTIONAL_TEXT = ((str, type(None)), None, "a string", None)
+_FLAG = ((bool,), None, "a boolean", None)
+
+
+def _literal(*values, optional=False):
+    return (str, type(None)) if optional else (str,), values, "", None
+
+
+def _one_of(kind, *classes, optional=False):
+    return classes + (type(None),) * optional, None, kind, None
+
+
+def _tuple_of(item):
+    return (tuple,), None, "a tuple", item
+
+
+_TENSE = _literal("present", "past", "future")
+_MODAL = _literal("should", "must", "can", optional=True)
+_POLARITY = _literal("positive", "negative")
+# (types a value may have, values a Literal allows or None, what a
+# message says it expects, a container's item spec or None) per field,
+# in declaration order.
+_REFERENCE_FIELDS = {
+    ir.Entity: {
+        "id": _TEXT, "name": _OPTIONAL_TEXT, "head": _OPTIONAL_TEXT,
+        "gender": _literal("masculine", "feminine", "neuter"),
+        "number": _literal("singular", "plural"),
+        "person": _literal("first", "second", "third"),
+        "honorific": _OPTIONAL_TEXT},
+    ir.ComplementPhrase: {
+        "head": _TEXT, "determiner": _literal("a", "the", optional=True),
+        "premodifiers": _tuple_of(_TEXT), "preposition": _OPTIONAL_TEXT},
+    ir.Message: {
+        "subject": _TEXT, "verb": _TEXT,
+        "complements": _tuple_of(_one_of("a ComplementPhrase",
+                                         ir.ComplementPhrase)),
+        "tense": _TENSE, "modal": _MODAL, "polarity": _POLARITY,
+        "adverb": _OPTIONAL_TEXT,
+        "condition": _one_of("a Message", ir.Message, optional=True)},
+    ir.PlanNode: {
+        "label": _literal("sequence", "elaboration", "contrast"),
+        "children": _tuple_of(_one_of("a PlanNode or a Message",
+                                      ir.PlanNode, ir.Message))},
+    ir.DocumentPlan: {
+        "root": _one_of("a PlanNode or a Message", ir.PlanNode, ir.Message,
+                        optional=True),
+        "entities": ((dict,), None, "a dict",
+                     _one_of("an Entity", ir.Entity))},
+    ir.ReferenceSpec: {
+        "entity": _one_of("an Entity", ir.Entity),
+        "mode": _literal("full-name", "pronoun", "reflexive-pronoun")},
+    ir.ResolvedComplement: {
+        "phrase": _one_of("a ComplementPhrase", ir.ComplementPhrase),
+        "ref": _one_of("a ReferenceSpec", ir.ReferenceSpec, optional=True)},
+    ir.ClauseSpec: {
+        "subject_ref": _one_of("a ReferenceSpec", ir.ReferenceSpec),
+        "verb": _TEXT, "tense": _TENSE, "modal": _MODAL,
+        "polarity": _POLARITY,
+        "complements": _tuple_of(_tuple_of(_one_of(
+            "a ResolvedComplement", ir.ResolvedComplement))),
+        "discourse_markers": _tuple_of(_TEXT),
+        "condition": _one_of("a ClauseSpec", ir.ClauseSpec, optional=True)},
+    ir.SentencePlan: {
+        "clauses": _tuple_of(_one_of("a ClauseSpec", ir.ClauseSpec)),
+        "new_paragraph": _FLAG},
+}
+
+
+def _reference_misfits(value, spec, where, problems, seen):
+    """Check ``value`` against ``spec``, then a container's items and a
+    plan object's fields, depth first; a plan object reached again is
+    not checked again."""
+    types, values, kind, item = spec
+    if type(value) not in types or values is not None and \
+            value is not None and value not in values:
+        problem = (f"unknown value {value!r}; expected one of "
+                   f"{', '.join(values)}" if values is not None else
+                   f"expected {kind}, got {ir.json_kind(value)}")
+        problems.append(f"{where}: {problem}" if where else problem)
+    elif item is not None:
+        pairs = value.items() if type(value) is dict else enumerate(value)
+        for key, v in pairs:
+            _reference_misfits(v, item, f"{where}[{key}]", problems, seen)
+    elif type(value) in _REFERENCE_FIELDS and id(value) not in seen:
+        seen.add(id(value))
+        for name, field_spec in _REFERENCE_FIELDS[type(value)].items():
+            _reference_misfits(getattr(value, name), field_spec,
+                               f"{where}.{name}" if where else name,
+                               problems, seen)
+
+
+def _reference_entity_rules(entities):
+    problems = []
+    for eid, ent in entities.items():
+        where = f"entities[{eid}]"
+        if eid != ent.id:
+            problems.append(
+                f"{where}: table key does not match entity id {ent.id!r}")
+        given = [text for text in (ent.name, ent.head) if text]
+        if len(given) != 1 or given[0].isspace():
+            problems.append(
+                f"{where}: exactly one of name/head must be given, not blank")
+        if ent.honorific is not None and (not ent.name
+                                          or not ent.honorific.strip()):
+            problems.append(f"{where}: {ir.HONORIFIC_RULE}")
+    return problems
 
 
 def _reference_check_verb(msg, where, problems):
@@ -963,21 +1073,18 @@ def _reference_check_message(msg, plan, where, problems, nested=False):
 
 
 def reference_validate(plan):
-    from nlgen import ir
-
-    problems = ir._validate_entities(plan.entities)
-    if not isinstance(plan.entities, dict):
+    problems = []
+    _reference_misfits(plan, ((ir.DocumentPlan,), None, "a DocumentPlan",
+                              None), "", problems, set())
+    if problems:
         return problems
+    problems = _reference_entity_rules(plan.entities)
     too_deep = False
 
     def walk(node, where, level):
         nonlocal too_deep
         if type(node) is ir.Message:
             _reference_check_message(node, plan, where, problems)
-            return
-        if type(node) is not ir.PlanNode:
-            problems.append(f"{where}: expected a PlanNode or a Message, "
-                            f"got {ir.json_kind(node)}")
             return
         if level > ir.MAX_NESTING:
             if not too_deep:
@@ -987,8 +1094,6 @@ def reference_validate(plan):
                                 f"levels below the root")
             too_deep = True
             return
-        if node.label is None:
-            problems.append(f"{where}: relation node has no label")
         if not node.children:
             problems.append(f"{where}: relation node has no children")
         for i, child in enumerate(node.children):
@@ -1029,6 +1134,22 @@ def _reference_check_clause(clause, where, problems, nested=False):
 
 def reference_validate_sentences(plans):
     problems = []
+    _reference_misfits(plans, ((list,), None, "a list", _one_of(
+        "a SentencePlan", ir.SentencePlan)), "sentences", problems, set())
+    if problems:
+        return problems
+    refs = []
+    for sp in plans:
+        for clause in sp.clauses:
+            while clause is not None:
+                refs += [clause.subject_ref] + [
+                    rc.ref for unit in clause.complements for rc in unit
+                    if rc.ref is not None]
+                clause = clause.condition
+    entities = {}
+    for ref in refs:
+        entities[ref.entity.id] = ref.entity
+    problems = _reference_entity_rules(entities)
     for i, sp in enumerate(plans):
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")
@@ -1110,7 +1231,7 @@ def previous_traverse(schema: lib.SchemaDef,
     """
     if schema._problems:
         raise lib._schema_error(schema)
-    ir._check(ir._validate_entities(data.entities))
+    ir._check(data._entity_problems)
     visits: dict[tuple[str, str], int] = {}
     # One frame per node being visited: its schema, its arcs not yet
     # followed, its pieces, its runs of same-label results (a callee's

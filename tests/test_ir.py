@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlgen import ir, plan_sentences, schema
-from nlgen.errors import DataError
+from nlgen import ir, plan_sentences, realize_document, schema
+from nlgen.errors import DataError, NlgenError
 
 import oracle
 from conftest import (SHARED_TYPES, random_document_plan, run_cli,
@@ -184,7 +184,12 @@ class TestValidate:
             assert not ir.is_verb_lemma(bad), bad
             msg = ir.Message(subject="sam", verb=bad)
             plan = ir.DocumentPlan(root=msg, entities={"sam": SAM})
-            assert any("verb lemma" in p for p in ir.validate(plan))
+            # A verb that is not a str breaks the field's type, which is
+            # checked before the lemma rule reads it.
+            assert ir.validate(plan) == (
+                ["root: verb lemma must be one lowercase alphabetic word"]
+                if type(bad) is str else
+                [f"root.verb: expected a string, got {ir.json_kind(bad)}"])
 
     def test_modal_takes_present_tense(self):
         for tense in ("past", "future"):
@@ -217,10 +222,13 @@ class TestValidate:
         assert len([p for p in ir.validate(plan) if "name/head" in p]) == 2
 
     def test_relation_node_needs_a_label(self):
+        # A missing label is a value outside the RelationLabel domain.
         node = ir.PlanNode(label=None, children=(
             ir.Message(subject="sam", verb="rest"),))
         plan = ir.DocumentPlan(root=node, entities={"sam": SAM})
-        assert ir.validate(plan) == ["root: relation node has no label"]
+        assert ir.validate(plan) == [
+            "root.label: unknown value None; expected one of sequence, "
+            "elaboration, contrast"]
 
     @pytest.mark.parametrize("root, problem", [
         (seq(1), "root.children[0]: expected a PlanNode or a Message, got "
@@ -238,6 +246,73 @@ class TestValidate:
         plan = ir.DocumentPlan(root=root, entities={"sam": SAM})
         assert ir.validate(plan) == oracle.reference_validate(plan) == \
             [problem]
+
+    @pytest.mark.parametrize("root, problem", [
+        (ir.Message(subject="sam", verb="rest", adverb=True),
+         "root.adverb: expected a string, got a boolean"),
+        (ir.Message(subject="sam", verb="see",
+                    complements=(ir.ComplementPhrase(head={}),)),
+         "root.complements[0].head: expected a string, got an object"),
+        (ir.PlanNode(label="sequence", children=None),
+         "root.children: expected a tuple, got null"),
+        (ir.Message(subject="sam", verb="rest", polarity="maybe"),
+         "root.polarity: unknown value 'maybe'; expected one of positive, "
+         "negative"),
+        (seq(ir.Message(subject="sam", verb="rest"), label="because"),
+         "root.label: unknown value 'because'; expected one of sequence, "
+         "elaboration, contrast"),
+        (ir.Message(subject="sam", verb="rest", tense=0),
+         "root.tense: unknown value 0; expected one of present, past, "
+         "future"),
+        (ir.Message(subject="sam", verb="see",
+                    complements=[ir.ComplementPhrase(head="store")]),
+         "root.complements: expected a tuple, got an array"),
+    ], ids=["bool-adverb", "object-head", "null-children", "polarity",
+            "label", "number-tense", "list-complements"])
+    def test_a_value_its_field_cannot_hold_is_one_problem(self, root,
+                                                           problem):
+        # Each field's row, read from its type hint, refuses the value
+        # before any rule reads it, in the decoder's words.
+        plan = ir.DocumentPlan(root=root, entities={"sam": SAM})
+        assert ir.validate(plan) == oracle.reference_validate(plan) == \
+            [problem]
+
+    def test_a_shared_object_is_checked_once(self):
+        bad = ir.ComplementPhrase(head=7)
+        msg = ir.Message(subject="sam", verb="see", complements=(bad, bad))
+        plan = ir.DocumentPlan(root=seq(msg, msg), entities={"sam": SAM})
+        assert ir.validate(plan) == oracle.reference_validate(plan) == [
+            "root.children[0].complements[0].head: expected a string, got "
+            "a number"]
+
+    def test_the_checks_take_any_value(self):
+        assert ir.validate(None) == ["expected a DocumentPlan, got null"]
+        assert ir.validate_sentences(()) == [
+            "sentences: expected a list, got tuple"]
+
+    @pytest.mark.parametrize("encode, value, problem", [
+        (ir.document_plan_to_json,
+         ir.DocumentPlan(root=seq(1), entities={"sam": SAM}),
+         "root.children[0]: expected a PlanNode or a Message, got a "
+         "number"),
+        (ir.document_plan_to_json,
+         ir.DocumentPlan(root=ir.Message(subject="sam", verb="rest",
+                                         tense=0), entities={"sam": SAM}),
+         "root.tense: unknown value 0; expected one of present, past, "
+         "future"),
+        (ir.sentence_plans_to_json,
+         [ir.SentencePlan(clauses=(ir.ClauseSpec(ir.ReferenceSpec(SAM),
+                                                 "rest", tense=0),))],
+         "sentences[0].clauses[0].tense: unknown value 0; expected one of "
+         "present, past, future"),
+        (ir.sentence_plans_to_json, [ir.SentencePlan(clauses=(None,))],
+         "sentences[0].clauses[0]: expected a ClauseSpec, got null"),
+    ], ids=["plan-child", "plan-tense", "sentence-tense", "sentence-clause"])
+    def test_encoders_refuse_what_the_checks_refuse(self, encode, value,
+                                                     problem):
+        with pytest.raises(DataError) as info:
+            encode(value)
+        assert str(info.value) == problem
 
     def test_entity_needs_exactly_one_of_name_head(self):
         both = ir.Entity(id="x", name="X", head="thing")
@@ -935,6 +1010,38 @@ class TestValidateSentences:
         with pytest.raises(DataError, match="no clauses"):
             ir.sentence_plans_from_json(text)
 
+    def test_decoding_runs_only_the_rules(self, rng, monkeypatch):
+        # The decoder has checked every type, so decoding does not walk
+        # the rows again.
+        text = ir.sentence_plans_to_json(
+            plan_sentences(random_document_plan(rng), "fluent"))
+        monkeypatch.setattr(ir, "_misfits", None)
+        assert ir.sentence_plans_from_json(text)
+
+    def test_is_public(self):
+        import nlgen
+        assert nlgen.validate_sentences is ir.validate_sentences
+
+    def test_hand_built_plans_are_typed_then_checked(self):
+        ref = ir.ReferenceSpec(entity=SAM)
+        clause = ir.ClauseSpec(subject_ref=ref, verb="rest")
+        for clauses, problems in [
+                ((dataclasses.replace(clause, subject_ref=None),),
+                 ["sentences[0].clauses[0].subject_ref: expected a "
+                  "ReferenceSpec, got null"]),
+                ((dataclasses.replace(clause, subject_ref=ir.ReferenceSpec(
+                    SAM, mode="they")),),
+                 ["sentences[0].clauses[0].subject_ref.mode: unknown value "
+                  "'they'; expected one of full-name, pronoun, "
+                  "reflexive-pronoun"]),
+                ((dataclasses.replace(clause, subject_ref=ir.ReferenceSpec(
+                    ir.Entity(id="sam"))),),
+                 ["entities[sam]: exactly one of name/head must be given, "
+                  "not blank"])]:
+            plans = [ir.SentencePlan(clauses=clauses)]
+            assert ir.validate_sentences(plans) == \
+                oracle.reference_validate_sentences(plans) == problems
+
 
 # ---------------------------------------------------------------------------
 # Faulty plans for comparing the checks with the references in oracle.py.
@@ -1200,6 +1307,96 @@ class TestChecksMatchReference:
         assert ir.validate(plan) == oracle.reference_validate(plan) == [
             f"root.children[{i}].complements[{j}]: {rule}"
             for i in (0, 1) for j in (0, 1)]
+
+
+# Values no plan field holds, put in place of one field of one object.
+_JUNK = (None, 0, True, "", [], {}, object())
+
+
+def _plan_objects(value) -> list:
+    """Every plan object in a plan value, once each."""
+    found, seen, stack = [], set(), [value]
+    while stack:
+        v = stack.pop()
+        if dataclasses.is_dataclass(v) and id(v) not in seen:
+            seen.add(id(v))
+            found.append(v)
+            stack += [getattr(v, f.name) for f in dataclasses.fields(v)]
+        elif isinstance(v, (tuple, list)):
+            stack += v
+        elif isinstance(v, dict):
+            stack += v.values()
+    return found
+
+
+def _swapped(value, old, new):
+    """``value`` rebuilt with the plan object ``old`` made ``new`` at every
+    use; objects shared before are shared after."""
+    memo: dict = {}
+
+    def swap(v):
+        if v is old:
+            return new
+        if id(v) not in memo:
+            if dataclasses.is_dataclass(v):
+                memo[id(v)] = type(v)(**{f.name: swap(getattr(v, f.name))
+                                         for f in dataclasses.fields(v)})
+            elif type(v) in (tuple, list):
+                memo[id(v)] = type(v)(map(swap, v))
+            elif type(v) is dict:
+                memo[id(v)] = {k: swap(x) for k, x in v.items()}
+            else:
+                return v
+        return memo[id(v)]
+    return swap(value)
+
+
+class TestJunkFields:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           profile=st.sampled_from(["fluent", "plain"]),
+           sentences=st.booleans(),
+           junk=st.sampled_from(range(len(_JUNK))))
+    def test_a_junk_field_is_named_or_harmless(self, seed, profile,
+                                               sentences, junk):
+        # One field of one object of a plan, or of its sentence plans,
+        # holds a value of the wrong type.  The checks name it, as the
+        # references in oracle.py do, and raise nothing; the encoders
+        # raise only DataError; and a plan the checks pass reads back
+        # equal from its file and generates text or an NlgenError.
+        rng = random.Random(seed)
+        plan = random_document_plan(rng)
+        value = plan_sentences(plan, profile) if sentences else plan
+        target = rng.choice(_plan_objects(value))
+        name = rng.choice([f.name for f in dataclasses.fields(target)])
+        bad = _swapped(value, target, dataclasses.replace(
+            target, **{name: _JUNK[junk]}))
+        if sentences:
+            check, reference = ir.validate_sentences, \
+                oracle.reference_validate_sentences
+            encode, decode = ir.sentence_plans_to_json, \
+                ir.sentence_plans_from_json
+        else:
+            check, reference = ir.validate, oracle.reference_validate
+            encode, decode = ir.document_plan_to_json, \
+                ir.document_plan_from_json
+        problems = check(bad)
+        assert type(problems) is list
+        assert problems == reference(bad)
+        try:
+            text = encode(bad)
+        except DataError:
+            assert problems
+            return
+        if problems:
+            return
+        assert decode(text) == bad
+        try:
+            realize_document(bad if sentences else
+                             plan_sentences(bad, profile))
+        except NlgenError:
+            pass
 
 
 class TestOracleAgreement:

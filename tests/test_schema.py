@@ -1930,11 +1930,13 @@ class TestHandBuiltEntities:
         ({}, "exactly one of name/head must be given"),
         (dict(head="nurse", honorific="Dr."), ir.HONORIFIC_RULE),
         (dict(name="Sam", gender="male"),
-         ".gender: expected one of masculine, feminine, neuter"),
+         ".gender: unknown value 'male'; expected one of masculine, "
+         "feminine, neuter"),
         (dict(name="Sam", person="fourth"),
-         ".person: expected one of first, second, third"),
+         ".person: unknown value 'fourth'; expected one of first, second, "
+         "third"),
         (dict(name="Sam", number=None),
-         ".number: expected one of singular, plural"),
+         ".number: unknown value None; expected one of singular, plural"),
         (dict(name=3), ".name: expected a string, got a number"),
         (dict(name="Sam", honorific=5),
          ".honorific: expected a string, got a number"),
