@@ -464,9 +464,10 @@ def validate(plan: DocumentPlan) -> list[str]:
     return problems
 
 
-def _validate_clause(clause: ClauseSpec, at, checked: dict,
+def _validate_clause(clause: ClauseSpec, at, checked: dict, refs: dict,
                      problems: list[str], nested: bool = False) -> None:
     _validate_verb(clause, at, problems)
+    refs[id(clause.subject_ref)] = clause.subject_ref
     if not all(w.strip() for w in clause.discourse_markers):
         problems.append(f"{_path(at)}: blank discourse marker")
     units = clause.complements
@@ -485,6 +486,8 @@ def _validate_clause(clause: ClauseSpec, at, checked: dict,
                 elif rc.ref.entity.id != ref:
                     found.append((".ref", f"entity {rc.ref.entity.id!r} is "
                                           f"not the one its head names"))
+                if rc.ref is not None:
+                    refs[id(rc.ref)] = rc.ref
             if found:
                 where = f"{_path(at)}.complements[{i}][{j}]"
                 problems += [where + below + ": " + p for below, p in found]
@@ -494,30 +497,46 @@ def _validate_clause(clause: ClauseSpec, at, checked: dict,
                 f"{_path(at)}: conditions may not nest below one level")
         else:
             _validate_clause(clause.condition, (at, ".condition"), checked,
-                             problems, nested=True)
+                             refs, problems, nested=True)
 
 
 def validate_sentences(plans: list[SentencePlan]) -> list[str]:
     """Check sentence plans built by hand as validate() checks a document
-    plan, with the entity rules on the entities they refer to.  Decoding
-    runs only the rules; validate(), timed by name as a stage, cannot."""
-    problems = _misfits(plans, _row(list[SentencePlan]), "sentences")
-    return problems or _validate_entities(
-        {ref.entity.id: ref.entity for ref in _references(plans)}) + \
+    plan, with one entity per id and the entity rules on the entities they
+    refer to.  Decoding runs only the rules; validate(), timed by name as
+    a stage, cannot."""
+    return _misfits(plans, _row(list[SentencePlan]), "sentences") or \
         _sentence_rules(plans)
 
 
+def _entity_table(refs) -> tuple[dict[str, Entity], list[str]]:
+    """The entities that references hold, by id, and the problems of the
+    rule that sentence plans refer to one entity per id: one for each id
+    that two different entities hold."""
+    entities: dict[str, Entity] = {}
+    clashes: dict[str, str] = {}
+    for ref in refs:
+        known = entities.setdefault(ref.entity.id, ref.entity)
+        if known is not ref.entity and known != ref.entity:
+            clashes[known.id] = (f"entity {known.id!r} is referenced with "
+                                 f"two different feature sets")
+    return entities, list(clashes.values())
+
+
 def _sentence_rules(plans: list[SentencePlan]) -> list[str]:
-    """The rules of sentence plans whose values fit their rows."""
+    """The rules of sentence plans whose values fit their rows: one entity
+    per id, the entity rules on those entities, then the clause rules."""
     problems: list[str] = []
     checked: dict = {}
+    refs: dict = {}  # each distinct reference object, by id
     for i, sp in enumerate(plans):
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")
         for j, clause in enumerate(sp.clauses):
             _validate_clause(clause, (("sentences", "", i), ".clauses", j),
-                             checked, problems)
-    return problems
+                             checked, refs, problems)
+    entities, clashes = _entity_table(refs.values())
+    return clashes + _validate_entities(entities) + problems
 
 
 # ---------------------------------------------------------------------------
@@ -525,28 +544,20 @@ def _sentence_rules(plans: list[SentencePlan]) -> list[str]:
 #
 # One rule for every plan type: a dataclass is an object holding, under
 # their names, those of its fields that differ from their defaults; a
-# tuple is a list, a dict is an object; a reference names its entity by
-# id, as a sentence-plans file holds each entity once, in its own table.
-# A file writes each distinct value of a type that sentence planning
-# shares (_SHARED) in full at its first use, and each later use as its
-# number: the count of distinct values of its type written before it.
-# Output is compact with sorted keys, escaped as by json.dumps without
-# ensure_ascii.  _codec() builds each type's encoder and decoder together,
-# once, from the type hints, and each is passed its file's state: the
-# encoder the numbers of the shared values written, the decoder what the
-# file has declared.  The decoder turns a number back into the object it
-# decoded for it, fills absent fields from the same defaults and rejects
-# unknown and missing fields, wrong JSON types and values outside a
-# Literal domain, naming the path.
-
-
-@dataclass(frozen=True)
-class _SentencesFile:
-    # The parts stay JSON here: the entity table is decoded and checked
-    # before the sentences, whatever the key order, so that every
-    # reference can be given its entity.
-    sentences: list
-    entities: dict = field(default_factory=dict)
+# tuple or a list is an array, a dict is an object.  A file writes each
+# distinct value of a type that sentence planning shares (_SHARED) in
+# full at its first use, and each later use as its number: the count of
+# distinct values of its type written before it.  Output is compact with
+# sorted keys, escaped as by json.dumps without ensure_ascii.  _codec()
+# builds each type's encoder and decoder together, once, from the type
+# hints, and each is passed its file's state: the encoder the numbers of
+# the shared values written, the decoder the shared values decoded.  Both
+# test each value by its field's row: the encoder refuses a value the
+# row refuses, and writes null only where the hint takes None.  The
+# decoder turns a number back into the object it decoded for it, fills
+# absent fields from the same defaults and rejects unknown and missing
+# fields, wrong JSON types and values outside a Literal domain, naming
+# the path.
 
 
 _SHARED = (ComplementPhrase, ReferenceSpec, ResolvedComplement)
@@ -555,7 +566,7 @@ _codecs: dict = {}
 
 
 class _Invalid(Exception):
-    """A decoding failure; ``path`` collects segments innermost first."""
+    """A value its row refuses; ``path`` collects segments innermost first."""
 
     def __init__(self, message: str):
         super().__init__(message)
@@ -568,24 +579,12 @@ def _expect(value, kind: type):
     return value
 
 
-# A reference is written as its entity's id, and read back as the entity
-# the file's table holds under it.
-def _entity_id(entity: Entity, memo) -> str:
-    return _quote(entity.id)
-
-
-def _entity_by_id(value, file) -> Entity:
-    entity = file[Entity].get(_expect(value, str))
-    if entity is None:
-        raise _Invalid(f"unknown entity {value!r}")
-    return entity
-
-
 def _codec(tp):
     """(encode, decode) for ``tp``, built once per type from its hints:
     encode(value, memo) is JSON text, memo holding the numbers of the
     shared values written, and decode(value, file) a parsed JSON value as
-    ``tp``, file holding what the file has declared (see from_obj)."""
+    ``tp``, file holding the shared values decoded (see from_obj).  Each
+    raises _Invalid for a value that ``tp``'s row refuses."""
     if (codec := _codecs.get(tp)) is not None:
         return codec
     if dataclasses.is_dataclass(tp):
@@ -593,18 +592,24 @@ def _codec(tp):
     origin, args = get_origin(tp), get_args(tp)
     if origin is Literal or tp in _JSON_KINDS:  # a scalar, or a raw part
         row = _row(tp)
-        quick, dump = row[2], _quote if str in row[2] else json.dumps
+        (kind, ok), = row[2].items()  # its one type, and the values that fit
+        dump = _quote if kind is str else json.dumps
 
         def encode(value, memo):
-            return dump(value)
+            if type(value) is kind and (ok is None or value in ok):
+                return dump(value)
+            raise _Invalid(_mismatch(row, value))
 
         def decode(value, file):
-            if (ok := quick.get(type(value), ())) is None or value in ok:
+            if type(value) is kind and (ok is None or value in ok):
                 return value
             raise _Invalid(_mismatch(row, value))
-    elif type(None) in args:  # the dataclass encoder writes None
+    elif type(None) in args:  # only here is None written, as null
         inner = tuple(a for a in args if a is not type(None))
-        encode, item = _codec(inner[0] if len(inner) == 1 else Union[inner])
+        write, item = _codec(inner[0] if len(inner) == 1 else Union[inner])
+
+        def encode(value, memo):
+            return "null" if value is None else write(value, memo)
 
         def decode(value, file):
             return None if value is None else item(value, file)
@@ -619,30 +624,32 @@ def _codec(tp):
         def decode(value, file):
             is_node = type(value) is dict and "children" in value
             return (read_node if is_node else read_msg)(value, file)
-    elif origin is tuple:
+    elif origin in (tuple, list):
         write, item = _codec(args[0])
 
         def encode(value, memo):
             text = ""
-            for v in value:
+            for v in _expect(value, origin):
                 text += "," + write(v, memo)
             return "[" + text[1:] + "]"
 
         def decode(value, file):
             out: list = []
+            _expect(value, list)
             try:
-                for v in _expect(value, list):
+                for v in value:
                     out.append(item(v, file))
             except _Invalid as exc:
                 exc.path.append(f"[{len(out)}]")
                 raise
-            return tuple(out)
+            return origin(out)
     elif origin is dict:
         write, item = _codec(args[1])
 
         def encode(value, memo):
             return "{" + ",".join([_quote(k) + ":" + write(value[k], memo)
-                                   for k in sorted(value)]) + "}"
+                                   for k in sorted(_expect(value, dict))]) \
+                + "}"
 
         def decode(value, file):
             out: dict = {}
@@ -680,11 +687,13 @@ def _dataclass_codec(cls):
     new, shared = object.__new__, cls in _SHARED
 
     def encode(value, memo):
+        if type(value) is not cls:
+            raise _Invalid(_mismatch(_row(cls), value))
         fields = value.__dict__
         text = ""
         for name, key, default, item in writes:
             if (v := fields[name]) != default:
-                text += key + ("null" if v is None else item(v, memo))
+                text += key + item(v, memo)
         return "{" + text[1:] + "}"
 
     def decode(value, file):
@@ -722,30 +731,28 @@ def _dataclass_codec(cls):
         write = encode
 
         # memo: the number text of each value written, by id, and under
-        # each _SHARED type the same by value.  A phrase or a reference is
-        # known by its text, which for a reference is its entity's id and
-        # mode (a file holds one entity per id), and a resolved complement
-        # by its parts' numbers; writing a value written before gives no
-        # part a new number.
+        # each _SHARED type its distinct values, in file order, by key.  A
+        # phrase or a reference is known by its text, which holds a
+        # reference's entity in full, and a resolved complement by its
+        # parts' numbers; writing a value written before gives no part a
+        # new number.
         def encode(value, memo):
             if (n := memo.get(id(value))) is None:
                 text = write(value, memo)
                 key = text if cls is not ResolvedComplement else (
                     memo[id(value.phrase)], value.ref and memo[id(value.ref)])
                 by_key = memo.get(cls) or memo.setdefault(cls, {})
-                if (n := by_key.get(key)) is None:
-                    memo[id(value)] = by_key[key] = str(len(by_key))
+                if (first := by_key.setdefault(key, value)) is value:
+                    memo[id(value)] = str(len(by_key) - 1)
                     return text
-                memo[id(value)] = n
+                memo[id(value)] = n = memo[id(first)]
             return n
 
     _codecs[cls] = encode, decode
     hints = get_type_hints(cls)
     _FIELD_ROWS[cls] = rows = []
     for f in declared:
-        reference = cls is ReferenceSpec and f.name == "entity"
-        item, reads[f.name] = (_entity_id, _entity_by_id) if reference \
-            else _codec(hints[f.name])
+        item, reads[f.name] = _codec(hints[f.name])
         default = factories[f.name]() if f.name in factories \
             else defaults.get(f.name, object())
         writes.append((f.name, "," + _quote(f.name) + ":", default, item))
@@ -755,18 +762,15 @@ def _dataclass_codec(cls):
     return encode, decode
 
 
-def from_obj(tp, value, where: str = "", entities: dict | None = None):
+def from_obj(tp, value, where: str = ""):
     """Decode a parsed JSON value into ``tp`` (the one decoder), as one
-    file whose entity table is ``entities``: a number in it names a value
-    decoded before it in ``value``.
+    file: a number in it names a value decoded before it in ``value``.
 
     Raises DataError naming the offending path, prefixed by ``where``.
     """
-    # What the file has declared so far: its entity table, under Entity,
-    # and under each _SHARED type the objects decoded in full, in file
+    # Under each _SHARED type, the objects decoded in full so far, in file
     # order, which later uses name by number.
-    file = {Entity: entities or {}, ComplementPhrase: [], ReferenceSpec: [],
-            ResolvedComplement: []}
+    file = {cls: [] for cls in _SHARED}
     try:
         return _codec(tp)[1](value, file)
     except _Invalid as exc:
@@ -819,7 +823,7 @@ def _check(problems: list[str]) -> None:
 def document_plan_to_json(plan: DocumentPlan) -> str:
     try:
         return _codec(DocumentPlan)[0](plan, {}) + "\n"
-    except (TypeError, AttributeError, KeyError):  # a value of a wrong type
+    except (_Invalid, TypeError):  # a value its field cannot hold
         raise DataError(summarize(validate(plan))) from None
 
 
@@ -830,45 +834,21 @@ def document_plan_from_json(text: str) -> DocumentPlan:
     return plan
 
 
-def _references(plans: list[SentencePlan]):
-    """Every reference in sentence plans, in conditions too."""
-    for sp in plans:
-        for clause in sp.clauses:
-            while clause is not None:
-                yield clause.subject_ref
-                for unit in clause.complements:
-                    for rc in unit:
-                        if rc.ref is not None:
-                            yield rc.ref
-                clause = clause.condition
-
-
 def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
-    """Canonical JSON for sentence plans: ``{"entities": {id: Entity},
-    "sentences": [...]}``, each reference naming its entity by id."""
+    """Canonical JSON for sentence plans: an array of them, in which each
+    reference holds its entity in full."""
     try:
-        entities: dict[str, Entity] = {}
-        for ref in _references(plans):
-            known = entities.setdefault(ref.entity.id, ref.entity)
-            if known is not ref.entity and known != ref.entity:
-                raise DataError(f"entity {known.id!r} is referenced with "
-                                f"two different feature sets")
-        return (f'{{"entities":{_codec(dict[str, Entity])[0](entities, {})},'
-                f'"sentences":'
-                f'{_codec(tuple[SentencePlan, ...])[0](plans, {})}}}\n')
-    except (TypeError, AttributeError, KeyError):  # a value of a wrong type
-        raise DataError(summarize(validate_sentences(plans))) from None
+        text = _codec(list[SentencePlan])[0](plans, memo := {})
+        if not _entity_table(memo.get(ReferenceSpec, {}).values())[1]:
+            return text + "\n"
+    except (_Invalid, TypeError):  # a value its field cannot hold
+        pass
+    raise DataError(summarize(validate_sentences(plans)))
 
 
 def sentence_plans_from_json(text: str) -> list[SentencePlan]:
-    """Decode sentence plans and check them: the entity table with the
-    document-plan entity rules, then the sentences with
-    _sentence_rules().  Every reference to an id is given the table's
-    one Entity for it."""
-    file = from_obj(_SentencesFile, _parse(text, "sentence plans"))
-    entities = from_obj(dict[str, Entity], file.entities, "entities")
-    _check(_validate_entities(entities))
-    plans = list(from_obj(tuple[SentencePlan, ...], file.sentences,
-                          "sentences", entities))
+    """Decode sentence plans and check them with _sentence_rules()."""
+    plans = from_obj(list[SentencePlan], _parse(text, "sentence plans"),
+                     "sentences")
     _check(_sentence_rules(plans))
     return plans

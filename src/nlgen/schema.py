@@ -78,6 +78,8 @@ _ARTICLES = {"a": "a", "an": "a", "the": "the"}
 
 # The visits each node gets in one traversal; one more is a schema cycle.
 MAX_VISITS = 32
+# and/or join two guards or more; the parser and the compiler say so alike.
+_JOIN_RULE = "{}(...) needs at least two arguments"
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +420,8 @@ class _LineParser:
             args.append(self.condition(level + 1))
         self.take(")")
         if len(args) < 2:
-            raise SchemaParseError(f"{op}(...) needs at least two arguments",
-                                   self.line, op_tok.col)
+            raise SchemaParseError(_JOIN_RULE.format(op), self.line,
+                                   op_tok.col)
         return Condition(op=op, args=tuple(args))
 
     def _literal(self, numeric_only: bool = False) -> Any:
@@ -671,10 +673,10 @@ def _compile_condition(cond: Condition, level: int,
     argument, which is then compiled once per level, not once per use.
 
     Compiling checks what the parser guarantees: a known operator at most
-    ir.MAX_NESTING levels deep, guards as arguments, one for not and some
-    for and/or, a str path for exists/eq/gt/lt, and a literal, read as
-    _lookup() reads values, that is a bool, str or number for eq and a
-    number (never a bool) for gt and lt.  eq takes a value of its
+    ir.MAX_NESTING levels deep, guards as arguments, one for not and two
+    or more for and/or, a str path for exists/eq/gt/lt, and a literal,
+    read as _lookup() reads values, that is a bool, str or number for eq
+    and a number (never a bool) for gt and lt.  eq takes a value of its
     literal's kind and gt and lt a number, by exact type; any other guard,
     value or missing path is a TraversalError.  The closures keep the
     operator, path and literal, not the Condition, which caches them: so
@@ -689,8 +691,8 @@ def _compile_condition(cond: Condition, level: int,
                              f"levels")
     if op == "not" and len(cond.args) != 1:
         raise TraversalError("not(...) takes exactly one guard")
-    if op in _OPERATORS[4:6] and not cond.args:
-        raise TraversalError(f"{op}(...) needs at least one guard")
+    if op in _OPERATORS[4:6] and len(cond.args) < 2:
+        raise TraversalError(_JOIN_RULE.format(op))
     if not all(isinstance(arg, Condition) for arg in cond.args):
         raise TraversalError(f"{op}(...) takes only guards")
     if op in _OPERATORS[:4] and type(path) is not str:

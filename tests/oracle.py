@@ -371,8 +371,8 @@ def _reference_check_guard(cond, level=1):
         raise TraversalError(f"guard nests deeper than {MAX_NESTING} levels")
     if op == "not" and len(cond.args) != 1:
         raise TraversalError("not(...) takes exactly one guard")
-    if op in ("and", "or") and not cond.args:
-        raise TraversalError(f"{op}(...) needs at least one guard")
+    if op in ("and", "or") and len(cond.args) < 2:
+        raise TraversalError(f"{op}(...) needs at least two arguments")
     if not all(isinstance(arg, Condition) for arg in cond.args):
         raise TraversalError(f"{op}(...) takes only guards")
     if op in ("and", "or", "not"):
@@ -1146,10 +1146,16 @@ def reference_validate_sentences(plans):
                     rc.ref for unit in clause.complements for rc in unit
                     if rc.ref is not None]
                 clause = clause.condition
-    entities = {}
+    # One entity per id: the first reference to an id gives its entity,
+    # and each id that a different entity also holds is named once.
+    entities, problems = {}, []
     for ref in refs:
-        entities[ref.entity.id] = ref.entity
-    problems = _reference_entity_rules(entities)
+        known = entities.setdefault(ref.entity.id, ref.entity)
+        clash = (f"entity {ref.entity.id!r} is referenced with two "
+                 f"different feature sets")
+        if known != ref.entity and clash not in problems:
+            problems.append(clash)
+    problems += _reference_entity_rules(entities)
     for i, sp in enumerate(plans):
         if not sp.clauses:
             problems.append(f"sentences[{i}]: sentence has no clauses")

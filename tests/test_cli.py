@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgen import cli, ir, plan_sentences, schema, sentplan, traverse
+from nlgen.errors import DataError
 
 import oracle
 from conftest import DATA_DIR, GOLDEN_DIR, fake_stdin, run_cli
@@ -640,23 +641,49 @@ class TestRealizeCommand:
         assert code == 0
         assert again == text
 
-    def test_entity_features_live_in_one_table(self, corpus, tmp_path):
-        # Every mention of Sam reads the one table entry, so an edit
-        # changes them all together and no mention can disagree.
+    def test_an_entity_is_edited_at_every_reference(self, corpus,
+                                                    tmp_path):
+        # Each reference holds its entity in full.  An edit at one of
+        # Sam's references gives one id two feature sets, which is
+        # refused; the same edit at every reference changes every mention.
         obj = _sentence_plan_obj(get(corpus, "patient_report"))
-        obj["entities"]["sam"]["gender"] = "feminine"
+        sams = _entities(obj, "sam")
+        assert len(sams) == 2  # the full-name and the pronoun reference
         f = tmp_path / "sentences.json"
-        f.write_text(json.dumps(obj), encoding="utf-8")
-        code, out, err = run_cli(["realize", "--sentences", str(f)])
-        assert (code, err) == (0, "")
-        assert out == (
+
+        def realize():
+            f.write_text(json.dumps(obj), encoding="utf-8")
+            return run_cli(["realize", "--sentences", str(f)])
+
+        sams[0]["gender"] = "feminine"
+        assert realize() == (4, "", f"realize: {f}: entity 'sam' is "
+                                    f"referenced with two different "
+                                    f"feature sets\n")
+        sams[1]["gender"] = "feminine"
+        assert realize() == (0, (
             "Sam has high blood pressure and low blood sugar.\n\n"
             "If she goes to the hospital, she should also go to the "
-            "store. She should see Mrs. Black.\n")
+            "store. She should see Mrs. Black.\n"), "")
+
+    def test_a_file_with_an_entity_table_exits_4(self, tmp_path):
+        # Sentence-plans files once held an entity table, with each
+        # reference naming its entity by id.  Such a file is refused as a
+        # whole, in one line; nlgen sentplan writes it again.
+        old = {"entities": {"sam": {"gender": "masculine", "id": "sam",
+                                    "name": "Sam"}},
+               "sentences": [{"clauses": [{"subject_ref": {"entity": "sam"},
+                                           "verb": "rest"}]}]}
+        f = tmp_path / "old.json"
+        f.write_text(json.dumps(old), encoding="utf-8")
+        problem = "sentences: expected an array, got an object"
+        assert run_cli(["realize", "--sentences", str(f)]) == (
+            4, "", f"realize: {f}: {problem}\n")
+        with pytest.raises(DataError, match=f"^{problem}$"):
+            ir.sentence_plans_from_json(f.read_text(encoding="utf-8"))
 
     def test_empty_sentence_list(self, tmp_path):
         f = tmp_path / "empty.json"
-        f.write_text('{"sentences": []}')
+        f.write_text('[]')
         code, out, err = run_cli(["realize", "--sentences", str(f)])
         assert (code, out, err) == (0, "", "")
 
@@ -853,11 +880,9 @@ class TestNestingBound:
                     * depth + leaf + "]}" * depth + "}")
             flag = "--plan"
         else:
-            clause = '{"subject_ref": {"entity": "sam"}, "verb": "rest"'
-            text = ('{"entities": {"sam": {"id": "sam", "name": "Sam"}}, '
-                    '"sentences": [{"clauses": ['
-                    + (clause + ', "condition": ') * depth + clause
-                    + "}" * (depth + 1) + "]}]}")
+            text = ('[{"clauses": ['
+                    + (_CLAUSE_OBJ + ', "condition": ') * depth + _CLAUSE_OBJ
+                    + "}" * (depth + 1) + "]}]")
             flag = "--sentences"
         with mock.patch("sys.stdin", fake_stdin(text.encode("utf-8"))):
             got, out, err = run_cli([command, flag, "-"])
@@ -883,7 +908,8 @@ _SAM_TABLE = '{"entities": {"sam": {"id": "sam", "name": "Sam"}}, '
 _GENERATE = "generate --schema {0}/s.schema --data {0}/d.json"
 _SENTPLAN = "sentplan --plan {0}/p.json"
 _REALIZE = "realize --sentences {0}/f.json"
-_CLAUSE_OBJ = '{"subject_ref": {"entity": "sam"}, "verb": "rest"'
+_CLAUSE_OBJ = ('{"subject_ref": {"entity": {"id": "sam", "name": "Sam"}}, '
+               '"verb": "rest"')
 _BATCH = "generate --schema {0}/s.schema --batch {0}"
 
 
@@ -911,8 +937,8 @@ class TestBoundedFailureLines:
          "parse"),
         (_SENTPLAN, "p.json", f'{{"root": null, "{_LONG}": 1}}', "sentplan"),
         (_SENTPLAN, "p.json", f'{{"root": {_DIGITS}}}', "sentplan"),
-        (_REALIZE, "f.json", f'{{"sentences": [], "{_LONG}": 1}}', "realize"),
-        (_REALIZE, "f.json", f'{{"sentences": {_DIGITS}}}', "realize"),
+        (_REALIZE, "f.json", f'[{{"clauses": [], "{_LONG}": 1}}]', "realize"),
+        (_REALIZE, "f.json", f'[{_DIGITS}]', "realize"),
         (_GENERATE, "s.schema",
          f'schema s\nnode a emit subject="{_WORDS}" verb=rest\n', "traverse"),
         (_GENERATE, "s.schema",
@@ -930,9 +956,9 @@ class TestBoundedFailureLines:
          + '{"subject": "sam", "verb": "rest"}'
          + "]}" * _MANY + "}", "sentplan"),
         (_REALIZE, "f.json",
-         _SAM_TABLE + '"sentences": [{"clauses": ['
+         '[{"clauses": ['
          + (_CLAUSE_OBJ + ', "condition": ') * _MANY + _CLAUSE_OBJ
-         + "}" * (_MANY + 1) + "]}]}", "realize"),
+         + "}" * (_MANY + 1) + "]}]", "realize"),
         (_GENERATE, "s.schema",
          _REST + "arc a -> b when " + "not(" * _MANY + "exists(r.x)"
          + ")" * _MANY + "\n", "parse"),
@@ -946,8 +972,7 @@ class TestBoundedFailureLines:
          + ", ".join(['{"subject": "sam", "verb": "Go"}']
                      * _MANY) + "]}}", "sentplan"),
         (_REALIZE, "f.json",
-         '{"sentences": [' + ", ".join(['{"clauses": []}'] * _MANY) + "]}",
-         "realize"),
+         "[" + ", ".join(['{"clauses": []}'] * _MANY) + "]", "realize"),
         (_GENERATE + " --lexicon {0}/l.txt", "l.txt",
          "[verbs]\n" + "go\tfourth\tsingular\tpresent\tgoes\n" * _MANY,
          "parse"),
@@ -959,8 +984,8 @@ class TestBoundedFailureLines:
          _SAM_TABLE + '"root": {"subject": "sam", "verb": "rest", '
          '"adverb": "\\uDBFF"}}', "sentplan"),
         (_REALIZE, "f.json",
-         _SAM_TABLE + '"sentences": [{"clauses": [' + _CLAUSE_OBJ
-         + ', "discourse_markers": ["\\ude00\\ud83d"]}]}]}', "realize"),
+         '[{"clauses": [' + _CLAUSE_OBJ
+         + ', "discourse_markers": ["\\ude00\\ud83d"]}]}]', "realize"),
     ], ids=["schema-token", "schema-number", "schema-float", "schema-points",
             "schema-field-twice", "data-token",
             "data-number", "lexicon-token", "plan-token", "plan-number",
@@ -996,27 +1021,44 @@ class TestBoundedFailureLines:
         assert "\\ud" not in err.lower()
 
 
-def _sentence_plan_obj(doc) -> dict:
+def _sentence_plan_obj(doc) -> list:
     plans = plan_sentences(traverse(doc.schema, doc.data), "fluent")
     return json.loads(ir.sentence_plans_to_json(plans))
 
 
+def _entities(value, entity_id: str) -> list[dict]:
+    """Each entity object with id ``entity_id`` that a reference in a
+    parsed sentence-plans file holds, in file order."""
+    found = []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, v in items:
+        if key == "entity" and v["id"] == entity_id:
+            found.append(v)
+        elif isinstance(v, (dict, list)):
+            found += _entities(v, entity_id)
+    return found
+
+
 _DELETE = object()
-_CLAUSE = ("sentences", 0, "clauses", 0)
-_SAM_ENTRY = ("entities", "sam")
+_CLAUSE = (0, "clauses", 0)
+# Sam, as the patient_report file holds him at each reference.
+_SAM_JSON = {"gender": "masculine", "id": "sam", "name": "Sam"}
+_EVERY_SAM = object()  # a path through each reference's Sam
 
 
 class TestBadSentencePlans:
     # (path inside the file, new value, expected message part)
     @pytest.mark.parametrize("path, value, detail", [
-        (("sentences", 0, "terminal_punct"), "period",
+        ((0, "terminal_punct"), "period",
          "sentences[0]: unknown field 'terminal_punct'"),
-        (_SAM_ENTRY + ("person",), "fourth",
-         "entities[sam].person: unknown value 'fourth'"),
+        ((_EVERY_SAM, "person"), "fourth",
+         "sentences[0].clauses[0].subject_ref.entity.person: unknown value "
+         "'fourth'"),
         (_CLAUSE + ("tense",), "pluperfect",
          "sentences[0].clauses[0].tense: unknown value 'pluperfect'"),
-        (_SAM_ENTRY + ("gender",), "other",
-         "entities[sam].gender: unknown value 'other'"),
+        ((_EVERY_SAM, "gender"), "other",
+         "sentences[0].clauses[0].subject_ref.entity.gender: unknown value "
+         "'other'"),
         (_CLAUSE + ("subject_ref", "case"), "genitive",
          "sentences[0].clauses[0].subject_ref: unknown field 'case'"),
         (_CLAUSE + ("mood",), "indicative",
@@ -1027,16 +1069,17 @@ class TestBadSentencePlans:
          "subject_ref: expected an object, got an array"),
         # The last sentence: emptying an earlier one would leave numbers
         # in later sentences naming values it declared.
-        (("sentences", 2, "clauses"), [],
+        ((2, "clauses"), [],
          "sentences[2]: sentence has no clauses"),
         (_CLAUSE + ("discourse_markers",), [""],
          "sentences[0].clauses[0]: blank discourse marker"),
         (_CLAUSE + ("condition",), {
-            "subject_ref": {"entity": "sam"},
+            "subject_ref": {"entity": _SAM_JSON},
             "verb": "rest", "discourse_markers": ["also", " "]},
          "sentences[0].clauses[0].condition: blank discourse marker"),
         (_CLAUSE + ("condition",), {
-            "subject_ref": {"entity": "sam"}, "verb": "go", "modal": "can",
+            "subject_ref": {"entity": _SAM_JSON}, "verb": "go",
+            "modal": "can",
             "tense": "future"},
          "sentences[0].clauses[0].condition: a modal takes present tense"),
         # The document-plan rules, applied to sentence plans.
@@ -1046,7 +1089,7 @@ class TestBadSentencePlans:
         (_CLAUSE + ("complements", 0, 0, "phrase", "premodifiers"), [" "],
          "sentences[0].clauses[0].complements[0][0].phrase: blank word in "
          "complement"),
-        (_SAM_ENTRY + ("name",), " ",
+        ((_EVERY_SAM, "name"), " ",
          "entities[sam]: exactly one of name/head must be given, not "
          "blank"),
         # The rules that only sentence plans need.
@@ -1054,7 +1097,7 @@ class TestBadSentencePlans:
          {"phrase": {"head": "@ann"}, "ref": None},
          "sentences[0].clauses[0].complements[0][0]: @ann head has no ref"),
         (_CLAUSE + ("complements", 0, 0),
-         {"phrase": {"head": "@ann"}, "ref": {"entity": "sam"}},
+         {"phrase": {"head": "@ann"}, "ref": {"entity": _SAM_JSON}},
          "sentences[0].clauses[0].complements[0][0].ref: entity 'sam' is "
          "not the one its head names"),
         (_CLAUSE + ("complements", 0), [],
@@ -1062,39 +1105,43 @@ class TestBadSentencePlans:
         (_CLAUSE + ("subject_ref", "mode"), "head-noun",
          "sentences[0].clauses[0].subject_ref.mode: unknown value "
          "'head-noun'"),
-        # References name an entity of the file's one table.
+        # A reference holds its entity in full, and one id names one
+        # entity throughout the file.
         (_CLAUSE + ("subject_ref", "entity"), "x",
-         "sentences[0].clauses[0].subject_ref.entity: unknown entity 'x'"),
-        (_SAM_ENTRY + ("id",), "samuel",
-         "entities[sam]: table key does not match entity id 'samuel'"),
-        (_CLAUSE + ("subject_ref", "entity"), {"id": "sam", "name": "Sam"},
-         "sentences[0].clauses[0].subject_ref.entity: expected a string, "
-         "got an object"),
-        (("entities",), _DELETE,
-         "sentences[0].clauses[0].subject_ref.entity: unknown entity "
-         "'sam'"),
+         "sentences[0].clauses[0].subject_ref.entity: expected an object, "
+         "got a string"),
+        (_CLAUSE + ("subject_ref", "entity", "number"), "plural",
+         "entity 'sam' is referenced with two different feature sets"),
+        (_CLAUSE + ("subject_ref", "entity", "id"), _DELETE,
+         "sentences[0].clauses[0].subject_ref.entity: missing field 'id'"),
+        (_CLAUSE + ("subject_ref", "entity"), None,
+         "sentences[0].clauses[0].subject_ref.entity: expected an object, "
+         "got null"),
         # Each clause is named once, at its own path.
-        (_CLAUSE, {"subject_ref": {"entity": "sam"}, "verb": "rest",
+        (_CLAUSE, {"subject_ref": {"entity": _SAM_JSON}, "verb": "rest",
                    "discourse_markers": [" "],
-                   "condition": {"subject_ref": {"entity": "sam"},
+                   "condition": {"subject_ref": {"entity": _SAM_JSON},
                                  "verb": "rest", "discourse_markers": [""]}},
          "sentences[0].clauses[0]: blank discourse marker; "
          "sentences[0].clauses[0].condition: blank discourse marker\n"),
         # An honorific is written only before a name.
-        (_SAM_ENTRY + ("honorific",), "  ",
+        ((_EVERY_SAM, "honorific"), "  ",
          "entities[sam]: an honorific needs a name and may not be blank"),
     ])
     def test_realize_rejects_with_exit_4(self, corpus, tmp_path, path,
                                          value, detail):
         obj = _sentence_plan_obj(get(corpus, "patient_report"))
         *parents, last = path
-        target = obj
+        targets = [obj]
+        if parents[0] is _EVERY_SAM:
+            targets, parents = _entities(obj, "sam"), parents[1:]
         for key in parents:
-            target = target[key]
-        if value is _DELETE:
-            del target[last]
-        else:
-            target[last] = value
+            targets = [target[key] for target in targets]
+        for target in targets:
+            if value is _DELETE:
+                del target[last]
+            else:
+                target[last] = value
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(obj), encoding="utf-8")
         code, out, err = run_cli(["realize", "--sentences", str(f)])
@@ -1165,7 +1212,7 @@ class TestBadDocumentPlans:
     def test_null_root_is_no_sentences(self):
         code, out, err = self._sentplan(None)
         assert (code, err) == (0, "")
-        assert out == '{"entities":{},"sentences":[]}\n'
+        assert out == "[]\n"
 
     def test_many_problems_name_three_and_a_count(self):
         leaf = {"subject": "sam", "verb": "rest", "adverb": " "}

@@ -307,7 +307,46 @@ class TestValidate:
          "present, past, future"),
         (ir.sentence_plans_to_json, [ir.SentencePlan(clauses=(None,))],
          "sentences[0].clauses[0]: expected a ClauseSpec, got null"),
-    ], ids=["plan-child", "plan-tense", "sentence-tense", "sentence-clause"])
+        # Values that no encoder step broke on, written before as plans
+        # that the decoder refuses or reads as another plan.
+        (ir.document_plan_to_json,
+         ir.DocumentPlan(root=ir.PlanNode(label="sequence", children=None)),
+         "root.children: expected a tuple, got null"),
+        (ir.document_plan_to_json,
+         ir.DocumentPlan(root=seq(ir.Message(subject="sam", verb="rest"),
+                                  label="because"), entities={"sam": SAM}),
+         "root.label: unknown value 'because'; expected one of sequence, "
+         "elaboration, contrast"),
+        (ir.document_plan_to_json,
+         ir.DocumentPlan(root=ir.Message(subject="sam", verb="rest",
+                                         polarity="maybe"),
+                         entities={"sam": SAM}),
+         "root.polarity: unknown value 'maybe'; expected one of positive, "
+         "negative"),
+        (ir.document_plan_to_json, ir.DocumentPlan(root=None, entities=None),
+         "entities: expected a dict, got null"),
+        (ir.document_plan_to_json, ir.DocumentPlan(root=None, entities=[]),
+         "entities: expected a dict, got an array"),
+        (ir.document_plan_to_json,
+         ir.DocumentPlan(root=ir.Message(
+             subject="sam", verb="see", complements=(
+                 ir.ComplementPhrase(head="dog", premodifiers="big"),)),
+             entities={"sam": SAM}),
+         "root.complements[0].premodifiers: expected a tuple, got a string"),
+        (ir.sentence_plans_to_json,
+         [ir.SentencePlan(clauses=(ir.ClauseSpec(
+             ir.ReferenceSpec(SAM), "rest", discourse_markers="also"),))],
+         "sentences[0].clauses[0].discourse_markers: expected a tuple, got "
+         "a string"),
+        (ir.sentence_plans_to_json,
+         [ir.SentencePlan(clauses=(ir.ClauseSpec(
+             ir.ReferenceSpec(SAM, mode=None), "rest"),))],
+         "sentences[0].clauses[0].subject_ref.mode: unknown value None; "
+         "expected one of full-name, pronoun, reflexive-pronoun"),
+    ], ids=["plan-child", "plan-tense", "sentence-tense", "sentence-clause",
+            "plan-children-null", "plan-label", "plan-polarity",
+            "plan-entities-null", "plan-entities-list", "plan-premodifiers",
+            "sentence-markers", "sentence-mode-null"])
     def test_encoders_refuse_what_the_checks_refuse(self, encode, value,
                                                      problem):
         with pytest.raises(DataError) as info:
@@ -385,7 +424,7 @@ class TestSerialization:
 
     def test_malformed_sentence_plans(self):
         with pytest.raises(DataError):
-            ir.sentence_plans_from_json("{\"sentences\": [{}]}")
+            ir.sentence_plans_from_json("[{}]")
 
     def test_a_message_root_round_trips(self):
         # A plan of one message has that message as its root, with no
@@ -438,7 +477,7 @@ class TestSerialization:
         assert ir.document_plan_to_json(ir.DocumentPlan(root=None)) == \
             '{"root":null}\n'
 
-    def test_sentence_plans_are_wrapped_and_keyed_by_field(self):
+    def test_sentence_plans_are_an_array_keyed_by_field(self):
         plans = [ir.SentencePlan(clauses=(
             ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=SAM),
                           verb="rest"),
@@ -446,12 +485,11 @@ class TestSerialization:
                                                        mode="pronoun"),
                           verb="rest")))]
         payload = json.loads(ir.sentence_plans_to_json(plans))
-        assert list(payload) == ["entities", "sentences"]
-        assert payload["entities"] == {"sam": {
-            "gender": "masculine", "id": "sam", "name": "Sam"}}
-        first, second = payload["sentences"][0]["clauses"]
-        assert first["subject_ref"] == {"entity": "sam"}
-        assert second["subject_ref"] == {"entity": "sam", "mode": "pronoun"}
+        (sentence,) = payload
+        first, second = sentence["clauses"]
+        sam = {"gender": "masculine", "id": "sam", "name": "Sam"}
+        assert first["subject_ref"] == {"entity": sam}
+        assert second["subject_ref"] == {"entity": sam, "mode": "pronoun"}
 
     def test_sentence_plans_carry_no_terminal_and_word_markers(self):
         ref = ir.ReferenceSpec(entity=SAM)
@@ -459,7 +497,7 @@ class TestSerialization:
             ir.ClauseSpec(subject_ref=ref, verb="rest",
                           discourse_markers=("also",)),))]
         text = ir.sentence_plans_to_json(plans)
-        (sentence,) = json.loads(text)["sentences"]
+        (sentence,) = json.loads(text)
         assert list(sentence) == ["clauses"]
         assert '"discourse_markers":["also"]' in text
         assert ir.sentence_plans_from_json(text) == plans
@@ -479,6 +517,35 @@ class TestSerialization:
                            match=r"entities\[sam\]\.name: expected a "
                                  r"string, got a number"):
             ir.document_plan_from_json(json.dumps(payload))
+
+    _SAM_REF = {"entity": {"id": "sam", "name": "Sam"}}
+
+    @pytest.mark.parametrize("decode, value, problem", [
+        (ir.document_plan_from_json,
+         {"root": {"subject": "sam", "verb": "rest", "complements": 5}},
+         "root.complements: expected an array, got a number"),
+        (ir.document_plan_from_json,
+         {"root": {"subject": "sam", "verb": "see", "complements": [
+             {"head": "dog", "premodifiers": "big"}]}},
+         "root.complements[0].premodifiers: expected an array, got a "
+         "string"),
+        (ir.sentence_plans_from_json, [{"clauses": 5}],
+         "sentences[0].clauses: expected an array, got a number"),
+        (ir.sentence_plans_from_json,
+         [{"clauses": [{"subject_ref": _SAM_REF, "verb": "rest",
+                        "complements": [5]}]}],
+         "sentences[0].clauses[0].complements[0]: expected an array, got a "
+         "number"),
+        (ir.sentence_plans_from_json, {"sentences": []},
+         "sentences: expected an array, got an object"),
+    ], ids=["plan-complements", "plan-premodifiers", "sentence-clauses",
+            "sentence-unit", "sentence-file"])
+    def test_a_value_not_an_array_is_named_at_its_own_path(self, decode,
+                                                          value, problem):
+        # The path ends at the value, with no index into it.
+        with pytest.raises(DataError) as info:
+            decode(json.dumps(value))
+        assert str(info.value) == problem
 
     @pytest.mark.parametrize("text", ["1" * (ir.MAX_DIGITS + 1),
                                       "-" + "9" * (ir.MAX_DIGITS + 1)],
@@ -509,8 +576,8 @@ class TestSerialization:
          '"root":{"subject":"sam","verb":"rest",'
          '"adverb":"\udc80"}}'),
         (ir.sentence_plans_from_json, "sentence plans",
-         '{"entities":{"\udbff":{"id":"\udbff","name":"Sam"}},'
-         '"sentences":[]}'),
+         '[{"clauses":[{"subject_ref":{"entity":{"id":"\udbff",'
+         '"name":"Sam"}},"verb":"rest"}]}]'),
     ], ids=["data", "document-plan", "sentence-plans"])
     def test_raw_lone_surrogate_is_refused(self, reader, what, text):
         # A str handed to the library may hold the character itself,
@@ -528,18 +595,18 @@ class TestSerialization:
     def test_byte_order_mark_is_refused(self):
         with pytest.raises(DataError, match="^malformed sentence plans: "
                                             "Unexpected UTF-8 BOM"):
-            ir.sentence_plans_from_json('\ufeff{"sentences": []}')
+            ir.sentence_plans_from_json('\ufeff[]')
 
     def test_deep_nesting_is_a_serialization_error(self):
         too_deep = f"JSON values nest more than {ir.MAX_NESTING} levels"
         with pytest.raises(DataError, match=too_deep):
             ir.sentence_plans_from_json("[" * 100_000)
-        clause = {"subject_ref": {"entity": "sam"}, "verb": "rest"}
+        clause = {"subject_ref": {"entity": {"id": "sam", "name": "Sam"}},
+                  "verb": "rest"}
         for _ in range(900):
             clause = {"subject_ref": clause["subject_ref"], "verb": "rest",
                       "condition": clause}
-        text = json.dumps({"entities": {"sam": {"id": "sam", "name": "Sam"}},
-                           "sentences": [{"clauses": [clause]}]})
+        text = json.dumps([{"clauses": [clause]}])
         with pytest.raises(DataError, match=too_deep):
             ir.sentence_plans_from_json(text)
 
@@ -573,7 +640,7 @@ def _plain(value, every_field: bool, numbers: dict | None = None):
     """A plan value as JSON data by the codec's rule, from
     dataclasses.fields alone, sharing no code with ir: each dataclass
     holds every field, as files once did, or only those that differ from
-    their default; a reference names its entity by id.  Given ``numbers``
+    their default.  Given ``numbers``
     (filled in text order), a value of a shared type equal to one written
     before is written as its number; without it, in full, as files once
     were."""
@@ -589,8 +656,6 @@ def _plain(value, every_field: bool, numbers: dict | None = None):
                 else f.default_factory()
             if every_field or v != default:
                 out[f.name] = _plain(v, every_field, numbers)
-        if isinstance(value, ir.ReferenceSpec):
-            out["entity"] = value.entity.id
         if numbers is not None and isinstance(value, SHARED_TYPES):
             of_type[value] = len(of_type)
         return out
@@ -605,12 +670,6 @@ def _plain(value, every_field: bool, numbers: dict | None = None):
 def _text(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":")) + "\n"
-
-
-def _sentences_file(plans) -> dict:
-    return {"entities": {ref.entity.id: ref.entity
-                         for ref in _references(plans)},
-            "sentences": plans}
 
 
 def _reference_encoding(plan) -> str:
@@ -639,13 +698,15 @@ class TestCodecProperties:
 
     # The round trip: TestSerialization.test_sentence_plans_round_trip.
     def test_references_to_one_id_share_one_entity(self, rng):
+        # Each reference holds its entity in full, so the references to
+        # one id hold equal entities, not one object.
         for plans in self._sentence_plans(rng):
             decoded = ir.sentence_plans_from_json(
                 ir.sentence_plans_to_json(plans))
             by_id = {}
             for ref in _references(decoded):
                 assert by_id.setdefault(ref.entity.id, ref.entity) \
-                    is ref.entity
+                    == ref.entity
             assert by_id == {ref.entity.id: ref.entity
                              for ref in _references(plans)}
 
@@ -676,7 +737,7 @@ class TestCodecProperties:
     def test_sentence_plans_match_a_reference_encoder(self, rng):
         for plans in self._sentence_plans(rng):
             assert ir.sentence_plans_to_json(plans) == \
-                _reference_encoding(_sentences_file(plans))
+                _reference_encoding(plans)
 
     @settings(max_examples=50, deadline=None)
     @given(words=st.lists(st.text(st.sampled_from([*_AWKWARD, "a", " "]),
@@ -701,7 +762,7 @@ class TestCodecProperties:
                                                 ref=ref)),))
         plans = [ir.SentencePlan(clauses=(clause, clause))]
         assert ir.sentence_plans_to_json(plans) == \
-            _reference_encoding(_sentences_file(plans))
+            _reference_encoding(plans)
 
     def test_a_shared_value_is_written_as_its_copies_are(self):
         for mode in get_args(ir.ReferenceMode):
@@ -724,7 +785,7 @@ class TestCodecProperties:
             text = ir.sentence_plans_to_json(shared)
             assert shared == copies
             assert text == ir.sentence_plans_to_json(copies) == \
-                _reference_encoding(_sentences_file(copies))
+                _reference_encoding(copies)
             assert ir.sentence_plans_from_json(text) == shared
             # The complement's reference comes first in the text, as
             # number 0; a different subject reference is number 1, written
@@ -748,8 +809,7 @@ class TestCodecProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_a_lone_value_round_trips(self, seed):
         # from_obj reads a lone value as a file of its own, so a value
-        # encoded alone reads back alone, back-references and all; a
-        # reference finds its entity in the table passed in.
+        # encoded alone reads back alone, back-references and all.
         plan = random_document_plan(random.Random(seed))
         lone = {tp: [] for tp in (ir.Message, ir.PlanNode, ir.ClauseSpec,
                                   ir.SentencePlan, *SHARED_TYPES)}
@@ -770,8 +830,7 @@ class TestCodecProperties:
             encode = ir._codec(tp)[0]
             for value in values:
                 text = encode(value, {})
-                assert ir.from_obj(tp, json.loads(text),
-                                   entities=plan.entities) == value, text
+                assert ir.from_obj(tp, json.loads(text)) == value, text
                 if tp in (ir.PlanNode, ir.Message):  # as a plan child
                     child = ir.PlanNode | ir.Message
                     assert ir._codec(child)[0](value, {}) == text
@@ -788,7 +847,7 @@ class TestCodecProperties:
             plans = plan_sentences(plan, profile)
             files.append((plans, ir.sentence_plans_to_json,
                           ir.sentence_plans_from_json,
-                          _inline_encoding(_sentences_file(plans))))
+                          _inline_encoding(plans)))
         for value, to_json, from_json, inline in files:
             text = to_json(value)
             decoded = from_json(text)
@@ -803,16 +862,16 @@ class TestCodecProperties:
 
     # (file, where the bad value goes, the value, the message)
     @pytest.mark.parametrize("kind, path, value, message", [
-        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), 5,
+        ("sentences", (1, "clauses", 0, "subject_ref"), 5,
          "sentences[1].clauses[0].subject_ref: number 5 names none of the "
          "1 earlier ReferenceSpec values"),
-        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), -1,
+        ("sentences", (1, "clauses", 0, "subject_ref"), -1,
          "sentences[1].clauses[0].subject_ref: number -1 names none of the "
          "1 earlier ReferenceSpec values"),
-        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), True,
+        ("sentences", (1, "clauses", 0, "subject_ref"), True,
          "sentences[1].clauses[0].subject_ref: expected an object, got a "
          "boolean"),
-        ("sentences", ("sentences", 1, "clauses", 0, "subject_ref"), 1.0,
+        ("sentences", (1, "clauses", 0, "subject_ref"), 1.0,
          "sentences[1].clauses[0].subject_ref: expected an object, got a "
          "number"),
         ("plan", ("root", "children", 0, "complements", 0), 0,
@@ -895,7 +954,7 @@ class TestCodecProperties:
                 plans = plan_sentences(plan, profile)
                 compact = ir.sentence_plans_to_json(plans)
                 decoded = ir.sentence_plans_from_json(
-                    _text(_plain(_sentences_file(plans), every_field=True)))
+                    _text(_plain(plans, every_field=True)))
                 assert decoded == ir.sentence_plans_from_json(compact) == \
                     plans
                 assert ir.sentence_plans_to_json(decoded) == compact
@@ -906,43 +965,12 @@ class TestCodecProperties:
         assert one == ir.DocumentPlan(root=None)
         assert one.entities == {} and one.entities is not two.entities
         (sp,) = ir.sentence_plans_from_json(
-            '{"entities":{"sam":{"id":"sam","name":"Sam"}},'
-            '"sentences":[{"clauses":[{"subject_ref":{"entity":"sam"},'
-            '"verb":"rest"}]}]}')
+            '[{"clauses":[{"subject_ref":{"entity":{"id":"sam",'
+            '"name":"Sam"}},"verb":"rest"}]}]')
         assert sp == ir.SentencePlan(clauses=(ir.ClauseSpec(
             subject_ref=ir.ReferenceSpec(entity=ir.Entity(id="sam",
                                                           name="Sam")),
             verb="rest"),))
-
-    def test_table_belongs_to_one_file(self):
-        ref = ir.ReferenceSpec(entity=SAM)
-        plans = [ir.SentencePlan(clauses=(
-            ir.ClauseSpec(subject_ref=ref, verb="rest"),))]
-        payload = json.loads(ir.sentence_plans_to_json(plans))
-        assert ir.sentence_plans_from_json(json.dumps(payload)) == plans
-        bad = dict(payload, sentences=[{"clauses": [{"verb": 1}]}])
-        with pytest.raises(DataError):
-            ir.sentence_plans_from_json(json.dumps(bad))
-        # Neither the good nor the failed call leaves its table behind.
-        with pytest.raises(DataError,
-                           match="^entity: unknown entity 'sam'$"):
-            ir.from_obj(ir.ReferenceSpec, {"entity": "sam"})
-        del payload["entities"]
-        with pytest.raises(DataError,
-                           match=r"^sentences\[0\]\.clauses\[0\]\."
-                                 r"subject_ref\.entity: unknown entity "
-                                 r"'sam'$"):
-            ir.sentence_plans_from_json(json.dumps(payload))
-
-    def test_table_is_read_first_whatever_the_key_order(self):
-        text = ir.sentence_plans_to_json([ir.SentencePlan(clauses=(
-            ir.ClauseSpec(subject_ref=ir.ReferenceSpec(entity=SAM),
-                          verb="rest"),))])
-        payload = json.loads(text)
-        swapped = {"sentences": payload["sentences"],
-                   "entities": payload["entities"]}
-        assert ir.sentence_plans_from_json(json.dumps(swapped)) == \
-            ir.sentence_plans_from_json(text)
 
     def test_one_id_with_two_feature_sets_is_not_encoded(self):
         she = dataclasses.replace(SAM, gender="feminine")
@@ -1021,6 +1049,23 @@ class TestValidateSentences:
     def test_is_public(self):
         import nlgen
         assert nlgen.validate_sentences is ir.validate_sentences
+
+    def test_one_id_with_two_entities_is_named_alike(self):
+        # Two clauses whose subjects are Sam and a plural Sam: the check,
+        # the encoder and the decoder name the clash in the same words.
+        plans = [ir.SentencePlan(clauses=(
+            ir.ClauseSpec(ir.ReferenceSpec(SAM), "rest"),
+            ir.ClauseSpec(ir.ReferenceSpec(
+                dataclasses.replace(SAM, number="plural")), "rest")))]
+        clash = "entity 'sam' is referenced with two different feature sets"
+        assert ir.validate_sentences(plans) == \
+            oracle.reference_validate_sentences(plans) == [clash]
+        for run in (lambda: ir.sentence_plans_to_json(plans),
+                    lambda: ir.sentence_plans_from_json(
+                        _reference_encoding(plans))):
+            with pytest.raises(DataError) as info:
+                run()
+            assert str(info.value) == clash
 
     def test_hand_built_plans_are_typed_then_checked(self):
         ref = ir.ReferenceSpec(entity=SAM)
@@ -1183,6 +1228,15 @@ def _wrong_ref(plans, rng):
         ir.ComplementPhrase(head=head), ir.ReferenceSpec(ent)))
 
 
+def _entity_clash(plans, rng):
+    # A reference that holds an entity of the plans with another number.
+    ent = _some_entity(plans, rng)
+    other = dataclasses.replace(ent, number=rng.choice(
+        [n for n in ir.NUMBERS if n != ent.number]))
+    return _add_complement(plans, rng, ir.ResolvedComplement(
+        ir.ComplementPhrase(head="@" + ent.id), ir.ReferenceSpec(other)))
+
+
 def _bad_complement(plans, rng):
     ent = _some_entity(plans, rng)
     return rng.choice([
@@ -1226,6 +1280,7 @@ _SENTENCE_FAULTS = {
             clause, verb="Rest", modal=rng.choice([None, "can"]),
             tense="past")),
     "unknown entity": _wrong_ref,
+    "entity clash": _entity_clash,
     "@-head": lambda plans, rng: _add_complement(
         plans, rng, _bad_complement(plans, rng)),
     "nested conditions": lambda plans, rng: _edit_clause(
@@ -1246,11 +1301,10 @@ def _decoded_plan(plan):
 
 
 def _decoded_sentences(plans):
-    """``plans`` read back from their file, not checked."""
-    payload = json.loads(ir.sentence_plans_to_json(plans))
-    entities = ir.from_obj(dict[str, ir.Entity], payload["entities"])
-    return list(ir.from_obj(tuple[ir.SentencePlan, ...],
-                            payload["sentences"], "sentences", entities))
+    """``plans`` read back from their file, not checked; the file is
+    written by the reference encoder, which refuses nothing."""
+    return ir.from_obj(list[ir.SentencePlan],
+                       json.loads(_reference_encoding(plans)))
 
 
 class TestChecksMatchReference:
@@ -1377,10 +1431,12 @@ class TestJunkFields:
                 oracle.reference_validate_sentences
             encode, decode = ir.sentence_plans_to_json, \
                 ir.sentence_plans_from_json
+            tp = list[ir.SentencePlan]
         else:
             check, reference = ir.validate, oracle.reference_validate
             encode, decode = ir.document_plan_to_json, \
                 ir.document_plan_from_json
+            tp = ir.DocumentPlan
         problems = check(bad)
         assert type(problems) is list
         assert problems == reference(bad)
@@ -1389,6 +1445,9 @@ class TestJunkFields:
         except DataError:
             assert problems
             return
+        # The encoders refuse every value that its field's row refuses,
+        # so what they write reads back as the plan it was.
+        assert ir.from_obj(tp, json.loads(text)) == bad
         if problems:
             return
         assert decode(text) == bad

@@ -648,7 +648,7 @@ _DIRECT_GUARDS = st.recursive(
                   inner),
         st.builds(lambda op, args: schema.Condition(op=op, args=tuple(args)),
                   st.sampled_from(["and", "or"]),
-                  st.lists(inner, min_size=1, max_size=3))),
+                  st.lists(inner, min_size=2, max_size=3))),
     max_leaves=6)
 
 
@@ -741,14 +741,19 @@ class TestCompiledGuards:
         (schema.Condition("not", args=("x",)), "not(...) takes only guards"),
         (schema.Condition("or", args=(_comparison("gt", 0), None)),
          "or(...) takes only guards"),
-        (schema.Condition("and"), "and(...) needs at least one guard"),
-        (schema.Condition("or"), "or(...) needs at least one guard"),
+        (schema.Condition("and"), "and(...) needs at least two arguments"),
+        (schema.Condition("or"), "or(...) needs at least two arguments"),
         (schema.Condition("not", args=(schema.Condition("and"),)),
-         "and(...) needs at least one guard"),
+         "and(...) needs at least two arguments"),
+        (schema.Condition("and", args=(_comparison("gt", 0),)),
+         "and(...) needs at least two arguments"),
+        (schema.Condition("or", args=(_comparison("gt", 0),)),
+         "or(...) needs at least two arguments"),
     ], ids=["unknown-op", "not-without-argument", "exists-without-path",
             "gt-string", "eq-array", "not-of-a-string", "or-of-none",
             "and-without-arguments", "or-without-arguments",
-            "nested-and-without-arguments"])
+            "nested-and-without-arguments", "and-of-one-guard",
+            "or-of-one-guard"])
     def test_a_guard_the_parser_could_not_build_is_refused(self, guard,
                                                            message):
         # Compiling checks what the parser guarantees before any path is
@@ -759,14 +764,6 @@ class TestCompiledGuards:
             with pytest.raises(TraversalError,
                                match=f"^{re.escape(message)}$"):
                 evaluate(guard, data)
-
-    @pytest.mark.parametrize("op", ["and", "or"])
-    def test_one_argument_and_or_is_that_guard(self, op):
-        data = schema.DataRecordSet(records={"r": 1})
-        for literal, expected in ((0, True), (5, False)):
-            guard = schema.Condition(op, args=(_comparison("gt", literal),))
-            assert schema.eval_condition(guard, data) is expected
-            assert oracle.reference_eval_condition(guard, data) is expected
 
     def test_a_subclass_mismatch_names_its_base_kind(self):
         data = schema.DataRecordSet(records={"r": _LIARS[str]("ill")})
@@ -1735,12 +1732,11 @@ class TestKindNames:
     def test_one_name_at_every_site(self, value, kind):
         assert ir.json_kind(value) == kind
         # Where the codec wants an array, or an object for an array.
-        key, wanted = ("entities", "an object") if type(value) is list \
-            else ("sentences", "an array")
+        where, wanted, file = ("sentences[0]", "an object", [value]) \
+            if type(value) is list else ("sentences", "an array", value)
         with pytest.raises(DataError, match=re.escape(
-                f"{key}: expected {wanted}, got {kind}")):
-            ir.sentence_plans_from_json(
-                json.dumps({"sentences": [], key: value}))
+                f"{where}: expected {wanted}, got {kind}")):
+            ir.sentence_plans_from_json(json.dumps(file))
         data = schema.DataRecordSet(
             entities={"sam": ir.Entity(id="sam", name="Sam")},
             records={"x": value})
