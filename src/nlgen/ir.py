@@ -51,8 +51,8 @@ ENTITY_MARKER = "@"
 
 # How deep a document plan's relation nodes may nest below its root.
 # traverse counts one level per `call` and per non-sequence arc and stops
-# past it, and validate() refuses a deeper decoded plan, so every stage
-# walks trees that fit the interpreter's stack: the encoder spends two
+# past it, and the plan rules refuse a deeper plan, so every stage walks
+# trees that fit the interpreter's stack: the encoder spends two
 # interpreter frames per plan level and overflows near 495 levels.
 MAX_NESTING = 100
 # The problem named for plan JSON too deep for the decoders to walk (a
@@ -278,7 +278,8 @@ def plan_leaves(plan: DocumentPlan) -> list[Message]:
 # Each field's type is stated once, by its hint, which _row() reads into
 # a row: the decoder refuses a file's value by it, and _misfits() a value
 # of a plan built by hand, in the same words; the rules run only on a plan
-# whose values fit.  The checks keep a path as links and format it only
+# whose values fit, and alone on a decoded plan, which the decoder has
+# made to fit.  The checks keep a path as links and format it only
 # when a check fails.  Each distinct plan object is checked against its
 # rows once per call; the rules check each distinct complement once, by
 # id (the plan keeps it alive), and name its problems at each use.
@@ -454,13 +455,16 @@ def validate(plan: DocumentPlan) -> list[str]:
     """Check that each value of a plan fits its field, then the invariants
     that types cannot express; returns one description per violation, and
     one for all branches past MAX_NESTING (empty list means the plan is
-    well-formed), and never raises.  document_plan_from_json() runs it on
-    every decoded plan; call it on a plan built by hand before planning."""
-    problems = _misfits(plan, _row(DocumentPlan), "")
-    if not problems:
-        problems = _validate_entities(plan.entities)
-        if plan.root is not None:
-            _validate_node(plan.root, "root", 0, plan.entities, {}, problems)
+    well-formed); never raises.  Check a hand-built plan before planning."""
+    return _misfits(plan, _row(DocumentPlan), "") or _plan_rules(plan)
+
+
+def _plan_rules(plan: DocumentPlan) -> list[str]:
+    """The rules of a document plan whose values fit their rows: the
+    entity-table rules, then the tree's."""
+    problems = _validate_entities(plan.entities)
+    if plan.root is not None:
+        _validate_node(plan.root, "root", 0, plan.entities, {}, problems)
     return problems
 
 
@@ -503,8 +507,7 @@ def _validate_clause(clause: ClauseSpec, at, checked: dict, refs: dict,
 def validate_sentences(plans: list[SentencePlan]) -> list[str]:
     """Check sentence plans built by hand as validate() checks a document
     plan, with one entity per id and the entity rules on the entities they
-    refer to.  Decoding runs only the rules; validate(), timed by name as
-    a stage, cannot."""
+    refer to.  Decoding runs only the rules."""
     return _misfits(plans, _row(list[SentencePlan]), "sentences") or \
         _sentence_rules(plans)
 
@@ -676,7 +679,8 @@ def _dataclass_codec(cls):
         raise TypeError(f"{cls.__name__} must be decoded through __init__")
     # Filled after registering, so that recursive types resolve: per field
     # in key order (name, ',"name":', default or an object no value
-    # equals, encoder), and each field's decoder by name.
+    # equals, its type, encoder), and each field's decoder by name.  A
+    # value of another type than its default (0 for False) is never left out.
     writes: list = []
     reads: dict = {}
     declared = dataclasses.fields(cls)
@@ -691,8 +695,8 @@ def _dataclass_codec(cls):
             raise _Invalid(_mismatch(_row(cls), value))
         fields = value.__dict__
         text = ""
-        for name, key, default, item in writes:
-            if (v := fields[name]) != default:
+        for name, key, default, kind, item in writes:
+            if (v := fields[name]) != default or type(v) is not kind:
                 text += key + item(v, memo)
         return "{" + text[1:] + "}"
 
@@ -755,7 +759,8 @@ def _dataclass_codec(cls):
         item, reads[f.name] = _codec(hints[f.name])
         default = factories[f.name]() if f.name in factories \
             else defaults.get(f.name, object())
-        writes.append((f.name, "," + _quote(f.name) + ":", default, item))
+        writes.append((f.name, "," + _quote(f.name) + ":", default,
+                       type(default), item))
         row = _row(hints[f.name])
         rows.insert(0, (f.name, "." + f.name, default, row[2], row))
     writes.sort()  # by name, which no two fields share
@@ -823,14 +828,14 @@ def _check(problems: list[str]) -> None:
 def document_plan_to_json(plan: DocumentPlan) -> str:
     try:
         return _codec(DocumentPlan)[0](plan, {}) + "\n"
-    except (_Invalid, TypeError):  # a value its field cannot hold
+    except (_Invalid, TypeError, RecursionError):  # the check names why
         raise DataError(summarize(validate(plan))) from None
 
 
 def document_plan_from_json(text: str) -> DocumentPlan:
-    """Decode a document plan and check it with validate()."""
+    """Decode a document plan and check it by the rules of validate()."""
     plan = from_obj(DocumentPlan, _parse(text, "document plan"))
-    _check(validate(plan))
+    _check(_plan_rules(plan))
     return plan
 
 
@@ -841,7 +846,7 @@ def sentence_plans_to_json(plans: list[SentencePlan]) -> str:
         text = _codec(list[SentencePlan])[0](plans, memo := {})
         if not _entity_table(memo.get(ReferenceSpec, {}).values())[1]:
             return text + "\n"
-    except (_Invalid, TypeError):  # a value its field cannot hold
+    except (_Invalid, TypeError, RecursionError):  # the check names why
         pass
     raise DataError(summarize(validate_sentences(plans)))
 

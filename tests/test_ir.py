@@ -14,8 +14,8 @@ from nlgen import ir, plan_sentences, realize_document, schema
 from nlgen.errors import DataError, NlgenError
 
 import oracle
-from conftest import (SHARED_TYPES, random_document_plan, run_cli,
-                      shared_objects)
+from conftest import (GOLDEN_DIR, SHARED_TYPES, random_document_plan,
+                      run_cli, shared_objects)
 
 
 SAM = ir.Entity(id="sam", name="Sam", gender="masculine",
@@ -343,10 +343,15 @@ class TestValidate:
              ir.ReferenceSpec(SAM, mode=None), "rest"),))],
          "sentences[0].clauses[0].subject_ref.mode: unknown value None; "
          "expected one of full-name, pronoun, reflexive-pronoun"),
+        # 0 equals the default, False, but is not left out as it.
+        (ir.sentence_plans_to_json,
+         [ir.SentencePlan(clauses=(ir.ClauseSpec(ir.ReferenceSpec(SAM),
+                                                 "rest"),), new_paragraph=0)],
+         "sentences[0].new_paragraph: expected a boolean, got a number"),
     ], ids=["plan-child", "plan-tense", "sentence-tense", "sentence-clause",
             "plan-children-null", "plan-label", "plan-polarity",
             "plan-entities-null", "plan-entities-list", "plan-premodifiers",
-            "sentence-markers", "sentence-mode-null"])
+            "sentence-markers", "sentence-mode-null", "sentence-paragraph-0"])
     def test_encoders_refuse_what_the_checks_refuse(self, encode, value,
                                                      problem):
         with pytest.raises(DataError) as info:
@@ -414,6 +419,24 @@ class TestSerialization:
                            match=r"^root\.children\[0\]: "
                                  r"referential integrity"):
             ir.document_plan_from_json(text)
+
+    def test_decoding_runs_only_the_rules(self, rng, monkeypatch):
+        # The decoder has checked every type, so decoding does not walk
+        # the rows again.
+        plan = random_document_plan(rng)
+        text = ir.document_plan_to_json(plan)
+        monkeypatch.setattr(ir, "_misfits", None)
+        assert ir.document_plan_from_json(text) == plan
+
+    def test_sentplan_does_not_validate_a_plan_file(self, monkeypatch):
+        def fail(plan):
+            raise AssertionError("validate called")
+
+        monkeypatch.setattr(ir, "validate", fail)
+        plan_file = GOLDEN_DIR / "patient_report.plan.json"
+        golden = GOLDEN_DIR / "patient_report.fluent.sentences.json"
+        assert run_cli(["sentplan", "--plan", str(plan_file)]) == \
+            (0, golden.read_text(encoding="utf-8"), "")
 
     def test_messages_carry_no_source_key(self):
         payload = json.loads(ir.document_plan_to_json(sam_pair_plan()))
@@ -938,6 +961,29 @@ class TestCodecProperties:
         assert text == _reference_encoding(plan)
         assert ir.document_plan_from_json(text) == plan
 
+    def test_a_plan_too_deep_to_encode_is_named(self):
+        # Deeper than the encoder's frames reach: the check names it
+        # without recursing that deep.
+        node = ir.Message(subject="sam", verb="rest")
+        for _ in range(1000):
+            node = seq(node)
+        with pytest.raises(DataError) as info:
+            ir.document_plan_to_json(
+                ir.DocumentPlan(root=node, entities={"sam": SAM}))
+        assert str(info.value) == (
+            "root.children[0].children[0]... (level 101): relation nodes "
+            "nest more than 100 levels below the root")
+
+    def test_sentence_plans_too_deep_to_encode_are_named(self):
+        ref = ir.ReferenceSpec(SAM)
+        clause = ir.ClauseSpec(ref, "rest")
+        for _ in range(1000):
+            clause = ir.ClauseSpec(ref, "rest", condition=clause)
+        with pytest.raises(DataError) as info:
+            ir.sentence_plans_to_json([ir.SentencePlan(clauses=(clause,))])
+        assert str(info.value) == ("sentences[0].clauses[0].condition: "
+                                   "conditions may not nest below one level")
+
     def test_files_with_every_field_still_read(self, rng):
         # Files written before defaults were left out spell every field
         # out, as dataclasses.asdict does; each decodes to the value of
@@ -1456,6 +1502,111 @@ class TestJunkFields:
                              plan_sentences(bad, profile))
         except NlgenError:
             pass
+
+
+def _junk_plan(seed, profile, sentences, junk):
+    """A random plan, or its sentence plans, with one field of one object
+    holding _JUNK[junk]."""
+    rng = random.Random(seed)
+    plan = random_document_plan(rng)
+    value = plan_sentences(plan, profile) if sentences else plan
+    target = rng.choice(_plan_objects(value))
+    name = rng.choice([f.name for f in dataclasses.fields(target)])
+    return _swapped(value, target, dataclasses.replace(
+        target, **{name: _JUNK[junk]}))
+
+
+# Characters a byte edit writes into a plan file: JSON's punctuation, some
+# digits and letters of its literals and of the plans' words.
+_FILE_CHARS = '{}[]:,"-019 .abeilnorstu'
+# Values a value edit writes in place of one of a parsed file's values,
+# besides the file's own values.
+_FILE_VALUES = (None, 0, 1, True, "", "rest", [], {})
+
+
+def _slots(value) -> list[tuple]:
+    """(container, key) for every value inside a parsed JSON value."""
+    slots, stack = [], [value]
+    while stack:
+        v = stack.pop()
+        items = v.items() if type(v) is dict else enumerate(v) \
+            if type(v) is list else ()
+        for key, item in items:
+            slots.append((v, key))
+            stack.append(item)
+    return slots
+
+
+class TestDecodedPlansFit:
+    # A decoded plan fits its rows, so decoding runs the rules alone: the
+    # decoder refuses what the rows refuse, and decoding a file refuses
+    # the plan it was written from as the public check does.
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           profile=st.sampled_from(["fluent", "plain"]),
+           sentences=st.booleans(),
+           junk=st.sampled_from(range(len(_JUNK))))
+    def test_decoding_names_what_the_check_names(self, seed, profile,
+                                                 sentences, junk):
+        bad = _junk_plan(seed, profile, sentences, junk)
+        if sentences:
+            check, encode, decode = ir.validate_sentences, \
+                ir.sentence_plans_to_json, ir.sentence_plans_from_json
+        else:
+            check, encode, decode = ir.validate, ir.document_plan_to_json, \
+                ir.document_plan_from_json
+        problems = check(bad)
+        try:
+            text = encode(bad)
+        except DataError:
+            return
+        try:
+            decoded = decode(text)
+        except DataError as exc:
+            assert problems and str(exc) == ir.summarize(problems)
+        else:
+            assert (decoded, problems) == (bad, [])
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), sentences=st.booleans(),
+           edits=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.integers(0, 2),
+                                    st.text(_FILE_CHARS, max_size=2)),
+                          max_size=3),
+           swaps=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.integers(0, 10**6)), max_size=2))
+    def test_what_decodes_fits_its_rows(self, seed, sentences, edits,
+                                        swaps):
+        # A random plan file with byte edits, each cutting up to two
+        # characters at a point and writing up to two in their place,
+        # then value edits, each putting one of _FILE_VALUES or a copy of
+        # one of the file's values in place of one of its values.
+        plan = random_document_plan(random.Random(seed))
+        if sentences:
+            tp = list[ir.SentencePlan]
+            text = ir.sentence_plans_to_json(plan_sentences(plan, "fluent"))
+        else:
+            tp, text = ir.DocumentPlan, ir.document_plan_to_json(plan)
+        for where, cut, new in edits:
+            at = where % (len(text) + 1)
+            text = text[:at] + new + text[at + cut:]
+        try:
+            value = json.loads(text)
+        except ValueError:
+            return
+        for where, pick in swaps:
+            slots = _slots(value)
+            if slots:
+                container, key = slots[where % len(slots)]
+                pool = _FILE_VALUES + tuple(c[k] for c, k in slots)
+                container[key] = copy.deepcopy(pool[pick % len(pool)])
+        try:
+            decoded = ir.from_obj(tp, value)
+        except DataError:
+            return
+        assert ir._misfits(decoded, ir._row(tp), "") == []
 
 
 class TestOracleAgreement:

@@ -81,8 +81,10 @@ def test_every_perfbench_instrument_records_calls():
         parsed = nlgen.parse_schema(schema_path.read_text(encoding="utf-8"))
         data = nlgen.load_data(data_path.read_text(encoding="utf-8"))
         text = nlgen.generate_text(parsed, data, "fluent")
-        plan = nlgen.document_plan_from_json(nlgen.document_plan_to_json(
-            nlgen.traverse(parsed, data)))
+        traversed = nlgen.traverse(parsed, data)
+        assert nlgen.validate(traversed) == []  # as for a plan built by hand
+        plan = nlgen.document_plan_from_json(
+            nlgen.document_plan_to_json(traversed))
         plans = nlgen.sentence_plans_from_json(nlgen.sentence_plans_to_json(
             nlgen.plan_sentences(plan, "fluent")))
         assert nlgen.realize_document(plans) == text
