@@ -251,14 +251,6 @@ class SentencePlan:
 # Plan lookups
 
 
-def lookup_entity(entities: dict[str, Entity], entity_id: str) -> Entity:
-    """The entity ``entity_id`` names in ``entities``."""
-    entity = entities.get(entity_id)
-    if entity is None:
-        raise DataError(f"dangling entity reference: {entity_id!r}")
-    return entity
-
-
 def plan_leaves(plan: DocumentPlan) -> list[Message]:
     """The messages of a document plan, its leaves, in document order."""
     leaves: list[Message] = []

@@ -26,6 +26,7 @@ distinct words, the least recently used dropped first.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -130,16 +131,18 @@ def _add_verb(out: list[Token], clause: ir.ClauseSpec, lex: Lexicon) -> None:
 
 # Letters whose English name starts with a vowel sound: "an F", "an x".
 _VOWEL_NAMED_LETTERS = frozenset("AEFHILMNORSX")
+_LEADING_NUMBER = re.compile(r"[0-9][0-9,]*")
 
 
 def _vowel_sound(text: str) -> bool:
-    """Whether ``text`` is spoken with a leading vowel sound.  A number
-    is read aloud ("an 8", "an 11", "an 18,000", "a 1,800"); a single
-    letter or an all-caps initialism, alone or before a hyphen, by its
-    first letter's name ("an FBI agent", "an x-ray"); any other word by
-    its first letter."""
-    digits = text.replace(",", "").partition(".")[0]
-    if digits.isascii() and digits.isdigit():
+    """Whether ``text`` is spoken with a leading vowel sound.  A word
+    that starts with a number reads it aloud ("an 8", "an 8-hour", "an
+    11", "an 18th", "an 18,000", "a 1,800"); a single letter or an
+    all-caps initialism, alone or before a hyphen, by its first letter's
+    name ("an FBI agent", "an x-ray"); any other word by its first
+    letter."""
+    if number := _LEADING_NUMBER.match(text):
+        digits = number[0].replace(",", "")
         lead = digits[:len(digits) % 3 or 3]  # the leading thousands group
         return lead[0] == "8" or lead in ("11", "18")
     first = text.partition("-")[0]

@@ -59,6 +59,7 @@ dataclasses.replace); the checks that depend on the data run per document.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from collections.abc import Callable, Iterator, Mapping
@@ -646,9 +647,11 @@ def _lookup(records: Any, segments: tuple[str, ...]) -> Any:
     return value
 
 
-# The guard operators, the first four reading a path, and the value types
-# each literal type compares with; a bool is never a number here.
+# The guard operators, the first four reading a path, the comparison each
+# of eq, gt and lt makes, and the value types each literal type compares
+# with; a bool is never a number here.
 _OPERATORS = ("exists", "eq", "gt", "lt", "and", "or", "not")
+_COMPARE = {"eq": operator.eq, "gt": operator.gt, "lt": operator.lt}
 _NUMBER = (int, float)
 _KINDS = {bool: (bool,), str: (str,), int: _NUMBER, float: _NUMBER}
 
@@ -667,7 +670,7 @@ def _mismatch(op: str, path: str, literal: Any, value: Any) -> TraversalError:
 
 def _compile_condition(cond: Condition, level: int,
                        compiled: dict) -> Callable[[Any], bool]:
-    """One closure per operator, ``level`` operators deep in its guard;
+    """One closure per operator family, ``level`` operators deep in its guard;
     children are compiled with their parent, one level deeper, and kept
     in ``compiled`` by (id, level): a guard built by hand may share an
     argument, which is then compiled once per level, not once per use.
@@ -713,35 +716,21 @@ def _compile_condition(cond: Condition, level: int,
 
         def test(records):
             return not inner(records)
-    elif op == "and":
+    elif op in _OPERATORS[4:6]:
+        stop = op == "or"
+
         def test(records):
             for arg_test in tests:
-                if not arg_test(records):
-                    return False
-            return True
-    elif op == "or":
-        def test(records):
-            for arg_test in tests:
-                if arg_test(records):
-                    return True
-            return False
-    elif op == "eq":
+                if arg_test(records) is stop:
+                    return stop
+            return not stop
+    else:  # eq, gt, lt
+        compare = _COMPARE[op]
+
         def test(records):
             value = _lookup(records, segments)
             if type(value) in kinds:
-                return value == literal
-            raise _mismatch(op, path, literal, value)
-    elif op == "gt":
-        def test(records):
-            value = _lookup(records, segments)
-            if type(value) in kinds:
-                return value > literal
-            raise _mismatch(op, path, literal, value)
-    else:  # lt
-        def test(records):
-            value = _lookup(records, segments)
-            if type(value) in kinds:
-                return value < literal
+                return compare(value, literal)
             raise _mismatch(op, path, literal, value)
     compiled[id(cond), level] = test
     return test
@@ -790,10 +779,12 @@ def _parse_complement_text(text: str) -> ir.ComplementPhrase:
 
 
 def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
-    """The text of an expression: a path's value must be a string, a
-    boolean ("true"/"false"), a finite float or an int of at most
-    ir.MAX_DIGITS digits."""
-    if type(expr) is not tuple:  # a literal
+    """The text of an expression: a str literal is its own text, and a
+    path's value must be a string, a boolean ("true"/"false"), a finite
+    float or an int of at most ir.MAX_DIGITS digits."""
+    if type(expr) is str:
+        return expr
+    if type(expr) is not tuple:  # any other literal
         if type(expr := _lookup(expr, ())) is not str:
             raise TraversalError(f"literal is {ir.json_kind(expr)}, not text")
         return expr
@@ -821,28 +812,21 @@ def _resolve_expr(expr: str | tuple[str, ...], data: DataRecordSet) -> str:
 def _fill(template: MessageTemplate, data: DataRecordSet | None,
           condition: ir.Message | None = None) -> ir.Message:
     """The template's message; its subject and @ heads must be entities
-    of the data, if given.  A literal or text path value is read in place."""
-    expr = template.subject
-    subject = expr if type(expr) is str else value if type(expr) is tuple \
-        and type(value := _lookup(data.records, expr)) is str \
-        else _resolve_expr(expr, data)
+    of the data, if given."""
+    subject = _resolve_expr(template.subject, data)
     if subject.startswith(ir.ENTITY_MARKER):
         subject = subject[len(ir.ENTITY_MARKER):]
     if data is not None and subject not in data.entities:
         raise TraversalError(f"unknown entity {subject!r}")
-    complements = tuple([_parse_complement_text(
-        expr if type(expr) is str else value if type(expr) is tuple
-        and type(value := _lookup(data.records, expr)) is str
-        else _resolve_expr(expr, data)) for expr in template.complements])
+    complements = tuple([_parse_complement_text(_resolve_expr(expr, data))
+                         for expr in template.complements])
     for phrase in complements:
         ref = ir.entity_ref(phrase.head)
         if ref is not None and data is not None and ref not in data.entities:
             raise TraversalError(f"unknown entity {ref!r}")
     adverb = None
     if (expr := template.adverb) is not None:
-        adverb = (expr if type(expr) is str else value if type(expr) is tuple
-                  and type(value := _lookup(data.records, expr)) is str
-                  else _resolve_expr(expr, data)).strip() or None
+        adverb = _resolve_expr(expr, data).strip() or None
     message = ir.Message(subject, template.verb, complements, template.tense,
                          template.modal, template.polarity, adverb, condition)
     return message if data else _CONSTANTS.setdefault(message, message)

@@ -43,6 +43,7 @@ from collections.abc import Sequence
 from itertools import groupby
 
 from . import ir
+from .errors import DataError
 
 PROFILES = ("fluent", "plain")
 
@@ -53,8 +54,9 @@ AGGREGATION_CAP = 3  # max coordination units in one group
 # call's input or the memo keeps alive, so no id() is reused while it lives.
 def _full_name(entity_id: str, entities, memo: dict) -> ir.ReferenceSpec:
     if (ref := memo.get(entity_id)) is None:
-        ref = memo[entity_id] = ir.ReferenceSpec(
-            entity=ir.lookup_entity(entities, entity_id))
+        if (entity := entities.get(entity_id)) is None:
+            raise DataError(f"dangling entity reference: {entity_id!r}")
+        ref = memo[entity_id] = ir.ReferenceSpec(entity=entity)
     return ref
 
 
@@ -217,9 +219,9 @@ def _rewrite(clause: ir.ClauseSpec, refer, memo: dict) -> ir.ClauseSpec:
         discourse_markers=clause.discourse_markers, condition=condition)
 
 
-def pronominalize(plans: list[ir.SentencePlan],
-                  entities: dict[str, ir.Entity]) -> list[ir.SentencePlan]:
-    """Rewrite reference modes using a one-sentence recency window.
+def pronominalize(plans: list[ir.SentencePlan]) -> list[ir.SentencePlan]:
+    """Rewrite reference modes using a one-sentence recency window; each
+    reference's own entity, the one the realizer writes, decides.
 
     A third-person mention becomes a pronoun when its entity was already
     mentioned in the immediately preceding sentence or earlier in the
@@ -238,7 +240,7 @@ def pronominalize(plans: list[ir.SentencePlan],
               local_subject: str | None) -> ir.ReferenceSpec:
         # local_subject: id of the subject of the clause this mention is
         # an object of; None for a subject mention.
-        ent = ir.lookup_entity(entities, ref.entity.id)
+        ent = ref.entity
         mode = ref.mode
         if ent.id == local_subject:
             mode = "reflexive-pronoun"
@@ -298,5 +300,5 @@ def plan_sentences(plan: ir.DocumentPlan,
                 (clause,), new_paragraph=pi > 0 and ci == 0))
     if profile == "fluent":
         sentences = insert_discourse_markers(sentences)
-        sentences = pronominalize(sentences, plan.entities)
+        sentences = pronominalize(sentences)
     return sentences

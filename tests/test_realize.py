@@ -359,6 +359,9 @@ class TestOrthography:
         ("8000", "an"), ("11", "an"), ("18", "an"), ("11,000", "an"),
         ("18500", "an"), ("8.5", "an"), ("1,800", "a"), ("1800", "a"),
         ("110", "a"), ("180", "a"), ("7", "a"), ("100", "a"),
+        # A word that starts with a number reads that number aloud.
+        ("8-hour", "an"), ("11-year", "an"), ("18th-century", "an"),
+        ("80s", "an"), ("1,800-mile", "a"), ("7-day", "a"),
         # Initialisms and single letters go by the first letter's name.
         ("FBI", "an"), ("NHS", "an"), ("MRI", "an"), ("X", "an"),
         ("x-ray", "an"), ("f", "an"), ("UK", "a"), ("U-turn", "a"),

@@ -187,7 +187,7 @@ class TestPronominalize:
                     adverb="just"),
             message("mrs_black", "have", np("high", head="temperature",
                                             det="a")))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         assert out[1].clauses[0].subject_ref.mode == "pronoun"
         assert render(out) == \
             "I just saw Mrs. Black. She has a high temperature."
@@ -195,7 +195,7 @@ class TestPronominalize:
     def test_first_mention_stays_full(self):
         plans = self.build(
             message("mrs_black", "have", np(head="temperature", det="a")))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         assert out[0].clauses[0].subject_ref.mode == "full-name"
 
     def test_window_is_one_sentence(self):
@@ -203,7 +203,7 @@ class TestPronominalize:
             message("sam", "rest"),
             message("mrs_black", "rest"),
             message("sam", "rest"))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         # Two sentences back is out of the window.
         assert out[2].clauses[0].subject_ref.mode == "full-name"
 
@@ -211,20 +211,20 @@ class TestPronominalize:
         plans = self.build(
             message("sam", "see", np(head="@john")),
             message("sam", "rest"))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         assert out[1].clauses[0].subject_ref.mode == "full-name"
 
     def test_different_gender_does_not_block(self):
         plans = self.build(
             message("sam", "see", np(head="@mrs_black")),
             message("sam", "rest"))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         assert out[1].clauses[0].subject_ref.mode == "pronoun"
 
     def test_object_coreferent_with_subject_is_reflexive(self):
         plans = self.build(
             message("john", "see", np(head="@john"), tense="past"))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         ref = out[0].clauses[0].complements[0][0].ref
         assert ref.mode == "reflexive-pronoun"
         assert render(out) == "John saw himself."
@@ -256,7 +256,7 @@ class TestPronominalize:
         plans = self.build(
             message("sam", "go", np(head="store", det="the", prep="to"),
                     modal="should", condition=trigger))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         clause = out[0].clauses[0]
         assert clause.condition.subject_ref.mode == "full-name"
         assert clause.subject_ref.mode == "pronoun"
@@ -269,7 +269,7 @@ class TestPronominalize:
                           np(head="@mrs_black", prep="with"))
         plans = self.build(
             message("mrs_black", "rest", modal="should", condition=trigger))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         cond = out[0].clauses[0].condition
         assert [rc.ref.mode for rc in cond.complements[0]] == \
             ["reflexive-pronoun", "full-name"]
@@ -282,16 +282,27 @@ class TestPronominalize:
             message("sam", "rest"),
             message("mrs_black", "see", np(head="@john")),
             message("mrs_black", "rest"))
-        out = sentplan.pronominalize(plans, ENTITIES)
+        out = sentplan.pronominalize(plans)
         assert out[0] is plans[0]
         assert out[1] is plans[1]
         assert out[2] is not plans[2]
         assert out[2].clauses[0].subject_ref.mode == "pronoun"
 
-    def test_unknown_entity_is_lookup_failure(self):
-        plans = self.build(message("sam", "rest"))
-        with pytest.raises(DataError):
-            sentplan.pronominalize(plans, {})
+    @pytest.mark.parametrize("gender, text", [
+        ("masculine", "Sam sees John. Sam rests."),
+        ("feminine", "Sam sees John. She rests."),
+    ])
+    def test_each_reference_holds_the_entity_that_decides(self, gender,
+                                                          text):
+        # Hand-built plans with no entity table: the entity a reference
+        # holds, the one the realizer writes, is the one the rule reads.
+        sam = ir.ReferenceSpec(dataclasses.replace(SAM, gender=gender))
+        john = ir.ResolvedComplement(np(head="@john"), ir.ReferenceSpec(JOHN))
+        plans = [ir.SentencePlan((ir.ClauseSpec(sam, "see",
+                                                complements=((john,),)),)),
+                 ir.SentencePlan((ir.ClauseSpec(sam, "rest"),))]
+        assert ir.validate_sentences(plans) == []
+        assert render(sentplan.pronominalize(plans)) == text
 
     def test_pronouns_recoverable_on_random_plans(self, rng):
         for _ in range(30):
@@ -377,7 +388,8 @@ class TestPlanSentences:
 
     def test_invalid_plan_rejected(self):
         bad = dataclasses.replace(self.sam_pair(), entities={})
-        with pytest.raises(DataError):
+        with pytest.raises(DataError,
+                           match="^dangling entity reference: 'sam'$"):
             sentplan.plan_sentences(bad, "fluent")
 
     def test_plans_are_not_validated_again(self, corpus, monkeypatch):
@@ -499,7 +511,7 @@ class TestReferencePasses:
                 assert out == oracle.reference_plan_sentences(plan, profile)
             # A second run over the fluent output starts from modes and
             # markers already set.
-            assert sentplan.pronominalize(out, plan.entities) == \
+            assert sentplan.pronominalize(out) == \
                 oracle.reference_pronominalize(out, plan.entities)
             assert sentplan.insert_discourse_markers(out) == \
                 oracle.reference_insert_discourse_markers(out)
